@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments ablations scorecard paper-scale \
-	examples profile-baseline clean
+.PHONY: install test bench bench-smoke experiments ablations scorecard \
+	paper-scale examples profile-baseline clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -16,6 +16,12 @@ bench:
 	$(PYTHON) benchmarks/baseline.py --out BENCH_joins.json \
 		--check benchmarks/BENCH_seed.json --counters-only \
 		--history BENCH_history.jsonl
+
+# The benchmark of record (bench/, BENCHMARK.json) at 1/20 size: its own
+# test, then the smoke run's result document on standard output.
+bench-smoke:
+	$(PYTHON) -m pytest bench/test_smoke.py -q
+	python3 bench/run.py --smoke
 
 # Regenerate the checked-in sampling-profiler baseline from the
 # canonical bench suite.  Refresh it (and eyeball the diff) whenever a

@@ -40,7 +40,8 @@ def expected_selectivity(theta_r: int, theta_s: int, domain_size: int) -> float:
         + math.lgamma(domain_size - theta_r + 1)
         - math.lgamma(domain_size + 1)
     )
-    return math.exp(log_p)
+    # lgamma rounding can leave log_p a few ulps above 0 when D = θ_S.
+    return min(1.0, math.exp(log_p))
 
 
 def expected_result_size(

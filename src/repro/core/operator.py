@@ -23,8 +23,8 @@ conditions remaining equal".  A join runs in three phases:
 
 Two comparison engines are provided: ``"python"`` (pure-Python loop over
 integer signatures, faithful to the per-comparison accounting) and
-``"numpy"`` (vectorized bitwise inclusion over packed 64-bit words; same
-comparison counts, much faster at paper scale).
+``"numpy"`` (a blocked kernel over packed partition entries; the same
+comparison counts and candidate order, much faster at paper scale).
 """
 
 from __future__ import annotations
@@ -42,19 +42,34 @@ from ..storage.buffer import BufferPool
 from ..storage.pager import DiskManager, FileDiskManager, InMemoryDiskManager
 from ..storage.partition_store import PartitionStore
 from ..storage.relation_store import DEFAULT_PAYLOAD_SIZE, RelationStore
+from ..storage.serialization import (
+    decode_partition_entries,
+    encode_partition_entry,
+)
 from .metrics import JoinMetrics, PhaseMetrics
 from .partitioning import Partitioner
 from .sets import Relation
-from .signatures import (
-    DEFAULT_SIGNATURE_BITS,
-    bitwise_included,
-    pack_signatures,
-    signature_of,
-)
+from .signatures import DEFAULT_SIGNATURE_BITS, pack_signatures, signature_of
 
-__all__ = ["Testbed", "SetContainmentJoin", "run_disk_join", "compare_block"]
+__all__ = [
+    "Testbed", "SetContainmentJoin", "run_disk_join",
+    "compare_block", "compare_packed", "join_partition",
+]
 
 ENGINES = ("python", "numpy")
+
+#: ``(signatures, tids)``, the signatures as :func:`pack_signatures` words.
+PackedBlock = tuple[np.ndarray, np.ndarray]
+
+# Tiles of the blocked kernel: its dense temporaries are sized by the tile
+# (the survivor bitmap is _R_TILE x _S_TILE bits), never by the block.  Store
+# batches are a few hundred entries, so _S_TILE only ever splits inline and
+# memory-resident partitions.
+_R_TILE = 1024
+_S_TILE = 4096
+#: set bits per R signature the index is probed with before survivors are
+#: confirmed exactly.
+_PREFILTER_DEPTH = 8
 
 
 def compare_block(
@@ -66,32 +81,21 @@ def compare_block(
 ) -> int:
     """Compare one R block against an S partition's batches.
 
-    The single block-nested-loop kernel shared by the serial operator and
-    the partition-parallel workers (:mod:`repro.parallel.worker`), so both
-    paths perform bit-for-bit the same comparisons.  ``add(r_tid, s_tid)``
-    is called for every pair passing the bitwise-inclusion filter; the
-    number of signature comparisons performed is returned.
+    ``add(r_tid, s_tid)`` is called for every pair passing the
+    bitwise-inclusion filter, S-major and in R order within one S
+    signature; the number of signature comparisons performed is returned.
+    ``"python"`` is the scalar loop every other path is tested against;
+    ``"numpy"`` packs the entries for the kernel of :func:`compare_packed`.
     """
-    comparisons = 0
     if engine == "numpy":
-        packed_r = pack_signatures(
-            [signature for signature, __ in r_block], signature_bits
+        return compare_packed(
+            engine,
+            signature_bits,
+            _pack_entries(r_block, signature_bits),
+            (_pack_entries(batch, signature_bits) for batch in s_batches),
+            add,
         )
-        r_tids = np.array([tid for __, tid in r_block], dtype=np.int64)
-        words = packed_r.shape[1]
-        mask64 = (1 << 64) - 1
-        zero = np.uint64(0)
-        for s_batch in s_batches:
-            for s_sig, s_tid in s_batch:
-                comparisons += len(r_block)
-                # sig(r) ⊆ᵇ sig(s)  ⟺  r_words & ~s_words == 0, per word.
-                included = np.ones(len(r_block), dtype=bool)
-                for word in range(words):
-                    not_s = np.uint64(~(s_sig >> (64 * word)) & mask64)
-                    included &= (packed_r[:, word] & not_s) == zero
-                for r_tid in r_tids[included]:
-                    add(int(r_tid), s_tid)
-        return comparisons
+    comparisons = 0
     for s_batch in s_batches:
         for s_sig, s_tid in s_batch:
             not_s = ~s_sig
@@ -100,6 +104,193 @@ def compare_block(
                 if r_sig & not_s == 0:
                     add(r_tid, s_tid)
     return comparisons
+
+
+def _pack_entries(entries, signature_bits: int) -> PackedBlock:
+    return (
+        pack_signatures([signature for signature, __ in entries], signature_bits),
+        np.array([tid for __, tid in entries], dtype=np.int64),
+    )
+
+
+def _unpack_entries(block: PackedBlock) -> "list[tuple[int, int]]":
+    signatures, tids = block
+    return [
+        (int.from_bytes(row.tobytes(), "little"), tid)
+        for row, tid in zip(signatures, tids.tolist())
+    ]
+
+
+def compare_packed(
+    engine: str,
+    signature_bits: int,
+    r_block: PackedBlock,
+    s_batches: "Iterable[PackedBlock]",
+    add,
+) -> int:
+    """:func:`compare_block` over packed blocks: the blocked signature
+    kernel (DESIGN.md, "Blocked signature kernel").
+
+    ``sig(r) ⊆ᵇ sig(s)`` iff ``s`` is in the intersection, over r's set
+    bits ``b``, of the S tile's bitmap "has bit ``b``" — the rows of a
+    bit-sliced index.  An R tile ANDs the rows of each r's first
+    ``_PREFILTER_DEPTH`` set bits and reads the surviving pairs off the
+    nonzero words; only a tile holding an r with more set bits confirms
+    them with the exact ``r & ~s == 0``.  Every r meets every s: x = |R|·|S|.
+    """
+    if engine != "numpy":
+        return compare_block(
+            engine,
+            signature_bits,
+            _unpack_entries(r_block),
+            map(_unpack_entries, s_batches),
+            add,
+        )
+    r_words, r_tids = r_block
+    probes = _probe_rows(r_words)
+    comparisons = 0
+    for s_words, s_tids in s_batches:
+        comparisons += len(r_tids) * len(s_tids)
+        for s_lo in range(0, len(s_tids), _S_TILE):
+            tile_words = s_words[s_lo : s_lo + _S_TILE]
+            index = _bit_sliced_index(tile_words)
+            hits_r, hits_s = [], []
+            for r_lo, rows, exact in probes:
+                survivors = index[rows[0]]
+                for level in rows[1:]:
+                    survivors &= index[level]
+                r_at, word_at = np.nonzero(survivors)
+                if not len(r_at):
+                    continue
+                # Unpack just the nonzero words into their S positions.
+                word_bits = np.unpackbits(
+                    survivors[r_at, word_at].view(np.uint8).reshape(-1, 8),
+                    axis=1,
+                )
+                which, bit_at = np.nonzero(word_bits)
+                r_at = r_at[which] + r_lo
+                s_at = word_at[which] * 64 + bit_at
+                if exact:
+                    confirmed = ~(r_words[r_at] & ~tile_words[s_at]).any(axis=1)
+                    r_at, s_at = r_at[confirmed], s_at[confirmed]
+                hits_r.append(r_at)
+                hits_s.append(s_at)
+            if hits_r:
+                r_at, s_at = np.concatenate(hits_r), np.concatenate(hits_s)
+                # Tiles come out (r, s)-sorted; callers see S-major order.
+                order = np.argsort(s_at, kind="stable")
+                for r_tid, s_tid in zip(
+                    r_tids[r_at[order]].tolist(),
+                    s_tids[s_lo + s_at[order]].tolist(),
+                ):
+                    add(r_tid, s_tid)
+    return comparisons
+
+
+def _probe_rows(r_words: np.ndarray) -> "list[tuple[int, np.ndarray, bool]]":
+    """Per R tile: its offset, a ``(depth, tile)`` matrix naming the index
+    row of each signature's first ``depth`` set bits (the all-ones padding
+    row where it has fewer), and whether some signature has more."""
+    pad_row = r_words.shape[1] * 64
+    probes = []
+    for lo in range(0, len(r_words), _R_TILE):
+        bits = np.unpackbits(
+            r_words[lo : lo + _R_TILE].view(np.uint8), axis=1, bitorder="little"
+        )
+        # 1-based rank of each set bit within its signature.
+        ranks = np.cumsum(bits, axis=1, dtype=np.int32)
+        deepest = int(ranks[:, -1].max())
+        rows = np.full(
+            (max(1, min(deepest, _PREFILTER_DEPTH)), len(bits)),
+            pad_row,
+            dtype=np.int32,
+        )
+        r_at, bit_at = np.nonzero(bits & (ranks <= _PREFILTER_DEPTH))
+        rows[ranks[r_at, bit_at] - 1, r_at] = bit_at
+        probes.append((lo, rows, deepest > _PREFILTER_DEPTH))
+    return probes
+
+
+def _bit_sliced_index(s_words: np.ndarray) -> np.ndarray:
+    """``(signature bits + 1, ceil(n / 64))`` uint64: row ``b`` is the
+    bitmap of the signatures with bit ``b`` set, the last row the bitmap
+    of all of them (what a signature with fewer probe bits ANDs with)."""
+    bits = np.unpackbits(s_words.view(np.uint8), axis=1, bitorder="little")
+    bitmap_bytes = (len(s_words) + 7) // 8
+    index = np.zeros(
+        (bits.shape[1] + 1, 8 * ((len(s_words) + 63) // 64)), dtype=np.uint8
+    )
+    index[:-1, :bitmap_bytes] = np.packbits(bits.T, axis=1)
+    index[-1, :bitmap_bytes] = np.packbits(np.ones(len(s_words), dtype=np.uint8))
+    return index.view(np.uint64)
+
+
+def _entry_batches(
+    source, partition: int, signature_bits: int,
+    block_entries: int, batch_portions: int,
+) -> "Iterable[tuple[np.ndarray, np.ndarray]]":
+    """One side of a partition as ``(signatures, tids)`` byte-level batches.
+
+    ``source`` is a sealed :class:`PartitionStore`, read in multi-portion
+    batches, or — an inline or memory-resident partition — its entry run
+    as bytes, cut every ``block_entries`` entries.
+    """
+    if not isinstance(source, (bytes, bytearray)):
+        return source.scan_partition_arrays(partition, batch_portions)
+    signatures, tids = decode_partition_entries(source, (signature_bits + 7) // 8)
+    return [
+        (signatures[at : at + block_entries], tids[at : at + block_entries])
+        for at in range(0, len(tids), block_entries)
+    ]
+
+
+def join_partition(
+    engine: str, signature_bits: int, block_entries: int, batch_portions: int,
+    r_source, s_source, partition: int, add,
+) -> int:
+    """Block-nested-loop one partition pair; returns its comparison count.
+
+    The one joining loop of the serial operator and the partition-parallel
+    workers (:mod:`repro.parallel.worker`): the S side is re-read, batch
+    by batch, for every memory-bounded block of the R side.
+    """
+    shape = (partition, signature_bits, block_entries, batch_portions)
+    return sum(
+        compare_packed(
+            engine, signature_bits, r_block, _s_batches(s_source, *shape), add
+        )
+        for r_block in _r_blocks(r_source, *shape)
+    )
+
+
+def _r_blocks(source, partition, signature_bits, block_entries, batch_portions):
+    """Group a partition's R side into memory-bounded packed blocks."""
+    pending, entries = [], 0
+    for batch in _entry_batches(
+        source, partition, signature_bits, block_entries, batch_portions
+    ):
+        pending.append(batch)
+        entries += len(batch[1])
+        if entries >= block_entries:
+            yield _pack_batches(pending, signature_bits)
+            pending, entries = [], 0
+    if pending:
+        yield _pack_batches(pending, signature_bits)
+
+
+def _s_batches(source, partition, signature_bits, block_entries, batch_portions):
+    for signatures, tids in _entry_batches(
+        source, partition, signature_bits, block_entries, batch_portions
+    ):
+        yield pack_signatures(signatures, signature_bits), tids
+
+
+def _pack_batches(batches, signature_bits: int) -> PackedBlock:
+    signatures, tids = zip(*batches)
+    return (
+        pack_signatures(np.concatenate(signatures), signature_bits),
+        np.concatenate(tids),
+    )
 
 
 class Testbed:
@@ -304,8 +495,10 @@ class SetContainmentJoin:
         #: test hook threaded into parallel workers: fail the worker's own
         #: disk manager after N physical I/Os (see repro.parallel.worker).
         self._worker_fault_after: int | None = None
-        self._resident_r: list[list[tuple[int, int]]] = []
-        self._resident_s: list[list[tuple[int, int]]] = []
+        #: memory-resident partitions, each an entry run in the partition
+        #: stores' own byte format (see encode_partition_entry).
+        self._resident_r: list[bytearray] = []
+        self._resident_s: list[bytearray] = []
 
     # ------------------------------------------------------------------
 
@@ -416,8 +609,8 @@ class SetContainmentJoin:
         started = time.perf_counter()
 
         resident = self.resident_partitions
-        self._resident_r = [[] for __ in range(resident)]
-        self._resident_s = [[] for __ in range(resident)]
+        self._resident_r = [bytearray() for __ in range(resident)]
+        self._resident_s = [bytearray() for __ in range(resident)]
 
         tracer = self._active_tracer()
         self.partitioner.reset_route_stats()
@@ -433,8 +626,8 @@ class SetContainmentJoin:
                         signature = signature_of(elements, self.signature_bits)
                         for index in self.partitioner.assign_r(elements):
                             if index < resident:
-                                self._resident_r[index].append(
-                                    (signature, tid)
+                                self._resident_r[index] += encode_partition_entry(
+                                    signature, tid, self.signature_bytes
                                 )
                             else:
                                 parts_r.append(index, signature, tid)
@@ -446,8 +639,8 @@ class SetContainmentJoin:
                         signature = signature_of(elements, self.signature_bits)
                         for index in self.partitioner.assign_s(elements):
                             if index < resident:
-                                self._resident_s[index].append(
-                                    (signature, tid)
+                                self._resident_s[index] += encode_partition_entry(
+                                    signature, tid, self.signature_bytes
                                 )
                             else:
                                 parts_s.append(index, signature, tid)
@@ -460,9 +653,9 @@ class SetContainmentJoin:
             metrics.replicated_signatures = (
                 parts_r.total_entries + parts_s.total_entries
             )
-            metrics.resident_signatures = sum(map(len, self._resident_r)) + sum(
-                map(len, self._resident_s)
-            )
+            metrics.resident_signatures = sum(
+                map(len, self._resident_r + self._resident_s)
+            ) // parts_r.entry_size
             metrics.partitioning = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
             )
@@ -523,15 +716,11 @@ class SetContainmentJoin:
                     r_entries=r_entries,
                     s_entries=s_entries,
                 ) as partition_span:
-                    comparisons_before = metrics.signature_comparisons
-                    for block in self._r_blocks(parts_r, partition):
-                        self._join_block(
-                            block, parts_s, partition, metrics, candidates
-                        )
-                    partition_span.set(
-                        comparisons=metrics.signature_comparisons
-                        - comparisons_before
+                    comparisons = self._join_partition(
+                        parts_r, parts_s, partition, candidates.add
                     )
+                    metrics.signature_comparisons += comparisons
+                    partition_span.set(comparisons=comparisons)
             metrics.candidates = len(candidates)
             metrics.joining = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
@@ -632,10 +821,9 @@ class SetContainmentJoin:
                     r_entries=r_entries,
                     s_entries=s_entries,
                 ):
-                    for block in self._r_blocks(parts_r, partition):
-                        self._join_block(
-                            block, parts_s, partition, metrics, fresh
-                        )
+                    metrics.signature_comparisons += self._join_partition(
+                        parts_r, parts_s, partition, fresh.add
+                    )
                 join_seconds += time.perf_counter() - started
                 join_delta = disk.stats.delta(before)
                 metrics.joining.page_reads += join_delta.page_reads
@@ -678,54 +866,24 @@ class SetContainmentJoin:
 
     def _partition_size_r(self, parts_r: PartitionStore, partition: int) -> int:
         if partition < self.resident_partitions:
-            return len(self._resident_r[partition])
+            return len(self._resident_r[partition]) // parts_r.entry_size
         return parts_r.partition_size(partition)
 
     def _partition_size_s(self, parts_s: PartitionStore, partition: int) -> int:
         if partition < self.resident_partitions:
-            return len(self._resident_s[partition])
+            return len(self._resident_s[partition]) // parts_s.entry_size
         return parts_s.partition_size(partition)
 
-    def _r_blocks(
-        self, parts_r: PartitionStore, partition: int
-    ) -> Iterable[list[tuple[int, int]]]:
-        """Group the R side of a partition into memory-bounded blocks."""
+    def _join_partition(
+        self, parts_r: PartitionStore, parts_s: PartitionStore,
+        partition: int, add,
+    ) -> int:
         if partition < self.resident_partitions:
-            entries = self._resident_r[partition]
-            for start in range(0, len(entries), self.block_entries):
-                yield entries[start : start + self.block_entries]
-            return
-        block: list[tuple[int, int]] = []
-        for batch in parts_r.scan_partition_batches(partition, self.batch_portions):
-            block.extend(batch)
-            if len(block) >= self.block_entries:
-                yield block
-                block = []
-        if block:
-            yield block
-
-    def _s_batches(
-        self, parts_s: PartitionStore, partition: int
-    ) -> Iterable[list[tuple[int, int]]]:
-        if partition < self.resident_partitions:
-            yield self._resident_s[partition]
-            return
-        yield from parts_s.scan_partition_batches(partition, self.batch_portions)
-
-    def _join_block(
-        self,
-        r_block: list[tuple[int, int]],
-        parts_s: PartitionStore,
-        partition: int,
-        metrics: JoinMetrics,
-        candidates: "_CandidateSink",
-    ) -> None:
-        metrics.signature_comparisons += compare_block(
-            self.engine,
-            self.signature_bits,
-            r_block,
-            self._s_batches(parts_s, partition),
-            candidates.add,
+            parts_r = self._resident_r[partition]
+            parts_s = self._resident_s[partition]
+        return join_partition(
+            self.engine, self.signature_bits, self.block_entries,
+            self.batch_portions, parts_r, parts_s, partition, add,
         )
 
     # ------------------------------------------------------------------

@@ -13,8 +13,8 @@ negatives.  All join algorithms here compare signatures first and verify
 surviving candidates against the actual sets.
 
 Signatures are represented as Python ints (arbitrary precision makes the
-160-bit signatures of the paper's experiments natural), with an optional
-numpy packing used by the vectorized join engine.
+160-bit signatures of the paper's experiments natural); the vectorized
+join engine works on :func:`pack_signatures`' uint64-word packing.
 """
 
 from __future__ import annotations
@@ -129,19 +129,27 @@ def recommend_signature_bits(
     return max_bits
 
 
-def pack_signatures(signatures: Sequence[int], bits: int) -> np.ndarray:
-    """Pack integer signatures into a (n, words) uint64 matrix.
+def pack_signatures(
+    signatures: "Sequence[int] | np.ndarray", bits: int
+) -> np.ndarray:
+    """Pack signatures into a (n, words) uint64 matrix.
 
-    Word 0 holds the least-significant 64 bits.  Used by the vectorized
-    comparison engine.
+    Word 0 holds the least-significant 64 bits; a width that is not a
+    multiple of 64 is zero-padded.  ``signatures`` is either a sequence
+    of ints or an ``(n, signature_bytes)`` uint8 matrix of big-endian
+    rows, the layout of partition pages.  This is the one packed form the
+    vectorized comparison engine works on.
     """
-    words = (bits + 63) // 64
-    packed = np.zeros((len(signatures), words), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for row, signature in enumerate(signatures):
-        for word in range(words):
-            packed[row, word] = (signature >> (64 * word)) & mask
-    return packed
+    row_bytes = 8 * ((bits + 63) // 64)
+    if isinstance(signatures, np.ndarray):
+        packed = np.zeros((len(signatures), row_bytes), dtype=np.uint8)
+        packed[:, : signatures.shape[1]] = signatures[:, ::-1]
+    else:
+        raw = b"".join(
+            signature.to_bytes(row_bytes, "little") for signature in signatures
+        )
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, row_bytes)
+    return packed.view("<u8")
 
 
 def included_in_any_matrix(r_sig: int, packed_s: np.ndarray, bits: int) -> np.ndarray:

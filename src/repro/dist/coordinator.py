@@ -107,8 +107,10 @@ class ShardedDatabase:
     lives in ``<path>.shard<i>`` (each with its own WAL) and the shard-id
     set persists in ``<path>.shards.json`` so reopening without
     ``shards=`` resumes the existing layout.  ``fanout`` is the
-    *coordinator-level* execution mode (``"serial"``/``"thread"``);
-    intra-shard parallelism is the join call's ``workers``/``backend``.
+    *coordinator-level* execution mode (``"serial"``/``"thread"``; the
+    threads are used only where shard joins can overlap, see
+    :meth:`_dispatch`); intra-shard parallelism is the join call's
+    ``workers``/``backend``.
     ``prune`` selects the R-replication mode (see
     :mod:`repro.dist.placement`): ``"partitions"`` (default) keeps the
     x/y accounting bit-identical to single-shard execution,
@@ -429,7 +431,16 @@ class ShardedDatabase:
 
     def _dispatch(self, requests: "list[ShardJoinRequest]"):
         by_id = {shard.shard_id: shard for shard in self.shards}
-        if self.fanout == "serial" or len(requests) <= 1:
+        # A shard join gives up the interpreter lock only while it waits:
+        # for its file, or for workers of its own.  In-memory shards
+        # joining without workers would just take turns on it, every
+        # forced hand-off (one per 5 ms switch interval) idle until the
+        # other thread is awake — so those run in shard order.
+        waits = self.path is not None or any(
+            request.workers > 1 and request.backend != "serial"
+            for request in requests
+        )
+        if self.fanout == "serial" or len(requests) <= 1 or not waits:
             return [
                 by_id[request.shard_id].execute_join(request)
                 for request in requests

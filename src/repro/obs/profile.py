@@ -43,7 +43,7 @@ DEFAULT_HZ = 67.0
 #: not the scan around it.
 FUNCTION_PHASES = {
     "compare_block": "join.compare_block",
-    "_join_block": "join.compare_block",
+    "compare_packed": "join.compare_block",
     "_r_blocks": "join.scan",
     "_join_phase": "join.scan",
     "_join_and_verify_phase": "join.scan",

@@ -153,18 +153,22 @@ def _describe_file_source(join, parts_r, parts_s) -> FileSource | None:
 def _build_spec(join, parts_r, parts_s, shard, file_source,
                 collect_metrics=False, trace=False,
                 query_id=None) -> ShardSpec:
-    inline_r: dict[int, list[tuple[int, int]]] = {}
-    inline_s: dict[int, list[tuple[int, int]]] = {}
+    inline_r: dict[int, bytes] = {}
+    inline_s: dict[int, bytes] = {}
     resident = join.resident_partitions
     for partition in shard.partitions:
         if partition < resident:
             # Memory-resident partitions exist only in the parent's
             # lists — ship them by value regardless of the source.
-            inline_r[partition] = join._resident_r[partition]
-            inline_s[partition] = join._resident_s[partition]
+            inline_r[partition] = bytes(join._resident_r[partition])
+            inline_s[partition] = bytes(join._resident_s[partition])
         elif file_source is None:
-            inline_r[partition] = list(parts_r.scan_partition(partition))
-            inline_s[partition] = list(parts_s.scan_partition(partition))
+            inline_r[partition] = b"".join(
+                parts_r.scan_partition_records(partition)
+            )
+            inline_s[partition] = b"".join(
+                parts_s.scan_partition_records(partition)
+            )
     import os
 
     return ShardSpec(

@@ -17,12 +17,14 @@ Partition data reaches a worker one of two ways:
   partition-parallel containment joins in the first place.
 * **Inline entries** — the testbed is memory-backed (no file to reopen)
   or a partition is memory-resident, so its ``(signature, tid)`` entries
-  are shipped in the spec.  The parent's page reads for materializing
-  them are counted in the parent's joining-phase I/O.
+  are shipped in the spec, as one run of bytes in the partition stores'
+  entry format.  The parent's page reads for materializing them are
+  counted in the parent's joining-phase I/O.
 
-Comparison semantics are shared with the serial operator through
-:func:`repro.core.operator.compare_block`, so a shard performs bit-for-bit
-the same signature comparisons the serial loop would for its partitions.
+The joining loop itself — blocking and comparison — is the serial
+operator's, :func:`repro.core.operator.join_partition`, so a shard
+performs bit-for-bit the same signature comparisons the serial loop
+would for its partitions.
 
 Fault injection: ``ShardSpec.fail_after`` arms a
 :class:`~repro.storage.faults.FaultInjectingDiskManager` around the
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 __all__ = ["FileSource", "ShardSpec", "ShardResult", "run_shard"]
 
@@ -57,8 +58,8 @@ class FileSource:
 class ShardSpec:
     """Everything one worker needs to join its partition pairs.
 
-    Plain data only (ints, strings, lists, dicts) so the spec pickles
-    cleanly across process boundaries under any start method.
+    Plain data only (ints, strings, bytes, lists, dicts) so the spec
+    pickles cleanly across process boundaries under any start method.
     """
 
     partitions: list[int]
@@ -67,10 +68,11 @@ class ShardSpec:
     block_entries: int
     batch_portions: int
     file_source: FileSource | None = None
-    #: partition -> entries, for partitions not readable via file_source
-    #: (memory-backed testbeds and memory-resident partitions).
-    inline_r: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    inline_s: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    #: partition -> its entry run (fixed-width signature + tid records,
+    #: see repro.storage.serialization), for partitions not readable via
+    #: file_source (memory-backed testbeds and memory-resident partitions).
+    inline_r: dict[int, bytes] = field(default_factory=dict)
+    inline_s: dict[int, bytes] = field(default_factory=dict)
     #: test hook: fail the worker's disk manager after N physical I/Os.
     fail_after: int | None = None
     #: chaos: sleep this long before joining (a "slow shard"; with a
@@ -127,36 +129,6 @@ class ShardResult:
     error_type: str | None = None
 
 
-def _iter_r_blocks(
-    entries_or_store, partition: int, block_entries: int, batch_portions: int
-) -> Iterator[list[tuple[int, int]]]:
-    """Group a partition's R side into memory-bounded blocks, mirroring
-    ``SetContainmentJoin._r_blocks`` exactly."""
-    if isinstance(entries_or_store, list):
-        for start in range(0, len(entries_or_store), block_entries):
-            yield entries_or_store[start : start + block_entries]
-        return
-    block: list[tuple[int, int]] = []
-    for batch in entries_or_store.scan_partition_batches(
-        partition, batch_portions
-    ):
-        block.extend(batch)
-        if len(block) >= block_entries:
-            yield block
-            block = []
-    if block:
-        yield block
-
-
-def _iter_s_batches(
-    entries_or_store, partition: int, batch_portions: int
-) -> Iterable[list[tuple[int, int]]]:
-    if isinstance(entries_or_store, list):
-        yield entries_or_store
-        return
-    yield from entries_or_store.scan_partition_batches(partition, batch_portions)
-
-
 def run_shard(spec: ShardSpec) -> ShardResult:
     """Join every partition pair of one shard; never raises.
 
@@ -164,7 +136,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     captured into the result so it survives pickling back to the parent
     regardless of backend.
     """
-    from ..core.operator import compare_block
+    from ..core.operator import join_partition
     from ..obs.registry import get_registry
     from ..obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 
@@ -213,24 +185,13 @@ def run_shard(spec: ShardSpec) -> ShardResult:
                 with tracer.span(
                     "join.partition", partition=partition
                 ) as partition_span:
-                    comparisons_before = result.signature_comparisons
-                    for block in _iter_r_blocks(
-                        r_side, partition, spec.block_entries,
-                        spec.batch_portions,
-                    ):
-                        result.signature_comparisons += compare_block(
-                            spec.engine,
-                            spec.signature_bits,
-                            block,
-                            _iter_s_batches(
-                                s_side, partition, spec.batch_portions
-                            ),
-                            lambda r_tid, s_tid: pairs.add((r_tid, s_tid)),
-                        )
-                    partition_span.set(
-                        comparisons=result.signature_comparisons
-                        - comparisons_before
+                    comparisons = join_partition(
+                        spec.engine, spec.signature_bits, spec.block_entries,
+                        spec.batch_portions, r_side, s_side, partition,
+                        lambda r_tid, s_tid: pairs.add((r_tid, s_tid)),
                     )
+                    result.signature_comparisons += comparisons
+                    partition_span.set(comparisons=comparisons)
             result.pairs = sorted(pairs)
     except Exception as error:  # noqa: BLE001 — shipped to the parent as data
         result.error = str(error)

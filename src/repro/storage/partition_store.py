@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..errors import ConfigurationError, SerializationError
 from ..obs.registry import get_registry
 from .btree import BTree
 from .buffer import BufferPool
 from .serialization import (
+    decode_partition_entries,
     decode_partition_entry,
     encode_partition_entry,
     partition_entry_size,
@@ -248,23 +251,36 @@ class PartitionStore:
         random I/O"; ``batch_portions`` controls how many portions are
         grouped into one returned batch.
         """
+        for run in self.scan_partition_records(partition, batch_portions):
+            yield [
+                decode_partition_entry(run, offset, self.signature_bytes)
+                for offset in range(0, len(run), self.entry_size)
+            ]
+
+    def scan_partition_arrays(
+        self, partition: int, batch_portions: int = 8
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The same batches as :meth:`scan_partition_batches`, decoded as
+        ``(signatures, tids)`` arrays straight from the page bytes (see
+        :func:`~.serialization.decode_partition_entries`)."""
+        for run in self.scan_partition_records(partition, batch_portions):
+            yield decode_partition_entries(run, self.signature_bytes)
+
+    def scan_partition_records(
+        self, partition: int, batch_portions: int = 8
+    ) -> Iterator[bytes]:
+        """Yield the raw entry run of each multi-portion batch."""
         if not self._sealed:
             raise ConfigurationError("seal() the store before scanning")
         start = _portion_key(partition, 0)
         end = _portion_key(partition + 1, 0)
-        batch: list[tuple[int, int]] = []
-        portions_in_batch = 0
+        records: list[bytes] = []
         for __, record in self._tree.scan(start, end):
-            offset = 0
-            while offset < len(record):
-                batch.append(
-                    decode_partition_entry(record, offset, self.signature_bytes)
-                )
-                offset += self.entry_size
-            portions_in_batch += 1
-            if portions_in_batch >= batch_portions:
-                yield batch
-                batch = []
-                portions_in_batch = 0
-        if batch:
-            yield batch
+            if len(record) % self.entry_size:
+                raise SerializationError("truncated partition entry")
+            records.append(record)
+            if len(records) >= batch_portions:
+                yield b"".join(records)
+                records = []
+        if records:
+            yield b"".join(records)

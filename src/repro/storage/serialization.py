@@ -14,6 +14,8 @@ fixed-width encodings.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import SerializationError
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "decode_tuple_record",
     "encode_partition_entry",
     "decode_partition_entry",
+    "decode_partition_entries",
     "partition_entry_size",
 ]
 
@@ -152,3 +155,20 @@ def decode_partition_entry(
     signature = int.from_bytes(data[offset : offset + signature_bytes], "big")
     tid = int.from_bytes(data[offset + signature_bytes : end], "big")
     return signature, tid
+
+
+def decode_partition_entries(
+    data: bytes, signature_bytes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a whole run of entries as arrays, without a Python int each.
+
+    Returns views over ``data``: an ``(n, signature_bytes)`` uint8 matrix
+    of big-endian signature rows and the ``(n,)`` big-endian ``u8`` tids.
+    """
+    if len(data) % partition_entry_size(signature_bytes):
+        raise SerializationError("truncated partition entry")
+    entries = np.frombuffer(
+        data,
+        dtype=[("signature", np.uint8, (signature_bytes,)), ("tid", ">u8")],
+    )
+    return entries["signature"], entries["tid"]

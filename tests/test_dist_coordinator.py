@@ -8,12 +8,13 @@ moving only the minimally required rows.
 """
 
 import os
+import threading
 
 import pytest
 
 from repro.core.psj import PSJPartitioner
 from repro.database import SetJoinDatabase
-from repro.dist import ShardedDatabase, deterministic_partitioner
+from repro.dist import Shard, ShardedDatabase, deterministic_partitioner
 from repro.errors import ConfigurationError
 from repro.parallel.executor import ProcessBackend
 
@@ -118,6 +119,37 @@ class TestCoordinatorSurface:
             text = db.explain("r", "s")
         assert "replication" in text and "factor" in text
         assert "3 shards" in text
+
+    @pytest.mark.parametrize("on_disk, workers, threaded", [
+        (False, 1, False), (False, 2, True), (True, 1, True),
+    ])
+    def test_thread_fanout_only_where_shard_joins_wait(
+            self, tmp_path, monkeypatch, workload, on_disk, workers,
+            threaded):
+        """In-memory shards joining without workers never let go of the
+        interpreter lock, so they run on the caller's thread, in shard
+        order; a file or workers to wait for brings the pool back."""
+        r_rows, s_rows = workload
+        seen = []
+        execute_join = Shard.execute_join
+
+        def spy(shard, request):
+            seen.append((shard.shard_id, threading.current_thread().name))
+            return execute_join(shard, request)
+
+        monkeypatch.setattr(Shard, "execute_join", spy)
+        path = str(tmp_path / "fan.db") if on_disk else None
+        with ShardedDatabase.open(path, shards=3) as db:
+            db.create_relation("r", r_rows)
+            db.create_relation("s", s_rows)
+            db.join("r", "s", algorithm="PSJ", num_partitions=8,
+                    workers=workers, backend="thread")
+        assert sorted(shard_id for shard_id, __ in seen) == [0, 1, 2]
+        if threaded:
+            assert all(name.startswith("setjoin-dist") for __, name in seen)
+        else:
+            caller = threading.current_thread().name
+            assert seen == [(0, caller), (1, caller), (2, caller)]
 
     def test_probe_and_scan_match_single_database(self, workload):
         r_rows, s_rows = workload

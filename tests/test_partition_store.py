@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import InMemoryDiskManager
 from repro.storage.partition_store import PartitionStore
@@ -169,3 +169,57 @@ class TestMonolithicMode:
         with pytest.raises(ConfigurationError):
             for value in range(10_000):
                 store.append(0, value, value)
+
+
+class TestArrayScan:
+    """The byte-level read path of the join phase keeps the list path's
+    batches and every one of its checks."""
+
+    def seal_store(self, pool, count):
+        store = make_store(pool, partitions=2)
+        for value in range(count):
+            store.append(0, (value << 150) | value, value * 3)
+        store.seal()
+        return store
+
+    @staticmethod
+    def as_entries(batches):
+        return [
+            [(int.from_bytes(bytes(row), "big"), tid)
+             for row, tid in zip(signatures, tids.tolist())]
+            for signatures, tids in batches
+        ]
+
+    def test_same_batches_as_the_list_scan(self, pool):
+        store = self.seal_store(pool, 200)
+        arrays = list(store.scan_partition_arrays(0, batch_portions=2))
+        assert all(signatures.shape == (len(tids), 20)
+                   for signatures, tids in arrays)
+        batches = list(store.scan_partition_batches(0, batch_portions=2))
+        assert self.as_entries(arrays) == batches
+        assert sum(map(len, batches)) == 200
+        assert list(store.scan_partition_arrays(1)) == []
+
+    def test_scan_before_seal_rejected(self, pool):
+        store = make_store(pool)
+        store.append(0, 1, 1)
+        with pytest.raises(ConfigurationError):
+            next(store.scan_partition_arrays(0))
+
+    def test_truncated_portion_record_rejected(self, pool):
+        store = self.seal_store(pool, 5)
+        key = (0).to_bytes(8, "big")
+        store._tree.insert(key, store._tree.get(key)[:-1])
+        for scan in (store.scan_partition_arrays, store.scan_partition_batches):
+            with pytest.raises(SerializationError, match="truncated"):
+                next(scan(0))
+
+    def test_scans_through_an_attached_view(self, pool):
+        store = self.seal_store(pool, 200)
+        view = PartitionStore.attach(
+            pool, store.meta_page_id, store.signature_bytes,
+            store.num_partitions,
+        )
+        assert self.as_entries(view.scan_partition_arrays(0)) == list(
+            store.scan_partition_batches(0)
+        )

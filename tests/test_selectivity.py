@@ -1,7 +1,7 @@
 """Tests for the expected-selectivity formula (Section 3)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.selectivity import expected_result_size, expected_selectivity
@@ -70,6 +70,7 @@ class TestMonteCarloAgreement:
     extra=st.integers(min_value=0, max_value=30),
     slack=st.integers(min_value=0, max_value=100),
 )
+@example(theta_r=4, extra=2, slack=0)  # D = θ_S: lgamma rounds above 1
 def test_selectivity_is_probability(theta_r, extra, slack):
     theta_s = theta_r + extra
     domain = theta_s + slack

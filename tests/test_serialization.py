@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SerializationError
 from repro.storage.serialization import (
+    decode_partition_entries,
     decode_partition_entry,
     decode_set,
     decode_tuple_record,
@@ -127,3 +128,24 @@ class TestPartitionEntry:
     def test_roundtrip_property(self, signature, tid):
         entry = encode_partition_entry(signature, tid, 20)
         assert decode_partition_entry(entry, 0, 20) == (signature, tid)
+
+    @pytest.mark.parametrize("signature_bytes", [1, 8, 20, 25])
+    def test_run_decodes_to_the_same_entries(self, signature_bytes):
+        top = (1 << (8 * signature_bytes)) - 1
+        entries = [(top, 0), (0, 2**64 - 1), (top // 3, 123456)]
+        run = b"".join(
+            encode_partition_entry(signature, tid, signature_bytes)
+            for signature, tid in entries
+        )
+        signatures, tids = decode_partition_entries(run, signature_bytes)
+        assert signatures.shape == (3, signature_bytes)
+        assert [
+            (int.from_bytes(bytes(row), "big"), tid)
+            for row, tid in zip(signatures, tids.tolist())
+        ] == entries
+        assert decode_partition_entries(b"", signature_bytes)[1].shape == (0,)
+
+    def test_truncated_run_rejected(self):
+        run = encode_partition_entry(1, 1, 20) * 3
+        with pytest.raises(SerializationError):
+            decode_partition_entries(run[:-1], 20)

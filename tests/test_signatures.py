@@ -110,6 +110,25 @@ class TestPackedSignatures:
         assert packed[0, 0] == 1
         assert packed[0, 2] == 1 << (159 - 128)
 
+    @pytest.mark.parametrize("bits", [1, 7, 64, 65, 160, 200])
+    def test_pack_zero_pads_and_accepts_page_bytes(self, bits):
+        """Ints and the partition pages' big-endian byte rows pack alike."""
+        signatures = [0, 1, (1 << bits) - 1, 1 << (bits - 1)]
+        packed = pack_signatures(signatures, bits)
+        assert packed.dtype == np.uint64
+        assert packed.shape == (4, (bits + 63) // 64)
+        assert [
+            sum(int(word) << (64 * index) for index, word in enumerate(row))
+            for row in packed
+        ] == signatures
+        width = (bits + 7) // 8
+        rows = np.frombuffer(
+            b"".join(signature.to_bytes(width, "big") for signature in signatures),
+            dtype=np.uint8,
+        ).reshape(-1, width)
+        assert (pack_signatures(rows, bits) == packed).all()
+        assert pack_signatures([], bits).shape == (0, packed.shape[1])
+
     @given(
         st.lists(st.integers(0, (1 << 160) - 1), min_size=1, max_size=16),
         st.integers(0, (1 << 160) - 1),
