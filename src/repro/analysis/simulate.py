@@ -12,10 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..core.dcj import DCJPartitioner
-from ..core.lsj import LSJPartitioner
-from ..core.partitioning import PartitionAssignment, Partitioner
-from ..core.psj import PSJPartitioner
+from ..core.modulo import make_partitioner
+from ..core.partitioning import PartitionAssignment
 from ..core.sets import Relation
 from ..errors import ConfigurationError
 from .factors import comparison_factor, replication_factor
@@ -56,24 +54,6 @@ class FactorObservation:
         return abs(self.predicted_replication - self.measured_replication) / (
             self.measured_replication
         )
-
-
-def make_partitioner(
-    algorithm: str,
-    k: int,
-    theta_r: float,
-    theta_s: float,
-    seed: int = 0,
-    family_kind: str = "bitstring",
-) -> Partitioner:
-    """Build a tuned partitioner by algorithm name."""
-    if algorithm == "PSJ":
-        return PSJPartitioner(k, seed=seed)
-    if algorithm == "DCJ":
-        return DCJPartitioner.for_cardinalities(k, theta_r, theta_s, family_kind)
-    if algorithm == "LSJ":
-        return LSJPartitioner.for_cardinalities(k, theta_r, theta_s, family_kind)
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
 
 
 def simulate_factors(

@@ -28,8 +28,8 @@ import sys
 import time
 
 from .analysis.timemodel import PAPER_TIME_MODEL
+from .core.api import containment_join
 from .core.optimizer import choose_plan
-from .core.operator import run_disk_join
 from .core.sets import Relation
 from .errors import SetJoinError
 
@@ -97,19 +97,20 @@ def _cmd_join(arguments) -> int:
             return 2
         return _run_sharded_join(arguments, lhs, rhs, algorithm, model)
 
+    # The one request EXPLAIN, ANALYZE and the plain join all describe.
+    request = dict(
+        algorithm=algorithm,
+        num_partitions=arguments.partitions,
+        model=model,
+        signature_bits=arguments.signature_bits,
+        workers=arguments.workers,
+        backend=arguments.parallel_backend,
+        drift_history=drift_history,
+    )
     if arguments.explain:
         from .obs.explain import explain_join
 
-        report = explain_join(
-            lhs, rhs, algorithm, arguments.partitions,
-            model=model,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-            drift_history=drift_history,
-        )
-        print(report.render())
+        print(explain_join(lhs, rhs, **request).render())
         return 0
 
     tracer = None
@@ -122,15 +123,7 @@ def _cmd_join(arguments) -> int:
         from .obs.explain import analyze_join
 
         analysis = analyze_join(
-            lhs, rhs, algorithm, arguments.partitions,
-            model=model,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-            tracer=tracer,
-            drift_path=arguments.drift,
-            drift_history=drift_history,
+            lhs, rhs, tracer=tracer, drift_path=arguments.drift, **request
         )
         result, metrics = analysis.pairs, analysis.metrics
         print(analysis.render())
@@ -147,29 +140,12 @@ def _cmd_join(arguments) -> int:
                 print(f"# model store: v{store.active_version} written to "
                       f"{store.path}", file=sys.stderr)
     else:
-        if algorithm == "auto":
-            plan = choose_plan(lhs, rhs, model,
-                               drift_history=drift_history)
-            partitioner = plan.build_partitioner()
-            print(f"# planned: {plan.algorithm} with k={plan.k}",
-                  file=sys.stderr)
-        else:
-            from .analysis.simulate import make_partitioner
-
-            partitioner = make_partitioner(
-                algorithm,
-                arguments.partitions,
-                lhs.average_cardinality() or 1.0,
-                rhs.average_cardinality() or 1.0,
-            )
-        result, metrics = run_disk_join(
-            lhs, rhs, partitioner,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-            tracer=tracer,
+        result, metrics = containment_join(
+            lhs, rhs, tracer=tracer, **request
         )
+        if algorithm == "auto" and metrics.num_partitions:
+            print(f"# planned: {metrics.algorithm} with "
+                  f"k={metrics.num_partitions}", file=sys.stderr)
         for r_tid, s_tid in sorted(result):
             print(f"{r_tid}\t{s_tid}")
     parallel_note = ""
@@ -234,7 +210,6 @@ def _run_sharded_join(arguments, lhs, rhs, algorithm, model) -> int:
             algorithm=algorithm,
             num_partitions=arguments.partitions,
             signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
             workers=arguments.workers,
             backend=arguments.parallel_backend,
         )
@@ -791,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument("--partitions", "-k", type=int, default=32)
     join.add_argument("--signature-bits", type=int, default=160)
-    join.add_argument("--engine", default="numpy", choices=["numpy", "python"])
     join.add_argument(
         "--workers", type=int, default=1,
         help="parallel join workers (default 1 = the serial operator)",

@@ -23,6 +23,7 @@ from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..errors import ConfigurationError
 from .intersection import intersection_join as overlap_join
 from .metrics import JoinMetrics
+from .modulo import make_partitioner
 from .operator import run_disk_join
 from .optimizer import choose_plan
 from .sets import Relation
@@ -36,9 +37,27 @@ __all__ = [
     "overlap_join",
     "explain_containment_join",
     "analyze_containment_join",
+    "resolve_configuration",
 ]
 
 _ALGORITHMS = ("auto", "DCJ", "PSJ", "LSJ")
+
+
+def resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed,
+                          drift_history=None):
+    """``(algorithm, k, θ_R, θ_S, partitioner)`` of a containment join of two
+    in-memory relations: the optimizer's plan for ``"auto"``, else the named
+    algorithm at ``num_partitions`` (default 32).  What runs and what
+    EXPLAIN shows are this one answer."""
+    if algorithm == "auto":
+        plan = choose_plan(lhs, rhs, model, drift_history=drift_history)
+        return (plan.algorithm, plan.k, plan.theta_r, plan.theta_s,
+                plan.build_partitioner(seed=seed))
+    k = num_partitions or 32
+    theta_r = max(lhs.average_cardinality(), 1.0)
+    theta_s = max(rhs.average_cardinality(), 1.0)
+    partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
+    return algorithm, k, theta_r, theta_s, partitioner
 
 
 def containment_join(
@@ -84,22 +103,9 @@ def containment_join(
     if not lhs or not rhs:
         return set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
                                   s_size=len(rhs))
-    if algorithm == "auto":
-        plan = choose_plan(lhs, rhs, model, drift_history=drift_history)
-        partitioner = plan.build_partitioner(seed=seed)
-    else:
-        from ..analysis.simulate import make_partitioner
-        from .modulo import dcj_with_any_k, lsj_with_any_k
-
-        k = num_partitions or 32
-        theta_r = max(lhs.average_cardinality(), 1.0)
-        theta_s = max(rhs.average_cardinality(), 1.0)
-        if algorithm == "PSJ" or k & (k - 1) == 0 and k >= 2:
-            partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
-        elif algorithm == "DCJ":
-            partitioner = dcj_with_any_k(k, theta_r, theta_s)
-        else:
-            partitioner = lsj_with_any_k(k, theta_r, theta_s)
+    *__, partitioner = resolve_configuration(
+        lhs, rhs, algorithm, num_partitions, model, seed, drift_history
+    )
     return run_disk_join(
         lhs, rhs, partitioner, signature_bits=signature_bits,
         workers=workers, backend=backend, tracer=tracer,

@@ -29,6 +29,7 @@ from .metrics import JoinMetrics
 from .operator import run_disk_join
 from .optimizer import JoinPlan, choose_plan
 from .sets import Relation, SetTuple
+from .signatures import DEFAULT_SIGNATURE_BITS
 
 __all__ = ["HybridOutcome", "hybrid_join", "split_by_cardinality"]
 
@@ -68,8 +69,7 @@ def hybrid_join(
     rhs: Relation,
     model: TimeModel,
     tau: int | None = None,
-    signature_bits: int = 160,
-    engine: str = "numpy",
+    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     seed: int = 0,
 ) -> HybridOutcome:
     """Execute the cardinality-split hybrid join.
@@ -101,8 +101,7 @@ def hybrid_join(
         plan = choose_plan(sub_r, sub_s, model)
         partitioner = plan.build_partitioner(seed=seed)
         result, metrics = run_disk_join(
-            sub_r, sub_s, partitioner,
-            signature_bits=signature_bits, engine=engine,
+            sub_r, sub_s, partitioner, signature_bits=signature_bits
         )
         outcome.result |= result
         outcome.quadrants.append((label, plan, metrics))

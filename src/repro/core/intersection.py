@@ -28,7 +28,7 @@ import time
 from collections import defaultdict
 
 from ..errors import ConfigurationError
-from .metrics import JoinMetrics
+from .metrics import JoinMetrics, PhaseMetrics
 from .sets import Relation
 from .signatures import DEFAULT_SIGNATURE_BITS, signature_of
 
@@ -39,10 +39,14 @@ __all__ = [
 ]
 
 
-def _check_threshold(threshold: int) -> None:
+def _check_arguments(threshold: int, num_partitions: int = 1) -> None:
     if threshold < 1:
         raise ConfigurationError(
             f"overlap threshold must be >= 1, got {threshold}"
+        )
+    if num_partitions < 1:
+        raise ConfigurationError(
+            f"number of partitions must be >= 1, got {num_partitions}"
         )
 
 
@@ -50,7 +54,7 @@ def intersection_join_nested_loop(
     lhs: Relation, rhs: Relation, threshold: int = 1
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Quadratic reference: test |r ∩ s| >= t for every pair."""
-    _check_threshold(threshold)
+    _check_arguments(threshold)
     metrics = JoinMetrics(algorithm="IntersectNL", num_partitions=1,
                           r_size=len(lhs), s_size=len(rhs))
     started = time.perf_counter()
@@ -80,11 +84,7 @@ def intersection_join(
     are verified exactly.  Distinct-partition deduplication keeps each
     pair verified once.
     """
-    _check_threshold(threshold)
-    if num_partitions < 1:
-        raise ConfigurationError(
-            f"number of partitions must be >= 1, got {num_partitions}"
-        )
+    _check_arguments(threshold, num_partitions)
     metrics = JoinMetrics(algorithm="IntersectPSJ",
                           num_partitions=num_partitions,
                           r_size=len(lhs), s_size=len(rhs),
@@ -139,28 +139,6 @@ def intersection_join(
     return result, metrics
 
 
-class _ElementPartitioner:
-    """Both-sides element-value partitioner for the intersection join.
-
-    Every tuple of either relation is replicated to the partition of each
-    of its elements — the symmetric analogue of PSJ's S-side rule, correct
-    because overlapping sets share at least one element.
-    """
-
-    name = "IntersectPSJ"
-
-    def __init__(self, num_partitions: int):
-        self.num_partitions = num_partitions
-
-    def _assign(self, elements: frozenset[int]) -> list[int]:
-        if not elements:
-            return []  # empty sets intersect nothing
-        return sorted({element % self.num_partitions for element in elements})
-
-    assign_r = _assign
-    assign_s = _assign
-
-
 def run_disk_intersection_join(
     lhs: Relation,
     rhs: Relation,
@@ -178,13 +156,9 @@ def run_disk_intersection_join(
     filter.  Demonstrates that the paper's testbed architecture carries
     over to the §7 future-work operator unchanged.
     """
-    _check_threshold(threshold)
-    if num_partitions < 1:
-        raise ConfigurationError(
-            f"number of partitions must be >= 1, got {num_partitions}"
-        )
+    _check_arguments(threshold, num_partitions)
     from ..storage.partition_store import PartitionStore
-    from .operator import Testbed
+    from .operator import Testbed, partition_relation, verify_pairs
 
     with Testbed(path=path, buffer_pages=buffer_pages) as testbed:
         testbed.load(lhs, rhs)
@@ -192,21 +166,20 @@ def run_disk_intersection_join(
                               num_partitions=num_partitions,
                               r_size=len(lhs), s_size=len(rhs),
                               signature_bits=signature_bits)
-        partitioner = _ElementPartitioner(num_partitions)
-        signature_bytes = (signature_bits + 7) // 8
+
+        def assign(elements):
+            # Both sides replicate on every element — the symmetric analogue
+            # of PSJ's S-side rule: overlapping sets share an element.
+            return sorted({element % num_partitions for element in elements})
 
         started = time.perf_counter()
         before = testbed.disk.stats.snapshot()
         stores = []
-        for relation_store, side in ((testbed.relation_r, "r"),
-                                     (testbed.relation_s, "s")):
-            store = PartitionStore(testbed.pool, signature_bytes,
-                                   num_partitions)
-            for tid, elements, __ in relation_store.scan():
-                signature = signature_of(elements, signature_bits)
-                for index in partitioner._assign(elements):
-                    store.append(index, signature, tid)
-            store.seal()
+        for relation_store in (testbed.relation_r, testbed.relation_s):
+            store = PartitionStore(
+                testbed.pool, (signature_bits + 7) // 8, num_partitions
+            )
+            partition_relation(relation_store, assign, store, signature_bits)
             stores.append(store)
         parts_r, parts_s = stores
         testbed.pool.flush_all()  # partition data reaches disk, as in the
@@ -214,8 +187,6 @@ def run_disk_intersection_join(
         metrics.replicated_signatures = (
             parts_r.total_entries + parts_s.total_entries
         )
-        from .metrics import PhaseMetrics
-
         metrics.partitioning = PhaseMetrics.from_io_delta(
             time.perf_counter() - started,
             testbed.disk.stats.delta(before),
@@ -246,16 +217,10 @@ def run_disk_intersection_join(
 
         started = time.perf_counter()
         before = testbed.disk.stats.snapshot()
-        pairs = sorted(seen)
-        r_sets = testbed.relation_r.fetch_many(tid for tid, __ in pairs)
-        s_sets = testbed.relation_s.fetch_many(tid for __, tid in pairs)
-        result: set[tuple[int, int]] = set()
-        for r_tid, s_tid in pairs:
-            metrics.set_comparisons += 1
-            if len(r_sets[r_tid] & s_sets[s_tid]) >= threshold:
-                result.add((r_tid, s_tid))
-            else:
-                metrics.false_positives += 1
+        result = verify_pairs(
+            testbed, sorted(seen),
+            lambda r, s: len(r & s) >= threshold, metrics,
+        )
         metrics.verification = PhaseMetrics.from_io_delta(
             time.perf_counter() - started,
             testbed.disk.stats.delta(before),

@@ -19,8 +19,12 @@ from ..errors import ConfigurationError
 from .dcj import DCJPartitioner
 from .lsj import LSJPartitioner
 from .partitioning import Partitioner
+from .psj import PSJPartitioner
 
-__all__ = ["ModuloFoldPartitioner", "dcj_with_any_k", "lsj_with_any_k"]
+__all__ = [
+    "ModuloFoldPartitioner", "dcj_with_any_k", "lsj_with_any_k",
+    "make_partitioner",
+]
 
 
 class ModuloFoldPartitioner(Partitioner):
@@ -86,3 +90,24 @@ def lsj_with_any_k(
     if power == num_partitions:
         return base
     return ModuloFoldPartitioner(base, num_partitions)
+
+
+def make_partitioner(
+    algorithm: str,
+    k: int,
+    theta_r: float,
+    theta_s: float,
+    seed: int = 0,
+    family_kind: str = "bitstring",
+    pattern: str = "alternating",
+) -> Partitioner:
+    """The tuned partitioner for an algorithm name at any ``k >= 1`` — the
+    one place every entry point (library, database, coordinator, EXPLAIN,
+    CLI, experiments) turns a join request into a partitioner."""
+    if algorithm == "PSJ":
+        return PSJPartitioner(k, seed=seed)
+    if algorithm == "DCJ":
+        return dcj_with_any_k(k, theta_r, theta_s, family_kind, pattern)
+    if algorithm == "LSJ":
+        return lsj_with_any_k(k, theta_r, theta_s, family_kind)
+    raise ConfigurationError(f"unknown algorithm {algorithm!r}")

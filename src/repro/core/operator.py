@@ -54,6 +54,7 @@ from .signatures import DEFAULT_SIGNATURE_BITS, pack_signatures, signature_of
 __all__ = [
     "Testbed", "SetContainmentJoin", "run_disk_join",
     "compare_block", "compare_packed", "join_partition",
+    "partition_relation", "verify_pairs",
 ]
 
 ENGINES = ("python", "numpy")
@@ -370,6 +371,56 @@ class Testbed:
         self.close()
 
 
+def partition_relation(
+    relation: RelationStore,
+    assign,
+    store: PartitionStore,
+    signature_bits: int,
+    resident: "list[bytearray] | tuple" = (),
+) -> None:
+    """The partition-scan loop (containment R and S, intersection join).
+
+    One scan of ``relation``: each tuple's signature is appended to every
+    partition ``assign(elements)`` names — to its memory-resident run for
+    the first ``len(resident)`` partitions, to ``store`` otherwise — and
+    ``store`` is sealed.
+    """
+    pinned = len(resident)
+    for tid, elements, __ in relation.scan():
+        signature = signature_of(elements, signature_bits)
+        for index in assign(elements):
+            if index < pinned:
+                resident[index] += encode_partition_entry(
+                    signature, tid, store.signature_bytes
+                )
+            else:
+                store.append(index, signature, tid)
+    store.seal()
+
+
+def verify_pairs(
+    testbed: Testbed,
+    pairs: "list[tuple[int, int]]",
+    predicate,
+    metrics: JoinMetrics,
+) -> set[tuple[int, int]]:
+    """The fetch-and-verify loop over distinct candidate ``pairs``.
+
+    Fetches their tuples in tid order (sorted fetches avoid random I/O, as
+    in the paper), keeps the pairs passing ``predicate(r_set, s_set)`` —
+    ``frozenset.__le__`` for containment — and counts ``set_comparisons``
+    and ``false_positives``.
+    """
+    r_sets = testbed.relation_r.fetch_many(tid for tid, __ in pairs)
+    s_sets = testbed.relation_s.fetch_many(tid for __, tid in pairs)
+    result = {
+        pair for pair in pairs if predicate(r_sets[pair[0]], s_sets[pair[1]])
+    }
+    metrics.set_comparisons += len(pairs)
+    metrics.false_positives += len(pairs) - len(result)
+    return result
+
+
 class SetContainmentJoin:
     """Executes R ⋈⊆ S on a :class:`Testbed` with a pluggable partitioner."""
 
@@ -487,10 +538,10 @@ class SetContainmentJoin:
         #: and threaded into worker shard specs so every span of the run
         #: stitches back to one query trace.
         self.query_id = query_id
-        #: the tracer run() resolved for the current execution.  Phases
-        #: and the parallel engine read this instead of the ambient
-        #: global, which is a shared slot and races under the dist
-        #: coordinator's thread fanout.
+        #: the tracer run() resolved, before any phase starts.  Phases and
+        #: the parallel engine read this instead of the ambient global,
+        #: which is a shared slot and races under the dist coordinator's
+        #: thread fanout.
         self._run_tracer = None
         #: test hook threaded into parallel workers: fail the worker's own
         #: disk manager after N physical I/Os (see repro.parallel.worker).
@@ -584,18 +635,6 @@ class SetContainmentJoin:
         self._resident_r = []
         self._resident_s = []
 
-    def _active_tracer(self):
-        """The tracer run() resolved, falling back to the ambient one.
-
-        Phases must not read the ambient global directly: under the dist
-        coordinator's thread fanout several operators run concurrently
-        and the ambient slot is last-writer-wins, which would nest one
-        shard's phases under another shard's tree.
-        """
-        if self._run_tracer is not None:
-            return self._run_tracer
-        return current_tracer()
-
     # ------------------------------------------------------------------
     # Phase 1: partitioning
     # ------------------------------------------------------------------
@@ -612,7 +651,7 @@ class SetContainmentJoin:
         self._resident_r = [bytearray() for __ in range(resident)]
         self._resident_s = [bytearray() for __ in range(resident)]
 
-        tracer = self._active_tracer()
+        tracer = self._run_tracer
         self.partitioner.reset_route_stats()
         parts_r: PartitionStore | None = None
         parts_s: PartitionStore | None = None
@@ -622,30 +661,16 @@ class SetContainmentJoin:
             try:
                 with tracer.span("partition.scan_r", tuples=metrics.r_size):
                     parts_r = self._make_store()
-                    for tid, elements, __ in self.testbed.relation_r.scan():
-                        signature = signature_of(elements, self.signature_bits)
-                        for index in self.partitioner.assign_r(elements):
-                            if index < resident:
-                                self._resident_r[index] += encode_partition_entry(
-                                    signature, tid, self.signature_bytes
-                                )
-                            else:
-                                parts_r.append(index, signature, tid)
-                    parts_r.seal()
-
+                    partition_relation(
+                        self.testbed.relation_r, self.partitioner.assign_r,
+                        parts_r, self.signature_bits, self._resident_r,
+                    )
                 with tracer.span("partition.scan_s", tuples=metrics.s_size):
                     parts_s = self._make_store()
-                    for tid, elements, __ in self.testbed.relation_s.scan():
-                        signature = signature_of(elements, self.signature_bits)
-                        for index in self.partitioner.assign_s(elements):
-                            if index < resident:
-                                self._resident_s[index] += encode_partition_entry(
-                                    signature, tid, self.signature_bytes
-                                )
-                            else:
-                                parts_s.append(index, signature, tid)
-                    parts_s.seal()
-
+                    partition_relation(
+                        self.testbed.relation_s, self.partitioner.assign_s,
+                        parts_s, self.signature_bits, self._resident_s,
+                    )
                 pool.flush_all()
             except BaseException:
                 self._drop_partitions(parts_r, parts_s)
@@ -697,30 +722,15 @@ class SetContainmentJoin:
         disk = self.testbed.disk
         before = disk.stats.snapshot()
         started = time.perf_counter()
-        tracer = self._active_tracer()
         if self.spill_candidates:
             candidates: _CandidateSink = _SpilledCandidates(self.testbed.pool)
         else:
             candidates = _SetCandidates()
-        with tracer.span("phase.join") as span:
+        with self._run_tracer.span("phase.join") as span:
             for partition in range(self.partitioner.num_partitions):
-                r_entries = self._partition_size_r(parts_r, partition)
-                if not r_entries:
-                    continue
-                s_entries = self._partition_size_s(parts_s, partition)
-                if not s_entries:
-                    continue
-                with tracer.span(
-                    "join.partition",
-                    partition=partition,
-                    r_entries=r_entries,
-                    s_entries=s_entries,
-                ) as partition_span:
-                    comparisons = self._join_partition(
-                        parts_r, parts_s, partition, candidates.add
-                    )
-                    metrics.signature_comparisons += comparisons
-                    partition_span.set(comparisons=comparisons)
+                self._join_pair(
+                    parts_r, parts_s, partition, candidates.add, metrics
+                )
             metrics.candidates = len(candidates)
             metrics.joining = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
@@ -754,7 +764,7 @@ class SetContainmentJoin:
         disk = self.testbed.disk
         before = disk.stats.snapshot()
         started = time.perf_counter()
-        with self._active_tracer().span(
+        with self._run_tracer.span(
             "phase.join",
             workers=self.workers,
             backend=self.parallel_backend,
@@ -796,38 +806,25 @@ class SetContainmentJoin:
         """Interleaved mode: verify each partition's candidates right after
         joining it, as the paper's testbed does.
 
-        A pair replicated into several partitions (possible under DCJ) is
-        verified only the first time it appears.
+        A pair a partitioner co-locates in several partitions is verified
+        only the first time it appears.
         """
         disk = self.testbed.disk
-        tracer = self._active_tracer()
+        tracer = self._run_tracer
         result: set[tuple[int, int]] = set()
         seen: set[tuple[int, int]] = set()
-        join_seconds = 0.0
         with tracer.span("phase.join+verify") as phase_span:
             for partition in range(self.partitioner.num_partitions):
-                r_entries = self._partition_size_r(parts_r, partition)
-                if not r_entries:
-                    continue
-                s_entries = self._partition_size_s(parts_s, partition)
-                if not s_entries:
-                    continue
                 before = disk.stats.snapshot()
                 started = time.perf_counter()
                 fresh = _SetCandidates()
-                with tracer.span(
-                    "join.partition",
-                    partition=partition,
-                    r_entries=r_entries,
-                    s_entries=s_entries,
+                if not self._join_pair(
+                    parts_r, parts_s, partition, fresh.add, metrics
                 ):
-                    metrics.signature_comparisons += self._join_partition(
-                        parts_r, parts_s, partition, fresh.add
-                    )
-                join_seconds += time.perf_counter() - started
-                join_delta = disk.stats.delta(before)
-                metrics.joining.page_reads += join_delta.page_reads
-                metrics.joining.page_writes += join_delta.page_writes
+                    continue
+                metrics.joining += PhaseMetrics.from_io_delta(
+                    time.perf_counter() - started, disk.stats.delta(before)
+                )
 
                 before = disk.stats.snapshot()
                 started = time.perf_counter()
@@ -839,24 +836,13 @@ class SetContainmentJoin:
                         if pair not in seen
                     ]
                     seen.update(new_pairs)
-                    r_sets = self.testbed.relation_r.fetch_many(
-                        tid for tid, __ in new_pairs
+                    result |= verify_pairs(
+                        self.testbed, new_pairs, frozenset.__le__, metrics
                     )
-                    s_sets = self.testbed.relation_s.fetch_many(
-                        tid for __, tid in new_pairs
-                    )
-                    for r_tid, s_tid in new_pairs:
-                        metrics.set_comparisons += 1
-                        if r_sets[r_tid] <= s_sets[s_tid]:
-                            result.add((r_tid, s_tid))
-                        else:
-                            metrics.false_positives += 1
                     verify_span.set(candidates=len(new_pairs))
-                metrics.verification.seconds += time.perf_counter() - started
-                verify_delta = disk.stats.delta(before)
-                metrics.verification.page_reads += verify_delta.page_reads
-                metrics.verification.page_writes += verify_delta.page_writes
-            metrics.joining.seconds = join_seconds
+                metrics.verification += PhaseMetrics.from_io_delta(
+                    time.perf_counter() - started, disk.stats.delta(before)
+                )
             metrics.candidates = len(seen)
             phase_span.set(
                 candidates=metrics.candidates,
@@ -864,27 +850,44 @@ class SetContainmentJoin:
             )
         return result
 
-    def _partition_size_r(self, parts_r: PartitionStore, partition: int) -> int:
-        if partition < self.resident_partitions:
-            return len(self._resident_r[partition]) // parts_r.entry_size
-        return parts_r.partition_size(partition)
-
-    def _partition_size_s(self, parts_s: PartitionStore, partition: int) -> int:
-        if partition < self.resident_partitions:
-            return len(self._resident_s[partition]) // parts_s.entry_size
-        return parts_s.partition_size(partition)
-
-    def _join_partition(
-        self, parts_r: PartitionStore, parts_s: PartitionStore,
-        partition: int, add,
+    def _partition_size(
+        self, parts: PartitionStore, resident: "list[bytearray]",
+        partition: int,
     ) -> int:
+        """Entries of one side of a partition, memory-resident or stored."""
+        if partition < self.resident_partitions:
+            return len(resident[partition]) // parts.entry_size
+        return parts.partition_size(partition)
+
+    def _join_pair(
+        self, parts_r: PartitionStore, parts_s: PartitionStore,
+        partition: int, add, metrics: JoinMetrics,
+    ) -> bool:
+        """Block-nested-loop one partition pair into ``add`` under its own
+        span, counting its comparisons; ``False``, nothing done, when
+        either side is empty."""
+        r_entries = self._partition_size(parts_r, self._resident_r, partition)
+        if not r_entries:
+            return False
+        s_entries = self._partition_size(parts_s, self._resident_s, partition)
+        if not s_entries:
+            return False
         if partition < self.resident_partitions:
             parts_r = self._resident_r[partition]
             parts_s = self._resident_s[partition]
-        return join_partition(
-            self.engine, self.signature_bits, self.block_entries,
-            self.batch_portions, parts_r, parts_s, partition, add,
-        )
+        with self._run_tracer.span(
+            "join.partition",
+            partition=partition,
+            r_entries=r_entries,
+            s_entries=s_entries,
+        ) as span:
+            comparisons = join_partition(
+                self.engine, self.signature_bits, self.block_entries,
+                self.batch_portions, parts_r, parts_s, partition, add,
+            )
+            metrics.signature_comparisons += comparisons
+            span.set(comparisons=comparisons)
+        return True
 
     # ------------------------------------------------------------------
     # Phase 3: verification
@@ -898,22 +901,12 @@ class SetContainmentJoin:
         disk = self.testbed.disk
         before = disk.stats.snapshot()
         started = time.perf_counter()
-        with self._active_tracer().span("phase.verify") as span:
+        with self._run_tracer.span("phase.verify") as span:
             pairs = list(candidates.sorted_pairs())
             candidates.dispose()
-            r_sets = self.testbed.relation_r.fetch_many(
-                tid for tid, __ in pairs
+            result = verify_pairs(
+                self.testbed, pairs, frozenset.__le__, metrics
             )
-            s_sets = self.testbed.relation_s.fetch_many(
-                tid for __, tid in pairs
-            )
-            result: set[tuple[int, int]] = set()
-            for r_tid, s_tid in pairs:
-                metrics.set_comparisons += 1
-                if r_sets[r_tid] <= s_sets[s_tid]:
-                    result.add((r_tid, s_tid))
-                else:
-                    metrics.false_positives += 1
             metrics.verification = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
             )
@@ -1030,6 +1023,11 @@ def run_disk_join(
     ``tracer`` enables span tracing of the run (see :mod:`repro.obs`).
     """
     if shards > 1:
+        if engine != "numpy":
+            raise ConfigurationError(
+                f"shards > 1 runs the blocked kernel only; engine={engine!r} "
+                "needs shards=1"
+            )
         from ..dist.coordinator import ShardedDatabase
 
         with ShardedDatabase.open(
@@ -1040,7 +1038,7 @@ def run_disk_join(
             db.create_relation(rhs.name or "S", rhs)
             return db.join(
                 lhs.name or "R", rhs.name or "S",
-                signature_bits=signature_bits, engine=engine,
+                signature_bits=signature_bits,
                 workers=workers, backend=backend,
                 shard_timeout=shard_timeout, tracer=tracer,
                 partitioner=partitioner,

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 
 from .analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from .core.metrics import JoinMetrics
+from .core.modulo import make_partitioner
 from .core.operator import SetContainmentJoin, Testbed
 from .core.optimizer import JoinPlan, plan_from_statistics
 from .core.sets import Relation, SetTuple
@@ -39,6 +40,21 @@ from .storage.wal import WALDiskManager, WriteAheadLog
 __all__ = ["SetJoinDatabase"]
 
 _STATS_SAMPLE = 200
+
+
+def resolve_partitioner(db, r_name: str, s_name: str, algorithm: str,
+                        num_partitions: "int | None", seed: int):
+    """The partitioner a join of two stored relations runs on ``db`` (a
+    database or a sharded one): the optimizer's plan for ``"auto"``, else
+    the named algorithm at ``num_partitions`` tuned to the stored θ."""
+    if algorithm == "auto":
+        return db.plan(r_name, s_name).build_partitioner(seed=seed)
+    __, theta_r = db._statistics(r_name)
+    __, theta_s = db._statistics(s_name, seed=1)
+    return make_partitioner(
+        algorithm, num_partitions or 32,
+        max(theta_r, 1.0), max(theta_s, 1.0), seed,
+    )
 
 
 class SetJoinDatabase:
@@ -279,7 +295,6 @@ class SetJoinDatabase:
         algorithm: str = "auto",
         num_partitions: int | None = None,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
         seed: int = 0,
     ):
         """The annotated predicted plan tree for a join of stored relations.
@@ -302,25 +317,14 @@ class SetJoinDatabase:
             algorithm, k = plan.algorithm, plan.k
             partitioner = plan.build_partitioner(seed=seed)
         else:
-            from .core.modulo import dcj_with_any_k, lsj_with_any_k
-            from .core.psj import PSJPartitioner
-
             k = num_partitions or 32
             theta_r = max(theta_r, 1.0)
             theta_s = max(theta_s, 1.0)
-            if algorithm == "PSJ":
-                partitioner = PSJPartitioner(k, seed=seed)
-            elif algorithm == "DCJ":
-                partitioner = dcj_with_any_k(k, theta_r, theta_s)
-            elif algorithm == "LSJ":
-                partitioner = lsj_with_any_k(k, theta_r, theta_s)
-            else:
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+            partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
         return build_plan_from_statistics(
             algorithm, k, r_size, s_size, max(theta_r, 1e-9),
             max(theta_s, 1e-9), self.model, partitioner=partitioner,
-            signature_bits=signature_bits, engine=engine,
-            page_size=self.disk.page_size,
+            signature_bits=signature_bits, page_size=self.disk.page_size,
         )
 
     def join(
@@ -330,7 +334,6 @@ class SetJoinDatabase:
         algorithm: str = "auto",
         num_partitions: int | None = None,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
         seed: int = 0,
         workers: int = 1,
         backend: str = "serial",
@@ -358,33 +361,16 @@ class SetJoinDatabase:
         this to pin the physical plan while varying one knob).
         """
         self._check_open()
-        if partitioner is not None:
-            pass
-        elif algorithm == "auto":
-            partitioner = self.plan(r_name, s_name).build_partitioner(seed=seed)
-        else:
-            from .core.modulo import dcj_with_any_k, lsj_with_any_k
-            from .core.psj import PSJPartitioner
-
-            k = num_partitions or 32
-            __, theta_r = self._statistics(r_name)
-            __, theta_s = self._statistics(s_name, seed=1)
-            theta_r = max(theta_r, 1.0)
-            theta_s = max(theta_s, 1.0)
-            if algorithm == "PSJ":
-                partitioner = PSJPartitioner(k, seed=seed)
-            elif algorithm == "DCJ":
-                partitioner = dcj_with_any_k(k, theta_r, theta_s)
-            elif algorithm == "LSJ":
-                partitioner = lsj_with_any_k(k, theta_r, theta_s)
-            else:
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        if partitioner is None:
+            partitioner = resolve_partitioner(
+                self, r_name, s_name, algorithm, num_partitions, seed
+            )
         testbed = Testbed.from_components(
             self.disk, self.pool, self.get_store(r_name), self.get_store(s_name)
         )
         join = SetContainmentJoin(
             testbed, partitioner, signature_bits=signature_bits,
-            engine=engine, workers=workers, parallel_backend=backend,
+            workers=workers, parallel_backend=backend,
             shard_timeout=shard_timeout, shard_hook=shard_hook,
             tracer=tracer, query_id=query_id,
         )

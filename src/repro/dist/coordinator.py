@@ -37,6 +37,7 @@ runs in four steps:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import heapq
 import json
 import os
@@ -49,6 +50,7 @@ from ..core.metrics import JoinMetrics, PhaseMetrics
 from ..core.optimizer import JoinPlan, plan_from_statistics
 from ..core.sets import Relation, SetTuple
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
+from ..database import resolve_partitioner
 from ..errors import ConfigurationError
 from ..obs.trace import current_tracer, use_tracer
 from .placement import (
@@ -373,31 +375,6 @@ class ShardedDatabase:
     # The distributed join
     # ------------------------------------------------------------------
 
-    def _build_partitioner(
-        self, r_name: str, s_name: str, algorithm: str,
-        num_partitions: "int | None", seed: int,
-    ):
-        if algorithm == "auto":
-            plan = self.plan(r_name, s_name)
-            return deterministic_partitioner(
-                plan.build_partitioner(seed=seed)
-            )
-        from ..core.modulo import dcj_with_any_k, lsj_with_any_k
-        from ..core.psj import PSJPartitioner
-
-        k = num_partitions or 32
-        __, theta_r = self._statistics(r_name)
-        __, theta_s = self._statistics(s_name)
-        theta_r = max(theta_r, 1.0)
-        theta_s = max(theta_s, 1.0)
-        if algorithm == "PSJ":
-            return deterministic_partitioner(PSJPartitioner(k, seed=seed))
-        if algorithm == "DCJ":
-            return dcj_with_any_k(k, theta_r, theta_s)
-        if algorithm == "LSJ":
-            return lsj_with_any_k(k, theta_r, theta_s)
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-
     def _place(
         self, r_name: str, s_name: str, partitioner,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
@@ -474,7 +451,6 @@ class ShardedDatabase:
         algorithm: str = "auto",
         num_partitions: "int | None" = None,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
         seed: int = 0,
         workers: int = 1,
         backend: str = "serial",
@@ -495,11 +471,10 @@ class ShardedDatabase:
         """
         self._check_open()
         if partitioner is None:
-            partitioner = self._build_partitioner(
-                r_name, s_name, algorithm, num_partitions, seed
+            partitioner = resolve_partitioner(
+                self, r_name, s_name, algorithm, num_partitions, seed
             )
-        else:
-            partitioner = deterministic_partitioner(partitioner)
+        partitioner = deterministic_partitioner(partitioner)
         tracer = tracer if tracer is not None else current_tracer()
         merge_started = None
         root_attrs = dict(
@@ -525,7 +500,6 @@ class ShardedDatabase:
                     r_rows=rows,
                     partitioner=copy.deepcopy(partitioner),
                     signature_bits=signature_bits,
-                    engine=engine,
                     workers=workers,
                     backend=backend,
                     shard_timeout=shard_timeout,
@@ -617,23 +591,10 @@ class ShardedDatabase:
             s_size=report.s_rows,
             signature_bits=signature_bits,
         )
-        shares = []
-        for response in responses:
-            part = response.metrics
-            share = JoinMetrics(**header)
-            share.signature_comparisons = part.signature_comparisons
-            share.replicated_signatures = part.replicated_signatures
-            share.resident_signatures = part.resident_signatures
-            share.candidates = part.candidates
-            share.false_positives = part.false_positives
-            share.result_size = part.result_size
-            share.set_comparisons = part.set_comparisons
-            share.buffer_hits = part.buffer_hits
-            share.buffer_misses = part.buffer_misses
-            share.partitioning = part.partitioning
-            share.joining = part.joining
-            share.verification = part.verification
-            shares.append(share)
+        shares = [
+            dataclasses.replace(response.metrics, **header, shard_joining=[])
+            for response in responses
+        ]
         merged = (
             JoinMetrics.merge(shares) if shares else JoinMetrics(**header)
         )

@@ -51,7 +51,6 @@ class ShardJoinRequest:
     r_rows: "list[tuple[int, frozenset[int]]]"
     partitioner: object
     signature_bits: int = DEFAULT_SIGNATURE_BITS
-    engine: str = "numpy"
     workers: int = 1
     backend: str = "serial"
     shard_timeout: "float | None" = None
@@ -175,7 +174,6 @@ class Shard:
                 testbed,
                 request.partitioner,
                 signature_bits=request.signature_bits,
-                engine=request.engine,
                 workers=request.workers,
                 parallel_backend=request.backend,
                 shard_timeout=request.shard_timeout,

@@ -35,7 +35,6 @@ def collect_samples(
     k_values=DEFAULT_K_VALUES,
     algorithms=DEFAULT_ALGORITHMS,
     seed: int = 11,
-    engine: str = "python",
 ) -> list[CalibrationSample]:
     """Measure the calibration data points ("calibration of hardware")."""
     samples = []
@@ -49,15 +48,18 @@ def collect_samples(
                 partitioner = make_partitioner(
                     algorithm, k, theta_r, theta_s, seed=seed
                 )
-                __, metrics = run_disk_join(lhs, rhs, partitioner, engine=engine)
+                # Scalar loop: c1·x is fitted to a compare-dominant cost.
+                __, metrics = run_disk_join(
+                    lhs, rhs, partitioner, engine="python"
+                )
                 samples.append(CalibrationSample.from_metrics(metrics))
     return samples
 
 
 @register("calibration")
-def run(grid=DEFAULT_GRID, k_values=DEFAULT_K_VALUES, seed: int = 11,
-        engine: str = "python") -> ExperimentResult:
-    samples = collect_samples(grid, k_values, seed=seed, engine=engine)
+def run(grid=DEFAULT_GRID, k_values=DEFAULT_K_VALUES,
+        seed: int = 11) -> ExperimentResult:
+    samples = collect_samples(grid, k_values, seed=seed)
     model = calibrate(samples)
     error = model.mean_prediction_error(samples)
 
@@ -105,6 +107,6 @@ def run(grid=DEFAULT_GRID, k_values=DEFAULT_K_VALUES, seed: int = 11,
     return result
 
 
-def fitted_model(seed: int = 11, engine: str = "python") -> TimeModel:
+def fitted_model(seed: int = 11) -> TimeModel:
     """Convenience: calibrate on the default grid and return the model."""
-    return calibrate(collect_samples(seed=seed, engine=engine))
+    return calibrate(collect_samples(seed=seed))

@@ -10,12 +10,11 @@ the sweep finishes quickly in pure Python; run with ``scale=1.0`` for the
 paper's exact sizes.  ``repeats`` averages multiple cold-cache runs, as
 the paper averages five.
 
-The default comparison engine is the pure-Python loop: its per-comparison
-cost relative to page I/O approximates the paper's 600 MHz testbed, which
-is what gives Figures 8/9 their shape (an interior optimal k for DCJ,
-PSJ dominated by partitioning overhead).  The vectorized ``"numpy"``
-engine is faster but makes comparisons nearly free, compressing the
-CPU side of the trade-off.
+The comparison engine is the pure-Python loop: its per-comparison cost
+relative to page I/O approximates the paper's 600 MHz testbed, which is
+what gives Figures 8/9 their shape (an interior optimal k for DCJ, PSJ
+dominated by partitioning overhead).  The blocked ``"numpy"`` kernel
+makes comparisons nearly free, compressing the CPU side of the trade-off.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ def sweep_partition_counts(
     scale: float = 0.2,
     repeats: int = 1,
     seed: int = 7,
-    engine: str = "python",
     buffer_pages: int = 256,
 ) -> list[dict]:
     """Execute the case-study join for each k; returns metric rows."""
@@ -52,8 +50,10 @@ def sweep_partition_counts(
             partitioner = make_partitioner(
                 algorithm, k, THETA_R, THETA_S, seed=seed + repeat
             )
+            # Scalar loop: Figures 8/9 need a compare-dominant cost structure.
             __, metrics = run_disk_join(
-                lhs, rhs, partitioner, engine=engine, buffer_pages=buffer_pages
+                lhs, rhs, partitioner, engine="python",
+                buffer_pages=buffer_pages,
             )
             totals["partition"] += metrics.partitioning.seconds
             totals["join"] += metrics.joining.seconds
@@ -86,10 +86,10 @@ _COLUMNS = [
 
 
 @register("fig8")
-def run_fig8(scale: float = 0.2, repeats: int = 1, seed: int = 7,
-             engine: str = "python") -> ExperimentResult:
+def run_fig8(scale: float = 0.2, repeats: int = 1,
+             seed: int = 7) -> ExperimentResult:
     """DCJ execution time vs k — the U-shaped curve with an interior optimum."""
-    rows = sweep_partition_counts("DCJ", DCJ_K_VALUES, scale, repeats, seed, engine)
+    rows = sweep_partition_counts("DCJ", DCJ_K_VALUES, scale, repeats, seed)
     best = min(rows, key=lambda row: row["t_total_s"])
     result = ExperimentResult(
         experiment_id="fig8",
@@ -122,12 +122,12 @@ def run_fig8(scale: float = 0.2, repeats: int = 1, seed: int = 7,
 
 
 @register("fig9")
-def run_fig9(scale: float = 0.2, repeats: int = 1, seed: int = 7,
-             engine: str = "python") -> ExperimentResult:
+def run_fig9(scale: float = 0.2, repeats: int = 1,
+             seed: int = 7) -> ExperimentResult:
     """PSJ on the same workload — I/O-bound, never catches DCJ's best."""
-    rows = sweep_partition_counts("PSJ", PSJ_K_VALUES, scale, repeats, seed, engine)
+    rows = sweep_partition_counts("PSJ", PSJ_K_VALUES, scale, repeats, seed)
     dcj_rows = sweep_partition_counts(
-        "DCJ", (16, 32, 64, 128), scale, repeats, seed, engine
+        "DCJ", (16, 32, 64, 128), scale, repeats, seed
     )
     best_psj = min(rows, key=lambda row: row["t_total_s"])
     best_dcj = min(dcj_rows, key=lambda row: row["t_total_s"])

@@ -38,7 +38,6 @@ def run(
     scale: float = 0.05,
     seed: int = 7,
     fanout: str = "thread",
-    engine: str = "numpy",
     history: "str | None" = None,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -69,7 +68,7 @@ def run(
                     db.create_relation("S", rhs)
                     started = time.perf_counter()
                     pairs, metrics = db.join(
-                        "R", "S", partitioner=partitioner, engine=engine
+                        "R", "S", partitioner=partitioner
                     )
                     seconds = time.perf_counter() - started
                     report = db.last_placement

@@ -36,7 +36,6 @@ def run(
     scale: float = 0.05,
     seed: int = 7,
     backend: str = "process",
-    engine: str = "numpy",
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="parallel",
@@ -58,7 +57,7 @@ def run(
                                                THETA_S, seed=seed)
                 path = os.path.join(tmpdir, f"{algorithm}-{workers}.db")
                 pairs, metrics = run_disk_join(
-                    lhs, rhs, partitioner, engine=engine, path=path,
+                    lhs, rhs, partitioner, path=path,
                     workers=workers, backend=backend,
                 )
                 if baseline is None:

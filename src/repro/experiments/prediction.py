@@ -34,8 +34,7 @@ SWEEP_K = (8, 32, 128)
 
 
 @register("prediction")
-def run(scale: float = 0.15, seed: int = 37,
-        engine: str = "python") -> ExperimentResult:
+def run(scale: float = 0.15, seed: int = 37) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="prediction",
         title="Out-of-sample execution-time prediction "
@@ -43,9 +42,7 @@ def run(scale: float = 0.15, seed: int = 37,
         columns=["algorithm", "k", "t_measured_s", "t_predicted_s",
                  "rel_error"],
     )
-    model = calibrate(
-        collect_samples(CALIBRATION_GRID, K_VALUES, seed=seed, engine=engine)
-    )
+    model = calibrate(collect_samples(CALIBRATION_GRID, K_VALUES, seed=seed))
     from ..obs.drift import DriftRecord, record_drift
 
     size = max(16, int(10_000 * scale))
@@ -54,7 +51,7 @@ def run(scale: float = 0.15, seed: int = 37,
     signed_errors = []
     for algorithm in ("DCJ", "PSJ"):
         rows = sweep_partition_counts(
-            algorithm, SWEEP_K, scale=scale, seed=seed, engine=engine
+            algorithm, SWEEP_K, scale=scale, seed=seed
         )
         for row in rows:
             k = row["k"]

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
+from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -271,8 +272,7 @@ def build_plan_from_statistics(
     model: TimeModel = PAPER_TIME_MODEL,
     *,
     partitioner=None,
-    signature_bits: int = 160,
-    engine: str = "numpy",
+    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     workers: int = 1,
     backend: str = "serial",
     page_size: int = 4096,
@@ -327,8 +327,7 @@ def build_plan_from_statistics(
         return _build_hybrid_plan(
             r_size, s_size, theta_r, theta_s, model,
             corrections=corrections, tau=tau, quadrants=quadrants,
-            signature_bits=signature_bits, engine=engine,
-            page_size=page_size,
+            signature_bits=signature_bits, page_size=page_size,
         )
     quantities = predict_quantities(
         algorithm, k, theta_r, theta_s, r_size, s_size
@@ -366,7 +365,7 @@ def build_plan_from_statistics(
     _attach_operator_tree(
         partition, partitioner, theta_r, theta_s, operator_levels
     )
-    join_detail = f"block nested loop, engine={engine}"
+    join_detail = "block nested loop"
     if workers > 1:
         join_detail += f", workers={workers} ({backend} backend)"
     root.add(PlanNode(
@@ -508,7 +507,6 @@ def _build_hybrid_plan(
     tau: int | None,
     quadrants: "list[dict] | None",
     signature_bits: int,
-    engine: str,
     page_size: int,
 ) -> ExplainReport:
     """The hybrid plan: the switchover at τ plus one sub-plan per quadrant.
@@ -560,8 +558,8 @@ def _build_hybrid_plan(
             sub_algorithm, sub_k,
             quadrant["r_size"], quadrant["s_size"],
             quadrant["theta_r"], quadrant["theta_s"], model,
-            signature_bits=signature_bits, engine=engine,
-            page_size=page_size, drift_corrections=corrections,
+            signature_bits=signature_bits, page_size=page_size,
+            drift_corrections=corrections,
         )
         node = sub_report.root
         node.name = f"quadrant.{quadrant['label']}"
@@ -613,9 +611,7 @@ def _approximate_quadrants(
 
 def _describe_partitioner(partitioner, algorithm: str, k: int) -> str:
     if partitioner is not None:
-        describe = getattr(partitioner, "describe", None)
-        if describe is not None:
-            return describe()
+        return partitioner.describe()
     return f"{algorithm}, k={k}"
 
 
@@ -815,36 +811,6 @@ def _attach_join_children(node: PlanNode, join_span) -> None:
 # ----------------------------------------------------------------------
 
 
-def _resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed,
-                           drift_corrections=None):
-    """Mirror :func:`repro.core.api.containment_join`'s plan selection so
-    EXPLAIN shows exactly the configuration a real join would run."""
-    from ..core.optimizer import choose_plan
-
-    theta_r = max(lhs.average_cardinality(), 1e-9)
-    theta_s = max(rhs.average_cardinality(), 1e-9)
-    if algorithm == "auto":
-        plan = choose_plan(lhs, rhs, model,
-                           drift_history=drift_corrections or None)
-        return (plan.algorithm, plan.k, plan.theta_r, plan.theta_s,
-                plan.build_partitioner(seed=seed))
-    from ..analysis.simulate import make_partitioner
-    from ..core.modulo import dcj_with_any_k, lsj_with_any_k
-
-    k = num_partitions or 32
-    theta_r = max(theta_r, 1.0)
-    theta_s = max(theta_s, 1.0)
-    if algorithm == "PSJ" or (k & (k - 1) == 0 and k >= 2):
-        partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
-    elif algorithm == "DCJ":
-        partitioner = dcj_with_any_k(k, theta_r, theta_s)
-    elif algorithm == "LSJ":
-        partitioner = lsj_with_any_k(k, theta_r, theta_s)
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    return algorithm, k, theta_r, theta_s, partitioner
-
-
 def explain_join(
     lhs,
     rhs,
@@ -852,8 +818,7 @@ def explain_join(
     num_partitions: int | None = None,
     *,
     model: TimeModel = PAPER_TIME_MODEL,
-    signature_bits: int = 160,
-    engine: str = "numpy",
+    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     workers: int = 1,
     backend: str = "serial",
     seed: int = 0,
@@ -876,33 +841,32 @@ def explain_join(
     """
     if not lhs or not rhs:
         raise ConfigurationError("cannot explain a join over an empty relation")
+    from ..core.api import resolve_configuration
     from ..core.optimizer import resolve_drift_corrections
 
     corrections = resolve_drift_corrections(drift_history)
+    theta_r = max(lhs.average_cardinality(), 1e-9)
+    theta_s = max(rhs.average_cardinality(), 1e-9)
     if algorithm == "SHJ":
-        theta_r = max(lhs.average_cardinality(), 1e-9)
-        theta_s = max(rhs.average_cardinality(), 1e-9)
         return build_plan_from_statistics(
             "SHJ", 1, len(lhs), len(rhs), theta_r, theta_s, model,
             shj_bits=shj_bits, lattice_levels=lattice_levels,
         )
     if algorithm == "HYBRID":
         tau, quadrants = _hybrid_quadrants_from_relations(lhs, rhs, tau)
-        theta_r = max(lhs.average_cardinality(), 1e-9)
-        theta_s = max(rhs.average_cardinality(), 1e-9)
         return build_plan_from_statistics(
             "HYBRID", 0, len(lhs), len(rhs), theta_r, theta_s, model,
-            signature_bits=signature_bits, engine=engine,
-            drift_corrections=corrections, tau=tau, quadrants=quadrants,
+            signature_bits=signature_bits, drift_corrections=corrections,
+            tau=tau, quadrants=quadrants,
         )
-    algorithm, k, theta_r, theta_s, partitioner = _resolve_configuration(
+    algorithm, k, theta_r, theta_s, partitioner = resolve_configuration(
         lhs, rhs, algorithm, num_partitions, model, seed,
-        drift_corrections=corrections,
+        corrections or None,
     )
     return build_plan_from_statistics(
         algorithm, k, len(lhs), len(rhs), theta_r, theta_s, model,
         partitioner=partitioner, signature_bits=signature_bits,
-        engine=engine, workers=workers, backend=backend,
+        workers=workers, backend=backend,
         operator_levels=operator_levels, drift_corrections=corrections,
     )
 
@@ -946,8 +910,7 @@ def analyze_join(
     num_partitions: int | None = None,
     *,
     model: TimeModel = PAPER_TIME_MODEL,
-    signature_bits: int = 160,
-    engine: str = "numpy",
+    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     workers: int = 1,
     backend: str = "serial",
     seed: int = 0,
@@ -983,7 +946,7 @@ def analyze_join(
 
     report = explain_join(
         lhs, rhs, algorithm, num_partitions, model=model,
-        signature_bits=signature_bits, engine=engine, workers=workers,
+        signature_bits=signature_bits, workers=workers,
         backend=backend, seed=seed, operator_levels=operator_levels,
         drift_history=drift_history,
     )

@@ -51,9 +51,10 @@ FUNCTION_PHASES = {
     "run_parallel_join": "join.dispatch",
     "run_shard": "join.worker",
     "signature_of": "partition.signature",
+    "partition_relation": "partition",
     "_partition_phase": "partition",
     "_verification_phase": "verify",
-    "_verify_pairs": "verify",
+    "verify_pairs": "verify",
     "execute_join": "dist.shard",
     "_dispatch": "dist.fanout",
     "_place": "dist.placement",

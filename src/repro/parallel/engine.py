@@ -22,10 +22,11 @@ parallel join leaves no orphaned spill pages behind.
 
 from __future__ import annotations
 
+import os
+
 from ..core.metrics import JoinMetrics
 from ..errors import ParallelExecutionError
 from ..obs.registry import get_registry
-from ..obs.trace import current_tracer
 from ..storage.pager import FileDiskManager
 from .executor import resolve_backend
 from .merge import merge_shard_pairs, merge_worker_metrics
@@ -47,8 +48,12 @@ def run_parallel_join(
     fails or times out.
     """
     k = join.partitioner.num_partitions
-    r_sizes = [join._partition_size_r(parts_r, p) for p in range(k)]
-    s_sizes = [join._partition_size_s(parts_s, p) for p in range(k)]
+    r_sizes = [
+        join._partition_size(parts_r, join._resident_r, p) for p in range(k)
+    ]
+    s_sizes = [
+        join._partition_size(parts_s, join._resident_s, p) for p in range(k)
+    ]
     template = JoinMetrics(
         algorithm=join.partitioner.name,
         num_partitions=k,
@@ -65,13 +70,7 @@ def run_parallel_join(
     backend, fallback = resolve_backend(join.parallel_backend, len(shards))
     join._parallel_fallback_reason = fallback
 
-    # Prefer the tracer the operator's run() installed over the ambient
-    # global: under the coordinator's thread fanout several joins run
-    # concurrently and the ambient slot is a shared race, while
-    # ``join._run_tracer`` is unambiguous.
-    tracer = getattr(join, "_run_tracer", None)
-    if tracer is None:
-        tracer = current_tracer()
+    tracer = join._run_tracer
     file_source = _describe_file_source(join, parts_r, parts_s)
     # Only process workers snapshot-and-ship registry deltas: serial and
     # thread workers share the parent's registry, so their increments
@@ -79,16 +78,14 @@ def run_parallel_join(
     collect_metrics = backend.name == "process"
     specs = [
         _build_spec(join, parts_r, parts_s, shard, file_source,
-                    collect_metrics, trace=tracer.enabled,
-                    query_id=getattr(join, "query_id", None))
+                    collect_metrics, trace=tracer.enabled)
         for shard in shards
     ]
     # The chaos hook (see repro.service.chaos) gets one look at every
     # spec before dispatch; it may arm delays, I/O faults, or kills.
-    shard_hook = getattr(join, "shard_hook", None)
-    if shard_hook is not None:
+    if join.shard_hook is not None:
         for spec in specs:
-            shard_hook(spec)
+            join.shard_hook(spec)
     results = backend.run(specs, timeout=join.shard_timeout)
 
     for shard, result in zip(shards, results):
@@ -151,8 +148,7 @@ def _describe_file_source(join, parts_r, parts_s) -> FileSource | None:
 
 
 def _build_spec(join, parts_r, parts_s, shard, file_source,
-                collect_metrics=False, trace=False,
-                query_id=None) -> ShardSpec:
+                collect_metrics=False, trace=False) -> ShardSpec:
     inline_r: dict[int, bytes] = {}
     inline_s: dict[int, bytes] = {}
     resident = join.resident_partitions
@@ -169,8 +165,6 @@ def _build_spec(join, parts_r, parts_s, shard, file_source,
             inline_s[partition] = b"".join(
                 parts_s.scan_partition_records(partition)
             )
-    import os
-
     return ShardSpec(
         partitions=list(shard.partitions),
         engine=join.engine,
@@ -185,5 +179,5 @@ def _build_spec(join, parts_r, parts_s, shard, file_source,
         index=shard.index,
         trace=trace,
         collect_metrics=collect_metrics,
-        query_id=query_id,
+        query_id=join.query_id,
     )

@@ -3,7 +3,7 @@
 ``serve --capture workload.jsonl`` turns live traffic into a regression
 artifact: the service appends one :class:`WorkloadRecord` per finished
 query — its fingerprint, parameters as *resolved* (algorithm, k,
-signature bits, engine, seed — not "auto"), its resource ledger, and a
+signature bits, seed — not "auto"), its resource ledger, and a
 SHA-256 **answer digest** over the sorted result plus the paper's x/y
 accounting.  The capture file is rotated on service start via
 :func:`repro.obs.rotation.rotate_jsonl` with the same
@@ -37,6 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..errors import ConfigurationError
 from ..obs.ledger import QueryLedger, RESOURCE_COUNTERS
 from ..obs.registry import get_registry
@@ -311,8 +312,7 @@ def _replay_join(record: WorkloadRecord, db, workers: int, backend: str):
         r_name, s_name,
         algorithm=algorithm,
         num_partitions=params.get("num_partitions"),
-        signature_bits=params.get("signature_bits", 64),
-        engine=params.get("engine", "numpy"),
+        signature_bits=params.get("signature_bits", DEFAULT_SIGNATURE_BITS),
         seed=params.get("seed", 0),
         workers=workers,
         backend=backend if workers > 1 else "serial",

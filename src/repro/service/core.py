@@ -724,7 +724,6 @@ class QueryService:
                 "s": params["s"],
                 "algorithm": params.get("algorithm", "auto"),
                 "num_partitions": params.get("num_partitions"),
-                "engine": params.get("engine", "numpy"),
                 "seed": params.get("seed", 0),
             }
             if "signature_bits" in params:
@@ -872,7 +871,7 @@ class QueryService:
                     tracer=tracer,
                     query_id=query.query_id,
                     **{k: v for k, v in params.items()
-                       if k in ("signature_bits", "engine", "seed")},
+                       if k in ("signature_bits", "seed")},
                 )
             except BaseException as error:
                 if span is not None:

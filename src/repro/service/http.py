@@ -186,8 +186,7 @@ class _ServiceHandler(_Handler):
     def _handle_join(self, request: dict) -> dict:
         service: QueryService = self.server.service
         params = {}
-        for key in ("algorithm", "num_partitions", "signature_bits",
-                    "engine", "seed"):
+        for key in ("algorithm", "num_partitions", "signature_bits", "seed"):
             if key in request:
                 params[key] = request[key]
         pairs, metrics = service.join(

@@ -51,6 +51,29 @@ class TestCommands:
         pairs = {tuple(map(int, line.split())) for line in output.splitlines()}
         assert pairs == {(0, 0), (1, 1), (2, 2)}
 
+    @pytest.mark.parametrize("partitions", [48, 1])
+    @pytest.mark.parametrize("algorithm", ["dcj", "lsj"])
+    def test_join_folds_any_partition_count(self, set_files, capsys,
+                                            algorithm, partitions):
+        """k need not be a power of two: the CLI folds by the modulo
+        approach, exactly as ``containment_join`` does."""
+        from repro.core.api import containment_join
+
+        r_path, s_path = set_files
+        assert main(["join", r_path, s_path, "--algorithm", algorithm,
+                     "--partitions", str(partitions)]) == 0
+        captured = capsys.readouterr()
+        pairs = {tuple(map(int, line.split()))
+                 for line in captured.out.splitlines()}
+        expected, metrics = containment_join(
+            load_relation_file(r_path, "R"), load_relation_file(s_path, "S"),
+            algorithm.upper(), partitions,
+        )
+        assert pairs == expected
+        assert (f"{metrics.signature_comparisons} signature comparisons, "
+                f"{metrics.replicated_signatures} replicated signatures"
+                ) in captured.err
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_join_parallel_workers(self, set_files, capsys, backend):
         r_path, s_path = set_files

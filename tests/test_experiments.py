@@ -152,7 +152,7 @@ class TestTestbedExperiments:
         assert by_name["SQL-unnested"]["work"] > by_name["SQL-unnested"]["results"] * 10
 
     def test_scaling_comparison_counts_grow_quadratically(self):
-        result = get_experiment("scaling")(sizes=(100, 200), engine="numpy")
+        result = get_experiment("scaling")(sizes=(100, 200))
         first, second = result.rows
         # Doubling |R| = |S| roughly quadruples comparisons for both.
         assert 2.5 < second["comparisons_DCJ"] / first["comparisons_DCJ"] < 6

@@ -8,6 +8,10 @@ flow through an injected clock seam; storing the function as a default
 reference, ``clock=time.monotonic``, is the sanctioned idiom).  Running
 the same walks in the tier-1 suite catches violations before a push
 instead of in CI.
+
+Two more walks keep the join spine single (DESIGN.md, "The join spine"):
+an algorithm name becomes a partitioner only inside ``repro.core``, and
+the serving side takes no ``engine`` parameter.
 """
 
 from __future__ import annotations
@@ -63,4 +67,60 @@ def test_no_bare_print_in_library_code():
     assert not bad, (
         "bare print() in library code (report via repro.obs instead):\n"
         + "\n".join(bad)
+    )
+
+
+#: Partitioner constructors; an algorithm *name* reaches them only through
+#: ``repro.core.modulo.make_partitioner``.
+PARTITIONER_CALLS = ("PSJPartitioner", "dcj_with_any_k", "lsj_with_any_k",
+                     "for_cardinalities")
+
+#: Outside ``repro/core``: the ablations, which force physical plans by
+#: design, and two callers that build from no algorithm name — the PSJ →
+#: deterministic-PSJ rebuild and the paper's pinned element choices.
+PARTITIONER_CALLS_ALLOWED = {
+    LIBRARY_ROOT / "experiments" / "ablations.py",
+    LIBRARY_ROOT / "ablate" / "bench.py",
+    LIBRARY_ROOT / "dist" / "placement.py",
+    LIBRARY_ROOT / "experiments" / "worked_example.py",
+}
+
+#: Where nobody selects a comparison engine (see DESIGN.md).
+ENGINE_FREE = ("database.py", "dist", "service", "obs", "cli.py")
+
+
+def test_partitioners_are_built_from_names_only_in_core():
+    bad = []
+    for path, tree in _walk_library():
+        if ((LIBRARY_ROOT / "core") in path.parents
+                or path in PARTITIONER_CALLS_ALLOWED):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in PARTITIONER_CALLS:
+                bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert not bad, (
+        "partitioner built outside repro.core (call "
+        "repro.core.modulo.make_partitioner instead):\n" + "\n".join(bad)
+    )
+
+
+def test_serving_side_takes_no_engine_parameter():
+    bad = []
+    for path, tree in _walk_library():
+        if path.relative_to(LIBRARY_ROOT).parts[0] not in ENGINE_FREE:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            arguments = node.args
+            if any(arg.arg == "engine" for arg in (
+                    arguments.posonlyargs + arguments.args
+                    + arguments.kwonlyargs)):
+                bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert not bad, (
+        "engine= parameter outside the operator and the figure experiments "
+        "(the serving side runs the blocked kernel):\n" + "\n".join(bad)
     )

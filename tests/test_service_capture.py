@@ -249,6 +249,19 @@ class TestReplay:
                                     backend="thread")
         assert report.clean and report.matched == 3
 
+    def test_stale_engine_param_is_ignored(self, captured_run):
+        """Captures written before joins lost their ``engine`` knob carry
+        the key; it must not stop them replaying."""
+        db_path, capture_path, __answers = captured_run
+        records = read_capture(capture_path)
+        for record in records:
+            if record.kind == "join":
+                assert "engine" not in record.params
+                record.params["engine"] = "numpy"
+        with SetJoinDatabase.open(db_path) as db:
+            report = replay_capture(records, db)
+        assert report.clean and report.matched == 3
+
     def test_tampered_digest_is_a_mismatch(self, captured_run):
         db_path, capture_path, __answers = captured_run
         records = read_capture(capture_path)
