@@ -40,6 +40,8 @@ k=8) this yields exactly Figure 2's result: 8 signature comparisons and
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .hashing import BooleanHashFamily, make_family
 from .partitioning import Partitioner
@@ -156,6 +158,55 @@ class DCJPartitioner(Partitioner):
         self._route_stats["beta_replications"] += beta_repls
         return [index for index, __ in states]
 
+    def _route_batch(
+        self, fired: np.ndarray, is_r_side: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_route` for a batch: ``fired[i, level]`` is tuple ``i``'s
+        value of the level's hash function.
+
+        The states of all tuples descend together, one level per pass, as
+        ``(row, index, op)`` arrays kept in tuple order and, within a
+        tuple, in :meth:`_route`'s state order: a replicating state is
+        repeated in place, top child first.  Returns the leaves as
+        ``(rows, partitions)`` and adds to the route statistics what the
+        per-tuple walk would have.
+        """
+        rows = np.arange(len(fired))
+        index = np.zeros(len(fired), dtype=np.int64)
+        op = np.full(
+            len(fired), _ALPHA if self.pattern != "beta" else _BETA, dtype=np.int8
+        )
+        stats = self._route_stats
+        for level in range(self.num_levels):
+            fires = fired[rows, level]
+            is_alpha = op == _ALPHA
+            alphas = int(np.count_nonzero(is_alpha))
+            stats["alpha_evaluations"] += alphas
+            stats["beta_evaluations"] += len(op) - alphas
+            # Table 5: R replicates at a beta node that does not fire, S at
+            # an alpha node that does; a state that does not replicate goes
+            # top exactly when (alpha, fires) on the R side and when
+            # (beta, does not fire) on the S side.
+            if is_r_side:
+                replicates = ~is_alpha & ~fires
+                goes_top = is_alpha & fires
+                stats["beta_replications"] += int(np.count_nonzero(replicates))
+            else:
+                replicates = is_alpha & fires
+                goes_top = ~is_alpha & ~fires
+                stats["alpha_replications"] += int(np.count_nonzero(replicates))
+            copies = replicates + 1
+            went_top = np.repeat(goes_top, copies)
+            went_top[(np.cumsum(copies) - copies)[replicates]] = True
+            rows = np.repeat(rows, copies)
+            index = (np.repeat(index, copies) << 1) | went_top
+            op = np.repeat(op, copies)
+            if self.pattern == "alternating":
+                # alpha -> (alpha, beta), beta -> (beta, alpha): the top
+                # child keeps its parent's operator.
+                op = np.where(went_top, op, 1 - op)
+        return rows, index
+
     def route_stats(self) -> dict:
         """α/β operator-node evaluation and replication counts since the
         last reset.
@@ -219,6 +270,14 @@ class DCJPartitioner(Partitioner):
 
     def assign_s(self, elements: frozenset[int]) -> list[int]:
         return self._route(self.family.evaluate(elements), is_r_side=False)
+
+    def assign_r_batch(self, elements, offsets):
+        fired = self.family.evaluate_batch(elements, offsets)
+        return self._route_batch(fired, is_r_side=True)
+
+    def assign_s_batch(self, elements, offsets):
+        fired = self.family.evaluate_batch(elements, offsets)
+        return self._route_batch(fired, is_r_side=False)
 
     def describe(self) -> str:
         return (

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -105,6 +107,24 @@ class BooleanHashFamily:
             )
         return bool((self.evaluate(elements) >> index) & 1)
 
+    def evaluate_batch(self, elements: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` for a columnar batch of sets (set ``i`` is
+        ``elements[offsets[i]:offsets[i + 1]]``): an ``(n, num_functions)``
+        boolean matrix, column ``i`` the value of ``h_{i+1}``.
+
+        This default evaluates set by set; a family overrides it where the
+        whole batch can be evaluated with array operations.
+        """
+        flat, bounds = elements.tolist(), offsets.tolist()
+        masks = [
+            self.evaluate(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return np.array(
+            [[(mask >> index) & 1 for index in range(self.num_functions)]
+             for mask in masks],
+            dtype=bool,
+        ).reshape(len(masks), self.num_functions)
+
 
 class BitstringHashFamily(BooleanHashFamily):
     """The Section 3 construction: b-bit strings, one function per chosen bit.
@@ -162,6 +182,20 @@ class BitstringHashFamily(BooleanHashFamily):
             if (bitstring >> position) & 1:
                 mask |= 1 << out_bit
         return mask
+
+    def evaluate_batch(self, elements: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        # One lookup table, bit position -> function (or none), replaces
+        # the per-set bit string and the per-function probe of it.
+        function_at = np.full(self.bitstring_length, -1, dtype=np.intp)
+        function_at[self.indices] = np.arange(self.num_functions)
+        functions = function_at[
+            (elements % self.bitstring_length).astype(np.intp)
+        ]
+        rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        fired = np.zeros((len(offsets) - 1, self.num_functions), dtype=bool)
+        chosen = functions >= 0
+        fired[rows[chosen], functions[chosen]] = True
+        return fired
 
 
 class PrimeHashFamily(BooleanHashFamily):

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from functools import partial
 
 from ..errors import ConfigurationError
 from .metrics import JoinMetrics, PhaseMetrics
+from .partitioning import assign_batch
 from .sets import Relation
 from .signatures import DEFAULT_SIGNATURE_BITS, signature_of
 
@@ -179,7 +181,9 @@ def run_disk_intersection_join(
             store = PartitionStore(
                 testbed.pool, (signature_bits + 7) // 8, num_partitions
             )
-            partition_relation(relation_store, assign, store, signature_bits)
+            partition_relation(
+                relation_store, partial(assign_batch, assign), store, signature_bits
+            )
             stores.append(store)
         parts_r, parts_s = stores
         testbed.pool.flush_all()  # partition data reaches disk, as in the

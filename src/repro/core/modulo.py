@@ -15,6 +15,8 @@ replication, never increase it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .dcj import DCJPartitioner
 from .lsj import LSJPartitioner
@@ -49,6 +51,18 @@ class ModuloFoldPartitioner(Partitioner):
 
     def assign_s(self, elements: frozenset[int]) -> list[int]:
         return self._fold(self.base.assign_s(elements))
+
+    def _fold_batch(self, rows: np.ndarray, leaves: np.ndarray):
+        # ``rows`` ascends, so the sorted unique (row, folded partition)
+        # keys are each tuple's sorted, merged partitions in tuple order.
+        keys = np.unique(rows * self.num_partitions + leaves % self.num_partitions)
+        return keys // self.num_partitions, keys % self.num_partitions
+
+    def assign_r_batch(self, elements, offsets):
+        return self._fold_batch(*self.base.assign_r_batch(elements, offsets))
+
+    def assign_s_batch(self, elements, offsets):
+        return self._fold_batch(*self.base.assign_s_batch(elements, offsets))
 
     def describe(self) -> str:
         return f"{self.base.describe()} folded to k={self.num_partitions}"

@@ -42,14 +42,11 @@ from ..storage.buffer import BufferPool
 from ..storage.pager import DiskManager, FileDiskManager, InMemoryDiskManager
 from ..storage.partition_store import PartitionStore
 from ..storage.relation_store import DEFAULT_PAYLOAD_SIZE, RelationStore
-from ..storage.serialization import (
-    decode_partition_entries,
-    encode_partition_entry,
-)
+from ..storage.serialization import decode_partition_entries
 from .metrics import JoinMetrics, PhaseMetrics
 from .partitioning import Partitioner
 from .sets import Relation
-from .signatures import DEFAULT_SIGNATURE_BITS, pack_signatures, signature_of
+from .signatures import DEFAULT_SIGNATURE_BITS, pack_signatures, signature_matrix
 
 __all__ = [
     "Testbed", "SetContainmentJoin", "run_disk_join",
@@ -373,28 +370,40 @@ class Testbed:
 
 def partition_relation(
     relation: RelationStore,
-    assign,
+    assign_batch,
     store: PartitionStore,
     signature_bits: int,
     resident: "list[bytearray] | tuple" = (),
 ) -> None:
     """The partition-scan loop (containment R and S, intersection join).
 
-    One scan of ``relation``: each tuple's signature is appended to every
-    partition ``assign(elements)`` names — to its memory-resident run for
-    the first ``len(resident)`` partitions, to ``store`` otherwise — and
-    ``store`` is sealed.
+    One scan of ``relation``, a batch of tuples at a time and every step
+    an array operation over the batch (DESIGN.md, "Columnar batch path"):
+    the batch's signatures, the ``(rows, partitions)`` that
+    ``assign_batch(elements, offsets)`` routes it to — a partitioner's
+    ``assign_r_batch``/``assign_s_batch``, or a per-tuple rule under
+    :func:`~.partitioning.assign_batch` — and one encoded entry per
+    (tuple, partition), in the order a per-tuple loop would append them.
+    Entries of the first ``len(resident)`` partitions go to their
+    memory-resident runs, the rest to ``store``, which is sealed.
     """
     pinned = len(resident)
-    for tid, elements, __ in relation.scan():
-        signature = signature_of(elements, signature_bits)
-        for index in assign(elements):
-            if index < pinned:
-                resident[index] += encode_partition_entry(
-                    signature, tid, store.signature_bytes
-                )
-            else:
-                store.append(index, signature, tid)
+    entry = np.dtype(
+        [("signature", np.uint8, (store.signature_bytes,)), ("tid", ">u8")]
+    )
+    for tids, elements, offsets in relation.scan_batches():
+        rows, partitions = assign_batch(elements, offsets)
+        entries = np.empty(len(rows), dtype=entry)
+        entries["signature"] = signature_matrix(
+            elements, offsets, signature_bits
+        )[rows]
+        entries["tid"] = tids[rows]
+        if pinned:
+            for index in range(pinned):
+                resident[index] += entries[partitions == index].tobytes()
+            spilled = partitions >= pinned
+            partitions, entries = partitions[spilled], entries[spilled]
+        store.append_entries(partitions.tolist(), entries.tobytes())
     store.seal()
 
 
@@ -662,13 +671,13 @@ class SetContainmentJoin:
                 with tracer.span("partition.scan_r", tuples=metrics.r_size):
                     parts_r = self._make_store()
                     partition_relation(
-                        self.testbed.relation_r, self.partitioner.assign_r,
+                        self.testbed.relation_r, self.partitioner.assign_r_batch,
                         parts_r, self.signature_bits, self._resident_r,
                     )
                 with tracer.span("partition.scan_s", tuples=metrics.s_size):
                     parts_s = self._make_store()
                     partition_relation(
-                        self.testbed.relation_s, self.partitioner.assign_s,
+                        self.testbed.relation_s, self.partitioner.assign_s_batch,
                         parts_s, self.signature_bits, self._resident_s,
                     )
                 pool.flush_all()

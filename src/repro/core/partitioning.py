@@ -18,13 +18,40 @@ simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from .sets import Relation
 
-__all__ = ["Partitioner", "PartitionAssignment"]
+__all__ = ["Partitioner", "PartitionAssignment", "assign_batch"]
+
+
+def assign_batch(
+    assign: Callable[[frozenset[int]], list[int]],
+    elements: np.ndarray,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a per-tuple ``assign`` over a columnar batch of sets.
+
+    Set ``i`` of the batch is ``elements[offsets[i]:offsets[i + 1]]``.
+    Returns ``(rows, partitions)``, one entry per (tuple, partition) the
+    per-tuple loop would emit and in its order: tuples in batch order,
+    each tuple's partitions in the order ``assign`` lists them — so an
+    ``assign`` that draws random numbers draws them in that order too.
+    This is the batch interface's adapter for every scalar rule (PSJ, LSJ,
+    a test's partitioner, the intersection join's local function).
+    """
+    flat, bounds = elements.tolist(), offsets.tolist()
+    rows: list[int] = []
+    partitions: list[int] = []
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        assigned = assign(frozenset(flat[lo:hi]))
+        partitions += assigned
+        rows += [row] * len(assigned)
+    return np.array(rows, dtype=np.int64), np.array(partitions, dtype=np.int64)
 
 
 class Partitioner:
@@ -46,6 +73,21 @@ class Partitioner:
     def assign_s(self, elements: frozenset[int]) -> list[int]:
         """Partitions for a tuple of S (the superset side)."""
         raise NotImplementedError
+
+    def assign_r_batch(
+        self, elements: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`assign_r` for a columnar batch of R sets, as
+        ``(rows, partitions)`` arrays in the order the per-tuple loop emits
+        (see :func:`assign_batch`, which this default runs; an algorithm
+        overrides it where it can route the batch with array operations)."""
+        return assign_batch(self.assign_r, elements, offsets)
+
+    def assign_s_batch(
+        self, elements: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`assign_s` for a columnar batch of S sets."""
+        return assign_batch(self.assign_s, elements, offsets)
 
     def describe(self) -> str:
         return f"{self.name}(k={self.num_partitions})"

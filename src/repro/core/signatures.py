@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_SIGNATURE_BITS",
     "signature_of",
     "signatures_of",
+    "signature_matrix",
     "bitwise_included",
     "popcount",
     "expected_bit_density",
@@ -56,6 +57,28 @@ def signatures_of(
 ) -> list[int]:
     """Signatures for many sets."""
     return [signature_of(elements, bits) for elements in sets]
+
+
+def signature_matrix(
+    elements: np.ndarray, offsets: np.ndarray, bits: int = DEFAULT_SIGNATURE_BITS
+) -> np.ndarray:
+    """Signatures of a batch of sets as an ``(n, signature_bytes)`` uint8
+    matrix of big-endian rows — the layout of partition pages, which
+    :func:`pack_signatures` reads.
+
+    The batch is columnar: set ``i`` is ``elements[offsets[i]:offsets[i+1]]``.
+    Row ``i`` equals ``signature_of(set i, bits).to_bytes(signature_bytes,
+    "big")``: element ``e`` sets integer bit ``e mod bits``, which is column
+    ``8 * signature_bytes - 1 - e mod bits`` of the most-significant-first
+    bit matrix that ``np.packbits`` packs.
+    """
+    if bits < 1:
+        raise ConfigurationError(f"signature width must be >= 1, got {bits}")
+    width = 8 * ((bits + 7) // 8)
+    fired = np.zeros((len(offsets) - 1, width), dtype=bool)
+    rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    fired[rows, width - 1 - (elements % bits).astype(np.intp)] = True
+    return np.packbits(fired, axis=1)
 
 
 def bitwise_included(sig_x: int, sig_y: int) -> bool:

@@ -23,6 +23,8 @@ import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from .core.metrics import JoinMetrics
 from .core.modulo import make_partitioner
@@ -391,12 +393,16 @@ class SetJoinDatabase:
         containment semantics.
         """
         self._check_open()
-        query = frozenset(elements)
-        store = self.get_store(name)
-        return [
-            tid for tid, stored, __ in store.scan()
-            if query.issubset(stored)
-        ]
+        query = np.array(list(frozenset(elements)))
+        matches: list[int] = []
+        for tids, stored, offsets in self.get_store(name).scan_batches():
+            if query.size:
+                # Stored sets hold no duplicates, so a tuple contains the
+                # query exactly when it holds len(query) of its elements.
+                hits = np.concatenate(([0], np.cumsum(np.isin(stored, query))))
+                tids = tids[hits[offsets[1:]] - hits[offsets[:-1]] == query.size]
+            matches += tids.tolist()
+        return matches
 
     # ------------------------------------------------------------------
     # Observability

@@ -51,7 +51,17 @@ FUNCTION_PHASES = {
     "run_parallel_join": "join.dispatch",
     "run_shard": "join.worker",
     "signature_of": "partition.signature",
+    "signature_matrix": "partition.signature",
+    # The columnar partition loop's own steps, so the report names the step
+    # and not just ``partition_relation``.  ``scan_batches`` and the batch
+    # decoder are deliberately absent: the partition loop and ``probe``
+    # share them, and the walk reaches whichever called them.
+    "evaluate_batch": "partition",
+    "_route_batch": "partition",
+    "assign_batch": "partition",
+    "append_entries": "partition",
     "partition_relation": "partition",
+    "probe": "probe",
     "_partition_phase": "partition",
     "_verification_phase": "verify",
     "verify_pairs": "verify",

@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterator
 
-from ..errors import BTreeError
+from ..errors import BTreeError, SerializationError
 from .buffer import BufferPool
 from .serialization import decode_uvarint, encode_uvarint
 
@@ -51,6 +51,32 @@ _LEAF = 1
 _HEADER_SIZE = 11
 _NO_LEAF = 0
 _MAX_DEPTH = 64  # guards descent against cycles from corrupted pages
+
+# The node codec runs on every insert, lookup and scan step, over every key
+# of the node; lengths below 0x80 -- every key, most values -- take the
+# one-byte varint from a table instead of a call into the varint coder.
+_ONE_BYTE = [bytes([length]) for length in range(0x80)]
+
+
+def _length_prefix(length: int) -> bytes:
+    """``encode_uvarint(length)``."""
+    return _ONE_BYTE[length] if length < 0x80 else encode_uvarint(length)
+
+
+def _prefixed_size(item: bytes) -> int:
+    """Bytes ``item`` occupies in a node: its length varint plus itself."""
+    length = len(item)
+    if length < 0x80:
+        return length + 1
+    return length + (length.bit_length() + 6) // 7
+
+
+def _leaf_entry_size(key: bytes, value: bytes) -> int:
+    return _prefixed_size(key) + _prefixed_size(value)
+
+
+def _internal_entry_size(key: bytes) -> int:
+    return _prefixed_size(key) + 8
 
 
 class _Node:
@@ -69,16 +95,9 @@ class _Node:
         self.next_leaf: int | None = None
 
     def encoded_size(self) -> int:
-        size = _HEADER_SIZE
         if self.is_leaf:
-            for key, value in zip(self.keys, self.values):
-                size += len(encode_uvarint(len(key))) + len(key)
-                size += len(encode_uvarint(len(value))) + len(value)
-        else:
-            size += 8
-            for key in self.keys:
-                size += len(encode_uvarint(len(key))) + len(key) + 8
-        return size
+            return _HEADER_SIZE + sum(map(_leaf_entry_size, self.keys, self.values))
+        return _HEADER_SIZE + 8 + sum(map(_internal_entry_size, self.keys))
 
 
 class BTree:
@@ -146,10 +165,7 @@ class BTree:
                 )
             previous_key = key
             tree._check_entry(key, value)
-            size = (
-                len(encode_uvarint(len(key))) + len(key)
-                + len(encode_uvarint(len(value))) + len(value)
-            )
+            size = _leaf_entry_size(key, value)
             if current.keys and used + size > budget:
                 fresh = tree._new_node(is_leaf=True)
                 current.next_leaf = fresh.page_id
@@ -176,7 +192,7 @@ class BTree:
             first_key = level[0][0]
             used = 0
             for separator, child in level[1:]:
-                size = len(encode_uvarint(len(separator))) + len(separator) + 8
+                size = _internal_entry_size(separator)
                 if node.keys and used + size > parent_budget:
                     tree._store_node(node)
                     next_level.append((first_key, node.page_id))
@@ -218,59 +234,65 @@ class BTree:
         count = int.from_bytes(data[1:3], "big")
         node = _Node(page_id, is_leaf=(node_type == _LEAF))
         pos = _HEADER_SIZE
-        if node.is_leaf:
-            next_ref = int.from_bytes(data[3:11], "big")
-            node.next_leaf = None if next_ref == _NO_LEAF else next_ref - 1
-            for _ in range(count):
-                klen, pos = decode_uvarint(data, pos)
-                key = data[pos : pos + klen]
-                pos += klen
-                vlen, pos = decode_uvarint(data, pos)
-                value = data[pos : pos + vlen]
-                pos += vlen
-                node.keys.append(key)
-                node.values.append(value)
-        else:
-            node.children.append(int.from_bytes(data[pos : pos + 8], "big"))
-            pos += 8
-            for _ in range(count):
-                klen, pos = decode_uvarint(data, pos)
-                key = data[pos : pos + klen]
-                pos += klen
-                node.keys.append(key)
-                node.children.append(int.from_bytes(data[pos : pos + 8], "big"))
+        keys, values, children = node.keys, node.values, node.children
+        try:
+            if node.is_leaf:
+                next_ref = int.from_bytes(data[3:11], "big")
+                node.next_leaf = None if next_ref == _NO_LEAF else next_ref - 1
+                for _ in range(count):
+                    klen = data[pos]
+                    pos += 1
+                    if klen >= 0x80:
+                        klen, pos = decode_uvarint(data, pos - 1)
+                    keys.append(data[pos : pos + klen])
+                    pos += klen
+                    vlen = data[pos]
+                    pos += 1
+                    if vlen >= 0x80:
+                        vlen, pos = decode_uvarint(data, pos - 1)
+                    values.append(data[pos : pos + vlen])
+                    pos += vlen
+            else:
+                children.append(int.from_bytes(data[pos : pos + 8], "big"))
                 pos += 8
+                for _ in range(count):
+                    klen = data[pos]
+                    pos += 1
+                    if klen >= 0x80:
+                        klen, pos = decode_uvarint(data, pos - 1)
+                    keys.append(data[pos : pos + klen])
+                    pos += klen
+                    children.append(int.from_bytes(data[pos : pos + 8], "big"))
+                    pos += 8
+        except IndexError:
+            raise SerializationError("truncated uvarint") from None
         return node
 
     @staticmethod
     def _store_node_into(pool: BufferPool, node: _Node) -> None:
         capacity = pool.disk.payload_size
-        out = bytearray()
-        out.append(_LEAF if node.is_leaf else _INTERNAL)
-        out += len(node.keys).to_bytes(2, "big")
+        kind = _LEAF if node.is_leaf else _INTERNAL
+        header = bytes([kind]) + len(node.keys).to_bytes(2, "big")
         if node.is_leaf:
             next_ref = _NO_LEAF if node.next_leaf is None else node.next_leaf + 1
-            out += next_ref.to_bytes(8, "big")
+            parts = [header, next_ref.to_bytes(8, "big")]
             for key, value in zip(node.keys, node.values):
-                out += encode_uvarint(len(key))
-                out += key
-                out += encode_uvarint(len(value))
-                out += value
+                parts += (
+                    _length_prefix(len(key)), key,
+                    _length_prefix(len(value)), value,
+                )
         else:
-            out += bytes(8)
-            out += node.children[0].to_bytes(8, "big")
+            parts = [header, bytes(8), node.children[0].to_bytes(8, "big")]
             for key, child in zip(node.keys, node.children[1:]):
-                out += encode_uvarint(len(key))
-                out += key
-                out += child.to_bytes(8, "big")
+                parts += (_length_prefix(len(key)), key, child.to_bytes(8, "big"))
+        out = b"".join(parts)
         if len(out) > capacity:
             raise BTreeError(
                 f"node {node.page_id} serializes to {len(out)} bytes "
                 f"> page payload capacity {capacity}"
             )
         frame = pool.fetch(node.page_id)
-        frame.data[: len(out)] = out
-        frame.data[len(out) :] = bytes(capacity - len(out))
+        frame.data[:] = out.ljust(capacity, b"\x00")
         pool.unpin(node.page_id, dirty=True)
 
     def _store_node(self, node: _Node) -> None:
@@ -472,10 +494,7 @@ class BTree:
         values: list[bytes] = []
         used = 0
         for key, value in zip(node.keys, node.values):
-            size = (
-                len(encode_uvarint(len(key))) + len(key)
-                + len(encode_uvarint(len(value))) + len(value)
-            )
+            size = _leaf_entry_size(key, value)
             if keys and used + size > budget:
                 chunks.append((keys, values))
                 keys, values, used = [], [], 0
@@ -509,7 +528,7 @@ class BTree:
         used = 0
         cut_keys: list[bytes] = []
         for key, child in pairs:
-            size = len(encode_uvarint(len(key))) + len(key) + 8
+            size = _internal_entry_size(key)
             if current and used + size > budget:
                 chunks.append((first_child, current))
                 cut_keys.append(bytes(key))

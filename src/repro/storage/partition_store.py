@@ -19,7 +19,7 @@ portioning optimization can be measured as an ablation.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,11 +155,46 @@ class PartitionStore:
         """Append one (signature, tid) entry to a partition."""
         if self._sealed:
             raise ConfigurationError("partition store already sealed")
+        self._check_partition(partition)
+        self._append_entry(
+            partition, encode_partition_entry(signature, tid, self.signature_bytes)
+        )
+
+    def append_entries(self, partitions: "Sequence[int]", raw: bytes) -> None:
+        """Append a run of encoded entries, ``raw`` holding one fixed-width
+        entry (see :func:`~.serialization.encode_partition_entry`) per
+        element of ``partitions``, in order.
+
+        The entries take effect one by one in that order — a portion is
+        flushed the moment its partition's buffer fills — so the records
+        and their B-tree insert order are those of as many :meth:`append`
+        calls.  A partition out of range fails the run before any of it is
+        appended.
+        """
+        if self._sealed:
+            raise ConfigurationError("partition store already sealed")
+        if partitions and not (
+            0 <= min(partitions) and max(partitions) < self.num_partitions
+        ):
+            for partition in partitions:
+                self._check_partition(partition)
+        size = self.entry_size
+        if len(raw) != size * len(partitions):
+            raise ConfigurationError(
+                f"{len(partitions)} partitions for {len(raw)} bytes of "
+                f"{size}-byte entries"
+            )
+        append_entry = self._append_entry
+        for offset, partition in zip(range(0, len(raw), size), partitions):
+            append_entry(partition, raw[offset : offset + size])
+
+    def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.num_partitions:
             raise ConfigurationError(
                 f"partition {partition} out of range 0..{self.num_partitions - 1}"
             )
-        entry = encode_partition_entry(signature, tid, self.signature_bytes)
+
+    def _append_entry(self, partition: int, entry: bytes) -> None:
         self._entry_counts[partition] += 1
         if self.monolithic:
             self._append_monolithic(partition, entry)

@@ -249,3 +249,273 @@ def test_btree_matches_dict_reference(operations):
         else:
             assert tree.get(key) == reference.get(key)
     assert list(tree.items()) == sorted(reference.items())
+
+
+# ----------------------------------------------------------------------
+# The node codec against the implementation it replaced
+# ----------------------------------------------------------------------
+
+from repro.storage import btree as btree_module  # noqa: E402
+from repro.storage.serialization import decode_uvarint, encode_uvarint  # noqa: E402
+
+
+class ReferenceBTree(BTree):
+    """The node codec and the size sums as they stood before the
+    length-prefix helpers: one ``encode_uvarint``/``decode_uvarint`` call
+    per key and per value.  Kept verbatim as the oracle for page bytes,
+    split points and promotions."""
+
+    @staticmethod
+    def _encoded_size(node) -> int:
+        size = btree_module._HEADER_SIZE
+        if node.is_leaf:
+            for key, value in zip(node.keys, node.values):
+                size += len(encode_uvarint(len(key))) + len(key)
+                size += len(encode_uvarint(len(value))) + len(value)
+        else:
+            size += 8
+            for key in node.keys:
+                size += len(encode_uvarint(len(key))) + len(key) + 8
+        return size
+
+    def _load_node(self, page_id):
+        frame = self.pool.fetch(page_id)
+        data = bytes(frame.data)
+        self.pool.unpin(page_id)
+        count = int.from_bytes(data[1:3], "big")
+        node = btree_module._Node(page_id, is_leaf=(data[0] == 1))
+        pos = btree_module._HEADER_SIZE
+        if node.is_leaf:
+            next_ref = int.from_bytes(data[3:11], "big")
+            node.next_leaf = None if next_ref == 0 else next_ref - 1
+            for _ in range(count):
+                klen, pos = decode_uvarint(data, pos)
+                node.keys.append(data[pos : pos + klen])
+                pos += klen
+                vlen, pos = decode_uvarint(data, pos)
+                node.values.append(data[pos : pos + vlen])
+                pos += vlen
+        else:
+            node.children.append(int.from_bytes(data[pos : pos + 8], "big"))
+            pos += 8
+            for _ in range(count):
+                klen, pos = decode_uvarint(data, pos)
+                node.keys.append(data[pos : pos + klen])
+                pos += klen
+                node.children.append(int.from_bytes(data[pos : pos + 8], "big"))
+                pos += 8
+        return node
+
+    def _store_node(self, node):
+        capacity = self.pool.disk.payload_size
+        out = bytearray()
+        out.append(1 if node.is_leaf else 0)
+        out += len(node.keys).to_bytes(2, "big")
+        if node.is_leaf:
+            next_ref = 0 if node.next_leaf is None else node.next_leaf + 1
+            out += next_ref.to_bytes(8, "big")
+            for key, value in zip(node.keys, node.values):
+                out += encode_uvarint(len(key))
+                out += key
+                out += encode_uvarint(len(value))
+                out += value
+        else:
+            out += bytes(8)
+            out += node.children[0].to_bytes(8, "big")
+            for key, child in zip(node.keys, node.children[1:]):
+                out += encode_uvarint(len(key))
+                out += key
+                out += child.to_bytes(8, "big")
+        if len(out) > capacity:
+            raise BTreeError("node does not fit its page")
+        frame = self.pool.fetch(node.page_id)
+        frame.data[: len(out)] = out
+        frame.data[len(out) :] = bytes(capacity - len(out))
+        self.pool.unpin(node.page_id, dirty=True)
+
+    def _store_or_split(self, node):
+        if self._encoded_size(node) <= self.pool.disk.payload_size:
+            self._store_node(node)
+            return []
+        if node.is_leaf:
+            return self._split_leaf(node)
+        return self._split_internal(node)
+
+    def _split_leaf(self, node):
+        budget = self.pool.disk.payload_size - btree_module._HEADER_SIZE
+        chunks, keys, values, used = [], [], [], 0
+        for key, value in zip(node.keys, node.values):
+            size = (
+                len(encode_uvarint(len(key))) + len(key)
+                + len(encode_uvarint(len(value))) + len(value)
+            )
+            if keys and used + size > budget:
+                chunks.append((keys, values))
+                keys, values, used = [], [], 0
+            keys.append(key)
+            values.append(value)
+            used += size
+        chunks.append((keys, values))
+        tail = node.next_leaf
+        new_nodes = [self._new_node(is_leaf=True) for __ in chunks[1:]]
+        node.keys, node.values = chunks[0]
+        siblings = [node] + new_nodes
+        for left, right in zip(siblings, siblings[1:]):
+            left.next_leaf = right.page_id
+        siblings[-1].next_leaf = tail
+        promotions = []
+        for fresh, (chunk_keys, chunk_values) in zip(new_nodes, chunks[1:]):
+            fresh.keys, fresh.values = chunk_keys, chunk_values
+            promotions.append((bytes(chunk_keys[0]), fresh.page_id))
+        for sibling in siblings:
+            self._store_node(sibling)
+        return promotions
+
+    def _split_internal(self, node):
+        budget = self.pool.disk.payload_size - btree_module._HEADER_SIZE - 8
+        pairs = list(zip(node.keys, node.children[1:]))
+        chunks, first_child, current, used, cut_keys = [], node.children[0], [], 0, []
+        for key, child in pairs:
+            size = len(encode_uvarint(len(key))) + len(key) + 8
+            if current and used + size > budget:
+                chunks.append((first_child, current))
+                cut_keys.append(bytes(key))
+                first_child = child
+                current, used = [], 0
+                continue
+            current.append((key, child))
+            used += size
+        chunks.append((first_child, current))
+        new_nodes = [self._new_node(is_leaf=False) for __ in chunks[1:]]
+        child0, first_pairs = chunks[0]
+        node.keys = [key for key, __ in first_pairs]
+        node.children = [child0] + [child for __, child in first_pairs]
+        promotions = []
+        for fresh, cut_key, (chunk_child0, chunk_pairs) in zip(
+            new_nodes, cut_keys, chunks[1:]
+        ):
+            fresh.keys = [key for key, __ in chunk_pairs]
+            fresh.children = [chunk_child0] + [c for __, c in chunk_pairs]
+            promotions.append((cut_key, fresh.page_id))
+        for fresh in [node] + new_nodes:
+            self._store_node(fresh)
+        return promotions
+
+
+def random_node(rng, tree, is_leaf, page_size):
+    """A node of random fill — comfortably small to several pages' worth —
+    with key and value lengths on both sides of the one-byte varint limit."""
+    node = tree._new_node(is_leaf=is_leaf)
+    target = rng.choice([0, 40, page_size // 2, page_size - 30, page_size,
+                         2 * page_size, 5 * page_size])
+    limit = (page_size - 16 - 11 - 16) // 2 - 10
+    size = 0
+    while size < target or not node.keys and target:
+        key = rng.randbytes(rng.choice([1, 8, 12, 127, 128, 130]))
+        if is_leaf:
+            room = max(0, limit - len(key))
+            value = rng.randbytes(min(room, rng.choice([0, 5, 127, 128, 300, room])))
+            node.values.append(value)
+            size += len(value)
+        else:
+            node.children.append(rng.randrange(2**40))
+        node.keys.append(key)
+        size += len(key) + 9
+    node.keys.sort()
+    if is_leaf:
+        node.next_leaf = rng.choice([None, 0, rng.randrange(2**40)])
+    else:
+        node.children.append(rng.randrange(2**40))
+    return node
+
+
+class TestNodeCodecAgainstReference:
+    @pytest.mark.parametrize("page_size", [512, 4096])
+    @pytest.mark.parametrize("is_leaf", [True, False], ids=["leaf", "internal"])
+    def test_page_bytes_and_promotions_of_random_nodes(self, page_size, is_leaf):
+        rng = random.Random(page_size + is_leaf)
+        split_counts = set()
+        for __ in range(60):
+            sides = []
+            seed = rng.randrange(2**32)
+            for cls in (BTree, ReferenceBTree):
+                disk = InMemoryDiskManager(page_size)
+                pool = BufferPool(disk, capacity=64)
+                tree = cls(pool, BTree.create(pool).meta_page_id)
+                node = random_node(random.Random(seed), tree, is_leaf,
+                                   disk.payload_size)
+                promotions = tree._store_or_split(node)
+                pool.flush_all()
+                pages = [disk.read_page(page) for page in range(disk.num_pages)]
+                loaded = [
+                    (n.is_leaf, n.keys, n.values, n.children, n.next_leaf)
+                    for n in (tree._load_node(page)
+                              for page in range(2, disk.num_pages))
+                ]
+                sides.append((promotions, pages, loaded))
+            assert sides[0] == sides[1]
+            split_counts.add(len(sides[0][0]))
+        # Nodes that fit, nodes that split in two, and multi-way splits.
+        assert {0, 1} <= split_counts and max(split_counts) >= 3
+
+    def test_insert_built_trees_are_page_identical(self):
+        rng = random.Random(11)
+        items = [
+            (rng.randbytes(rng.choice([4, 8, 12])),
+             rng.randbytes(rng.choice([0, 20, 127, 128, 200])))
+            for __ in range(800)
+        ]
+        pages = []
+        for cls in (BTree, ReferenceBTree):
+            disk = InMemoryDiskManager(512)
+            pool = BufferPool(disk, capacity=16)
+            tree = cls(pool, BTree.create(pool).meta_page_id)
+            for key, value in items:
+                tree.insert(key, value)
+            for key, __ in items[::7]:
+                tree.delete(key)
+            pool.flush_all()
+            pages.append([disk.read_page(page) for page in range(disk.num_pages)])
+        assert pages[0] == pages[1]
+
+    def test_bulk_create_packs_the_leaves_the_reference_sizes_pack(self):
+        # bulk_create's size sums go through the same helpers; a tree of
+        # mixed entry sizes must cut its leaves where summing
+        # len(encode_uvarint(...)) per entry would.
+        rng = random.Random(3)
+        items = sorted({
+            rng.randbytes(8): rng.randbytes(rng.choice([1, 126, 127, 128, 129, 190]))
+            for __ in range(500)
+        }.items())
+        __, pool, __ = make_tree(page_size=1024)
+        tree = BTree.bulk_create(pool, items)
+        budget = int((pool.disk.payload_size - 11) * 0.9)
+        expected, used, first = [], 0, True
+        for key, value in items:
+            size = (len(encode_uvarint(len(key))) + len(key)
+                    + len(encode_uvarint(len(value))) + len(value))
+            if not first and used + size > budget:
+                expected.append(key)
+                used = 0
+            first = False
+            used += size
+        leaf = tree._load_node(tree._root_id)
+        while not leaf.is_leaf:
+            leaf = tree._load_node(leaf.children[0])
+        starts = []
+        while leaf.next_leaf is not None:
+            leaf = tree._load_node(leaf.next_leaf)
+            starts.append(leaf.keys[0])
+        assert starts == expected and len(starts) > 20
+
+    def test_truncated_node_raises_serialization_error(self):
+        from repro.errors import SerializationError
+
+        disk, pool, tree = make_tree(page_size=512)
+        frame = pool.fetch(tree._root_id)
+        # A leaf claiming more entries than the page holds.
+        frame.data[:] = b"\x01\xff\xff" + bytes(8) + b"\x01" * (
+            disk.payload_size - 11)
+        pool.unpin(tree._root_id, dirty=True)
+        with pytest.raises(SerializationError):
+            tree._load_node(tree._root_id)

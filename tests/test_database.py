@@ -272,3 +272,57 @@ class TestAdaptivePlanning:
                 drift_history={baseline.algorithm: 50.0, loser: 1.0},
             )
             assert flipped.algorithm == loser
+
+
+class TestProbe:
+    """``probe`` counts query hits per stored tuple over ``scan_batches``;
+    the per-tuple ``frozenset.issubset`` scan it replaced is the oracle."""
+
+    @pytest.fixture()
+    def db(self):
+        import random
+
+        from repro.storage.relation_store import BATCH_TUPLES
+
+        rng = random.Random(21)
+        rows = [
+            (tid * 3, frozenset(rng.sample(range(60), rng.randint(0, 25))))
+            for tid in range(2 * BATCH_TUPLES + 11)
+        ]
+        with SetJoinDatabase.open(None) as db:
+            db.create_relation("S", rows)
+            yield db
+
+    @staticmethod
+    def oracle(db, query):
+        query = frozenset(query)
+        return [tid for tid, stored, __ in db.get_store("S").scan()
+                if query.issubset(stored)]
+
+    @pytest.mark.parametrize("query", [
+        [], [7], [7, 7, 7], [3, 41], [0, 1, 2, 3], [59, 5, 17], [1000], [-1],
+        [7, 1000], list(range(60)),
+    ])
+    def test_matches_the_per_tuple_subset_scan(self, db, query):
+        answer = db.probe("S", query)
+        assert answer == self.oracle(db, query)
+        assert answer == sorted(answer)
+
+    def test_empty_probe_matches_every_tuple_in_tid_order(self, db):
+        assert db.probe("S", []) == list(db.get_store("S").tids())
+
+    def test_generator_query_and_numpy_free_answer(self, db):
+        answer = db.probe("S", (element for element in (3, 41)))
+        assert answer == self.oracle(db, [3, 41])
+        assert all(type(tid) is int for tid in answer)
+
+    def test_one_full_scan_of_the_leaf_chain(self, db):
+        reads = []
+        for walk in (lambda: list(db.get_store("S").scan()),
+                     lambda: db.probe("S", [3])):
+            db.pool.flush_all()
+            db.pool.drop_all()
+            before = db.disk.stats.snapshot()
+            walk()
+            reads.append(db.disk.stats.delta(before).page_reads)
+        assert reads[0] == reads[1] > 0

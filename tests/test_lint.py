@@ -12,6 +12,10 @@ instead of in CI.
 Two more walks keep the join spine single (DESIGN.md, "The join spine"):
 an algorithm name becomes a partitioner only inside ``repro.core``, and
 the serving side takes no ``engine`` parameter.
+
+A last walk keeps the partition path columnar (DESIGN.md, "Columnar batch
+path"): ``partition_relation`` makes no per-tuple call, and the B-tree node
+codec never sizes an entry by encoding its length.
 """
 
 from __future__ import annotations
@@ -123,4 +127,42 @@ def test_serving_side_takes_no_engine_parameter():
     assert not bad, (
         "engine= parameter outside the operator and the figure experiments "
         "(the serving side runs the blocked kernel):\n" + "\n".join(bad)
+    )
+
+
+#: What the per-tuple partition loop called once per tuple or per replica;
+#: inside ``partition_relation`` each has an array counterpart.
+PER_TUPLE_NAMES = ("signature_of", "encode_partition_entry")
+PER_TUPLE_METHODS = (("store", "append"), ("relation", "scan"))
+
+
+def test_partition_loop_and_node_codec_stay_columnar():
+    bad = []
+    operator = ast.parse((LIBRARY_ROOT / "core" / "operator.py").read_text())
+    loops = [node for node in ast.walk(operator)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "partition_relation"]
+    assert len(loops) == 1, "partition_relation must exist exactly once"
+    for node in ast.walk(loops[0]):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in PER_TUPLE_NAMES:
+            bad.append(f"core/operator.py:{node.lineno}: {func.id}()")
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and (func.value.id, func.attr) in PER_TUPLE_METHODS):
+            bad.append(
+                f"core/operator.py:{node.lineno}: {func.value.id}.{func.attr}()"
+            )
+    btree = ast.parse((LIBRARY_ROOT / "storage" / "btree.py").read_text())
+    for node in ast.walk(btree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "len"
+                and node.args and isinstance(node.args[0], ast.Call)
+                and getattr(node.args[0].func, "id", None) == "encode_uvarint"):
+            bad.append(f"storage/btree.py:{node.lineno}: len(encode_uvarint())")
+    assert not bad, (
+        "per-tuple or per-key call on the columnar path (use the batch "
+        "interface / the length-prefix helpers):\n" + "\n".join(bad)
     )

@@ -257,6 +257,26 @@ class TestFakeClockClosedLoop:
         the next EXPLAIN plans with corrected predictions."""
         from repro.obs.explain import analyze_join, explain_join
 
+        lhs, rhs = small_workload
+        # The model of *this* machine: the paper's constants scaled to the
+        # measured wall time of the same join, so that the 2× clock below —
+        # not how fast the box and the code happen to run — is what makes
+        # the history drift.
+        ratios = sorted(
+            record.observed["seconds"] / record.predicted["seconds"]
+            for record in (
+                analyze_join(
+                    lhs, rhs, "DCJ", 8, model=PAPER_TIME_MODEL,
+                    registry=MetricsRegistry(),
+                ).drift
+                for __ in range(5)
+            )
+        )
+        local_model = TimeModel(
+            PAPER_TIME_MODEL.c1 * ratios[2], PAPER_TIME_MODEL.c2 * ratios[2],
+            PAPER_TIME_MODEL.c3,
+        )
+
         real = time.perf_counter
         epoch = real()
         monkeypatch.setattr(
@@ -264,16 +284,17 @@ class TestFakeClockClosedLoop:
             lambda: epoch + (real() - epoch) * 2.0,
         )
 
-        lhs, rhs = small_workload
         drift_path = str(tmp_path / "drift.jsonl")
         for __ in range(21):
             analysis = analyze_join(
-                lhs, rhs, "DCJ", 8, model=PAPER_TIME_MODEL,
+                lhs, rhs, "DCJ", 8, model=local_model,
                 drift_path=drift_path, registry=MetricsRegistry(),
             )
         assert analysis.drift.observed["seconds"] > 0
 
-        store = ModelStore(str(tmp_path / "models.json"))
+        store = ModelStore(
+            str(tmp_path / "models.json"), base_model=local_model
+        )
         outcome = Recalibrator(
             store=store, registry=MetricsRegistry()
         ).maybe_recalibrate(drift_path)

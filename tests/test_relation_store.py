@@ -89,3 +89,176 @@ class TestRelationStore:
         elements = set(range(0, 5000, 7))
         store.insert(1, elements, b"p" * 100)
         assert store.fetch_set(1) == frozenset(elements)
+
+
+# ----------------------------------------------------------------------
+# The batch paths against the per-tuple ones
+# ----------------------------------------------------------------------
+
+def batch_rows(store):
+    """``scan_batches`` unpacked to ``scan``'s ``(tid, frozenset)`` rows,
+    with the tuple count of each batch."""
+    rows, sizes = [], []
+    for tids, elements, offsets in store.scan_batches():
+        flat, bounds = elements.tolist(), offsets.tolist()
+        sizes.append(len(tids))
+        rows += [
+            (tid, frozenset(flat[lo:hi]))
+            for tid, lo, hi in zip(tids.tolist(), bounds, bounds[1:])
+        ]
+    return rows, sizes
+
+
+def scan_rows(store):
+    return [(tid, elements) for tid, elements, __ in store.scan()]
+
+
+def all_pages(pool):
+    pool.flush_all()
+    return [pool.disk.read_page(page) for page in range(pool.disk.num_pages)]
+
+
+def reference_create_sorted(pool, tuples, payload_size):
+    """The loader as it stood before the batch codec: one scalar
+    ``encode_tuple_record`` per tuple, the same chunking, one bulk_create."""
+    from repro.storage.btree import BTree
+    from repro.storage.relation_store import _chunk_key
+    from repro.storage.serialization import encode_tuple_record
+
+    payload = bytes(payload_size)
+    chunk_size = (pool.disk.payload_size - 27) // 2 - 64
+
+    def entries():
+        for tid, elements in tuples:
+            record = encode_tuple_record(tid, elements, payload)
+            for chunk, offset in enumerate(range(0, len(record) or 1, chunk_size)):
+                yield _chunk_key(tid, chunk), record[offset : offset + chunk_size]
+
+    return BTree.bulk_create(pool, entries())
+
+
+def mixed_rows(count, seed=5):
+    """Small sets, an empty one, and a 3 000-element set placed so that it
+    spans chunks and leaves and sits on a batch boundary."""
+    import random
+
+    from repro.storage.relation_store import BATCH_TUPLES
+
+    rng = random.Random(seed)
+    rows = [
+        (tid, frozenset(rng.sample(range(50_000), rng.randint(1, 30))))
+        for tid in range(count)
+    ]
+    rows[3] = (3, frozenset())
+    for tid in (BATCH_TUPLES - 1, BATCH_TUPLES):
+        rows[tid] = (tid, frozenset(rng.sample(range(10**6), 3_000)))
+    return rows
+
+
+class TestBatchPaths:
+    def test_scan_batches_equals_scan_across_chunks_leaves_and_batches(self, pool):
+        from repro.storage.relation_store import BATCH_TUPLES
+
+        rows = mixed_rows(2 * BATCH_TUPLES + 7)
+        store = RelationStore.create_sorted(pool, rows, payload_size=16)
+        batched, sizes = batch_rows(store)
+        assert batched == scan_rows(store) == rows
+        # Bounded batches, no tuple split across two of them.
+        assert sizes == [BATCH_TUPLES, BATCH_TUPLES, 7]
+
+    def test_scan_batches_on_an_empty_relation(self, pool, store):
+        assert list(store.scan_batches()) == []
+        assert list(RelationStore.create_sorted(pool, []).scan_batches()) == []
+
+    def test_scan_batches_on_a_store_built_by_random_inserts(self, store):
+        import random
+
+        rows = mixed_rows(300, seed=9)
+        shuffled = rows[:]
+        random.Random(2).shuffle(shuffled)
+        for tid, elements in shuffled:
+            store.insert(tid, elements, b"\xff" * 40)
+        store.insert(7, {1, 2, 3}, b"\xff" * 40)  # overwrite: fewer chunks
+        rows[7] = (7, frozenset({1, 2, 3}))
+        batched, __ = batch_rows(store)
+        assert batched == scan_rows(store) == rows
+
+    def test_scan_batches_reads_the_pages_scan_reads(self, pool):
+        store = RelationStore.create_sorted(pool, mixed_rows(600))
+        counts = []
+        for walk in (store.scan, store.scan_batches):
+            pool.flush_all()
+            pool.drop_all()
+            before = pool.disk.stats.snapshot()
+            for __ in walk():
+                pass
+            counts.append(pool.disk.stats.delta(before).page_reads)
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("payload_size", [0, 16, 100])
+    def test_create_sorted_writes_the_pages_the_scalar_loader_wrote(
+        self, payload_size
+    ):
+        rows = mixed_rows(700)
+        pools = [BufferPool(InMemoryDiskManager(1024), capacity=64)
+                 for __ in range(2)]
+        RelationStore.create_sorted(pools[0], rows, payload_size)
+        reference_create_sorted(pools[1], rows, payload_size)
+        assert all_pages(pools[0]) == all_pages(pools[1])
+
+    def test_bulk_load_writes_the_pages_per_tuple_inserts_wrote(self):
+        import random
+
+        rows = mixed_rows(520)
+        random.Random(4).shuffle(rows)
+        pools = [BufferPool(InMemoryDiskManager(1024), capacity=64)
+                 for __ in range(2)]
+        loaded = RelationStore.create(pools[0])
+        assert loaded.bulk_load(rows, payload_size=24) == len(rows)
+        inserted = RelationStore.create(pools[1])
+        for tid, elements in rows:
+            inserted.insert(tid, elements, bytes(24))
+        assert all_pages(pools[0]) == all_pages(pools[1])
+        assert len(loaded) == len(inserted) == len(rows)
+
+    def test_bulk_load_streams_its_input(self, store):
+        from repro.storage.relation_store import BATCH_TUPLES
+
+        pulled = []
+
+        def rows():
+            for tid in range(3 * BATCH_TUPLES):
+                pulled.append(tid)
+                yield tid, {tid}
+                # Nothing is read ahead of the batch being encoded.
+                assert len(store) >= len(pulled) - BATCH_TUPLES
+
+        assert store.bulk_load(rows()) == 3 * BATCH_TUPLES
+
+    def test_database_file_and_wal_bytes_match_the_scalar_encoder(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.database import SetJoinDatabase
+        from repro.storage import relation_store
+        from repro.storage.serialization import encode_tuple_record
+
+        def scalar_records(tids, sets, payload):
+            return [encode_tuple_record(tid, elements, payload)
+                    for tid, elements in zip(tids, sets)]
+
+        rows = mixed_rows(600)
+        images = []
+        for name, patched in (("batch", False), ("scalar", True)):
+            if patched:
+                monkeypatch.setattr(
+                    relation_store, "encode_tuple_records", scalar_records
+                )
+            path = tmp_path / f"{name}.db"
+            with SetJoinDatabase.open(str(path), durable=True) as db:
+                db.create_relation("R", rows)
+            images.append((
+                path.read_bytes(),
+                (tmp_path / f"{name}.db.wal").read_bytes(),
+            ))
+        assert images[0] == images[1]
+        assert len(images[0][1]) > 0
