@@ -81,6 +81,9 @@ examples:
 		echo "== $$script"; $(PYTHON) $$script || exit 1; \
 	done
 
+# Removes only what .gitignore lists: results/ (committed tables, the
+# profile baseline, the ablation report) and BENCH_history.jsonl are tracked.
 clean:
-	rm -rf results/ build/ *.egg-info src/*.egg-info .pytest_cache \
-		.hypothesis __pycache__ BENCH_joins.json BENCH_history.jsonl
+	rm -rf results/profile_run.json BENCH_joins.json bench/out/ build/ \
+		*.egg-info src/*.egg-info .pytest_cache .hypothesis
+	find . -name __pycache__ -type d -prune -exec rm -rf {} +

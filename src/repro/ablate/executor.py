@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import time
 
-from ..obs.ledger import Fingerprint, QueryLedger, WorkloadLedger
+from ..obs.flight import QueryContext
+from ..obs.ledger import LedgerWindow, WorkloadLedger
 from ..obs.registry import get_registry
 from .bench import run_bench
 from .matrix import RunSpec
@@ -41,18 +42,14 @@ def execute_run(spec: RunSpec, registry=None, repeats: int = 2,
     registry = registry if registry is not None else get_registry()
     clock = clock if clock is not None else time.perf_counter
     cpu_clock = cpu_clock if cpu_clock is not None else time.process_time
-    baseline = registry.snapshot()
-    wall_started = clock()
-    cpu_started = cpu_clock()
+    window = LedgerWindow(registry, clock, cpu_clock)
     outcome = run_bench(spec.knobs, scale=spec.scale, seed=spec.seed,
                         repeats=repeats)
-    wall = clock() - wall_started
-    cpu = cpu_clock() - cpu_started
-    ledger = QueryLedger.from_delta(registry.delta(baseline), wall, cpu)
+    ledger = window.close()
     row = spec.to_dict()
     row.update(outcome)
-    row["wall_seconds"] = wall
-    row["cpu_seconds"] = cpu
+    row["wall_seconds"] = ledger.wall_seconds
+    row["cpu_seconds"] = ledger.cpu_seconds
     row["resources"] = ledger.resources
     row["_ledger"] = ledger  # stripped before serialization
     return row
@@ -80,14 +77,10 @@ def execute_matrix(specs: list[RunSpec], registry=None, repeats: int = 2,
     for spec in specs:
         row = execute_run(spec, registry=registry, repeats=repeats,
                           clock=clock, cpu_clock=cpu_clock)
-        ledger = row.pop("_ledger")
-        workload_ledger.attribute(
-            Fingerprint(key=row["fingerprint"], label=row["label"],
-                        detail={}),
-            ledger,
-            kind="ablation",
-            status="ok",
-        )
+        workload_ledger.attribute(QueryContext(
+            None, "ablation", status="ok", ledger=row.pop("_ledger"),
+            fingerprint=row["fingerprint"], label=row["label"],
+        ))
         rows.append(row)
         if progress is not None:
             progress(row)

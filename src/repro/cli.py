@@ -505,7 +505,7 @@ def _cmd_workload(arguments) -> int:
     records = read_capture(arguments.capture)
     ledger = WorkloadLedger()
     for record in records:
-        ledger.attribute_record(record.to_dict())
+        ledger.attribute(record)
     if arguments.json:
         print(json.dumps(ledger.report(top=arguments.top),
                          sort_keys=True, indent=2))

@@ -541,35 +541,9 @@ class ShardedDatabase:
             )
             self.last_placement = report
             publish_placement(report)
-            from ..obs.registry import get_registry, record_join
+            from ..obs.registry import record_join
 
             record_join(metrics)
-            # Coordinator step attribution: these land inside the query
-            # service's lane window, so the workload ledger can split a
-            # distributed join's cost into placement / fan-out / merge
-            # and see the shards' aggregate busy time vs the
-            # coordinator's wall clock.
-            registry = get_registry()
-            registry.counter(
-                "setjoin_dist_placement_seconds_total",
-                "Coordinator wall seconds spent summarizing and placing R",
-            ).inc(placement_seconds)
-            registry.counter(
-                "setjoin_dist_fanout_seconds_total",
-                "Coordinator wall seconds spent in shard fan-out",
-            ).inc(fanout_seconds)
-            registry.counter(
-                "setjoin_dist_merge_seconds_total",
-                "Coordinator wall seconds spent merging shard answers",
-            ).inc(time.perf_counter() - merge_started)
-            registry.counter(
-                "setjoin_dist_shard_joins_total",
-                "Per-shard join executions dispatched by the coordinator",
-            ).inc(len(responses))
-            registry.counter(
-                "setjoin_dist_shard_busy_seconds_total",
-                "Summed per-shard join seconds (aggregate shard busy time)",
-            ).inc(sum(r.metrics.total_seconds for r in responses))
             root.set(
                 results=metrics.result_size,
                 signature_comparisons=metrics.signature_comparisons,

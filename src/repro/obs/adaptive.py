@@ -569,14 +569,6 @@ class Recalibrator:
             "setjoin_model_refits_total",
             "Time-model recalibrations accepted",
         ).inc()
-        reg.gauge(
-            "setjoin_model_last_refit_error_before",
-            "Stale model's mean |relative error| on the refit window",
-        ).set(version.mean_abs_error_before)
-        reg.gauge(
-            "setjoin_model_last_refit_error_after",
-            "Refitted model's mean |relative error| on the refit window",
-        ).set(version.mean_abs_error_after)
         publish_model(version.model, version.version, registry=self.registry)
 
 

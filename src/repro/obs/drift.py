@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
+from .rotation import environment_fingerprint, rotate_jsonl
 
 __all__ = [
     "DriftRecord",
@@ -41,6 +42,7 @@ __all__ = [
     "read_drift_jsonl",
     "summarize_drift",
     "calibration_residuals",
+    "drift_line",
     "environment_fingerprint",
     "rotate_drift_jsonl",
 ]
@@ -228,19 +230,10 @@ def summarize_drift(records: "list[DriftRecord]") -> dict:
     return out
 
 
-def environment_fingerprint() -> dict:
-    """Identity of the environment producing drift records.
-
-    Drift history steers recalibration, and recalibration only makes
-    sense against measurements from *this* machine and interpreter: a
-    history carried over from another host (copied database directory,
-    container rebuild, Python upgrade) would teach the model the wrong
-    constants.  The fingerprint captures the dimensions that move the
-    time model's c1/c2/c3.
-    """
-    from .rotation import environment_fingerprint as _fingerprint
-
-    return _fingerprint()
+def drift_line(line: str) -> dict:
+    """Rotation ``parse`` hook: one history line as its canonical
+    record, so compaction sheds what the recalibrator could not load."""
+    return DriftRecord.from_dict(json.loads(line)).to_dict()
 
 
 def rotate_drift_jsonl(
@@ -274,20 +267,9 @@ def rotate_drift_jsonl(
     a :class:`DriftRecord` round-trip, so compaction sheds records the
     recalibrator could not load — is drift-specific.
     """
-    from .rotation import rotate_jsonl
-
-    def _parse(line: str) -> dict:
-        return DriftRecord.from_dict(json.loads(line)).to_dict()
-
     return rotate_jsonl(
-        path,
-        max_bytes=max_bytes,
-        keep=keep,
-        fingerprint=(
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
-        ),
-        parse=_parse,
+        path, max_bytes=max_bytes, keep=keep, fingerprint=fingerprint,
+        parse=drift_line,
     )
 
 

@@ -1,25 +1,27 @@
-"""Flight recorder: request-scoped context and per-query postmortems.
+"""Flight recorder: the one per-query record and per-query postmortems.
 
 A query that is admitted, retried across the backend ladder, fanned out
 to N shards, and killed by chaos used to leave its evidence scattered
 across uncorrelated spans, counters, and log lines.  This module is the
 correlation layer:
 
-* :class:`QueryContext` — the request-scoped identity minted alongside
+* :class:`QueryContext` — the request-scoped record minted alongside
   the ``query_id`` at admission (:mod:`repro.service.queue`).  It rides
-  the query through the retry ladder and collects a wall-clock-stamped
+  the query through the retry ladder collecting a wall-clock-stamped
   **timeline** (admission, attempts, retries, breaker transitions,
-  chaos events) plus snapshots the service attaches as the query
-  executes: the chosen plan (EXPLAIN node list), the drift record, the
-  metrics-registry delta, and the exported span tree.
-* :class:`FlightRecorder` — a bounded in-memory ring of completed
-  :class:`QueryContext` snapshots, queryable over HTTP
-  (``GET /debug/queries`` / ``GET /debug/query/<id>``).  When a query
-  errors, breaches its deadline, or exceeds its latency objective the
-  recorder freezes a self-contained **postmortem** — kept in a separate
-  bounded map so ring churn cannot evict the interesting failures, and
-  optionally dumped as a JSON file for offline analysis (the CI chaos
-  job uploads these as artifacts).
+  chaos events); the execution lane then fills in what ran, the
+  outcome, the resource bill and the evidence.  It is the *only*
+  description of a served query: the flight entry is
+  :meth:`QueryContext.to_dict`, the capture line the same dict without
+  its evidence fields, and the workload ledger aggregates the record.
+* :class:`FlightRecorder` — a bounded in-memory ring of finished
+  records, queryable over HTTP (``GET /debug/queries`` /
+  ``GET /debug/query/<id>``).  When a query errors, breaches its
+  deadline, or exceeds its latency objective the recorder freezes a
+  self-contained **postmortem** — kept in a separate bounded map so
+  ring churn cannot evict the interesting failures, and optionally
+  dumped as a JSON file for offline analysis (the CI chaos job uploads
+  these as artifacts).
 
 The recorder is observation-only: it copies plain data out of the
 query path and never feeds anything back, so join results are
@@ -33,70 +35,151 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
+from ..errors import ConfigurationError
+from .ledger import QueryLedger
 from .rotation import environment_fingerprint
 
-__all__ = ["QueryContext", "FlightRecorder"]
+__all__ = ["CAPTURE_SCHEMA", "QueryContext", "FlightRecorder"]
+
+#: Bump when the record layout changes incompatibly; readers refuse
+#: records from a future schema instead of misinterpreting them.
+CAPTURE_SCHEMA = 1
 
 #: Statuses a finished query can record; anything but "ok" is a
 #: postmortem trigger.
 TERMINAL_STATUSES = ("ok", "deadline_exceeded", "error", "internal_error")
 
 
+@dataclass
 class QueryContext:
-    """Per-query identity and evidence accumulator.
+    """The one record of a served query: identity, what ran, evidence,
+    outcome, bill.
 
     Created where the ``query_id`` is minted and mutated only from the
     service's single execution lane, so no locking is needed until the
-    finished snapshot is handed to the :class:`FlightRecorder`.
+    finished record is handed to its consumers.
     """
 
-    __slots__ = (
-        "query_id", "kind", "created_at", "timeline",
-        "plan", "drift", "registry_delta", "spans",
-        "ledger", "fingerprint", "_wall",
-    )
+    query_id: int
+    kind: str
+    wall: object = field(default=time.time, compare=False, repr=False)
+    created_at: "float | None" = None
+    #: *replayable* parameters: a join's resolved algorithm, k and
+    #: signature bits, not ``"auto"``.
+    params: dict = field(default_factory=dict)
+    #: algorithm, k, θ_R/θ_S, sizes, signature bits, predicted seconds;
+    #: ``requested`` marks a named algorithm.
+    plan: "dict | None" = None
+    timeline: list = field(default_factory=list)
+    status: "str | None" = None
+    seconds: float = 0.0
+    attempts: int = 0
+    error: "dict | None" = None
+    #: the resource bill over the lane's registry window.
+    ledger: "QueryLedger | None" = None
+    fingerprint: "str | None" = None
+    label: "str | None" = None
+    digest: dict = field(default_factory=dict)
+    drift: "dict | None" = None
+    registry_delta: "dict | None" = None
+    spans: list = field(default_factory=list)
 
-    def __init__(self, query_id: int, kind: str, wall=None):
-        self.query_id = query_id
-        self.kind = kind
-        self._wall = wall if wall is not None else time.time
-        self.created_at = self._wall()
-        self.timeline: list[dict] = []
-        self.plan: dict | None = None
-        self.drift: dict | None = None
-        self.registry_delta: dict | None = None
-        self.spans: list[dict] = []
-        #: the query's resource bill (plain dict from
-        #: :meth:`repro.obs.ledger.QueryLedger.to_dict`) and its workload
-        #: fingerprint key, attached by the service's ledger settle.
-        self.ledger: dict | None = None
-        self.fingerprint: str | None = None
+    def __post_init__(self):
+        if self.created_at is None:
+            self.created_at = self.wall()
 
     def event(self, kind: str, **fields) -> dict:
         """Append one wall-stamped event to the timeline."""
-        record = {"event": kind, "at": self._wall()}
+        record = {"event": kind, "at": self.wall()}
         record.update(fields)
         self.timeline.append(record)
         return record
 
-    def snapshot(self) -> dict:
-        """Plain-data copy of everything collected so far."""
-        return {
+    def finish(self, status: str, seconds: float,
+               error: "BaseException | None" = None) -> None:
+        """Record the outcome; ``error`` is kept as plain type + detail."""
+        self.status = status
+        self.seconds = seconds
+        self.error = None if error is None else {
+            "type": type(error).__name__, "detail": str(error),
+        }
+
+    def to_dict(self, evidence: bool = True) -> dict:
+        """Plain-data copy: the flight entry, or — without ``evidence``
+        (timeline, plan, drift, registry delta, spans, error: what a
+        replay neither needs nor can reproduce) — the capture line."""
+        out = {
+            "schema": CAPTURE_SCHEMA,
             "query_id": self.query_id,
             "kind": self.kind,
-            "created_at": self.created_at,
-            "timeline": [dict(event) for event in self.timeline],
-            "plan": dict(self.plan) if self.plan is not None else None,
-            "drift": dict(self.drift) if self.drift is not None else None,
-            "registry_delta": (
-                dict(self.registry_delta)
-                if self.registry_delta is not None else None
-            ),
-            "spans": [dict(span) for span in self.spans],
-            "ledger": dict(self.ledger) if self.ledger is not None else None,
             "fingerprint": self.fingerprint,
+            "label": self.label,
+            "params": dict(self.params),
+            "status": self.status,
+            "seconds": self.seconds,
+            "attempts": self.attempts,
+            "digest": dict(self.digest),
+            "ledger": (
+                self.ledger.to_dict() if self.ledger is not None else None
+            ),
         }
+        if evidence:
+            out.update(
+                created_at=self.created_at,
+                timeline=[dict(event) for event in self.timeline],
+                plan=dict(self.plan) if self.plan is not None else None,
+                drift=dict(self.drift) if self.drift is not None else None,
+                registry_delta=(
+                    dict(self.registry_delta)
+                    if self.registry_delta is not None else None
+                ),
+                spans=[dict(span) for span in self.spans],
+                error=dict(self.error) if self.error is not None else None,
+            )
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "QueryContext":
+        """Rebuild from :meth:`to_dict` output, with or without evidence
+        (so a schema-1 capture line loads)."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("workload record must be a JSON object")
+        schema = data.get("schema")
+        if not isinstance(schema, int) or schema > CAPTURE_SCHEMA:
+            raise ConfigurationError(
+                f"workload record schema {schema!r} not supported "
+                f"(this reader understands <= {CAPTURE_SCHEMA})"
+            )
+        try:
+            ledger = data.get("ledger")
+            return cls(
+                query_id=int(data["query_id"]),
+                kind=str(data["kind"]),
+                created_at=float(data.get("created_at", 0.0)),
+                params=dict(data.get("params", {})),
+                plan=data.get("plan"),
+                timeline=list(data.get("timeline", [])),
+                status=str(data["status"]),
+                seconds=float(data.get("seconds", 0.0)),
+                attempts=int(data.get("attempts", 1)),
+                error=data.get("error"),
+                ledger=(
+                    QueryLedger.from_dict(ledger)
+                    if ledger is not None else None
+                ),
+                fingerprint=str(data["fingerprint"]),
+                label=str(data.get("label", data["fingerprint"])),
+                digest=dict(data.get("digest", {})),
+                drift=data.get("drift"),
+                registry_delta=data.get("registry_delta"),
+                spans=list(data.get("spans", [])),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ConfigurationError(
+                f"malformed workload record: {error}"
+            ) from error
 
 
 class FlightRecorder:
@@ -116,7 +199,7 @@ class FlightRecorder:
     """
 
     def __init__(self, capacity: int = 128, postmortem_dir: str | None = None,
-                 registry=None, wall=None,
+                 wall=None,
                  postmortem_max_files: int = 64,
                  postmortem_max_bytes: int = 16 * 1024 * 1024):
         if capacity <= 0:
@@ -134,20 +217,8 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[int, dict]" = OrderedDict()
         self._postmortems: "OrderedDict[int, dict]" = OrderedDict()
-        from .registry import get_registry
 
-        reg = registry if registry is not None else get_registry()
-        self._recorded = reg.counter(
-            "setjoin_flight_recorded_total",
-            "Queries captured by the flight recorder",
-        )
-        self._dumped = reg.counter(
-            "setjoin_flight_postmortems_total",
-            "Postmortems frozen for failed or objective-breaching queries",
-        )
-
-    def record(self, context: QueryContext, status: str, seconds: float,
-               attempts: int = 0, error: BaseException | None = None,
+    def record(self, record: QueryContext,
                objective: float | None = None) -> dict:
         """Capture one finished query; freeze a postmortem if warranted.
 
@@ -155,41 +226,28 @@ class FlightRecorder:
         (from the SLO tracker); exceeding it makes an otherwise-ok query
         a slow-query postmortem.  Returns the recorded entry.
         """
-        entry = context.snapshot()
-        entry["status"] = status
-        entry["seconds"] = seconds
-        entry["attempts"] = attempts
+        entry = record.to_dict()
         entry["recorded_at"] = self._wall()
-        if error is not None:
-            entry["error"] = {
-                "type": type(error).__name__,
-                "detail": str(error),
-            }
-        else:
-            entry["error"] = None
 
         reason = None
-        if status != "ok":
-            reason = status
-        elif objective is not None and seconds is not None \
-                and seconds > objective:
+        if record.status != "ok":
+            reason = record.status
+        elif objective is not None and record.seconds > objective:
             reason = "latency_objective_exceeded"
 
         with self._lock:
-            self._entries[context.query_id] = entry
-            self._entries.move_to_end(context.query_id)
+            self._entries[record.query_id] = entry
+            self._entries.move_to_end(record.query_id)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-            self._recorded.inc()
             if reason is not None:
                 postmortem = dict(entry)
                 postmortem["postmortem_reason"] = reason
                 postmortem["objective_seconds"] = objective
                 postmortem["environment"] = environment_fingerprint()
-                self._postmortems[context.query_id] = postmortem
+                self._postmortems[record.query_id] = postmortem
                 while len(self._postmortems) > self.capacity:
                     self._postmortems.popitem(last=False)
-                self._dumped.inc()
                 if self.postmortem_dir is not None:
                     self._dump(postmortem)
         return entry

@@ -37,13 +37,15 @@ import hashlib
 import json
 import re
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "RESOURCE_COUNTERS",
     "Fingerprint",
+    "LedgerWindow",
     "QueryLedger",
     "WorkloadLedger",
     "normalize_workload_name",
@@ -128,6 +130,7 @@ def query_fingerprint(kind: str, detail: dict) -> Fingerprint:
     return Fingerprint(key=key, label=" ".join(parts), detail=normalized)
 
 
+@dataclass(slots=True)
 class QueryLedger:
     """One query's resource bill: counter movement plus wall/CPU time.
 
@@ -140,15 +143,9 @@ class QueryLedger:
     an I/O-bound query from a compute-bound one.
     """
 
-    __slots__ = ("wall_seconds", "cpu_seconds", "counters")
-
-    def __init__(self, wall_seconds: float = 0.0, cpu_seconds: float = 0.0,
-                 counters: "dict | None" = None):
-        self.wall_seconds = wall_seconds
-        self.cpu_seconds = cpu_seconds
-        self.counters: "dict[str, int | float]" = (
-            dict(counters) if counters else {}
-        )
+    wall_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    counters: "dict[str, int | float]" = field(default_factory=dict)
 
     @classmethod
     def from_delta(cls, delta: dict, wall_seconds: float,
@@ -200,8 +197,49 @@ class QueryLedger:
         return cls(
             wall_seconds=float(data.get("wall_seconds", 0.0)),
             cpu_seconds=float(data.get("cpu_seconds", 0.0)),
-            counters=counters,
+            counters=dict(counters),
         )
+
+
+class LedgerWindow:
+    """One snapshot → run → delta → bill window over a registry.
+
+    Construction baselines ``registry`` and both clocks; :meth:`close`
+    returns the bill and keeps the raw movement as :attr:`delta`.  The
+    service lane, capture replay and the ablation executor all bill
+    through this; a bill is exact only while nothing else moves the
+    registry.
+    """
+
+    def __init__(self, registry, clock=time.perf_counter,
+                 cpu_clock=time.process_time):
+        self._registry = registry
+        self._clock = clock
+        self._cpu_clock = cpu_clock
+        self._baseline = registry.snapshot()
+        self._wall_started = clock()
+        self._cpu_started = cpu_clock()
+        self.delta: dict = {}
+
+    def close(self) -> QueryLedger:
+        self.delta = self._registry.delta(self._baseline)
+        return QueryLedger.from_delta(
+            self.delta,
+            wall_seconds=self._clock() - self._wall_started,
+            cpu_seconds=self._cpu_clock() - self._cpu_started,
+        )
+
+    def condensed(self) -> dict:
+        """The closed window's movement as plain values (counters,
+        gauges) and ``{count, sum}`` pairs (histograms) — the flight
+        entry's ``registry_delta``."""
+        return {
+            name: (
+                {"count": entry["count"], "sum": entry["sum"]}
+                if entry["kind"] == "histogram" else entry["value"]
+            )
+            for name, entry in self.delta.items()
+        }
 
 
 class _Group:
@@ -290,10 +328,6 @@ class WorkloadLedger:
         self._cpu = 0.0
         self._queries = 0
         self._groups: "dict[str, _Group]" = {}
-        self._attributed = self._registry.counter(
-            "setjoin_ledger_queries_total",
-            "Queries attributed by the workload ledger",
-        )
 
     def begin(self) -> None:
         """Baseline the registry; reconciliation measures from here."""
@@ -302,43 +336,26 @@ class WorkloadLedger:
 
     # ------------------------------------------------------------------
 
-    def attribute(self, fingerprint: Fingerprint, ledger: QueryLedger,
-                  *, kind: str, status: str,
-                  query_id: "int | None" = None) -> None:
-        """Fold one finished query's ledger into the workload totals."""
+    def attribute(self, record) -> None:
+        """Fold one finished query — a live or captured
+        :class:`~repro.obs.flight.QueryContext` — into the totals."""
+        ledger = record.ledger
+        if ledger is None:
+            raise ConfigurationError(
+                f"workload record for query {record.query_id!r} "
+                "carries no ledger"
+            )
         with self._lock:
             self._queries += 1
             self._wall += ledger.wall_seconds
             self._cpu += ledger.cpu_seconds
             for name, value in ledger.counters.items():
                 self._totals[name] = self._totals.get(name, 0) + value
-            group = self._groups.get(fingerprint.key)
+            group = self._groups.get(record.fingerprint)
             if group is None:
-                group = _Group(fingerprint.key, fingerprint.label, kind)
-                self._groups[fingerprint.key] = group
-            group.add(ledger, status, query_id)
-        self._attributed.inc()
-
-    def attribute_record(self, record: dict) -> None:
-        """Offline path: fold one captured workload record (a dict with
-        ``fingerprint``/``label``/``kind``/``status``/``ledger``)."""
-        ledger_data = record.get("ledger")
-        if not isinstance(ledger_data, dict):
-            raise ConfigurationError(
-                f"workload record for query {record.get('query_id')!r} "
-                "carries no ledger"
-            )
-        fingerprint = Fingerprint(
-            key=str(record["fingerprint"]),
-            label=str(record.get("label", record["fingerprint"])),
-            detail={},
-        )
-        self.attribute(
-            fingerprint, QueryLedger.from_dict(ledger_data),
-            kind=str(record.get("kind", "?")),
-            status=str(record.get("status", "?")),
-            query_id=record.get("query_id"),
-        )
+                group = _Group(record.fingerprint, record.label, record.kind)
+                self._groups[record.fingerprint] = group
+            group.add(ledger, record.status, record.query_id)
 
     # ------------------------------------------------------------------
 

@@ -151,7 +151,7 @@ class SamplingProfiler:
     """Daemon-thread stack sampler with per-phase attribution."""
 
     def __init__(self, hz: float = DEFAULT_HZ, clock=None, sleep=None,
-                 frames=None, registry=None):
+                 frames=None):
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz}")
         self.hz = hz
@@ -168,13 +168,6 @@ class SamplingProfiler:
         self._sampler_seconds = 0.0
         self._started_at: float | None = None
         self._elapsed = 0.0
-        from .registry import get_registry
-
-        reg = registry if registry is not None else get_registry()
-        self._samples_total = reg.counter(
-            "setjoin_profile_samples_total",
-            "Stack samples attributed by the sampling profiler",
-        )
 
     # -- sampling core ---------------------------------------------------
 
@@ -204,8 +197,6 @@ class SamplingProfiler:
                     self._function_counts.get(label, 0) + 1
                 attributed += 1
             self._sampler_seconds += self._clock() - t0
-        if hits:
-            self._samples_total.inc(len(hits))
         return attributed
 
     def _run(self) -> None:

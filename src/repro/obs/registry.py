@@ -390,14 +390,6 @@ def record_join(metrics, registry: MetricsRegistry | None = None) -> None:
         "setjoin_last_buffer_hit_rate",
         "Buffer pool hit rate of the most recent join",
     ).set(metrics.buffer_hit_rate)
-    reg.gauge(
-        "setjoin_last_comparison_factor",
-        "x / (|R|*|S|) of the most recent join",
-    ).set(metrics.comparison_factor)
-    reg.gauge(
-        "setjoin_last_replication_factor",
-        "y / (|R|+|S|) of the most recent join",
-    ).set(metrics.replication_factor)
     reg.histogram(
         "setjoin_join_seconds",
         "End-to-end join wall time distribution",

@@ -18,17 +18,22 @@ here):
 
 Clocks are injectable (``wall``) so the sidecar stamp is deterministic
 under test.
+
+:class:`JsonlSink` is the long-lived writer on top — rotate on open,
+then one JSON line per record; the query service's trace, drift and
+capture histories are three instances.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 from ..errors import ConfigurationError
 
-__all__ = ["rotate_jsonl", "environment_fingerprint"]
+__all__ = ["JsonlSink", "rotate_jsonl", "environment_fingerprint"]
 
 
 def environment_fingerprint() -> dict:
@@ -120,3 +125,64 @@ def rotate_jsonl(
             handle, sort_keys=True,
         )
     return out
+
+
+class JsonlSink:
+    """Append-only JSONL history, rotated (:func:`rotate_jsonl`) once
+    at :meth:`open_`-time.  Appends come from the service's execution
+    lane while :meth:`close` comes from whoever stops the service, hence
+    the lock.
+    """
+
+    def __init__(self, path: str, max_bytes: int = 4 * 1024 * 1024,
+                 keep: int = 2000, parse=None):
+        if not path:
+            raise ConfigurationError("JSONL sink path must be non-empty")
+        self.path = path
+        self.max_bytes = max_bytes
+        self.keep = keep
+        self._parse = parse
+        self._lock = threading.Lock()
+        self._open = False
+        self._handle = None
+
+    def open_(self) -> dict:
+        """Rotate the existing history and accept appends.  The file
+        itself is created by the first append, so a history that never
+        gets a record leaves no empty file behind."""
+        with self._lock:
+            if self._open:
+                raise ConfigurationError(
+                    f"JSONL sink {self.path!r} is already open"
+                )
+            directory = os.path.dirname(self.path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            rotation = rotate_jsonl(
+                self.path, max_bytes=self.max_bytes, keep=self.keep,
+                parse=self._parse,
+            )
+            self._open = True
+            return rotation
+
+    def append(self, *records: dict) -> None:
+        """Write one line per record and flush, under one lock hold."""
+        lines = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        )
+        with self._lock:
+            if not self._open:
+                raise ConfigurationError(
+                    f"JSONL sink {self.path!r} is not open"
+                )
+            if self._handle is None:
+                self._handle = open(self.path, "a")
+            self._handle.write(lines)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            self._open = False
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None

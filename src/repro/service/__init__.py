@@ -15,17 +15,16 @@ it a resident, failure-tolerant process:
   kills, stragglers, I/O faults);
 * :mod:`.loadgen` — a paced mixed-workload harness that checks every
   answer against a pre-chaos oracle;
-* :mod:`.capture` — workload capture (fingerprinted per-query records
-  with resolved plans, resource ledgers, and answer digests) and
-  deterministic replay (``repro replay``).
+* :mod:`.capture` — workload capture (one line per query: the
+  :class:`~repro.obs.flight.QueryContext` record with its resolved
+  plan, resource ledger and answer digest) and deterministic replay
+  (``repro replay``).
 
 See ``docs/service.md`` for the operational model.
 """
 
 from .capture import (
     ReplayReport,
-    WorkloadCapture,
-    WorkloadRecord,
     answer_digest,
     read_capture,
     replay_capture,
@@ -60,8 +59,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "WorkloadMix",
-    "WorkloadCapture",
-    "WorkloadRecord",
     "ReplayReport",
     "answer_digest",
     "read_capture",

@@ -1,13 +1,14 @@
 """Workload capture and deterministic replay.
 
 ``serve --capture workload.jsonl`` turns live traffic into a regression
-artifact: the service appends one :class:`WorkloadRecord` per finished
-query — its fingerprint, parameters as *resolved* (algorithm, k,
-signature bits, seed — not "auto"), its resource ledger, and a
-SHA-256 **answer digest** over the sorted result plus the paper's x/y
-accounting.  The capture file is rotated on service start via
-:func:`repro.obs.rotation.rotate_jsonl` with the same
-environment-fingerprint sidecar discipline as drift and trace histories.
+artifact: the service appends one line per finished query — its
+:class:`~repro.obs.flight.QueryContext` without the evidence fields:
+fingerprint, parameters as *resolved* (algorithm, k, signature bits,
+seed — not "auto"), resource ledger, and a SHA-256 **answer digest**
+over the sorted result plus the paper's x/y accounting.  The capture
+file is a :class:`~repro.obs.rotation.JsonlSink`, rotated on service
+start with the same environment-fingerprint sidecar discipline as the
+drift and trace histories.
 
 :func:`replay_capture` (surfaced as ``repro replay``) re-executes a
 capture against a database and diffs each query against its recording:
@@ -32,30 +33,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-import time
 from dataclasses import dataclass, field
 
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..errors import ConfigurationError
-from ..obs.ledger import QueryLedger, RESOURCE_COUNTERS
+from ..obs.flight import CAPTURE_SCHEMA, QueryContext
+from ..obs.ledger import LedgerWindow
 from ..obs.registry import get_registry
-from ..obs.rotation import rotate_jsonl
 
 __all__ = [
     "CAPTURE_SCHEMA",
     "ReplayReport",
-    "WorkloadCapture",
-    "WorkloadRecord",
     "answer_digest",
+    "capture_line",
     "read_capture",
     "replay_capture",
 ]
-
-#: Bump when the record layout changes incompatibly; readers refuse
-#: records from a future schema instead of misinterpreting them.
-CAPTURE_SCHEMA = 1
 
 #: Ledger resources that are pure functions of (data, resolved plan) —
 #: replay asserts these exactly.  Everything else in RESOURCE_COUNTERS
@@ -97,129 +90,13 @@ def answer_digest(kind: str, result) -> dict:
     return {}
 
 
-@dataclass
-class WorkloadRecord:
-    """One captured query: identity, resolved parameters, bill, answer."""
-
-    query_id: int
-    kind: str
-    fingerprint: str
-    label: str
-    params: dict
-    status: str
-    seconds: float
-    attempts: int
-    digest: dict = field(default_factory=dict)
-    ledger: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": CAPTURE_SCHEMA,
-            "query_id": self.query_id,
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "label": self.label,
-            "params": dict(self.params),
-            "status": self.status,
-            "seconds": self.seconds,
-            "attempts": self.attempts,
-            "digest": dict(self.digest),
-            "ledger": dict(self.ledger),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadRecord":
-        if not isinstance(data, dict):
-            raise ConfigurationError("workload record must be a JSON object")
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > CAPTURE_SCHEMA:
-            raise ConfigurationError(
-                f"workload record schema {schema!r} not supported "
-                f"(this reader understands <= {CAPTURE_SCHEMA})"
-            )
-        try:
-            return cls(
-                query_id=int(data["query_id"]),
-                kind=str(data["kind"]),
-                fingerprint=str(data["fingerprint"]),
-                label=str(data.get("label", data["fingerprint"])),
-                params=dict(data.get("params", {})),
-                status=str(data["status"]),
-                seconds=float(data.get("seconds", 0.0)),
-                attempts=int(data.get("attempts", 1)),
-                digest=dict(data.get("digest", {})),
-                ledger=dict(data.get("ledger", {})),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"malformed workload record: {error}"
-            ) from error
+def capture_line(line: str) -> dict:
+    """Rotation ``parse`` hook: one capture line as its canonical
+    record, so compaction sheds what :func:`read_capture` would refuse."""
+    return QueryContext.from_dict(json.loads(line)).to_dict(evidence=False)
 
 
-class WorkloadCapture:
-    """Append-only, rotated JSONL sink for :class:`WorkloadRecord`.
-
-    Rotation (size cap + environment-fingerprint sidecar) happens once
-    at :meth:`open_`-time, mirroring the drift- and trace-history
-    discipline: a capture carried over from another machine is moved to
-    ``<path>.stale`` rather than silently extended, because its timings
-    and page counts describe different hardware.
-    """
-
-    def __init__(self, path: str, max_bytes: int = 16 * 1024 * 1024,
-                 keep: int = 5000, registry=None, wall=None):
-        if not path:
-            raise ConfigurationError("capture path must be non-empty")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.keep = keep
-        self._wall = wall if wall is not None else time.time
-        self._lock = threading.Lock()
-        self._handle = None
-        self._records = (registry or get_registry()).counter(
-            "setjoin_capture_records_total",
-            "Workload records appended to the capture file",
-        )
-
-    def open_(self) -> dict:
-        """Rotate the existing capture, then open for appending."""
-        with self._lock:
-            if self._handle is not None:
-                raise ConfigurationError(
-                    f"capture {self.path!r} is already open"
-                )
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            rotation = rotate_jsonl(
-                self.path, max_bytes=self.max_bytes, keep=self.keep,
-                parse=lambda line: WorkloadRecord.from_dict(
-                    json.loads(line)
-                ).to_dict(),
-                wall=self._wall,
-            )
-            self._handle = open(self.path, "a")
-            return rotation
-
-    def append(self, record: WorkloadRecord) -> None:
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with self._lock:
-            if self._handle is None:
-                raise ConfigurationError(
-                    f"capture {self.path!r} is not open"
-                )
-            self._handle.write(line + "\n")
-            self._handle.flush()
-        self._records.inc()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
-def read_capture(path: str) -> "list[WorkloadRecord]":
+def read_capture(path: str) -> "list[QueryContext]":
     """Parse a capture file, raising on any malformed record.
 
     Strictness is deliberate: a replay run against a silently truncated
@@ -237,7 +114,7 @@ def read_capture(path: str) -> "list[WorkloadRecord]":
                 raise ConfigurationError(
                     f"{path}:{number}: not valid JSON ({error})"
                 ) from error
-            records.append(WorkloadRecord.from_dict(data))
+            records.append(QueryContext.from_dict(data))
     return records
 
 
@@ -294,7 +171,7 @@ class ReplayReport:
         }
 
 
-def _replay_join(record: WorkloadRecord, db, workers: int, backend: str):
+def _replay_join(record: QueryContext, db, workers: int, backend: str):
     params = record.params
     r_name = params.get("r")
     s_name = params.get("s")
@@ -344,7 +221,6 @@ def replay_capture(records, db, *, workers: int = 1,
         if record.kind not in ("join", "probe"):
             report._skip(f"kind_{record.kind}")
             continue
-        relations = []
         if record.kind == "join":
             relations = [record.params.get("r"), record.params.get("s")]
         else:
@@ -357,15 +233,14 @@ def replay_capture(records, db, *, workers: int = 1,
             report._skip("missing_relation")
             continue
 
-        baseline = reg.snapshot()
+        window = LedgerWindow(reg)
         if record.kind == "join":
             result = _replay_join(record, db, workers, backend)
         else:
             result = db.probe(
                 record.params["name"], record.params.get("elements", [])
             )
-        delta = reg.delta(baseline)
-        replayed_ledger = QueryLedger.from_delta(delta, 0.0, 0.0)
+        replayed_resources = window.close().resources
         report.replayed += 1
 
         digest = answer_digest(record.kind, result)
@@ -379,14 +254,16 @@ def replay_capture(records, db, *, workers: int = 1,
                 "replayed": digest,
             })
 
-        recorded_resources = record.ledger.get("resources", {})
-        replayed_resources = replayed_ledger.resources
-        for resource in DETERMINISTIC_RESOURCES:
-            if resource not in recorded_resources:
-                continue
-            recorded = recorded_resources[resource]
-            replayed = replayed_resources.get(resource, 0)
-            if recorded != replayed:
+        recorded_resources = (
+            record.ledger.resources if record.ledger is not None else {}
+        )
+        for resource, recorded in recorded_resources.items():
+            replayed = replayed_resources[resource]
+            if resource not in DETERMINISTIC_RESOURCES:
+                drift_totals[resource] = (
+                    drift_totals.get(resource, 0) + replayed - recorded
+                )
+            elif recorded != replayed:
                 matched = False
                 report.ledger_mismatches.append({
                     "query_id": record.query_id,
@@ -394,16 +271,6 @@ def replay_capture(records, db, *, workers: int = 1,
                     "recorded": recorded,
                     "replayed": replayed,
                 })
-        for resource in RESOURCE_COUNTERS:
-            if resource in DETERMINISTIC_RESOURCES:
-                continue
-            recorded = recorded_resources.get(resource)
-            if recorded is None:
-                continue
-            drift_totals[resource] = (
-                drift_totals.get(resource, 0)
-                + (replayed_resources.get(resource, 0) - recorded)
-            )
         if matched:
             report.matched += 1
     report.resource_drift = drift_totals

@@ -22,25 +22,24 @@ is the resident process the ROADMAP asks for.  Architecture:
   The join kernel is deterministic, so a retried success is bit-identical
   to an untroubled run.
 * **Observability** — ``setjoin_service_*`` gauges/counters/histograms
-  in the process registry; optional per-query span traces appended to a
-  JSONL file; optional per-join drift records feeding the PR-5 closed
-  calibration loop (with periodic recalibration under sustained
-  traffic).  Both JSONL histories are rotated/compacted on startup
-  (:func:`~repro.obs.rotation.rotate_jsonl`).  Every query carries a
-  request-scoped :class:`~repro.obs.flight.QueryContext` stitching the
-  admission → attempt → coordinator → shard → worker span tree under
-  one ``query_id``; finished queries land in the
+  in the process registry, and **one record per query**: the
+  request-scoped :class:`~repro.obs.flight.QueryContext` minted with
+  the ``query_id`` collects the admission → attempt → retry timeline;
+  the lane plans once (the plan both runs and is recorded), bills once
+  (one registry window per query, :class:`~repro.obs.ledger.
+  LedgerWindow`), describes what ran once, and hands the finished
+  record to each configured consumer — the
+  :class:`~repro.obs.slo.SLOTracker` burn-rate gauges, the workload
+  ledger (``GET /debug/workload``), the capture sink that ``repro
+  replay`` re-executes (:mod:`repro.service.capture`) and the
   :class:`~repro.obs.flight.FlightRecorder` (postmortems on failure or
-  latency-objective breach), outcomes feed the
-  :class:`~repro.obs.slo.SLOTracker` burn-rate gauges, and an optional
-  :class:`~repro.obs.profile.SamplingProfiler` attributes wall time to
-  operator phases — all observation-only, so results stay
-  bit-identical with every layer on or off.  The workload ledger
-  (:mod:`repro.obs.ledger`) bills each query its exact registry
-  movement over the lane window (``GET /debug/workload``), and
-  ``capture_path`` appends every finished query — fingerprint, ledger,
-  answer digest — to a rotated JSONL file that ``repro replay``
-  re-executes deterministically (:mod:`repro.service.capture`).
+  latency-objective breach).  Span traces, per-join drift records (the
+  PR-5 closed calibration loop, with periodic recalibration under
+  sustained traffic) and capture lines are three
+  :class:`~repro.obs.rotation.JsonlSink` histories, rotated on startup.
+  An optional :class:`~repro.obs.profile.SamplingProfiler` attributes
+  wall time to operator phases.  All observation-only, so results stay
+  bit-identical with every layer on or off.
 * **Shutdown** — ``stop()`` (or SIGTERM via
   :meth:`install_signal_handlers`) moves READY → DRAINING (``/readyz``
   flips, new submits are rejected), finishes or rejects the queue, then
@@ -87,12 +86,15 @@ class ServiceState:
 class PlanCache:
     """LRU cache of optimizer plans keyed on a statistics fingerprint.
 
-    The key is ``(r, s, |R|, θ_R, |S|, θ_S, c1, c2, c3)`` — everything
-    the optimizer's decision depends on — so a cached plan is only ever
-    reused while it would be re-derived identically: relation churn
-    changes the statistics (and is invalidated eagerly by name anyway),
-    and a model refit/rollback changes the coefficients (the service
-    also clears the cache then).  Entries hold the full
+    The key is ``(r, s, |R|, θ_R, |S|, θ_S, c1, c2, c3, drift
+    corrections)`` — everything the optimizer's decision depends on — so
+    a cached plan is only ever reused while it would be re-derived
+    identically: relation churn changes the statistics (and is
+    invalidated eagerly by name anyway), a model refit/rollback changes
+    the coefficients (the service also clears the cache then), and
+    accumulated drift moves the per-algorithm correction factors (keyed
+    to one decimal, so a one-record nudge does not defeat the cache).
+    Entries hold the full
     :class:`~repro.core.optimizer.JoinPlan`, so EXPLAIN-grade detail
     stays available for drift prediction without replanning.
     """
@@ -243,10 +245,7 @@ class QueryService:
         )
         self.chaos = chaos
         self.drift_path = drift_path
-        self.drift_max_bytes = drift_max_bytes
         self.recalibrate_every = recalibrate_every
-        self.trace_path = trace_path
-        self.trace_max_bytes = trace_max_bytes
         self._clock = clock
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
@@ -274,7 +273,6 @@ class QueryService:
         if isinstance(flight_recorder, int):
             self._flight = FlightRecorder(
                 capacity=flight_recorder, postmortem_dir=postmortem_dir,
-                registry=self._registry,
             )
         else:
             self._flight = flight_recorder  # instance or None
@@ -285,19 +283,27 @@ class QueryService:
         if profile_hz is not None:
             from ..obs.profile import SamplingProfiler
 
-            self._profiler = SamplingProfiler(
-                hz=profile_hz, registry=self._registry,
-            )
+            self._profiler = SamplingProfiler(hz=profile_hz)
 
-        # Workload ledger + capture: per-query resource attribution by
-        # lane-window registry diffing, and the optional JSONL record of
-        # every finished query (fingerprint, ledger, answer digest) that
-        # ``repro replay`` re-executes.  Observation-only, like the rest
-        # of the observability stack.
+        # The three JSONL histories — span traces, drift records, capture
+        # lines (what ``repro replay`` re-executes) — rotated and opened
+        # by start(); and the workload ledger aggregating per-query bills.
+        from ..obs.drift import drift_line
+        from ..obs.rotation import JsonlSink
+        from .capture import capture_line
+
+        def sink(path, **options):
+            return JsonlSink(path, **options) if path is not None else None
+
+        self._trace = sink(trace_path, max_bytes=trace_max_bytes)
+        self._drift = sink(
+            drift_path, max_bytes=drift_max_bytes, parse=drift_line
+        )
+        self._capture = sink(
+            capture_path, max_bytes=capture_max_bytes, keep=5000,
+            parse=capture_line,
+        )
         self._cpu_clock = cpu_clock
-        self.capture_path = capture_path
-        self.capture_max_bytes = capture_max_bytes
-        self._capture = None
         self._ledger = None
         if ledger:
             from ..obs.ledger import WorkloadLedger
@@ -316,7 +322,6 @@ class QueryService:
         self._stopped = threading.Event()
         self._lane: threading.Thread | None = None
         self._joins_since_recalibration = 0
-        self._trace_lock = threading.Lock()
 
         reg = self._registry
         self._state_gauge = reg.gauge(
@@ -375,28 +380,14 @@ class QueryService:
                 raise ConfigurationError(
                     f"cannot start a service in state {self._state!r}"
                 )
-            if self.drift_path is not None:
-                from ..obs.drift import rotate_drift_jsonl
-
-                self.drift_rotation = rotate_drift_jsonl(
-                    self.drift_path, max_bytes=self.drift_max_bytes
-                )
-            if self.trace_path is not None:
-                from ..obs.rotation import rotate_jsonl
-
-                self.trace_rotation = rotate_jsonl(
-                    self.trace_path, max_bytes=self.trace_max_bytes
-                )
+            if self._drift is not None:
+                self.drift_rotation = self._drift.open_()
+            if self._trace is not None:
+                self.trace_rotation = self._trace.open_()
+            if self._capture is not None:
+                self.capture_rotation = self._capture.open_()
             if self._profiler is not None:
                 self._profiler.start()
-            if self.capture_path is not None:
-                from .capture import WorkloadCapture
-
-                self._capture = WorkloadCapture(
-                    self.capture_path, max_bytes=self.capture_max_bytes,
-                    registry=self._registry,
-                )
-                self.capture_rotation = self._capture.open_()
             if self._ledger is not None:
                 # Baseline *before* the lane can run anything, so the
                 # reconciliation window covers every attributed query.
@@ -437,8 +428,9 @@ class QueryService:
                 )
         if self._profiler is not None:
             self._profiler.stop()
-        if self._capture is not None:
-            self._capture.close()
+        for sink in (self._trace, self._drift, self._capture):
+            if sink is not None:
+                sink.close()
         with self._state_lock:
             if self._owns_db:
                 self.db.close()
@@ -503,8 +495,7 @@ class QueryService:
                 f"admission queue full ({self._queue.depth} queued); "
                 "back off and retry"
             )
-        if query.context is not None:
-            query.context.event("admitted", queue_depth=len(self._queue))
+        query.context.event("admitted", queue_depth=len(self._queue))
         return ticket
 
     # Synchronous conveniences (the load generator uses submit directly).
@@ -544,6 +535,14 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _run_lane(self) -> None:
+        from ..obs.ledger import LedgerWindow
+
+        # With nothing reading the finished record the lane skips the
+        # registry window and the describe step altogether.
+        recorded = not (
+            self._ledger is None and self._capture is None
+            and self._flight is None
+        )
         while True:
             ticket = self._queue.take(timeout=0.05)
             if ticket is None:
@@ -551,17 +550,19 @@ class QueryService:
                     return
                 continue
             self._inflight.set(1)
-            self._current_context = ticket.query.context
-            # The ledger window: everything the query moves in the
-            # registry between these snapshots is *its* bill.  Exactness
-            # rests on the single-lane design — no other query (and no
-            # other db-touching code path) runs concurrently, and
-            # process-worker/shard deltas merge before the join call
+            query = ticket.query
+            self._current_context = query.context
+            # The query's one registry window: everything it moves
+            # between here and the settle step — planning included — is
+            # *its* bill and its flight entry's ``registry_delta``.
+            # Exactness rests on the single-lane design — no other query
+            # (and no other db-touching code path) runs concurrently,
+            # and process-worker/shard deltas merge before the join call
             # returns.
-            ledger_on = self._ledger is not None or self._capture is not None
-            lane_baseline = self._registry.snapshot() if ledger_on else None
-            lane_started = self._clock()
-            cpu_started = self._cpu_clock() if ledger_on else 0.0
+            window = (
+                LedgerWindow(self._registry, self._clock, self._cpu_clock)
+                if recorded else None
+            )
             status = "ok"
             result = None
             error: BaseException | None = None
@@ -586,14 +587,7 @@ class QueryService:
             # even if an observation-only layer misbehaves.
             try:
                 self._current_context = None
-                ticket.seconds = self._clock() - ticket.query.admitted_at
-                self._latency.observe(max(ticket.seconds, 0.0))
-                if lane_baseline is not None:
-                    self._settle_ledger(
-                        ticket, status, result, lane_baseline,
-                        lane_started, cpu_started,
-                    )
-                self._observe_outcome(ticket, status, error)
+                self._settle(query, status, result, error, window)
             except BaseException:  # noqa: BLE001 — observation-only
                 pass
             finally:
@@ -605,147 +599,107 @@ class QueryService:
                     ticket.reject(error)
                 self._inflight.set(0)
 
-    def _observe_outcome(self, ticket: QueryTicket, status: str,
-                         error: BaseException | None) -> None:
-        """Feed one finished query into the SLO tracker and recorder."""
-        query = ticket.query
+    def _settle(self, query: Query, status: str, result,
+                error: "BaseException | None", window) -> None:
+        """Finish the query's record, then hand it — unchanged — to each
+        configured consumer: SLO tracker, workload ledger, capture sink,
+        flight recorder."""
+        record = query.context
+        record.finish(status, self._clock() - query.admitted_at, error)
+        self._latency.observe(max(record.seconds, 0.0))
         objective = None
         if self._slo is not None:
-            self._slo.observe(query.kind, ticket.seconds, ok=status == "ok")
+            self._slo.observe(query.kind, record.seconds, ok=status == "ok")
             objective = self._slo.latency_objective(query.kind)
-        if self._flight is not None and query.context is not None:
-            self._flight.record(
-                query.context, status=status, seconds=ticket.seconds,
-                attempts=ticket.attempts, error=error, objective=objective,
-            )
-
-    def _settle_ledger(self, ticket: QueryTicket, status: str, result,
-                       baseline: dict, lane_started: float,
-                       cpu_started: float) -> None:
-        """Bill one finished query: diff the registry over its lane
-        window, attribute by fingerprint, and append the capture record.
-
-        Runs inside the settle block *before* the flight recorder, so a
-        flight entry's snapshot already carries the ledger and the
-        fingerprint.
-        """
-        from ..obs.ledger import QueryLedger
-
-        query = ticket.query
-        ledger = QueryLedger.from_delta(
-            self._registry.delta(baseline),
-            wall_seconds=self._clock() - lane_started,
-            cpu_seconds=self._cpu_clock() - cpu_started,
-        )
-        fingerprint = self._fingerprint(query, result, status)
-        if query.context is not None:
-            query.context.ledger = ledger.to_dict()
-            query.context.fingerprint = fingerprint.key
+        if window is None:
+            return
+        record.ledger = window.close()
+        record.registry_delta = window.condensed()
+        self._describe(query, result)
         if self._ledger is not None:
-            self._ledger.attribute(
-                fingerprint, ledger, kind=query.kind, status=status,
-                query_id=query.query_id,
-            )
+            self._ledger.attribute(record)
         if self._capture is not None:
-            from .capture import WorkloadRecord, answer_digest
+            from .capture import answer_digest
 
-            self._capture.append(WorkloadRecord(
-                query_id=query.query_id,
-                kind=query.kind,
-                fingerprint=fingerprint.key,
-                label=fingerprint.label,
-                params=self._capture_params(query, result, status),
-                status=status,
-                seconds=ticket.seconds,
-                attempts=ticket.attempts,
-                digest=(
-                    answer_digest(query.kind, result)
-                    if status == "ok" else {}
-                ),
-                ledger=ledger.to_dict(),
-            ))
+            # Hashing is linear in the answer, so only a capture —
+            # whose replay compares digests — pays for it.
+            if status == "ok":
+                record.digest = answer_digest(query.kind, result)
+            self._capture.append(record.to_dict(evidence=False))
+        if self._flight is not None:
+            self._flight.record(record, objective=objective)
 
-    def _fingerprint(self, query: Query, result, status: str):
-        """Normalize one query into its stable workload fingerprint.
+    def _describe(self, query: Query, result) -> None:
+        """Describe what ran, reading the answering run's metrics once:
+        the replayable parameters, the plan of record's sizes, and the
+        stable workload fingerprint.
 
-        Joins key on what actually executed (resolved algorithm/k,
-        signature bits, relation sizes, optimizer densities, shard
-        layout); generated relation names collapse their digit runs so
-        churn traffic shares one shape.
+        Joins describe what actually executed — resolved algorithm/k and
+        signature bits rather than ``"auto"``, so replay re-executes the
+        same physical plan however statistics or models have drifted
+        since — and key on it together with relation sizes, optimizer
+        densities and shard layout; generated relation names collapse
+        their digit runs so churn traffic shares one shape.
         """
         from ..obs.ledger import normalize_workload_name, query_fingerprint
 
+        record = query.context
         params = query.params
         kind = query.kind
+        replay: dict = {}
         detail: dict = {}
         if kind == "join":
-            detail["r"] = normalize_workload_name(params["r"])
-            detail["s"] = normalize_workload_name(params["s"])
-            if status == "ok" and result is not None:
-                __, metrics = result
-                detail["algorithm"] = metrics.algorithm
-                detail["k"] = metrics.num_partitions
-                detail["signature_bits"] = metrics.signature_bits
-                detail["r_size"] = metrics.r_size
-                detail["s_size"] = metrics.s_size
-            else:
-                detail["algorithm"] = params.get("algorithm", "auto")
-            plan = (
-                query.context.plan if query.context is not None else None
-            )
-            if isinstance(plan, dict):
-                for field in ("theta_r", "theta_s"):
-                    if field in plan:
-                        detail[field] = plan[field]
-            if hasattr(self.db, "shard_ids"):
-                detail["shards"] = len(self.db.shard_ids)
-        elif kind == "probe":
-            detail["name"] = normalize_workload_name(params["name"])
-            detail["elements"] = len(params.get("elements", []))
-        elif kind in ("create", "drop"):
-            detail["name"] = normalize_workload_name(params["name"])
-        elif kind == "reshard":
-            detail["shards"] = params.get("shards")
-        return query_fingerprint(kind, detail)
-
-    def _capture_params(self, query: Query, result, status: str) -> dict:
-        """The replayable parameter set for one capture record.
-
-        Join records store the *resolved* plan (from the metrics of the
-        run that answered) rather than ``"auto"``, so replay re-executes
-        the same physical plan regardless of how statistics or models
-        have drifted since the capture.
-        """
-        params = query.params
-        kind = query.kind
-        if kind == "join":
-            out = {
+            replay = {
                 "r": params["r"],
                 "s": params["s"],
                 "algorithm": params.get("algorithm", "auto"),
                 "num_partitions": params.get("num_partitions"),
                 "seed": params.get("seed", 0),
+                "signature_bits": params.get("signature_bits"),
             }
-            if "signature_bits" in params:
-                out["signature_bits"] = params["signature_bits"]
-            if status == "ok" and result is not None:
+            detail = {
+                "r": normalize_workload_name(params["r"]),
+                "s": normalize_workload_name(params["s"]),
+            }
+            plan = record.plan if record.plan is not None else {}
+            if record.status == "ok":
                 __, metrics = result
-                out["algorithm"] = metrics.algorithm
-                out["num_partitions"] = metrics.num_partitions
-                out["signature_bits"] = metrics.signature_bits
-            return {
-                key: value for key, value in out.items() if value is not None
+                replay.update(
+                    algorithm=metrics.algorithm,
+                    num_partitions=metrics.num_partitions,
+                    signature_bits=metrics.signature_bits,
+                )
+                ran = {
+                    "signature_bits": metrics.signature_bits,
+                    "r_size": metrics.r_size,
+                    "s_size": metrics.s_size,
+                }
+                plan.update(ran)
+                detail.update(ran, k=metrics.num_partitions)
+            detail["algorithm"] = replay["algorithm"]
+            for density in ("theta_r", "theta_s"):
+                if density in plan:
+                    detail[density] = plan[density]
+            if hasattr(self.db, "shard_ids"):
+                detail["shards"] = len(self.db.shard_ids)
+        elif kind == "probe":
+            elements = list(params.get("elements", []))
+            replay = {"name": params["name"], "elements": elements}
+            detail = {
+                "name": normalize_workload_name(params["name"]),
+                "elements": len(elements),
             }
-        if kind == "probe":
-            return {
-                "name": params["name"],
-                "elements": list(params.get("elements", [])),
-            }
-        if kind in ("create", "drop"):
-            return {"name": params["name"]}
-        if kind == "reshard":
-            return {"shards": params.get("shards")}
-        return {}
+        elif kind in ("create", "drop"):
+            replay = {"name": params["name"]}
+            detail = {"name": normalize_workload_name(params["name"])}
+        elif kind == "reshard":
+            replay = detail = {"shards": params.get("shards")}
+        fingerprint = query_fingerprint(kind, detail)
+        record.fingerprint = fingerprint.key
+        record.label = fingerprint.label
+        record.params = {
+            key: value for key, value in replay.items() if value is not None
+        }
 
     def _remaining(self, query: Query) -> float | None:
         """Seconds of deadline left; raises when already spent."""
@@ -792,57 +746,57 @@ class QueryService:
 
     def _execute_join(self, ticket: QueryTicket):
         query = ticket.query
-        context = query.context
+        record = query.context
         params = query.params
         r_name, s_name = params["r"], params["s"]
         algorithm = params.get("algorithm", "auto")
-        num_partitions = params.get("num_partitions")
-        prediction = None
+        request = {
+            key: value for key, value in params.items()
+            if key in ("signature_bits", "seed")
+        }
+        flight_on = self._flight is not None
         plan = None
-        flight_on = self._flight is not None and context is not None
-        ledger_on = self._ledger is not None or self._capture is not None
-        if algorithm == "auto" and (
-            self.drift_path is not None or self._plan_cache is not None
-            or flight_on or ledger_on
-        ):
-            # Plan explicitly — through the cache when enabled — so the
-            # prediction that drove the choice is in hand for the drift
-            # record afterwards.
+        prediction = None
+        if algorithm == "auto":
+            # Plan once — through the cache when enabled.  The plan is
+            # recorded, predicts for the drift record, and builds the
+            # partitioner every attempt runs, so the database never
+            # samples statistics a second time to re-derive it.
             plan = self._plan_for(r_name, s_name)
-            if self.drift_path is not None:
+            if self._drift is not None:
                 prediction = plan.prediction(self.db.model)
-            algorithm, num_partitions = plan.algorithm, plan.k
+            record.plan = {
+                "algorithm": plan.algorithm,
+                "k": plan.k,
+                "predicted_seconds": plan.predicted_seconds,
+                # Optimizer densities feed the workload fingerprint;
+                # rounded so sampling jitter does not split shapes.
+                "theta_r": round(plan.theta_r, 3),
+                "theta_s": round(plan.theta_s, 3),
+            }
+            if flight_on:
+                record.plan["explain"] = plan.explain().splitlines()
+        else:
+            # A named algorithm skips the optimizer; the request itself
+            # is the plan of record.
+            request.update(
+                algorithm=algorithm,
+                num_partitions=params.get("num_partitions"),
+            )
+            record.plan = {
+                "algorithm": algorithm,
+                "k": request["num_partitions"],
+                "requested": True,
+            }
 
-        tracer = None
-        if self.trace_path is not None or flight_on:
-            from ..obs.trace import Tracer
+        from ..obs.trace import NULL_TRACER, Tracer
 
+        tracer = NULL_TRACER
+        if self._trace is not None or flight_on:
             # Tagged with the query id so every span — including the
             # ones workers and shards ship back — stitches to this
             # query in a mixed-traffic JSONL file.
             tracer = Tracer(tags={"query_id": query.query_id})
-        if context is not None and (flight_on or ledger_on):
-            if plan is not None:
-                context.plan = {
-                    "algorithm": plan.algorithm,
-                    "k": plan.k,
-                    "predicted_seconds": plan.predicted_seconds,
-                    # Optimizer densities feed the workload fingerprint;
-                    # rounded so sampling jitter does not split shapes.
-                    "theta_r": round(plan.theta_r, 3),
-                    "theta_s": round(plan.theta_s, 3),
-                }
-                if flight_on:
-                    context.plan["explain"] = plan.explain().splitlines()
-            else:
-                # A named algorithm skips the optimizer; the request
-                # itself is the plan of record.
-                context.plan = {
-                    "algorithm": algorithm,
-                    "k": num_partitions,
-                    "requested": True,
-                }
-        baseline = self._registry.snapshot() if flight_on else None
 
         def attempt(backend: str):
             remaining = self._remaining(query)
@@ -852,54 +806,48 @@ class QueryService:
                     remaining if shard_timeout is None
                     else min(shard_timeout, remaining)
                 )
-            ticket.attempts += 1
-            number = ticket.attempts
-            if context is not None:
-                context.event("attempt", number=number, backend=backend)
-            span = None
-            if tracer is not None:
-                span = tracer.start("attempt", number=number, backend=backend)
-            try:
-                result = self.db.join(
-                    r_name, s_name,
-                    algorithm=algorithm,
-                    num_partitions=num_partitions,
-                    workers=self.workers,
-                    backend=backend if self.workers > 1 else "serial",
-                    shard_timeout=shard_timeout,
-                    shard_hook=self.chaos,
-                    tracer=tracer,
-                    query_id=query.query_id,
-                    **{k: v for k, v in params.items()
-                       if k in ("signature_bits", "seed")},
+            record.attempts += 1
+            number = record.attempts
+            record.event("attempt", number=number, backend=backend)
+            if plan is not None:
+                # A fresh partitioner per attempt, never a shared
+                # instance: PSJ consumes an RNG, and a retry must replay
+                # the first attempt bit for bit.
+                request["partitioner"] = plan.build_partitioner(
+                    seed=params.get("seed", 0)
                 )
-            except BaseException as error:
-                if span is not None:
+            with tracer.span(
+                "attempt", number=number, backend=backend
+            ) as span:
+                try:
+                    result = self.db.join(
+                        r_name, s_name,
+                        workers=self.workers,
+                        backend=backend if self.workers > 1 else "serial",
+                        shard_timeout=shard_timeout,
+                        shard_hook=self.chaos,
+                        tracer=tracer,
+                        query_id=query.query_id,
+                        **request,
+                    )
+                except BaseException as error:
                     span.set(error=type(error).__name__)
-                    tracer.finish(span)
-                if context is not None:
-                    context.event(
+                    record.event(
                         "attempt.failed", number=number, backend=backend,
                         error=type(error).__name__,
                     )
-                raise
-            if span is not None:
-                tracer.finish(span)
-            if context is not None:
-                context.event("attempt.ok", number=number, backend=backend)
+                    raise
+            record.event("attempt.ok", number=number, backend=backend)
             return result
 
         def on_retry(attempt_number: int, error: BaseException) -> None:
             self._retries.inc()
-            if context is not None:
-                context.event(
-                    "retry", after_attempt=attempt_number,
-                    error=type(error).__name__,
-                )
+            record.event(
+                "retry", after_attempt=attempt_number,
+                error=type(error).__name__,
+            )
 
-        root = None
-        if tracer is not None:
-            root = tracer.start("query", kind=query.kind, r=r_name, s=s_name)
+        root = tracer.start("query", kind=query.kind, r=r_name, s=s_name)
         try:
             pairs, metrics = run_with_retries(
                 attempt, self.retry_policy, ladder=self._ladder,
@@ -908,55 +856,46 @@ class QueryService:
                 on_retry=on_retry,
             )
         except BaseException as error:
-            if root is not None:
-                root.set(error=type(error).__name__)
+            root.set(error=type(error).__name__)
             raise
         finally:
             # The trace must survive the failure path — a postmortem
             # without its span tree is half a postmortem.
-            if tracer is not None:
-                if root is not None:
-                    tracer.finish(root)
-                if flight_on:
-                    context.spans = tracer.export()
-                    context.registry_delta = self._condensed_delta(baseline)
-                if self.trace_path is not None:
-                    self._append_trace(tracer)
+            tracer.finish(root)
+            record.spans = tracer.export()
+            if self._trace is not None:
+                self._trace.append(*record.spans)
         if prediction is not None:
             self._record_drift(prediction, metrics)
         return pairs, metrics
 
-    def _condensed_delta(self, baseline: dict) -> dict:
-        """Registry movement during one query, condensed to values
-        (counters/gauges) and ``{count, sum}`` pairs (histograms)."""
-        out = {}
-        for name, entry in self._registry.delta(baseline).items():
-            if entry["kind"] == "histogram":
-                out[name] = {"count": entry["count"], "sum": entry["sum"]}
-            else:
-                out[name] = entry["value"]
-        return out
-
     def _plan_for(self, r_name: str, s_name: str):
         """Plan a join, reusing a cached plan when its statistics
-        fingerprint matches the current relations and model."""
-        drift_history = self._drift_history()
-        if self._plan_cache is None:
-            return self.db.plan(r_name, s_name, drift_history=drift_history)
-        from ..core.optimizer import plan_from_statistics
+        fingerprint matches the current relations, model and drift."""
+        from ..core.optimizer import (
+            plan_from_statistics,
+            resolve_drift_corrections,
+        )
 
+        corrections = resolve_drift_corrections(self.drift_path)
+        if self._plan_cache is None:
+            return self.db.plan(r_name, s_name, drift_history=corrections)
         model = self.db.refresh_model()
         r_size, theta_r = self.db._statistics(r_name)
         s_size, theta_s = self.db._statistics(s_name, seed=1)
         key = (
             r_name, s_name, r_size, round(theta_r, 9), s_size,
             round(theta_s, 9), model.c1, model.c2, model.c3,
+            tuple(sorted(
+                (name, round(factor, 1))
+                for name, factor in corrections.items()
+            )),
         )
         plan = self._plan_cache.lookup(key)
         if plan is None:
             plan = plan_from_statistics(
                 r_size, s_size, theta_r, theta_s, model,
-                drift_history=drift_history,
+                drift_history=corrections,
             )
             self._plan_cache.store(key, plan)
         return plan
@@ -965,19 +904,12 @@ class QueryService:
     # The closed loop under traffic
     # ------------------------------------------------------------------
 
-    def _drift_history(self):
-        import os
-
-        if self.drift_path is None or not os.path.exists(self.drift_path):
-            return None
-        return self.drift_path
-
     def _record_drift(self, prediction: dict, metrics) -> None:
-        from ..obs.drift import append_drift_jsonl, compute_drift, record_drift
+        from ..obs.drift import compute_drift, record_drift
 
         record = compute_drift(prediction, metrics)
         record_drift(record, registry=self._registry)
-        append_drift_jsonl(record, self.drift_path)
+        self._drift.append(record.to_dict())
         if self._current_context is not None:
             self._current_context.drift = record.to_dict()
         if self.recalibrate_every:
@@ -1008,15 +940,6 @@ class QueryService:
         self.db.refresh_model()
         if self._plan_cache is not None:
             self._plan_cache.clear()
-
-    def _append_trace(self, tracer) -> None:
-        import json
-
-        from ..obs.export import span_records
-
-        with self._trace_lock, open(self.trace_path, "a") as handle:
-            for record in span_records(tracer):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # Event routing into the active query's timeline

@@ -37,10 +37,10 @@ class Query:
     timestamp (``None`` = no deadline).
 
     ``context`` is the request-scoped :class:`~repro.obs.flight.
-    QueryContext` minted together with the ``query_id``: it rides the
-    query through the retry ladder, coordinator fan-out and workers,
-    accumulating the timeline and evidence the flight recorder
-    snapshots when the query finishes.
+    QueryContext` minted together with the ``query_id`` — always
+    present.  It is *the* record of the query: the lane fills in what
+    ran, the outcome and the bill, then hands it unchanged to the SLO
+    tracker, workload ledger, capture sink and flight recorder.
     """
 
     kind: str
@@ -72,14 +72,14 @@ class QueryTicket:
         self._done = threading.Event()
         self._result = None
         self._error: BaseException | None = None
-        #: wall seconds the query spent queued and executing; set on
-        #: resolution for the latency histogram and the load report.
-        self.seconds: float = 0.0
-        self.attempts: int = 0
 
     @property
     def query_id(self) -> int:
         return self.query.query_id
+
+    @property
+    def attempts(self) -> int:
+        return self.query.context.attempts
 
     def done(self) -> bool:
         return self._done.is_set()

@@ -16,12 +16,19 @@ the serving side takes no ``engine`` parameter.
 A last walk keeps the partition path columnar (DESIGN.md, "Columnar batch
 path"): ``partition_relation`` makes no per-tuple call, and the B-tree node
 codec never sizes an entry by encoding its length.
+
+Three walks keep the served query's record single (DESIGN.md, "One
+record per query"): the service opens at most one registry window, the
+retired per-query shapes and helpers stay retired, and every
+``setjoin_*`` series has a row — with its reader — in the signal table
+of ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY_ROOT = REPO_ROOT / "src" / "repro"
@@ -165,4 +172,91 @@ def test_partition_loop_and_node_codec_stay_columnar():
     assert not bad, (
         "per-tuple or per-key call on the columnar path (use the batch "
         "interface / the length-prefix helpers):\n" + "\n".join(bad)
+    )
+
+
+def test_service_opens_at_most_one_registry_window():
+    core = ast.parse((LIBRARY_ROOT / "service" / "core.py").read_text())
+    snapshots = [
+        node.lineno for node in ast.walk(core)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "snapshot"
+    ]
+    assert len(snapshots) <= 1, (
+        "service/core.py snapshots the registry more than once (bill "
+        f"through the lane's LedgerWindow): lines {snapshots}"
+    )
+
+
+#: Superseded by ``QueryContext`` / ``WorkloadLedger.attribute(record)`` /
+#: ``QueryService._describe`` / ``LedgerWindow`` / ``JsonlSink``.
+RETIRED_NAMES = {
+    "WorkloadRecord", "attribute_record", "_fingerprint", "_capture_params",
+    "_condensed_delta", "_append_trace", "_settle_ledger",
+}
+
+
+def test_retired_per_query_shapes_stay_retired():
+    bad = []
+    for path, tree in _walk_library():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [
+                    part for alias in node.names
+                    for part in (alias.name.rsplit(".", 1)[-1], alias.asname)
+                ]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            bad += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                for name in names if name in RETIRED_NAMES
+            ]
+    assert not bad, (
+        "a retired per-query record shape or helper is back (there is one "
+        "record type, one describe step, one window, one sink):\n"
+        + "\n".join(bad)
+    )
+
+
+def _series_literals():
+    """Every ``"setjoin_…"`` string under ``src/``; an f-string keeps its
+    placeholders, e.g. ``setjoin_phase_{phase}_seconds_total``."""
+    found = {}
+    for path, tree in _walk_library():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(
+                    part.value if isinstance(part, ast.Constant)
+                    else "{" + ast.unparse(part.value) + "}"
+                    for part in node.values
+                )
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if re.fullmatch(r"setjoin_[a-z0-9_{}]*[a-z0-9}]", text):
+                found.setdefault(text, f"{path.relative_to(REPO_ROOT)}")
+    return found
+
+
+def test_every_series_has_a_row_in_the_signal_table():
+    doc = (REPO_ROOT / "docs" / "observability.md").read_text()
+    section = doc.split("## Signal table", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(setjoin_[^`]+)` \|", section, re.M))
+    series = _series_literals()
+    missing = sorted(set(series) - rows)
+    stale = sorted(rows - set(series))
+    assert not missing and not stale, (
+        "docs/observability.md signal table out of step with src/ — every "
+        "series needs a row naming its reader:\n"
+        + "\n".join(f"missing: {name} ({series[name]})" for name in missing)
+        + "\n".join(f"stale row: {name}" for name in stale)
     )

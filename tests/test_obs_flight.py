@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.database import SetJoinDatabase
-from repro.obs.flight import FlightRecorder, QueryContext
+from repro.obs.flight import TERMINAL_STATUSES, FlightRecorder, QueryContext
+from repro.obs.ledger import QueryLedger
 from repro.obs.registry import MetricsRegistry
 from repro.service import ChaosConfig, ChaosInjector, QueryService
 
@@ -21,9 +23,17 @@ class FakeWall:
 
 
 def make_recorder(**kwargs):
-    kwargs.setdefault("registry", MetricsRegistry())
     kwargs.setdefault("wall", FakeWall())
     return FlightRecorder(**kwargs)
+
+
+def finished(query_id, kind="join", status="ok", seconds=0.1, attempts=0,
+             error=None):
+    """A record as the service's settle step hands it to the recorder."""
+    context = QueryContext(query_id, kind, wall=FakeWall())
+    context.attempts = attempts
+    context.finish(status, seconds, error)
+    return context
 
 
 class TestQueryContext:
@@ -41,19 +51,82 @@ class TestQueryContext:
         context = QueryContext(7, "join", wall=FakeWall())
         context.event("admitted")
         context.plan = {"algorithm": "PSJ"}
-        snapshot = context.snapshot()
+        snapshot = context.to_dict()
         snapshot["timeline"][0]["event"] = "mutated"
         snapshot["plan"]["algorithm"] = "mutated"
         assert context.timeline[0]["event"] == "admitted"
         assert context.plan["algorithm"] == "PSJ"
 
 
+_names = st.text(st.characters(codec="ascii", categories=("L", "N")),
+                 min_size=1, max_size=8)
+_numbers = st.one_of(
+    st.integers(-10**9, 10**9), st.floats(allow_nan=False, width=32),
+)
+_flat = st.dictionaries(_names, st.one_of(_numbers, _names, st.none()),
+                        max_size=4)
+_seconds = st.floats(0.0, 1e6, allow_nan=False)
+
+
+@st.composite
+def finished_records(draw):
+    """Records as the lane finishes them, over every kind and status."""
+    status = draw(st.sampled_from(TERMINAL_STATUSES))
+    return QueryContext(
+        query_id=draw(st.integers(1, 10**9)),
+        kind=draw(st.sampled_from(
+            ("join", "probe", "create", "drop", "reshard"))),
+        created_at=draw(_seconds),
+        params=draw(st.dictionaries(
+            _names, st.one_of(_numbers, _names, st.lists(_numbers,
+                                                         max_size=4)),
+            max_size=4)),
+        plan=draw(st.none() | _flat),
+        timeline=draw(st.lists(_flat, max_size=3)),
+        status=status,
+        seconds=draw(_seconds),
+        attempts=draw(st.integers(0, 9)),
+        error=(None if status == "ok"
+               else {"type": draw(_names), "detail": draw(_names)}),
+        ledger=draw(st.none() | st.builds(
+            QueryLedger, wall_seconds=_seconds, cpu_seconds=_seconds,
+            counters=st.dictionaries(_names, _numbers, max_size=4))),
+        fingerprint=draw(_names),
+        label=draw(_names),
+        digest=draw(_flat),
+        drift=draw(st.none() | _flat),
+        registry_delta=draw(st.none() | _flat),
+        spans=draw(st.lists(_flat, max_size=3)),
+    )
+
+
+class TestRecordRoundTrip:
+    @given(finished_records())
+    def test_flight_entry_round_trips_to_an_equal_record(self, record):
+        entry = json.loads(json.dumps(record.to_dict()))
+        assert QueryContext.from_dict(entry) == record
+
+    @given(finished_records())
+    def test_capture_line_is_the_entry_without_evidence(self, record):
+        entry, line = record.to_dict(), record.to_dict(evidence=False)
+        assert sorted(line) == [
+            "attempts", "digest", "fingerprint", "kind", "label", "ledger",
+            "params", "query_id", "schema", "seconds", "status",
+        ]
+        assert all(entry[key] == value for key, value in line.items())
+        assert sorted(set(entry) - set(line)) == [
+            "created_at", "drift", "error", "plan", "registry_delta",
+            "spans", "timeline",
+        ]
+        reloaded = QueryContext.from_dict(json.loads(json.dumps(line)))
+        assert reloaded.to_dict(evidence=False) == line
+
+
 class TestFlightRecorderRing:
     def test_capacity_bounds_the_ring(self):
         recorder = make_recorder(capacity=3)
         for query_id in range(1, 8):
-            context = QueryContext(query_id, "join", wall=FakeWall())
-            recorder.record(context, status="ok", seconds=0.1)
+            recorder.record(finished(query_id))
         entries = recorder.entries()
         assert [entry["query_id"] for entry in entries] == [7, 6, 5]
         assert recorder.get(1) is None
@@ -66,13 +139,9 @@ class TestFlightRecorderRing:
     def test_entries_are_newest_first_summaries(self):
         recorder = make_recorder()
         recorder.record(
-            QueryContext(1, "probe", wall=FakeWall()),
-            status="ok", seconds=0.5, attempts=1,
+            finished(1, kind="probe", status="ok", seconds=0.5, attempts=1)
         )
-        recorder.record(
-            QueryContext(2, "join", wall=FakeWall()),
-            status="error", seconds=1.5, attempts=3,
-        )
+        recorder.record(finished(2, status="error", seconds=1.5, attempts=3))
         first, second = recorder.entries()
         assert first == {
             "query_id": 2, "kind": "join", "status": "error",
@@ -88,26 +157,17 @@ class TestPostmortems:
         for query_id, status in enumerate(
             ("deadline_exceeded", "error", "internal_error"), start=1
         ):
-            recorder.record(
-                QueryContext(query_id, "join", wall=FakeWall()),
-                status=status, seconds=0.1,
-            )
+            recorder.record(finished(query_id, status=status, seconds=0.1))
         assert recorder.postmortems() == [1, 2, 3]
 
     def test_ok_within_objective_is_not_a_postmortem(self):
         recorder = make_recorder()
-        recorder.record(
-            QueryContext(1, "join", wall=FakeWall()),
-            status="ok", seconds=0.1, objective=1.0,
-        )
+        recorder.record(finished(1, status="ok", seconds=0.1), objective=1.0)
         assert recorder.postmortems() == []
 
     def test_slow_ok_query_becomes_a_postmortem(self):
         recorder = make_recorder()
-        recorder.record(
-            QueryContext(1, "join", wall=FakeWall()),
-            status="ok", seconds=2.0, objective=1.0,
-        )
+        recorder.record(finished(1, status="ok", seconds=2.0), objective=1.0)
         assert recorder.postmortems() == [1]
         postmortem = recorder.get(1)
         assert postmortem["postmortem_reason"] == "latency_objective_exceeded"
@@ -116,16 +176,11 @@ class TestPostmortems:
 
     def test_postmortems_survive_ring_eviction(self):
         recorder = make_recorder(capacity=2)
-        recorder.record(
-            QueryContext(1, "join", wall=FakeWall()),
-            status="error", seconds=0.1,
-            error=RuntimeError("worker died"),
-        )
+        recorder.record(finished(
+            1, status="error", seconds=0.1, error=RuntimeError("worker died"),
+        ))
         for query_id in range(2, 6):
-            recorder.record(
-                QueryContext(query_id, "join", wall=FakeWall()),
-                status="ok", seconds=0.1,
-            )
+            recorder.record(finished(query_id, status="ok", seconds=0.1))
         # Evicted from the ring, still retrievable as a postmortem.
         assert all(e["query_id"] != 1 for e in recorder.entries())
         postmortem = recorder.get(1)
@@ -135,10 +190,7 @@ class TestPostmortems:
 
     def test_postmortem_dumped_to_disk(self, tmp_path):
         recorder = make_recorder(postmortem_dir=str(tmp_path / "pm"))
-        recorder.record(
-            QueryContext(9, "join", wall=FakeWall()),
-            status="error", seconds=0.1,
-        )
+        recorder.record(finished(9, status="error", seconds=0.1))
         path = tmp_path / "pm" / "postmortem-q9.json"
         assert path.exists()
         dumped = json.loads(path.read_text())
@@ -156,10 +208,7 @@ class TestRingEvictionOrdering:
         for query_id in range(1, 11):
             status = "error" if query_id % 3 == 0 else "ok"
             statuses[query_id] = status
-            recorder.record(
-                QueryContext(query_id, "join", wall=FakeWall()),
-                status=status, seconds=0.1,
-            )
+            recorder.record(finished(query_id, status=status, seconds=0.1))
         entries = recorder.entries()
         assert [entry["query_id"] for entry in entries] == [10, 9, 8, 7]
         assert [entry["status"] for entry in entries] == [
@@ -176,10 +225,7 @@ class TestRingEvictionOrdering:
     def test_postmortem_map_evicts_oldest_failure_first(self):
         recorder = make_recorder(capacity=2)
         for query_id in range(1, 6):
-            recorder.record(
-                QueryContext(query_id, "join", wall=FakeWall()),
-                status="error", seconds=0.1,
-            )
+            recorder.record(finished(query_id, status="error", seconds=0.1))
         assert recorder.postmortems() == [4, 5]
         assert recorder.get(3) is None
 
@@ -188,10 +234,7 @@ class TestPostmortemDumpBudget:
     @staticmethod
     def dump_failures(recorder, query_ids):
         for query_id in query_ids:
-            recorder.record(
-                QueryContext(query_id, "join", wall=FakeWall()),
-                status="error", seconds=0.1,
-            )
+            recorder.record(finished(query_id, status="error", seconds=0.1))
 
     @staticmethod
     def listing(directory):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.database import SetJoinDatabase
 from repro.errors import ConfigurationError, SetJoinError
+from repro.obs.flight import QueryContext
 from repro.obs.ledger import (
     RESOURCE_COUNTERS,
     QueryLedger,
@@ -94,6 +95,14 @@ class TestQueryLedger:
         assert clone.counters == {"setjoin_page_reads_total": 3}
 
 
+def billed(fingerprint, bill, kind="join", status="ok", query_id=None):
+    """A finished record as the service hands it to the ledger."""
+    return QueryContext(
+        query_id, kind, status=status, ledger=bill,
+        fingerprint=fingerprint.key, label=fingerprint.label,
+    )
+
+
 class TestWorkloadLedgerUnit:
     @staticmethod
     def make(registry=None):
@@ -105,8 +114,10 @@ class TestWorkloadLedgerUnit:
         ledger = self.make()
         fp = query_fingerprint("join", {"r": "x"})
         bill = QueryLedger(counters={"setjoin_page_reads_total": 2})
-        ledger.attribute(fp, bill, kind="join", status="ok", query_id=1)
-        ledger.attribute(fp, bill, kind="join", status="error", query_id=2)
+        ledger.attribute(billed(fp, bill, kind="join", status="ok", query_id=1))
+        ledger.attribute(
+            billed(fp, bill, kind="join", status="error", query_id=2)
+        )
         assert ledger.queries == 2
         assert ledger.fingerprints == 1
         (group,) = ledger.top(1, by="queries")
@@ -119,16 +130,16 @@ class TestWorkloadLedgerUnit:
         ledger = self.make()
         heavy = query_fingerprint("join", {"r": "heavy"})
         light = query_fingerprint("join", {"r": "light"})
-        ledger.attribute(
+        ledger.attribute(billed(
             heavy,
             QueryLedger(counters={"setjoin_signature_comparisons_total": 90}),
             kind="join", status="ok",
-        )
-        ledger.attribute(
+        ))
+        ledger.attribute(billed(
             light,
             QueryLedger(counters={"setjoin_signature_comparisons_total": 10}),
             kind="join", status="ok",
-        )
+        ))
         order = [g["fingerprint"] for g in ledger.top(2, by="comparisons")]
         assert order == [heavy.key, light.key]
         with pytest.raises(ConfigurationError, match="top"):
@@ -143,11 +154,12 @@ class TestWorkloadLedgerUnit:
 
     def test_offline_report_omits_reconciliation(self):
         ledger = self.make()
-        ledger.attribute_record({
+        ledger.attribute(QueryContext.from_dict({
+            "schema": 1,
             "query_id": 1, "kind": "join", "fingerprint": "abc",
             "label": "join r=x", "status": "ok",
             "ledger": {"wall_seconds": 0.1, "resources": {"pages_read": 2}},
-        })
+        }))
         report = ledger.report()
         assert "reconciliation" not in report
         assert report["totals"]["pages_read"] == 2
@@ -155,7 +167,10 @@ class TestWorkloadLedgerUnit:
     def test_attribute_record_without_ledger_raises(self):
         ledger = self.make()
         with pytest.raises(ConfigurationError, match="no ledger"):
-            ledger.attribute_record({"query_id": 4, "ledger": None})
+            ledger.attribute(QueryContext.from_dict({
+                "schema": 1, "query_id": 4, "kind": "join",
+                "fingerprint": "abc", "status": "ok", "ledger": None,
+            }))
 
     def test_exact_reconciliation_over_a_private_registry(self):
         registry = MetricsRegistry()
@@ -165,10 +180,10 @@ class TestWorkloadLedgerUnit:
         registry.counter("setjoin_page_reads_total", "h").inc(11)
         registry.counter("setjoin_wal_bytes_total", "h").inc(64)
         bill = QueryLedger.from_delta(registry.delta(baseline), 0.0, 0.0)
-        ledger.attribute(
+        ledger.attribute(billed(
             query_fingerprint("join", {"r": "x"}), bill,
             kind="join", status="ok",
-        )
+        ))
         outcome = ledger.reconcile()
         assert outcome["exact"] is True
         assert outcome["counters"]["pages_read"] == {

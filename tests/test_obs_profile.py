@@ -81,7 +81,6 @@ class TestClassifyStack:
 
 class TestSamplingProfiler:
     def make(self, **kwargs):
-        kwargs.setdefault("registry", MetricsRegistry())
         return SamplingProfiler(**kwargs)
 
     def test_rejects_nonpositive_hz(self):

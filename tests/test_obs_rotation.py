@@ -2,9 +2,14 @@
 
 import json
 import os
+import threading
 
-from repro.obs.drift import rotate_drift_jsonl
-from repro.obs.rotation import environment_fingerprint, rotate_jsonl
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.obs.drift import drift_line, rotate_drift_jsonl
+from repro.obs.rotation import JsonlSink, environment_fingerprint, rotate_jsonl
+from repro.service.capture import capture_line
 
 
 def write_lines(path, records):
@@ -207,3 +212,133 @@ class TestConcurrentWriters:
         # Whatever survived the concurrent churn still parses per line.
         for line in open(path):
             assert isinstance(json.loads(line), dict)
+
+
+def drift_record(n):
+    return {
+        "timestamp": float(n), "algorithm": "DCJ", "k": 4, "r_size": 10,
+        "s_size": 10, "predicted": {}, "observed": {}, "errors": {},
+    }
+
+
+def capture_record(n):
+    return {
+        "schema": 1, "query_id": n, "kind": "probe", "fingerprint": "abc",
+        "label": "probe name=s", "params": {"name": "s"}, "status": "ok",
+        "seconds": 0.1, "attempts": 0, "digest": {},
+        "ledger": {"wall_seconds": 0.1, "cpu_seconds": 0.0, "counters": {}},
+    }
+
+
+#: The three histories the query service keeps, as it opens them: the
+#: rotation parse hook, one valid record, and how to number a record.
+HISTORIES = {
+    "trace": (None, lambda n: {"span_id": n, "name": "query"}, "span_id"),
+    "drift": (drift_line, drift_record, "timestamp"),
+    "capture": (capture_line, capture_record, "query_id"),
+}
+
+
+@pytest.mark.parametrize("history", sorted(HISTORIES))
+class TestJsonlSink:
+    """One sink class behind trace, drift and capture histories."""
+
+    @staticmethod
+    def read(path, key):
+        return [json.loads(line)[key] for line in open(path)]
+
+    def test_append_requires_open_and_refuses_after_close(self, tmp_path,
+                                                           history):
+        parse, make, __ = HISTORIES[history]
+        sink = JsonlSink(str(tmp_path / "h.jsonl"), parse=parse)
+        with pytest.raises(ConfigurationError, match="not open"):
+            sink.append(make(1))
+        sink.open_()
+        sink.append(make(1))
+        sink.close()
+        with pytest.raises(ConfigurationError, match="not open"):
+            sink.append(make(2))
+        sink.close()  # idempotent
+
+    def test_double_open_is_refused(self, tmp_path, history):
+        sink = JsonlSink(str(tmp_path / "h.jsonl"),
+                         parse=HISTORIES[history][0])
+        sink.open_()
+        try:
+            with pytest.raises(ConfigurationError, match="already open"):
+                sink.open_()
+        finally:
+            sink.close()
+
+    def test_empty_path_is_refused(self, history):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            JsonlSink("", parse=HISTORIES[history][0])
+
+    def test_open_stamps_the_sidecar_and_creates_no_empty_file(
+            self, tmp_path, history):
+        path = str(tmp_path / "nested" / "h.jsonl")
+        sink = JsonlSink(path, parse=HISTORIES[history][0])
+        sink.open_()
+        sink.close()
+        meta = json.loads(open(path + ".meta.json").read())
+        assert meta["fingerprint"] == environment_fingerprint()
+        assert not os.path.exists(path)
+
+    def test_oversize_history_keeps_newest_and_sheds_malformed(
+            self, tmp_path, history):
+        parse, make, key = HISTORIES[history]
+        path = str(tmp_path / "h.jsonl")
+        with open(path, "w") as handle:
+            for n in range(50):
+                handle.write(json.dumps(make(n)) + "\n")
+                if n == 45:
+                    handle.write("this is not a record\n")
+        sink = JsonlSink(path, max_bytes=64, keep=10, parse=parse)
+        rotation = sink.open_()
+        sink.append(make(50))
+        sink.close()
+        assert rotation["rotated"] is True and rotation["kept"] == 10
+        assert self.read(path, key) == list(range(40, 51))
+
+    def test_foreign_history_is_archived_not_extended(self, tmp_path,
+                                                      history):
+        parse, make, key = HISTORIES[history]
+        path = str(tmp_path / "h.jsonl")
+        write_lines(path, [make(1)])
+        with open(path + ".meta.json", "w") as handle:
+            json.dump({"fingerprint": dict(environment_fingerprint(),
+                                           machine="vax780")}, handle)
+        sink = JsonlSink(path, parse=parse)
+        rotation = sink.open_()
+        sink.append(make(2))
+        sink.close()
+        assert rotation["archived"] is True
+        assert self.read(path + ".stale", key) == [1]
+        assert self.read(path, key) == [2]
+
+    def test_concurrent_appends_never_tear_a_line(self, tmp_path, history):
+        parse, make, key = HISTORIES[history]
+        path = str(tmp_path / "h.jsonl")
+        sink = JsonlSink(path, parse=parse)
+        sink.open_()
+        threads = [
+            threading.Thread(target=lambda base=base: [
+                sink.append(make(base + n), make(base + n + 1000))
+                for n in range(25)
+            ])
+            for base in (0, 100, 200, 300)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        sink.close()
+        numbers = self.read(path, key)  # every line parses
+        assert sorted(numbers) == sorted(
+            base + n + extra
+            for base in (0, 100, 200, 300) for n in range(25)
+            for extra in (0, 1000)
+        )
+        # A multi-record append lands as adjacent lines (one lock hold).
+        for index in range(0, len(numbers), 2):
+            assert numbers[index + 1] == numbers[index] + 1000

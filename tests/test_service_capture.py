@@ -8,12 +8,14 @@ import pytest
 from repro.cli import main as cli_main
 from repro.database import SetJoinDatabase
 from repro.errors import ConfigurationError, SetJoinError
+from repro.obs.flight import QueryContext
+from repro.obs.ledger import RESOURCE_COUNTERS
+from repro.obs.rotation import JsonlSink
 from repro.service import QueryService
 from repro.service.capture import (
     CAPTURE_SCHEMA,
-    WorkloadCapture,
-    WorkloadRecord,
     answer_digest,
+    capture_line,
     read_capture,
     replay_capture,
 )
@@ -59,13 +61,18 @@ def make_record(**overrides):
         "ledger": {"wall_seconds": 0.5, "resources": {}},
     }
     data.update(overrides)
-    return WorkloadRecord(**data)
+    return QueryContext.from_dict(dict(data, schema=CAPTURE_SCHEMA))
+
+
+def capture_sink(path, **kwargs):
+    """The capture history as the service opens it."""
+    return JsonlSink(path, parse=capture_line, **kwargs)
 
 
 class TestWorkloadRecord:
     def test_round_trips_through_dict(self):
         record = make_record()
-        clone = WorkloadRecord.from_dict(record.to_dict())
+        clone = QueryContext.from_dict(record.to_dict())
         assert clone.to_dict() == record.to_dict()
 
     def test_to_dict_carries_the_schema(self):
@@ -75,25 +82,25 @@ class TestWorkloadRecord:
         data = make_record().to_dict()
         data["schema"] = CAPTURE_SCHEMA + 1
         with pytest.raises(ConfigurationError, match="schema"):
-            WorkloadRecord.from_dict(data)
+            QueryContext.from_dict(data)
 
     def test_missing_fields_raise_typed(self):
         with pytest.raises(ConfigurationError, match="malformed|schema"):
-            WorkloadRecord.from_dict({"schema": CAPTURE_SCHEMA})
+            QueryContext.from_dict({"schema": CAPTURE_SCHEMA})
 
     def test_non_object_raises_typed(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
-            WorkloadRecord.from_dict([1, 2, 3])
+            QueryContext.from_dict([1, 2, 3])
 
 
 class TestWorkloadCapture:
     def test_append_requires_open(self, tmp_path):
-        capture = WorkloadCapture(str(tmp_path / "cap.jsonl"))
+        capture = capture_sink(str(tmp_path / "cap.jsonl"))
         with pytest.raises(ConfigurationError, match="not open"):
-            capture.append(make_record())
+            capture.append(make_record().to_dict(evidence=False))
 
     def test_double_open_is_refused(self, tmp_path):
-        capture = WorkloadCapture(str(tmp_path / "cap.jsonl"))
+        capture = capture_sink(str(tmp_path / "cap.jsonl"))
         capture.open_()
         try:
             with pytest.raises(ConfigurationError, match="already open"):
@@ -103,7 +110,7 @@ class TestWorkloadCapture:
 
     def test_open_writes_the_fingerprint_sidecar(self, tmp_path):
         path = str(tmp_path / "cap.jsonl")
-        capture = WorkloadCapture(path)
+        capture = capture_sink(path)
         capture.open_()
         capture.close()
         meta = json.loads(open(path + ".meta.json").read())
@@ -116,7 +123,7 @@ class TestWorkloadCapture:
                 handle.write(json.dumps(
                     make_record(query_id=query_id).to_dict()
                 ) + "\n")
-        capture = WorkloadCapture(path, max_bytes=64, keep=10)
+        capture = capture_sink(path, max_bytes=64, keep=10)
         rotation = capture.open_()
         capture.close()
         assert rotation["rotated"] is True
@@ -129,7 +136,7 @@ class TestWorkloadCapture:
             handle.write(json.dumps(make_record().to_dict()) + "\n")
             handle.write("this is not a workload record\n")
             handle.write(json.dumps(make_record(query_id=2).to_dict()) + "\n")
-        capture = WorkloadCapture(path, max_bytes=16, keep=100)
+        capture = capture_sink(path, max_bytes=16, keep=100)
         rotation = capture.open_()
         capture.close()
         assert rotation["dropped"] == 0  # dropped counts only keep-overflow
@@ -189,7 +196,7 @@ class TestCaptureFromLiveService:
         assert auto_join.params["algorithm"] != "auto"
         assert isinstance(auto_join.params["num_partitions"], int)
         assert auto_join.digest["sha256"]
-        assert auto_join.ledger["resources"]["signature_comparisons"] > 0
+        assert auto_join.ledger.resources["signature_comparisons"] > 0
 
     def test_failed_queries_carry_no_digest(self, captured_run):
         __, capture_path, __answers = captured_run
@@ -278,7 +285,9 @@ class TestReplay:
             self, captured_run):
         db_path, capture_path, __answers = captured_run
         records = read_capture(capture_path)
-        records[0].ledger["resources"]["signature_comparisons"] += 1
+        records[0].ledger.counters[
+            RESOURCE_COUNTERS["signature_comparisons"]
+        ] += 1
         with SetJoinDatabase.open(db_path) as db:
             report = replay_capture(records, db)
         (entry,) = report.ledger_mismatches
@@ -301,6 +310,80 @@ class TestReplay:
         with SetJoinDatabase.open(db_path) as db:
             with pytest.raises(ConfigurationError, match="unresolved"):
                 replay_capture(records, db)
+
+
+#: Two capture lines exactly as the parent commit's
+#: ``WorkloadRecord.to_dict`` wrote them (an ``auto`` join resolved to
+#: DCJ k=4 and a probe, over the ``small_workload`` relations): the one
+#: record type must keep loading and replaying schema 1.
+PARENT_SCHEMA_1_LINES = (
+    (
+        '{"attempts": 1, "digest": {"pairs": 6, "sha256": "c447c6db557b8258'
+        '318a4578f3c7db3b4811e1c6ed1b3792f6bb5f6bede68df9", "x": 12722, "y"'
+        ': 449}, "fingerprint": "476c1de6f66f", "kind": "join", "label": "j'
+        'oin algorithm=DCJ k=4 r=r r_size=120 s=s s_size=140 signature_bits'
+        '=160 theta_r=8.0 theta_s=16.0", "ledger": {"counters": {"setjoin_b'
+        'uffer_hits_total": 99, "setjoin_candidates_total": 6, "setjoin_dcj'
+        '_alpha_evaluations_total": 386, "setjoin_dcj_alpha_replications_to'
+        'tal": 133, "setjoin_dcj_beta_evaluations_total": 222, "setjoin_dcj'
+        '_beta_replications_total": 56, "setjoin_joins_total": 1, "setjoin_'
+        'page_writes_total": 8, "setjoin_phase_joining_seconds_total": 0.00'
+        '34426589991198853, "setjoin_phase_partitioning_page_writes_total":'
+        ' 8, "setjoin_phase_partitioning_seconds_total": 0.0031757979995745'
+        '7, "setjoin_phase_verification_seconds_total": 0.00046511700202245'
+        '265, "setjoin_replicated_signatures_total": 449, "setjoin_result_p'
+        'airs_total": 6, "setjoin_signature_comparisons_total": 12722, "set'
+        'join_spill_bytes_total": 12572, "setjoin_worker_comparisons_total"'
+        ': 12722, "setjoin_worker_partitions_total": 4, "setjoin_worker_sec'
+        'onds_total": 0.0018186499983130489, "setjoin_worker_shards_total":'
+        ' 2}, "cpu_seconds": 0.024444152000000052, "resources": {"buffer_hi'
+        'ts": 99, "buffer_misses": 0, "candidates": 6, "pages_read": 0, "pa'
+        'ges_written": 8, "replicated_signatures": 449, "result_pairs": 6, '
+        '"signature_comparisons": 12722, "spill_bytes": 12572, "wal_bytes":'
+        ' 0, "wal_commits": 0, "wal_fsyncs": 0}, "wall_seconds": 0.02444464'
+        '3000606447}, "params": {"algorithm": "DCJ", "num_partitions": 4, "'
+        'r": "r", "s": "s", "seed": 0, "signature_bits": 160}, "query_id": '
+        '1, "schema": 1, "seconds": 0.024441654000838753, "status": "ok"}'
+    ),
+    (
+        '{"attempts": 0, "digest": {"matches": 0, "sha256": "e3b0c44298fc1c'
+        '149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}, "fingerprint'
+        '": "c6e2f44c2c20", "kind": "probe", "label": "probe elements=3 nam'
+        'e=s", "ledger": {"counters": {}, "cpu_seconds": 0.0008288979999999'
+        '668, "resources": {"buffer_hits": 0, "buffer_misses": 0, "candidat'
+        'es": 0, "pages_read": 0, "pages_written": 0, "replicated_signature'
+        's": 0, "result_pairs": 0, "signature_comparisons": 0, "spill_bytes'
+        '": 0, "wal_bytes": 0, "wal_commits": 0, "wal_fsyncs": 0}, "wall_se'
+        'conds": 0.0008282829985546414}, "params": {"elements": [1, 2, 3], '
+        '"name": "s"}, "query_id": 3, "schema": 1, "seconds": 0.00092567300'
+        '08928571, "status": "ok"}'
+    ),
+)
+
+
+class TestSchemaOneCompatibility:
+    def test_parent_written_lines_load_and_replay_clean(self, tmp_path,
+                                                        small_workload):
+        lhs, rhs = small_workload
+        capture_path = str(tmp_path / "parent.jsonl")
+        with open(capture_path, "w") as handle:
+            handle.write("\n".join(PARENT_SCHEMA_1_LINES) + "\n")
+        records = read_capture(capture_path)
+        assert [r.kind for r in records] == ["join", "probe"]
+        join = records[0]
+        assert join.params["algorithm"] == "DCJ"
+        assert join.fingerprint == "476c1de6f66f"
+        assert join.ledger.resources["signature_comparisons"] == 12722
+        assert join.timeline == [] and join.spans == []  # no evidence
+        # The line survives a rotation's canonical rewrite unchanged.
+        for line in PARENT_SCHEMA_1_LINES:
+            assert capture_line(line) == json.loads(line)
+        with SetJoinDatabase.open() as db:
+            db.create_relation("r", lhs)
+            db.create_relation("s", rhs)
+            report = replay_capture(records, db)
+        report.assert_clean()
+        assert report.matched == 2
 
 
 class TestCaptureCLI:

@@ -128,3 +128,47 @@ class TestPlanCacheInService:
             assert again == first
             stats = service.stats()["plan_cache"]
             assert stats["hits"] == 1 and stats["misses"] == 1
+
+    def test_drift_corrections_are_part_of_the_key(self, loaded_db,
+                                                   tmp_path):
+        """A cached plan must not outlive the drift evidence that would
+        now pick a different one: the optimizer's decision depends on
+        the per-algorithm correction factors, so the key does too."""
+        from repro.obs.drift import DriftRecord, append_drift_jsonl
+
+        drift = str(tmp_path / "drift.jsonl")
+        with cached_service(loaded_db, plan_cache_size=8,
+                            drift_path=drift) as service:
+            __, before = service.join("r", "s")
+            # 60 joins' worth of evidence that the cached algorithm runs
+            # 4x its prediction (signed error 0.75 = 1 - 1/4).
+            for number in range(60):
+                append_drift_jsonl(DriftRecord(
+                    timestamp=float(number), algorithm=before.algorithm,
+                    k=before.num_partitions, r_size=120, s_size=140,
+                    predicted={"seconds": 1.0}, observed={"seconds": 4.0},
+                    errors={"seconds": 0.75},
+                ), drift)
+            replanned = loaded_db.plan("r", "s", drift_history=drift)
+            assert replanned.drift_corrections[before.algorithm] > 3.0
+            assert (replanned.algorithm, replanned.k) != (
+                before.algorithm, before.num_partitions,
+            )
+            __, after = service.join("r", "s")
+            assert (after.algorithm, after.num_partitions) == (
+                replanned.algorithm, replanned.k,
+            )
+            # A one-record nudge (3.5x instead of 4x) moves the factor
+            # but not its rounded key: the corrected plan stays cached.
+            # (Planned directly: a served join would append its own
+            # drift record and move a second factor.)
+            corrected = service._plan_for("r", "s")
+            hits = service.stats()["plan_cache"]["hits"]
+            append_drift_jsonl(DriftRecord(
+                timestamp=60.0, algorithm=before.algorithm,
+                k=before.num_partitions, r_size=120, s_size=140,
+                predicted={"seconds": 1.0}, observed={"seconds": 3.5},
+                errors={"seconds": 1 - 1 / 3.5},
+            ), drift)
+            assert service._plan_for("r", "s") is corrected
+            assert service.stats()["plan_cache"]["hits"] == hits + 1
