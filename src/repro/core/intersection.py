@@ -221,10 +221,7 @@ def run_disk_intersection_join(
 
         started = time.perf_counter()
         before = testbed.disk.stats.snapshot()
-        result = verify_pairs(
-            testbed, sorted(seen),
-            lambda r, s: len(r & s) >= threshold, metrics,
-        )
+        result = verify_pairs(testbed, sorted(seen), threshold, metrics)
         metrics.verification = PhaseMetrics.from_io_delta(
             time.perf_counter() - started,
             testbed.disk.stats.delta(before),

@@ -67,6 +67,8 @@ _METRIC_ORDER = (
     "replication_factor",
     "partition_pages",
     "candidates",
+    "fetched_r",
+    "fetched_s",
     "false_positives",
     "results",
     "page_reads",
@@ -745,6 +747,9 @@ def attach_observed(report: ExplainReport, trace_source, metrics) -> ExplainRepo
         )
         if verify_span is not None:
             node.observed["seconds"] = verify_span.duration
+            for key in ("fetched_r", "fetched_s"):
+                if key in verify_span.attrs:
+                    node.observed[key] = verify_span.attrs[key]
     return report
 
 

@@ -63,6 +63,10 @@ FUNCTION_PHASES = {
     "partition_relation": "partition",
     "probe": "probe",
     "_partition_phase": "partition",
+    # ``scan_ranges``, ``fetch_batches`` and the batch decoder are absent
+    # for the same reason: ``fetch_many`` callers share them, and under a
+    # join the walk reaches ``verify_pairs``.
+    "_hit_counts": "verify",
     "_verification_phase": "verify",
     "verify_pairs": "verify",
     "execute_join": "dist.shard",

@@ -37,8 +37,9 @@ separators ``<= k``.  Separator ``k_i`` is the smallest key in subtree
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..errors import BTreeError, SerializationError
 from .buffer import BufferPool
@@ -255,15 +256,34 @@ class BTree:
             else:
                 children.append(int.from_bytes(data[pos : pos + 8], "big"))
                 pos += 8
-                for _ in range(count):
-                    klen = data[pos]
-                    pos += 1
-                    if klen >= 0x80:
-                        klen, pos = decode_uvarint(data, pos - 1)
-                    keys.append(data[pos : pos + klen])
-                    pos += klen
-                    children.append(int.from_bytes(data[pos : pos + 8], "big"))
-                    pos += 8
+                # Fixed-width keys (relation, partition and spill trees):
+                # every entry is one length byte, the key and the child, so
+                # the node decodes by stride.  Anything else -- mixed
+                # lengths, a multi-byte prefix, entries past the page --
+                # takes the loop and fails as it always did.
+                klen = data[pos]
+                end = pos + count * (klen + 9)
+                if (
+                    count
+                    and klen < 0x80
+                    and end <= len(data)
+                    and data[pos : end : klen + 9] == _ONE_BYTE[klen] * count
+                ):
+                    entries = struct.iter_unpack(f">x{klen}sQ", data[pos:end])
+                    node.keys, entry_children = map(list, zip(*entries))
+                    children += entry_children
+                else:
+                    for _ in range(count):
+                        klen = data[pos]
+                        pos += 1
+                        if klen >= 0x80:
+                            klen, pos = decode_uvarint(data, pos - 1)
+                        keys.append(data[pos : pos + klen])
+                        pos += klen
+                        children.append(
+                            int.from_bytes(data[pos : pos + 8], "big")
+                        )
+                        pos += 8
         except IndexError:
             raise SerializationError("truncated uvarint") from None
         return node
@@ -307,16 +327,22 @@ class BTree:
     # Public operations
     # ------------------------------------------------------------------
 
-    def get(self, key: bytes) -> bytes | None:
-        """Return the value stored under ``key``, or ``None``."""
+    def _leaf_for(self, key: bytes | None) -> _Node:
+        """Descend from the root to the leaf that holds, or would hold,
+        ``key`` (``None``: the leftmost leaf)."""
         node = self._load_node(self._root_id)
         depth = 0
         while not node.is_leaf:
             depth += 1
             if depth > _MAX_DEPTH:
                 raise BTreeError("descent exceeded max depth; tree corrupt?")
-            index = bisect_right(node.keys, key)
+            index = 0 if key is None else bisect_right(node.keys, key)
             node = self._load_node(node.children[index])
+        return node
+
+    def get(self, key: bytes) -> bytes | None:
+        """Return the value stored under ``key``, or ``None``."""
+        node = self._leaf_for(key)
         index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             return bytes(node.values[index])
@@ -340,14 +366,7 @@ class BTree:
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it was present (lazy deletion)."""
-        node = self._load_node(self._root_id)
-        depth = 0
-        while not node.is_leaf:
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise BTreeError("descent exceeded max depth; tree corrupt?")
-            index = bisect_right(node.keys, key)
-            node = self._load_node(node.children[index])
+        node = self._leaf_for(key)
         index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             del node.keys[index]
@@ -366,26 +385,68 @@ class BTree:
         ``None`` bounds are open.  Scans follow the leaf chain, so a full
         scan reads each leaf exactly once.
         """
-        node = self._load_node(self._root_id)
-        depth = 0
-        while not node.is_leaf:
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise BTreeError("descent exceeded max depth; tree corrupt?")
-            index = 0 if start_key is None else bisect_right(node.keys, start_key)
-            node = self._load_node(node.children[index])
-        index = 0 if start_key is None else bisect_left(node.keys, start_key)
-        while True:
-            while index < len(node.keys):
-                key = node.keys[index]
-                if end_key is not None and key >= end_key:
-                    return
-                yield bytes(key), bytes(node.values[index])
-                index += 1
-            if node.next_leaf is None:
-                return
-            node = self._load_node(node.next_leaf)
-            index = 0
+        for run in self._leaf_runs([(start_key, end_key)]):
+            if run is not None:
+                yield from zip(*run)
+
+    def scan_ranges(
+        self, bounds: "Iterable[tuple[bytes | None, bytes | None]]"
+    ) -> Iterator[list[bytes]]:
+        """The values of each ``[start, end)`` key range, in one forward pass.
+
+        ``bounds`` are ascending and disjoint: each range starts at or
+        after the end of the one before (only the first start and the
+        last end may be ``None``, i.e. open).  Yields one list of values
+        per range, ``[value for __, value in scan(start, end)]``, but the
+        cursor never goes back: a range starting at or before the last
+        key of the leaf it is on is served from that leaf and on along
+        the leaf chain; only a range starting beyond it descends from the
+        root.  Ranges that follow one another closely therefore read each
+        leaf once, like a scan; far-apart ones cost a descent each, like
+        :meth:`scan`.
+        """
+        values: list[bytes] = []
+        for run in self._leaf_runs(bounds):
+            if run is None:
+                yield values
+                values = []
+            else:
+                values += run[1]
+
+    def _leaf_runs(self, bounds):
+        """The one leaf walk behind :meth:`scan` and :meth:`scan_ranges`:
+        for each range of ``bounds`` in turn, a ``(keys, values)`` pair of
+        lists per leaf holding some of it, then ``None``."""
+        node: _Node | None = None
+        index = 0
+        floor: bytes | None = None  # end of the previous range
+        for start, end in bounds:
+            if node is None:
+                node = self._leaf_for(start)
+                index = 0 if start is None else bisect_left(node.keys, start)
+            elif floor is None or start is None or start < floor:
+                raise BTreeError(
+                    "scan_ranges needs ascending, disjoint key ranges"
+                )
+            elif node.keys and start <= node.keys[-1]:
+                index = bisect_left(node.keys, start, index)
+            elif node.next_leaf is None:
+                index = len(node.keys)  # past the last key of the tree
+            else:
+                node = self._leaf_for(start)
+                index = bisect_left(node.keys, start)
+            floor = end
+            while True:
+                keys = node.keys
+                stop = len(keys) if end is None else bisect_left(keys, end, index)
+                if stop > index:
+                    yield keys[index:stop], node.values[index:stop]
+                    index = stop
+                if stop < len(keys) or node.next_leaf is None:
+                    break
+                node = self._load_node(node.next_leaf)
+                index = 0
+            yield None
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Full ordered scan."""

@@ -42,8 +42,19 @@ DEFAULT_PAYLOAD_SIZE = 100
 BATCH_TUPLES = 256
 
 
+#: Tuple identifiers are the 8-byte prefix of a chunk key.
+_TID_LIMIT = 1 << 64
+
+
 def _chunk_key(tid: int, chunk: int) -> bytes:
     return tid.to_bytes(8, "big") + chunk.to_bytes(4, "big")
+
+
+def _chunk_range(tid: int) -> tuple[bytes, bytes | None]:
+    """The ``[start, end)`` key range holding the chunks of ``tid``; the
+    largest tid has no successor to end at, so its range is open."""
+    end = None if tid == _TID_LIMIT - 1 else _chunk_key(tid + 1, 0)
+    return _chunk_key(tid, 0), end
 
 
 def _chunk_size(pool: BufferPool) -> int:
@@ -67,6 +78,16 @@ def _encoded(
         tids = [tid for tid, __ in batch]
         sets = [elements for __, elements in batch]
         yield from zip(tids, encode_tuple_records(tids, sets, payload))
+
+
+def _decoded(
+    records: Iterator[bytes],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``records`` decoded :data:`BATCH_TUPLES` at a time, as the
+    ``(tids, elements, offsets)`` arrays of
+    :func:`~.serialization.decode_tuple_records`."""
+    while batch := list(islice(records, BATCH_TUPLES)):
+        yield decode_tuple_records(batch)
 
 
 class RelationStore:
@@ -162,9 +183,9 @@ class RelationStore:
 
     def fetch(self, tid: int) -> tuple[frozenset[int], bytes] | None:
         """Fetch the set and payload of one tuple, or ``None`` if absent."""
-        chunks: list[bytes] = []
-        for key, value in self._tree.scan(_chunk_key(tid, 0), _chunk_key(tid + 1, 0)):
-            chunks.append(value)
+        if not 0 <= tid < _TID_LIMIT:
+            return None
+        chunks = [value for __, value in self._tree.scan(*_chunk_range(tid))]
         if not chunks:
             return None
         __, elements, payload = decode_tuple_record(b"".join(chunks))
@@ -175,17 +196,35 @@ class RelationStore:
         result = self.fetch(tid)
         return None if result is None else result[0]
 
-    def fetch_many(self, tids: Iterable[int]) -> dict[int, frozenset[int]]:
-        """Fetch sets for many tids, ordered by tid to avoid random I/O.
+    def fetch_batches(
+        self, tids: Iterable[int]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The stored tuples among ``tids``, in tid order, as the
+        ``(tids, elements, offsets)`` arrays of :meth:`scan_batches`,
+        :data:`BATCH_TUPLES` at a time.
 
-        The paper sorts candidate tuple identifiers before fetching them;
-        ordered B-tree probes touch each leaf at most once per batch.
+        The paper sorts candidate tuple identifiers before fetching them
+        so that verification reads the relation forwards; here the sorted
+        distinct tids go through one :meth:`BTree.scan_ranges` cursor, so
+        tids that lie close together read each leaf once, like a scan, and
+        only a tid beyond the cursor's leaf costs a descent.  Absent tids
+        (and values that cannot be tids at all) are skipped.
         """
+        wanted = sorted({tid for tid in tids if 0 <= tid < _TID_LIMIT})
+        return _decoded(
+            b"".join(chunks)
+            for chunks in self._tree.scan_ranges(map(_chunk_range, wanted))
+            if chunks
+        )
+
+    def fetch_many(self, tids: Iterable[int]) -> dict[int, frozenset[int]]:
+        """:meth:`fetch_batches` as a ``{tid: set}`` dict of the tuples
+        found (absent tids are omitted)."""
         result: dict[int, frozenset[int]] = {}
-        for tid in sorted(set(tids)):
-            elements = self.fetch_set(tid)
-            if elements is not None:
-                result[tid] = elements
+        for found, elements, offsets in self.fetch_batches(tids):
+            flat, bounds = elements.tolist(), offsets.tolist()
+            for tid, lo, hi in zip(found.tolist(), bounds, bounds[1:]):
+                result[tid] = frozenset(flat[lo:hi])
         return result
 
     def _records(self) -> Iterator[bytes]:
@@ -215,9 +254,7 @@ class RelationStore:
         :func:`~.serialization.decode_tuple_records`).  Whole tuples only:
         a tuple's chunks are joined before it is counted into a batch.
         """
-        records = self._records()
-        while batch := list(islice(records, BATCH_TUPLES)):
-            yield decode_tuple_records(batch)
+        return _decoded(self._records())
 
     def tids(self) -> Iterator[int]:
         """Yield all tuple identifiers in order."""
@@ -234,4 +271,4 @@ class RelationStore:
         return self._count
 
     def __contains__(self, tid: int) -> bool:
-        return _chunk_key(tid, 0) in self._tree
+        return 0 <= tid < _TID_LIMIT and _chunk_key(tid, 0) in self._tree

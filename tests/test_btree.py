@@ -519,3 +519,229 @@ class TestNodeCodecAgainstReference:
         pool.unpin(tree._root_id, dirty=True)
         with pytest.raises(SerializationError):
             tree._load_node(tree._root_id)
+
+
+# ----------------------------------------------------------------------
+# The sorted-range cursor against one scan per range
+# ----------------------------------------------------------------------
+
+
+def count_loads(tree, walk):
+    """``_load_node`` calls and buffer accesses (hits + misses) of ``walk()``."""
+    loads = []
+    original = tree._load_node
+    tree._load_node = lambda page: loads.append(page) or original(page)
+    before = tree.pool.stats.snapshot()
+    try:
+        result = walk()
+    finally:
+        del tree._load_node
+    delta = tree.pool.stats.delta(before)
+    return result, loads, delta.hits + delta.misses
+
+
+def scanned(tree, bounds):
+    return [[value for __, value in tree.scan(lo, hi)] for lo, hi in bounds]
+
+
+def leaves_of(tree):
+    leaf = tree._leaf_for(None)
+    leaves = [leaf]
+    while leaf.next_leaf is not None:
+        leaf = tree._load_node(leaf.next_leaf)
+        leaves.append(leaf)
+    return leaves
+
+
+def ascending_bounds(cuts):
+    """Disjoint ascending ranges from sorted cut points: consecutive cuts
+    pair up, so ranges are adjacent, apart or (equal cuts) empty."""
+    return [(key_of(lo), key_of(hi)) for lo, hi in zip(cuts[::2], cuts[1::2])]
+
+
+class TestScanRanges:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.integers(0, 400), max_size=150),
+        st.lists(st.integers(0, 420), max_size=24).map(sorted),
+        st.sets(st.integers(0, 400)),
+        st.booleans(),
+    )
+    def test_matches_a_scan_per_range(self, present, cuts, deleted, bulk):
+        __, pool, tree = make_tree(page_size=256)
+        items = [(key_of(value), b"v%d" % value) for value in sorted(present)]
+        if bulk:
+            tree = BTree.bulk_create(pool, items)
+        else:
+            random.Random(len(items)).shuffle(items)
+            for key, value in items:
+                tree.insert(key, value)
+        for value in deleted:
+            tree.delete(key_of(value))
+        bounds = ascending_bounds(cuts)
+        assert list(tree.scan_ranges(bounds)) == scanned(tree, bounds)
+        open_ended = [(None, key_of(7)), (key_of(7), key_of(90)), (key_of(95), None)]
+        assert list(tree.scan_ranges(open_ended)) == scanned(tree, open_ended)
+
+    def test_empty_tree_and_single_leaf_root(self):
+        __, __, tree = make_tree()
+        bounds = ascending_bounds([0, 5, 5, 9, 20, 20])
+        assert list(tree.scan_ranges(bounds)) == [[], [], []]
+        assert list(tree.scan_ranges([])) == []
+        for value in (1, 5, 6, 8):
+            tree.insert(key_of(value), b"%d" % value)
+        assert tree.height() == 1
+        assert list(tree.scan_ranges(bounds)) == [[b"1"], [b"5", b"6", b"8"], []]
+
+    def test_leaves_emptied_by_deletes_are_walked_past(self):
+        __, pool, __ = make_tree(page_size=256)
+        tree = BTree.bulk_create(
+            pool, [(key_of(value), b"%d" % value) for value in range(300)]
+        )
+        leaves = leaves_of(tree)
+        assert len(leaves) > 8
+        # Empty the second, third and last leaves whole.
+        for leaf in (leaves[1], leaves[2], leaves[-1]):
+            for key in leaf.keys:
+                assert tree.delete(key)
+        first, fourth = leaves[0].keys, leaves[3].keys
+        bounds = [
+            (first[-1], leaves[1].keys[0]),     # ends where the hole starts
+            (leaves[1].keys[1], leaves[2].keys[1]),  # wholly inside the hole
+            (leaves[2].keys[1], fourth[1]),     # out of the hole
+            (fourth[1], leaves[-1].keys[0]),    # up to the emptied last leaf
+            (leaves[-1].keys[0], None),         # into it
+        ]
+        assert list(tree.scan_ranges(bounds)) == scanned(tree, bounds)
+        assert list(tree.scan_ranges(bounds))[1] == []
+
+    def test_one_range_over_many_leaves_and_many_ranges_in_one_leaf(self):
+        __, pool, __ = make_tree(page_size=256)
+        tree = BTree.bulk_create(
+            pool, [(key_of(value), b"%d" % value) for value in range(0, 600, 2)]
+        )
+        leaves = leaves_of(tree)
+        wide = [(leaves[1].keys[1], leaves[5].keys[2])]
+        (values,), loads, __ = count_loads(tree, lambda: list(tree.scan_ranges(wide)))
+        assert [values] == scanned(tree, wide)
+        assert len(loads) == tree.height() + 4  # one descent, four leaves on
+        # Adjacent and separated ranges inside one leaf, odd (absent) bounds,
+        # the leaf's last key both as an end and as a start.
+        keys = [int.from_bytes(key, "big") for key in leaves[2].keys]
+        narrow = ascending_bounds([
+            keys[0], keys[1], keys[1], keys[3], keys[3] + 1, keys[4] + 1,
+            keys[-2], keys[-1], keys[-1], keys[-1] + 1,
+        ])
+        result, loads, __ = count_loads(tree, lambda: list(tree.scan_ranges(narrow)))
+        assert result == scanned(tree, narrow)
+        assert result[-1] == [b"%d" % keys[-1]]
+        # The last range ends past the leaf's last key, which reads the
+        # next leaf exactly as scan() does.
+        assert len(loads) == tree.height() + 1
+
+    def test_dense_ranges_cost_a_scan_and_sparse_ones_a_descent_each(self):
+        __, pool, __ = make_tree(page_size=256, capacity=64)
+        tree = BTree.bulk_create(
+            pool, [(key_of(value), b"%d" % value) for value in range(900)]
+        )
+        height = tree.height()
+        assert height >= 3
+        __, scan_loads, scan_accesses = count_loads(tree, lambda: list(tree.scan()))
+        every = [(key_of(value), key_of(value + 1)) for value in range(900)]
+        result, loads, accesses = count_loads(
+            tree, lambda: list(tree.scan_ranges(every))
+        )
+        assert result == [[b"%d" % value] for value in range(900)]
+        assert loads == scan_loads and accesses == scan_accesses
+        sparse = every[::100]
+        result, loads, __ = count_loads(tree, lambda: list(tree.scan_ranges(sparse)))
+        assert result == scanned(tree, sparse)
+        per_range = [
+            page for lo, hi in sparse
+            for page in count_loads(tree, lambda: list(tree.scan(lo, hi)))[1]
+        ]
+        assert len(loads) <= len(per_range) and set(loads) <= set(per_range)
+        # Past the last key nothing is read at all.
+        beyond = [(key_of(value), key_of(value + 1)) for value in (899, 950, 990)]
+        result, loads, __ = count_loads(tree, lambda: list(tree.scan_ranges(beyond)))
+        assert result == [[b"899"], [], []] and len(loads) == height
+
+    def test_ranges_out_of_order_are_refused(self):
+        __, __, tree = make_tree()
+        for bounds in (
+            [(key_of(5), key_of(9)), (key_of(8), key_of(12))],
+            [(key_of(5), None), (key_of(8), key_of(12))],
+            [(key_of(5), key_of(9)), (None, key_of(12))],
+        ):
+            with pytest.raises(BTreeError, match="ascending"):
+                list(tree.scan_ranges(bounds))
+
+
+class TestInternalNodeStrideDecode:
+    """Internal nodes of fixed-width keys decode by stride; they and every
+    page the stride cannot vouch for must load as the per-key loop loads."""
+
+    @staticmethod
+    def load_both(page_size, data):
+        loaded = []
+        for cls in (BTree, ReferenceBTree):
+            disk = InMemoryDiskManager(page_size)
+            pool = BufferPool(disk, capacity=8)
+            tree = cls(pool, BTree.create(pool).meta_page_id)
+            frame = pool.fetch(tree._root_id)
+            frame.data[:] = data.ljust(disk.payload_size, b"\x00")
+            pool.unpin(tree._root_id, dirty=True)
+            try:
+                node = tree._load_node(tree._root_id)
+                loaded.append((node.is_leaf, node.keys, node.children,
+                               node.values, node.next_leaf))
+            except Exception as error:  # noqa: BLE001 - compared below
+                loaded.append((type(error), str(error)))
+        return loaded
+
+    @staticmethod
+    def internal_page(keys, children):
+        out = b"\x00" + len(keys).to_bytes(2, "big") + bytes(8)
+        out += children[0].to_bytes(8, "big")
+        for key, child in zip(keys, children[1:]):
+            out += encode_uvarint(len(key)) + key + child.to_bytes(8, "big")
+        return out
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 12, 16, 127])
+    @pytest.mark.parametrize("count", [0, 1, 2, 25])
+    def test_fixed_width_nodes_load_as_the_loop_loads_them(self, width, count):
+        rng = random.Random(width * 31 + count)
+        keys = sorted(rng.randbytes(width) for __ in range(count))
+        children = [rng.randrange(2**63) for __ in range(count + 1)]
+        mine, reference = self.load_both(
+            4096, self.internal_page(keys, children)
+        )
+        assert mine == reference == (False, keys, children, [], None)
+
+    def test_pages_the_stride_cannot_vouch_for_take_the_loop(self):
+        rng = random.Random(9)
+        children = [rng.randrange(2**40) for __ in range(9)]
+        uniform = [rng.randbytes(12) for __ in range(8)]
+        page = self.internal_page(uniform, children)
+        cases = {
+            "mixed": self.internal_page(uniform[:4] + [b"abc"] + uniform[5:], children),
+            "wide": self.internal_page([rng.randbytes(130)] * 3, children[:4]),
+            # The header claims more entries than the page can hold.
+            "overrun": page[:1] + (400).to_bytes(2, "big") + page[3:],
+            # A prefix that stops matching half-way through the node.
+            "broken": page[:19 + 21 * 4] + b"\x0b" + page[20 + 21 * 4:],
+        }
+        # The last entry's length byte is on the page, its key is not.
+        payload = InMemoryDiskManager(512).payload_size
+        count = (payload - 19) // 21 + 1
+        assert (payload - 19) % 21 >= 1
+        cases["cut"] = self.internal_page(
+            [rng.randbytes(12) for __ in range(count)],
+            [rng.randrange(2**40) for __ in range(count + 1)],
+        )[:payload]
+        for name, data in cases.items():
+            mine, reference = self.load_both(512, data)
+            assert mine == reference, name
+        assert self.load_both(512, cases["overrun"])[0][0].__name__ == (
+            "SerializationError"
+        )

@@ -17,6 +17,11 @@ A last walk keeps the partition path columnar (DESIGN.md, "Columnar batch
 path"): ``partition_relation`` makes no per-tuple call, and the B-tree node
 codec never sizes an entry by encoding its length.
 
+Two walks keep verification one forward pass (DESIGN.md, "One-pass
+verification"): the fetch-and-verify functions build no set and call no
+predicate or one-tuple fetch per pair, and the store's batch fetch never
+falls back on the one-tuple API.
+
 Three walks keep the served query's record single (DESIGN.md, "One
 record per query"): the service opens at most one registry window, the
 retired per-query shapes and helpers stay retired, and every
@@ -172,6 +177,67 @@ def test_partition_loop_and_node_codec_stay_columnar():
     assert not bad, (
         "per-tuple or per-key call on the columnar path (use the batch "
         "interface / the length-prefix helpers):\n" + "\n".join(bad)
+    )
+
+
+#: The fetch-and-verify path of ``core/operator.py``.  ``_scalar_hit_counts``
+#: — the set-at-a-time fallback and oracle — is the one function allowed
+#: what these may not do.
+VERIFY_FUNCTIONS = ("verify_pairs", "_fetch_candidates", "_hit_counts")
+PER_PAIR_NAMES = ("frozenset", "predicate")
+ONE_TUPLE_FETCHES = ("fetch", "fetch_set", "fetch_many")
+
+
+def _functions(tree, names):
+    found = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in names}
+    assert sorted(found) == sorted(names), (
+        f"expected {sorted(names)}, found {sorted(found)}"
+    )
+    return found.values()
+
+
+def test_verification_stays_one_pass():
+    operator = ast.parse((LIBRARY_ROOT / "core" / "operator.py").read_text())
+    bad = []
+    for function in _functions(operator, VERIFY_FUNCTIONS):
+        arguments = function.args
+        bad += [
+            f"core/operator.py:{function.lineno}: {function.name}(predicate)"
+            for arg in arguments.posonlyargs + arguments.args
+            + arguments.kwonlyargs if arg.arg == "predicate"
+        ]
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in PER_PAIR_NAMES:
+                bad.append(f"core/operator.py:{node.lineno}: {func.id}()")
+            if isinstance(func, ast.Attribute) and func.attr in ONE_TUPLE_FETCHES:
+                bad.append(f"core/operator.py:{node.lineno}: .{func.attr}()")
+    assert not bad, (
+        "per-pair set, predicate or one-tuple fetch on the verification "
+        "path (fetch through fetch_batches, test through _hit_counts):\n"
+        + "\n".join(bad)
+    )
+
+
+def test_batch_fetch_stays_off_the_one_tuple_api():
+    store = ast.parse(
+        (LIBRARY_ROOT / "storage" / "relation_store.py").read_text()
+    )
+    bad = [
+        f"storage/relation_store.py:{node.lineno}: "
+        f"{function.name} calls .{node.func.attr}()"
+        for function in _functions(store, ("fetch_many", "fetch_batches"))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("fetch", "fetch_set")
+    ]
+    assert not bad, (
+        "the batch fetch descends per tid again (go through "
+        "BTree.scan_ranges):\n" + "\n".join(bad)
     )
 
 

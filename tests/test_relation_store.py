@@ -262,3 +262,182 @@ class TestBatchPaths:
             ))
         assert images[0] == images[1]
         assert len(images[0][1]) > 0
+
+
+# ----------------------------------------------------------------------
+# The candidate fetch against the one-tuple API
+# ----------------------------------------------------------------------
+
+def fetched_rows(store, tids):
+    """``fetch_batches`` unpacked to ``(tid, frozenset)`` rows, with the
+    tuple count of each batch."""
+    rows, sizes = [], []
+    for found, elements, offsets in store.fetch_batches(tids):
+        flat, bounds = elements.tolist(), offsets.tolist()
+        sizes.append(len(found))
+        rows += [
+            (tid, frozenset(flat[lo:hi]))
+            for tid, lo, hi in zip(found.tolist(), bounds, bounds[1:])
+        ]
+    return rows, sizes
+
+
+def count_reads(store, walk):
+    """``_load_node`` pages, buffer accesses (hits + misses) and the
+    result of ``walk()`` over ``store``'s tree."""
+    tree, loads = store._tree, []
+    original = tree._load_node
+    tree._load_node = lambda page: loads.append(page) or original(page)
+    before = tree.pool.stats.snapshot()
+    try:
+        result = walk()
+    finally:
+        del tree._load_node
+    delta = tree.pool.stats.delta(before)
+    return loads, delta.hits + delta.misses, result
+
+
+class TestFetchBatches:
+    @pytest.mark.parametrize("payload_size", [0, 16, 100])
+    def test_equals_fetch_per_tid_across_chunks_leaves_and_batches(
+        self, pool, payload_size
+    ):
+        import random
+
+        from repro.storage.relation_store import BATCH_TUPLES
+
+        # Odd tids only, so every even one is missing; the 3 000-element
+        # tuples sit either side of a batch boundary.
+        rows = [(2 * tid + 1, elements)
+                for tid, elements in mixed_rows(2 * BATCH_TUPLES + 40)]
+        store = RelationStore.create_sorted(pool, rows, payload_size)
+        wanted = list(range(0, 4 * BATCH_TUPLES + 90))
+        random.Random(3).shuffle(wanted)
+        wanted += wanted[:50] + [10**12, -4, 2**64, 2**70]
+        fetched, sizes = fetched_rows(store, wanted)
+        assert fetched == rows
+        assert fetched == [(tid, store.fetch(tid)[0]) for tid, __ in rows]
+        assert sizes == [BATCH_TUPLES, BATCH_TUPLES, 40]
+        assert store.fetch_many(wanted) == dict(rows)
+        assert store.fetch(rows[5][0])[1] == bytes(payload_size)
+
+    def test_on_a_store_built_by_random_inserts(self, store):
+        import random
+
+        rows = mixed_rows(300, seed=9)
+        shuffled = rows[:]
+        random.Random(2).shuffle(shuffled)
+        for tid, elements in shuffled:
+            store.insert(tid, elements, b"\xff" * 40)
+        store.insert(7, {1, 2, 3}, b"\xff" * 40)  # overwrite: fewer chunks
+        rows[7] = (7, frozenset({1, 2, 3}))
+        wanted = [tid for tid, __ in rows[::3]] + [301, 5000]
+        fetched, __ = fetched_rows(store, wanted)
+        assert fetched == rows[::3]
+
+    def test_nothing_wanted_reads_nothing(self, pool):
+        store = RelationStore.create_sorted(pool, mixed_rows(300))
+        loads, accesses, result = count_reads(
+            store, lambda: list(store.fetch_batches([]))
+        )
+        assert (loads, accesses, result) == ([], 0, [])
+        assert store.fetch_many(()) == {}
+
+    def test_values_past_int64_come_back_through_the_scalar_decoder(self, store):
+        store.insert(3, {5, 2**63 + 1})
+        store.insert(2**63 + 9, {1})
+        (found, elements, offsets), = store.fetch_batches([2**63 + 9, 3, 4])
+        assert found.tolist() == [3, 2**63 + 9]
+        assert elements.tolist() == [5, 2**63 + 1, 1]
+        assert offsets.tolist() == [0, 2, 3]
+
+    def test_a_corrupt_record_raises_the_scalar_decoders_error(self, store):
+        from repro.errors import SerializationError
+        from repro.storage.relation_store import _chunk_key
+
+        store.insert(1, {1, 2})
+        store.insert(2, {3})
+        store._tree.insert(_chunk_key(2, 0), b"\x02\x05\x01")  # 5 elements, 1 byte
+        with pytest.raises(SerializationError, match="claims 5 elements"):
+            list(store.fetch_batches([1, 2]))
+        with pytest.raises(SerializationError, match="claims 5 elements"):
+            store.fetch(2)
+
+
+class TestFetchReadCounts:
+    """The gate on the forward pass: candidates that lie close together
+    cost what a scan costs, far-apart ones what a descent each costs."""
+
+    @pytest.fixture()
+    def relation(self):
+        import random
+
+        rng = random.Random(1)
+        pool = BufferPool(InMemoryDiskManager(1024), capacity=256)
+        rows = [
+            (tid, frozenset(rng.sample(range(5_000), rng.randint(2, 25))))
+            for tid in range(2_000)
+        ]
+        store = RelationStore.create_sorted(pool, rows, payload_size=20)
+        assert store._tree.height() >= 3
+        return store, dict(rows)
+
+    def test_fetching_every_tid_reads_what_one_scan_reads(self, relation):
+        store, rows = relation
+        height = store._tree.height()
+        scan_loads, scan_accesses, __ = count_reads(
+            store, lambda: sum(1 for __ in store.scan_batches())
+        )
+        loads, accesses, fetched = count_reads(
+            store, lambda: store.fetch_many(range(2_000))
+        )
+        assert fetched == rows
+        assert len(loads) <= len(scan_loads) + height
+        assert accesses <= scan_accesses + height
+        assert len(set(loads)) == len(loads)  # no page decoded twice
+
+    def test_fetching_every_hundredth_tid_reads_no_page_fetch_does_not(
+        self, relation
+    ):
+        store, rows = relation
+        height = store._tree.height()
+        wanted = range(0, 2_000, 100)
+        loads, __, fetched = count_reads(store, lambda: store.fetch_many(wanted))
+        assert fetched == {tid: rows[tid] for tid in wanted}
+        per_tid = [
+            page for tid in wanted
+            for page in count_reads(store, lambda: store.fetch(tid))[0]
+        ]
+        assert set(loads) <= set(per_tid)
+        assert len(loads) <= len(per_tid)
+        # A tuple ending its leaf pulls the next leaf in, as scan() does.
+        assert len(loads) <= (height + 1) * len(wanted)
+
+
+class TestTidBounds:
+    """Every tid that can be stored can be fetched; a value that cannot be
+    a tid is absent, not an OverflowError."""
+
+    LARGEST = 2**64 - 1
+
+    def test_the_largest_tid_round_trips(self, store):
+        store.insert(self.LARGEST, [1], b"p")
+        store.insert(self.LARGEST - 1, [2])
+        assert store.fetch(self.LARGEST) == (frozenset({1}), b"p")
+        assert store.fetch_set(self.LARGEST) == frozenset({1})
+        assert self.LARGEST in store
+        assert store.fetch_many([self.LARGEST, self.LARGEST - 1]) == {
+            self.LARGEST - 1: frozenset({2}), self.LARGEST: frozenset({1}),
+        }
+        (found, __, __), = store.fetch_batches([self.LARGEST])
+        assert found.tolist() == [self.LARGEST]
+
+    @pytest.mark.parametrize("tid", [-1, -(2**70), 2**64, 2**64 + 5])
+    def test_values_outside_the_tid_range_are_absent(self, store, tid):
+        store.insert(0, [1])
+        store.insert(self.LARGEST, [1])
+        assert store.fetch(tid) is None
+        assert store.fetch_set(tid) is None
+        assert tid not in store
+        assert store.fetch_many([tid, 0]) == {0: frozenset({1})}
+        assert [found.tolist() for found, __, __ in store.fetch_batches([tid])] == []
