@@ -153,7 +153,7 @@ def run_disk_intersection_join(
     """Disk-based R ⋈∩ S on the same testbed substrate as containment.
 
     Reuses the containment operator's machinery — stored relations,
-    portioned partition stores, batched scans, candidate verification —
+    portion-page partition stores, batched scans, candidate verification —
     with element partitioning on both sides and a shared-bit signature
     filter.  Demonstrates that the paper's testbed architecture carries
     over to the §7 future-work operator unchanged.

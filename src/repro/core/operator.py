@@ -7,7 +7,7 @@ conditions remaining equal".  A join runs in three phases:
 1. **Partitioning** -- scan each stored relation once, compute each
    tuple's signature, ask the partitioner for its partition(s) and append
    ``(signature, tid)`` entries to the per-relation partition stores
-   (portioned B-trees, as in the paper).
+   (page-sized portions under one B-tree index, as in the paper).
 
 2. **Joining** -- for each partition pair, compare signatures with a block
    nested loop.  Portions are read in batches to avoid random I/O; if a
@@ -405,7 +405,7 @@ def partition_relation(
                 resident[index] += entries[partitions == index].tobytes()
             spilled = partitions >= pinned
             partitions, entries = partitions[spilled], entries[spilled]
-        store.append_entries(partitions.tolist(), entries.tobytes())
+        store.append_entries(partitions, entries.tobytes())
     store.seal()
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from ..analysis.simulate import make_partitioner
 from ..analysis.timemodel import CalibrationSample, TimeModel, calibrate
-from ..core.operator import run_disk_join
 from ..data.workloads import uniform_workload
 from .base import ExperimentResult, register
+from .case_study import paper_testbed_join
 
 __all__ = ["collect_samples", "run"]
 
@@ -48,10 +48,7 @@ def collect_samples(
                 partitioner = make_partitioner(
                     algorithm, k, theta_r, theta_s, seed=seed
                 )
-                # Scalar loop: c1·x is fitted to a compare-dominant cost.
-                __, metrics = run_disk_join(
-                    lhs, rhs, partitioner, engine="python"
-                )
+                __, metrics = paper_testbed_join(lhs, rhs, partitioner)
                 samples.append(CalibrationSample.from_metrics(metrics))
     return samples
 

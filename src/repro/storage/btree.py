@@ -512,7 +512,8 @@ class BTree:
         ``(separator, new_right_page)`` promotions produced by splitting.
         A split can promote more than one separator because nodes split
         into as many page-sized chunks as their variable-size entries
-        require.
+        require.  Only the leaf and the ancestors that take a promotion
+        are re-encoded and dirtied.
         """
         node = self._load_node(page_id)
         if node.is_leaf:
@@ -525,6 +526,13 @@ class BTree:
             return self._store_or_split(node)
         index = bisect_right(node.keys, key)
         promotions = self._insert_into(node.children[index], key, value)
+        if not promotions:
+            # The child absorbed the insert, so this node is unchanged:
+            # touch its page as storing it did (the path stays warm in
+            # the pool, root most recent), but re-encode and dirty nothing.
+            self.pool.fetch(page_id)
+            self.pool.unpin(page_id)
+            return []
         # All promotions come from one child, so they slot in consecutively.
         node.keys[index:index] = [separator for separator, __ in promotions]
         node.children[index + 1 : index + 1] = [

@@ -1,16 +1,24 @@
-"""Partition data stored as portioned B-tree records.
+"""Partition data stored as portion pages under one portion index.
 
 The paper found that appending to one variable-size record per partition
 degrades as partitions grow, and that the efficient layout is to "split
 each partition into portions of equal sizes, while still keeping the
 partition in a single B-tree, and to use the combination of the portion
-number and partition index as the key of the B-tree."  This module
-implements exactly that layout:
+number and partition index as the key of the B-tree."  Its Berkeley DB
+testbed would have kept each such portion on an overflow page: BDB moves
+any item larger than about a quarter of a page off the leaf.  This module
+implements that layout:
 
-* One B-tree per relation holds all of its partitions.
-* Key = (partition index u32, portion number u32), so a partition's
-  portions are contiguous in key order and can be range-scanned in batches.
-* Value = a packed run of fixed-width (signature, tid) entries.
+* A portion holds one page of fixed-width (signature, tid) entries.  A
+  full portion is written to a page of its own the moment it fills.
+* One B-tree per relation indexes all of its partitions.  Key =
+  (partition index u32, portion number u32), so a partition's portions
+  are contiguous in key order and can be range-scanned in batches.
+  Value = a reference ``page id ‖ byte length`` to the portion's page or,
+  for a partial portion small enough to be a B-tree record (about half a
+  page), the entries inline on the leaf.
+* The index is bulk-built at :meth:`PartitionStore.seal`, in key order:
+  partitioning does no B-tree insert and no split.
 
 A ``monolithic=True`` mode emulates the paper's rejected initial design
 (one growing record per partition, rewritten on every append) so the
@@ -19,6 +27,7 @@ portioning optimization can be measured as an ablation.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,7 +45,9 @@ from .serialization import (
 
 __all__ = ["PartitionStore"]
 
-_KEY_BYTES = 8
+#: Index values: a tag byte, then the entries inline or a page reference.
+_INLINE, _ON_PAGE = b"\x00", b"\x01"
+_PAGE_REF = struct.Struct(">QI")  # page id, byte length
 
 
 def _portion_key(partition: int, portion: int) -> bytes:
@@ -63,25 +74,28 @@ class PartitionStore:
         self.num_partitions = num_partitions
         self.monolithic = monolithic
         self.entry_size = partition_entry_size(signature_bytes)
-        max_value = self._max_value_bytes(pool)
-        default = max(1, max_value // self.entry_size)
-        self.portion_entries = portion_entries or default
-        if self.portion_entries * self.entry_size > max_value:
+        payload = pool.disk.payload_size
+        self.portion_entries = portion_entries or max(1, payload // self.entry_size)
+        if self.portion_entries * self.entry_size > payload:
             raise ConfigurationError(
                 f"{self.portion_entries} entries of {self.entry_size} bytes "
-                f"exceed the {max_value}-byte record limit"
+                f"exceed the {payload}-byte page"
             )
-        self._tree = BTree.create(pool)
-        # Cached handle: every portion flush is a spill of buffered
-        # partition entries to temporary B-tree records — the ledger's
-        # "spill bytes" resource.
+        # Monolithic records are rewritten in place, so that tree exists
+        # from the start; the portion index is built at seal().
+        self._tree: BTree | None = BTree.create(pool) if monolithic else None
+        # Cached handle: every portion written is a spill of buffered
+        # partition entries to temporary pages — the ledger's "spill
+        # bytes" resource.
         self._spill_counter = get_registry().counter(
             "setjoin_spill_bytes_total",
-            "Partition-entry bytes spilled to temporary B-tree records",
+            "Partition-entry bytes spilled to temporary portions",
         )
         self._buffers: list[bytearray] = [bytearray() for __ in range(num_partitions)]
         self._portion_counts = [0] * num_partitions
         self._entry_counts = [0] * num_partitions
+        self._index: list[tuple[bytes, bytes]] = []  # (key, value), seal sorts
+        self._pages: list[int] = []  # portion pages, freed by drop()
         self._sealed = False
         self._dropped = False
         self._attached = False
@@ -97,11 +111,15 @@ class PartitionStore:
 
     @property
     def meta_page_id(self) -> int:
-        """Page id of the backing B-tree's meta page.
+        """Page id of the portion index's meta page.
 
         Together with the disk file this fully identifies a sealed store,
         so another process can :meth:`attach` a read-only view of it.
         """
+        if self._tree is None:
+            raise ConfigurationError(
+                "the portion index is built by seal(); seal the store first"
+            )
         return self._tree.meta_page_id
 
     @classmethod
@@ -132,9 +150,7 @@ class PartitionStore:
         store.num_partitions = num_partitions
         store.monolithic = False
         store.entry_size = partition_entry_size(signature_bytes)
-        store.portion_entries = max(
-            1, cls._max_value_bytes(pool) // store.entry_size
-        )
+        store.portion_entries = max(1, pool.disk.payload_size // store.entry_size)
         store._tree = BTree(pool, meta_page_id)
         store._buffers = []
         store._portion_counts = [0] * num_partitions
@@ -156,37 +172,53 @@ class PartitionStore:
         if self._sealed:
             raise ConfigurationError("partition store already sealed")
         self._check_partition(partition)
-        self._append_entry(
-            partition, encode_partition_entry(signature, tid, self.signature_bytes)
-        )
+        entry = encode_partition_entry(signature, tid, self.signature_bytes)
+        self._entry_counts[partition] += 1
+        if self.monolithic:
+            self._append_monolithic(partition, entry)
+        else:
+            self._append_run(partition, entry)
 
-    def append_entries(self, partitions: "Sequence[int]", raw: bytes) -> None:
+    def append_entries(
+        self, partitions: "Sequence[int] | np.ndarray", raw: bytes
+    ) -> None:
         """Append a run of encoded entries, ``raw`` holding one fixed-width
         entry (see :func:`~.serialization.encode_partition_entry`) per
         element of ``partitions``, in order.
 
-        The entries take effect one by one in that order — a portion is
-        flushed the moment its partition's buffer fills — so the records
-        and their B-tree insert order are those of as many :meth:`append`
-        calls.  A partition out of range fails the run before any of it is
+        Each partition receives its entries in run order, so its portions
+        are those of as many :meth:`append` calls.  The run is grouped by
+        partition with one stable sort and each partition's share appended
+        as one slice, partitions in ascending order; which pages the full
+        portions land on is all that differs from entry-by-entry appends.
+        A partition out of range fails the run before any of it is
         appended.
         """
         if self._sealed:
             raise ConfigurationError("partition store already sealed")
-        if partitions and not (
-            0 <= min(partitions) and max(partitions) < self.num_partitions
-        ):
-            for partition in partitions:
-                self._check_partition(partition)
+        partitions = np.asarray(partitions, dtype=np.int64)
         size = self.entry_size
         if len(raw) != size * len(partitions):
             raise ConfigurationError(
                 f"{len(partitions)} partitions for {len(raw)} bytes of "
                 f"{size}-byte entries"
             )
-        append_entry = self._append_entry
-        for offset, partition in zip(range(0, len(raw), size), partitions):
-            append_entry(partition, raw[offset : offset + size])
+        outside = (partitions < 0) | (partitions >= self.num_partitions)
+        if outside.any():
+            self._check_partition(int(partitions[outside.argmax()]))
+        if self.monolithic:
+            self._append_monolithic_run(partitions, raw)
+            return
+        order = np.argsort(partitions, kind="stable")
+        grouped = np.frombuffer(raw, dtype=f"V{size}")[order].tobytes()
+        counts = np.bincount(partitions, minlength=self.num_partitions)
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[present].tolist()
+        for partition, count, end in zip(
+            present.tolist(), counts[present].tolist(), ends
+        ):
+            self._entry_counts[partition] += count
+            self._append_run(partition, grouped[(end - count) * size : end * size])
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.num_partitions:
@@ -194,21 +226,46 @@ class PartitionStore:
                 f"partition {partition} out of range 0..{self.num_partitions - 1}"
             )
 
-    def _append_entry(self, partition: int, entry: bytes) -> None:
-        self._entry_counts[partition] += 1
-        if self.monolithic:
-            self._append_monolithic(partition, entry)
-            return
+    def _append_run(self, partition: int, run: bytes) -> None:
+        """Buffer ``run`` for ``partition``, writing out every portion
+        it fills."""
         buffer = self._buffers[partition]
-        buffer += entry
-        if len(buffer) >= self.portion_entries * self.entry_size:
-            self._flush_portion(partition)
+        buffer += run
+        full = self.portion_entries * self.entry_size
+        if len(buffer) < full:
+            return
+        cut = len(buffer) - len(buffer) % full
+        for start in range(0, cut, full):
+            self._write_portion(partition, buffer[start : start + full])
+        del buffer[:cut]
+
+    def _write_portion(self, partition: int, run: bytes) -> None:
+        """Give ``run`` the next portion number of ``partition``: inline in
+        the index if it fits a B-tree record, else on a page of its own."""
+        key = _portion_key(partition, self._portion_counts[partition])
+        self._portion_counts[partition] += 1
+        if len(run) >= self._max_value_bytes(self.pool):
+            frame = self.pool.new_page()
+            self._pages.append(frame.page_id)
+            frame.data[: len(run)] = run
+            self.pool.unpin(frame.page_id, dirty=True)
+            value = _ON_PAGE + _PAGE_REF.pack(frame.page_id, len(run))
+        else:
+            value = _INLINE + run
+        self._index.append((key, value))
+        self._spill_counter.inc(len(run))
+
+    def _append_monolithic_run(self, partitions: np.ndarray, raw: bytes) -> None:
+        # The rejected design rewrites its record on every appended entry.
+        size = self.entry_size
+        for at, partition in enumerate(partitions.tolist()):
+            self._entry_counts[partition] += 1
+            self._append_monolithic(partition, raw[at * size : (at + 1) * size])
 
     def _append_monolithic(self, partition: int, entry: bytes) -> None:
         # Rejected design from the paper: read-modify-write one record.
         key = _portion_key(partition, 0)
-        existing = self._tree.get(key) or b""
-        record = existing + entry
+        record = (self._tree.get(key) or _INLINE) + entry
         if len(record) > self._max_value_bytes(self.pool):
             raise ConfigurationError(
                 "monolithic partition record overflowed; use portioned mode "
@@ -217,23 +274,21 @@ class PartitionStore:
         self._tree.insert(key, record)
         self._spill_counter.inc(len(entry))
 
-    def _flush_portion(self, partition: int) -> None:
-        buffer = self._buffers[partition]
-        if not buffer:
-            return
-        key = _portion_key(partition, self._portion_counts[partition])
-        self._tree.insert(key, bytes(buffer))
-        self._spill_counter.inc(len(buffer))
-        self._portion_counts[partition] += 1
-        buffer.clear()
-
     def seal(self) -> None:
-        """Flush all partial portions; the store becomes read-only."""
+        """Write out all partial portions and bulk-build the portion
+        index; the store becomes read-only."""
         if self._sealed:
             return
         if not self.monolithic:
-            for partition in range(self.num_partitions):
-                self._flush_portion(partition)
+            for partition, buffer in enumerate(self._buffers):
+                if buffer:
+                    self._write_portion(partition, bytes(buffer))
+                    buffer.clear()
+            # Written once and never updated: no slack for later inserts.
+            self._tree = BTree.bulk_create(
+                self.pool, sorted(self._index), fill_fraction=1.0
+            )
+            self._index = []
         self._sealed = True
 
     @property
@@ -242,9 +297,10 @@ class PartitionStore:
         return self._dropped
 
     def drop(self) -> int:
-        """Free the store's pages (partitions are temporary); returns the
-        number of pages reclaimed.  Idempotent; the store must not be
-        written or scanned afterwards."""
+        """Free the store's pages (partitions are temporary): every portion
+        page and the index, sealed or not.  Returns the number of pages
+        reclaimed.  Idempotent; the store must not be written or scanned
+        afterwards."""
         if self._attached:
             raise ConfigurationError(
                 "a read-only attached view cannot drop the store; "
@@ -254,7 +310,11 @@ class PartitionStore:
             return 0
         self._sealed = True
         self._dropped = True
-        return self._tree.destroy()
+        freed = self._tree.destroy() if self._tree is not None else 0
+        pages, self._pages = self._pages, []
+        for page_id in pages:
+            self.pool.free_page(page_id)
+        return freed + len(pages)
 
     # ------------------------------------------------------------------
     # Read phase
@@ -305,17 +365,37 @@ class PartitionStore:
         self, partition: int, batch_portions: int = 8
     ) -> Iterator[bytes]:
         """Yield the raw entry run of each multi-portion batch."""
-        if not self._sealed:
+        if not self._sealed or self._dropped:
             raise ConfigurationError("seal() the store before scanning")
         start = _portion_key(partition, 0)
         end = _portion_key(partition + 1, 0)
         records: list[bytes] = []
-        for __, record in self._tree.scan(start, end):
-            if len(record) % self.entry_size:
-                raise SerializationError("truncated partition entry")
-            records.append(record)
+        for __, value in self._tree.scan(start, end):
+            records.append(self._portion_bytes(value))
             if len(records) >= batch_portions:
                 yield b"".join(records)
                 records = []
         if records:
             yield b"".join(records)
+
+    def _portion_bytes(self, value: bytes) -> bytes:
+        """The entry run an index value holds or refers to."""
+        tag, body = value[:1], value[1:]
+        if tag == _INLINE:
+            run = body
+        elif tag == _ON_PAGE and len(body) == _PAGE_REF.size:
+            page_id, length = _PAGE_REF.unpack(body)
+            payload = self.pool.disk.payload_size
+            if length > payload:
+                raise SerializationError(
+                    f"portion of {length} bytes on page {page_id} exceeds "
+                    f"the {payload}-byte page"
+                )
+            frame = self.pool.fetch(page_id)
+            run = bytes(frame.data[:length])
+            self.pool.unpin(page_id)
+        else:
+            raise SerializationError(f"corrupt portion index value {value[:16]!r}")
+        if len(run) % self.entry_size:
+            raise SerializationError("truncated partition entry")
+        return run

@@ -745,3 +745,76 @@ class TestInternalNodeStrideDecode:
         assert self.load_both(512, cases["overrun"])[0][0].__name__ == (
             "SerializationError"
         )
+
+
+# ----------------------------------------------------------------------
+# An insert re-encodes only the nodes it changed
+# ----------------------------------------------------------------------
+
+from bisect import bisect_left, bisect_right  # noqa: E402
+
+
+class OldInsertBTree(BTree):
+    """The insert loop as it stood before it skipped unchanged ancestors:
+    every node on the path is re-encoded and dirtied.  Kept verbatim as
+    the oracle for page bytes and buffer accesses."""
+
+    def _insert_into(self, page_id, key, value):
+        node = self._load_node(page_id)
+        if node.is_leaf:
+            index = bisect_left(node.keys, key)
+            if index < len(node.keys) and node.keys[index] == key:
+                node.values[index] = value
+            else:
+                node.keys.insert(index, key)
+                node.values.insert(index, value)
+            return self._store_or_split(node)
+        index = bisect_right(node.keys, key)
+        promotions = self._insert_into(node.children[index], key, value)
+        node.keys[index:index] = [separator for separator, __ in promotions]
+        node.children[index + 1 : index + 1] = [
+            page_id for __, page_id in promotions
+        ]
+        return self._store_or_split(node)
+
+
+class TestInsertDirtiesOnlyWhatChanged:
+    def test_non_splitting_inserts_dirty_only_their_leaves(self):
+        disk, pool, tree = make_tree(page_size=512, capacity=4096)
+        rng = random.Random(5)
+        keys = [key_of(value) for value in rng.sample(range(10**6), 200)]
+        for key in keys:
+            tree.insert(key, b"v" * 20)
+        assert tree.height() == 3
+        pool.flush_all()
+        leaves = set()
+        for key in rng.sample(keys, 30):
+            tree.insert(key, b"w" * 20)  # same size: no leaf splits
+            leaves.add(tree._leaf_for(key).page_id)
+        dirty = {page for page, frame in pool._frames.items() if frame.dirty}
+        assert dirty == leaves and len(leaves) > 5
+        writes = disk.stats.page_writes
+        pool.flush_all()
+        assert disk.stats.page_writes - writes == len(leaves)
+
+    @pytest.mark.parametrize("capacity", [8, 64])
+    def test_pages_and_accesses_match_the_old_insert_loop(self, capacity):
+        sides = []
+        for cls in (BTree, OldInsertBTree):
+            disk, pool, __ = make_tree(page_size=512, capacity=capacity)
+            tree = cls(pool, BTree.create(pool).meta_page_id)
+            rng = random.Random(8)
+            for __ in range(2000):
+                tree.insert(rng.randbytes(8),
+                            rng.randbytes(rng.choice([0, 20, 60, 200])))
+            pool.flush_all()
+            sides.append((
+                [disk.read_page(page) for page in range(disk.num_pages)],
+                pool.stats.hits, pool.stats.misses, disk.stats.page_writes,
+            ))
+        (pages, hits, misses, writes), (old_pages, old_hits, old_misses,
+                                        old_writes) = sides
+        assert tree.height() >= 3
+        assert pages == old_pages
+        assert (hits, misses) == (old_hits, old_misses)
+        assert writes < old_writes

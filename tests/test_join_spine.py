@@ -170,7 +170,8 @@ def test_disk_intersection_join_accounting_is_pinned(
     assert _counters(metrics) == {
         "y": 2228, "x": 71411, "candidates": 14645,
         "set_comparisons": 14645, "false_positives": false_positives,
-        "io": [(16, 19), (13, 0), (13, 0)],
+        # Portion pages (DESIGN.md §1.12): partitioning (16, 19) before.
+        "io": [(14, 17), (13, 0), (13, 0)],
     }
 
 
@@ -188,13 +189,15 @@ class _ElementReplicating(Partitioner):
     assign_s = assign_r
 
 
+#: Partitioning I/O under portion pages (DESIGN.md §1.12); it was (16, 11)
+#: and (16, 12) when portions were inserted into the B-tree one by one.
 @pytest.mark.parametrize("make, x, y, candidates, false_positives, io", [
     (lambda: make_partitioner("DCJ", 16, 3, 10), 15089, 947, 2448, 2195,
-     {False: [(16, 11), (3, 0), (13, 0)],
-      True: [(16, 11), (60, 0), (181, 0)]}),
+     {False: [(13, 8), (3, 0), (13, 0)],
+      True: [(13, 8), (60, 0), (181, 0)]}),
     (lambda: _ElementReplicating(8), 48181, 1351, 3266, 3013,
-     {False: [(16, 12), (3, 0), (13, 0)],
-      True: [(16, 12), (29, 0), (86, 0)]}),
+     {False: [(13, 9), (3, 0), (13, 0)],
+      True: [(13, 9), (29, 0), (86, 0)]}),
 ])
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_deferred_and_interleaved_verification_are_pinned(

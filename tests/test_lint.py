@@ -15,7 +15,10 @@ the serving side takes no ``engine`` parameter.
 
 A last walk keeps the partition path columnar (DESIGN.md, "Columnar batch
 path"): ``partition_relation`` makes no per-tuple call, and the B-tree node
-codec never sizes an entry by encoding its length.
+codec never sizes an entry by encoding its length.  Its store keeps
+portion pages (DESIGN.md, "Portion pages"): ``append_entries`` does not
+loop over entry offsets, and nothing but the monolithic ablation inserts
+into a B-tree.
 
 Two walks keep verification one forward pass (DESIGN.md, "One-pass
 verification"): the fetch-and-verify functions build no set and call no
@@ -182,6 +185,43 @@ def test_partition_loop_and_node_codec_stay_columnar():
     assert not bad, (
         "per-tuple or per-key call on the columnar path (use the batch "
         "interface / the length-prefix helpers):\n" + "\n".join(bad)
+    )
+
+
+#: The one partition-store function allowed a B-tree insert: the
+#: monolithic ablation's read-modify-write of its record.
+MONOLITHIC_PATH = "_append_monolithic"
+
+
+def test_partition_store_appends_runs_and_inserts_nothing():
+    source = LIBRARY_ROOT / "storage" / "partition_store.py"
+    store = ast.parse(source.read_text())
+    bad = []
+    (append_entries,) = _functions(store, ("append_entries",))
+    for node in ast.walk(append_entries):
+        if isinstance(node, ast.For) and any(
+            isinstance(inner, ast.Call)
+            and getattr(inner.func, "id", None) == "range"
+            for inner in ast.walk(node.iter)
+        ):
+            bad.append(f"storage/partition_store.py:{node.lineno}: "
+                       "append_entries loops over entry offsets")
+    for function in ast.walk(store):
+        if (not isinstance(function, ast.FunctionDef)
+                or function.name == MONOLITHIC_PATH):
+            continue
+        bad += [
+            f"storage/partition_store.py:{node.lineno}: "
+            f"{function.name} calls .insert()"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "insert"
+        ]
+    assert not bad, (
+        "the partition store inserts into a B-tree or appends entry by "
+        "entry (write full portions to pages, bulk-build the index at "
+        "seal, group a run by partition):\n" + "\n".join(bad)
     )
 
 
