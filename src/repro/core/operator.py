@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 ENGINES = ("python", "numpy")
+
+_TID = attrgetter("tid")
+_TID_AND_SET = attrgetter("tid", "elements")
 
 #: ``(signatures, tids)``, the signatures as :func:`pack_signatures` words.
 PackedBlock = tuple[np.ndarray, np.ndarray]
@@ -343,19 +347,18 @@ class Testbed:
         """Store both input relations (R = subset side, S = superset side).
 
         Loads in tid order through the B-tree bulk loader (pages written
-        once, no splits).
+        once, no splits).  The rows are sorted by tid and streamed as
+        ``(tid, elements)`` pairs, a batch at a time: no pair outlives its
+        batch, so a load leaves the collector no long-lived objects to
+        trace.
         """
         self.relation_r = RelationStore.create_sorted(
-            self.pool,
-            sorted((row.tid, row.elements) for row in lhs),
-            payload_size,
-            name=lhs.name or "R",
+            self.pool, map(_TID_AND_SET, sorted(lhs, key=_TID)),
+            payload_size, name=lhs.name or "R",
         )
         self.relation_s = RelationStore.create_sorted(
-            self.pool,
-            sorted((row.tid, row.elements) for row in rhs),
-            payload_size,
-            name=rhs.name or "S",
+            self.pool, map(_TID_AND_SET, sorted(rhs, key=_TID)),
+            payload_size, name=rhs.name or "S",
         )
         self.pool.flush_all()
 

@@ -52,10 +52,16 @@ FUNCTION_PHASES = {
     "run_shard": "join.worker",
     "signature_of": "partition.signature",
     "signature_matrix": "partition.signature",
+    # The relation load, so a profile names it and not the B-tree module it
+    # packs leaves in.  ``bulk_create_runs`` is absent: the partition
+    # store's ``seal`` packs its index there too.
+    "create_sorted": "storage.load",
+    "_entry_run": "storage.load",
     # The columnar partition loop's own steps, so the report names the step
-    # and not just ``partition_relation``.  ``scan_batches`` and the batch
-    # decoder are deliberately absent: the partition loop and ``probe``
-    # share them, and the walk reaches whichever called them.
+    # and not just ``partition_relation``.  ``scan_batches``, its leaf-group
+    # parse (``leaf_entries``, ``parse_leaves``) and the batch decoder are
+    # deliberately absent: the partition loop and ``probe`` share them, and
+    # the walk reaches whichever called them.
     "evaluate_batch": "partition",
     "_route_batch": "partition",
     "assign_batch": "partition",

@@ -37,21 +37,36 @@ separators ``<= k``.  Separator ``k_i`` is the smallest key in subtree
 
 from __future__ import annotations
 
+import operator
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from ..errors import BTreeError, SerializationError
 from .buffer import BufferPool
-from .serialization import decode_uvarint, encode_uvarint
+from .serialization import (
+    decode_uvarint,
+    encode_uvarint,
+    scatter_varints,
+    varint_widths,
+)
 
-__all__ = ["BTree"]
+__all__ = [
+    "BTree", "LeafEntries", "entry_limit", "leaf_entry_run", "parse_leaves",
+]
 
 _INTERNAL = 0
 _LEAF = 1
 _HEADER_SIZE = 11
 _NO_LEAF = 0
 _MAX_DEPTH = 64  # guards descent against cycles from corrupted pages
+
+#: Items :meth:`BTree.bulk_create` encodes into one run.  A memory bound,
+#: not a knob: leaves span runs, so the pages do not depend on it.
+_RUN_ITEMS = 1024
 
 # The node codec runs on every insert, lookup and scan step, over every key
 # of the node; lengths below 0x80 -- every key, most values -- take the
@@ -78,6 +93,168 @@ def _leaf_entry_size(key: bytes, value: bytes) -> int:
 
 def _internal_entry_size(key: bytes) -> int:
     return _prefixed_size(key) + 8
+
+
+def entry_limit(payload_size: int) -> int:
+    """The largest ``len(key) + len(value) + 10`` an entry may have: any
+    two entries must fit one node, otherwise a split cannot shrink it."""
+    return (payload_size - _HEADER_SIZE - 16) // 2
+
+
+def _entry_key(data: bytes, offset: int) -> bytes:
+    """The key of the leaf entry starting at ``data[offset]``."""
+    length, start = decode_uvarint(data, offset)
+    return data[start : start + length]
+
+
+def _item_runs(items, limit: int) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Key-ordered ``(key, value)`` items as the runs of
+    :meth:`BTree.bulk_create_runs`, :data:`_RUN_ITEMS` at a time.
+
+    Checked on the way, and failing at the first bad item in input order:
+    keys strictly increasing (across runs too), and every entry within
+    ``limit`` (see :func:`entry_limit`).
+    """
+    items = iter(items)
+    previous: list[bytes] = []  # the last key of the run before
+    while batch := list(islice(items, _RUN_ITEMS)):
+        keys = list(map(operator.itemgetter(0), batch))
+        values = list(map(operator.itemgetter(1), batch))
+        sequence = previous + keys
+        ordered = list(map(operator.lt, sequence, sequence[1:]))
+        # The first key not above the one before it, or past the last key.
+        unordered = (ordered + [False]).index(False) + 1
+        key_lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        value_lengths = np.fromiter(map(len, values), dtype=np.int64,
+                                    count=len(values))
+        sizes = key_lengths + value_lengths + 10
+        oversize = np.flatnonzero(sizes > limit)
+        if oversize.size and oversize[0] + len(previous) < unordered:
+            raise BTreeError(
+                f"entry of {sizes[oversize[0]]} bytes exceeds per-entry "
+                f"limit {limit}"
+            )
+        if unordered < len(sequence):
+            raise BTreeError(
+                "bulk_create requires strictly increasing keys; "
+                f"{sequence[unordered]!r} after {sequence[unordered - 1]!r}"
+            )
+        previous = keys[-1:]
+        data = b"".join(chain.from_iterable(zip(
+            map(_length_prefix, key_lengths.tolist()), keys,
+            map(_length_prefix, value_lengths.tolist()), values,
+        )))
+        ends = np.cumsum(
+            sizes - 10 + varint_widths(key_lengths) + varint_widths(value_lengths)
+        )
+        yield data, ends
+
+
+def leaf_entry_run(
+    keys: np.ndarray, values: np.ndarray, value_lengths: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Entries of fixed-width keys as a run of :meth:`BTree.bulk_create_runs`.
+
+    ``keys`` is an ``(n, width)`` uint8 array (``width`` below 128), one
+    key a row; ``values`` holds the ``n`` values back to back, value ``i``
+    ``value_lengths[i]`` bytes long.  Each entry is laid out with array
+    operations: the key-length byte and the key, then the value-length
+    varint, around its value.
+    """
+    count, width = keys.shape
+    widths = varint_widths(value_lengths)
+    heads = 1 + width + widths
+    ends = np.cumsum(heads + value_lengths)
+    starts = ends - heads - value_lengths
+    out = np.empty(int(ends[-1]) if count else 0, dtype=np.uint8)
+    # Head, value, head, value, ...: the values tile ``values`` in order.
+    is_value = np.repeat(
+        np.tile([False, True], count),
+        np.column_stack((heads, value_lengths)).ravel(),
+    )
+    out[is_value] = values
+    out[starts] = width
+    out[starts[:, None] + np.arange(1, 1 + width)] = keys
+    scatter_varints(out, starts + 1 + width, value_lengths, widths)
+    return out.tobytes(), ends
+
+
+class LeafEntries(NamedTuple):
+    """The entries of a group of leaves, parsed as arrays (see
+    :meth:`BTree.leaf_entries`).
+
+    ``data`` holds the leaves' page payloads back to back, in chain order.
+    Entry ``i``, in key order, has its key at ``key_starts[i]`` and its
+    value at ``value_starts[i]`` in ``data``, ``key_lengths[i]`` and
+    ``value_lengths[i]`` bytes long.
+    """
+
+    data: np.ndarray
+    key_starts: np.ndarray
+    key_lengths: np.ndarray
+    value_starts: np.ndarray
+    value_lengths: np.ndarray
+
+
+def _lengths_at(
+    data: np.ndarray, at: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The length varints at positions ``at`` of ``data``, each inside a
+    leaf ending at ``ends``: ``(lengths, positions after the varints)``.
+    Raises :class:`SerializationError` for a varint or a length that runs
+    past its leaf."""
+    if (at >= ends).any():
+        raise SerializationError("truncated leaf entry")
+    first = data[at]
+    lengths = (first & 0x7F).astype(np.int64)
+    after = at + 1
+    wide = np.flatnonzero(first >= 0x80)
+    for shift in range(7, 63, 7):
+        if not wide.size:
+            break
+        at = after[wide]
+        if (at >= ends[wide]).any():
+            raise SerializationError("truncated uvarint")
+        byte = data[at]
+        lengths[wide] |= (byte & 0x7F).astype(np.int64) << shift
+        after[wide] += 1
+        wide = wide[byte >= 0x80]
+    else:
+        if wide.size:
+            raise SerializationError("uvarint too long")
+    if (lengths > ends - after).any():
+        raise SerializationError("leaf entry runs past its page")
+    return lengths, after
+
+
+def parse_leaves(data: np.ndarray, payload_size: int) -> LeafEntries:
+    """Every entry of the leaf pages held back to back in ``data``.
+
+    Step ``i`` reads the ``i``-th entry of every leaf that has one, so a
+    group of leaves costs one pass per entry of its fullest leaf, not one
+    per entry.  An entry that does not fit its page raises
+    :class:`SerializationError`.
+    """
+    pages = data.reshape(-1, payload_size)
+    counts = (pages[:, 1].astype(np.int64) << 8) | pages[:, 2]
+    width = int(counts.max(initial=0))
+    if width > (payload_size - _HEADER_SIZE) // 2:  # two length bytes at least
+        raise SerializationError(f"a leaf claims {width} entries")
+    # Per (leaf, step): key start, key length, value start, value length.
+    columns = np.zeros((4, len(counts), width), dtype=np.int64)
+    live = np.arange(len(counts))
+    at = live * payload_size + _HEADER_SIZE
+    ends = (live + 1) * payload_size
+    for step in range(width):
+        done = counts[live] <= step
+        if done.any():
+            live, at, ends = live[~done], at[~done], ends[~done]
+        lengths, at = _lengths_at(data, at, ends)
+        columns[0, live, step], columns[1, live, step] = at, lengths
+        lengths, at = _lengths_at(data, at + lengths, ends)
+        columns[2, live, step], columns[3, live, step] = at, lengths
+        at = at + lengths
+    return LeafEntries(data, *columns[:, np.arange(width) < counts[:, None]])
 
 
 class _Node:
@@ -141,75 +318,141 @@ class BTree:
 
         Packs leaves left-to-right to ``fill_fraction`` of the page, then
         builds each internal level over the one below — no splits, no
-        rebalancing, each page written once.  This is how the testbed
-        loads relations (tuples arrive in tid order); it is much faster
-        than repeated :meth:`insert` and produces a compact tree.
+        rebalancing, each page written once.  It is much faster than
+        repeated :meth:`insert` and produces a compact tree.  The items
+        are encoded into runs for :meth:`bulk_create_runs`, the one packer.
 
-        Keys must be strictly increasing; a violation raises
-        :class:`BTreeError`.
+        Keys must be strictly increasing and every entry within
+        :func:`entry_limit`; a violation raises :class:`BTreeError`, after
+        the pages allocated so far are freed.
+        """
+        limit = entry_limit(pool.disk.payload_size)
+        return cls.bulk_create_runs(pool, _item_runs(items, limit), fill_fraction)
+
+    @classmethod
+    def bulk_create_runs(
+        cls,
+        pool: BufferPool,
+        runs: "Iterable[tuple[bytes, np.ndarray]]",
+        fill_fraction: float = 0.9,
+    ) -> "BTree":
+        """Build a tree bottom-up from runs of encoded leaf entries.
+
+        A run is ``(data, ends)``: entries back to back in the leaf layout
+        (key-length varint, key, value-length varint, value), entry ``i``
+        being ``data[ends[i - 1]:ends[i]]``.  Keys must be strictly
+        increasing across all runs and every entry within
+        :func:`entry_limit`; the producers check both with arrays
+        (:meth:`bulk_create` and ``RelationStore.create_sorted``).
+
+        Leaves are packed left to right to ``fill_fraction`` of the page:
+        one ``searchsorted`` per leaf finds where the entry sizes exceed
+        the budget, and the leaf is written as one slice of its run; a
+        leaf may span runs.  Then each internal level is built over the
+        one below.  The pages, their allocation order and the pool's
+        fetch/unpin sequence are those of packing entry by entry.
+
+        If the build fails — a producer's check, an I/O error — every page
+        it allocated (meta, leaves, internal nodes) is freed before the
+        error propagates, so a rejected load strands nothing.
         """
         if not 0.1 <= fill_fraction <= 1.0:
             raise BTreeError(f"fill fraction {fill_fraction} outside [0.1, 1]")
         tree = cls.create(pool)
-        budget = int((pool.disk.payload_size - _HEADER_SIZE) * fill_fraction)
-
-        # Level 0: pack leaves.
-        leaves: list[tuple[bytes, int]] = []  # (first key, page id)
-        current = tree._load_node(tree._root_id)  # the empty root leaf
-        used = 0
-        previous_key: bytes | None = None
-        for key, value in items:
-            if previous_key is not None and key <= previous_key:
-                raise BTreeError(
-                    "bulk_create requires strictly increasing keys; "
-                    f"{key!r} after {previous_key!r}"
-                )
-            previous_key = key
-            tree._check_entry(key, value)
-            size = _leaf_entry_size(key, value)
-            if current.keys and used + size > budget:
-                fresh = tree._new_node(is_leaf=True)
-                current.next_leaf = fresh.page_id
-                tree._store_node(current)
-                leaves.append((bytes(current.keys[0]), current.page_id))
-                current = fresh
-                used = 0
-            current.keys.append(key)
-            current.values.append(value)
-            used += size
-        tree._store_node(current)
-        leaves.append((bytes(current.keys[0]) if current.keys else b"",
-                       current.page_id))
-
-        # Upper levels: pack (separator, child) runs until one node remains.
-        level = leaves
-        while len(level) > 1:
-            parent_budget = int(
-                (pool.disk.payload_size - _HEADER_SIZE - 8) * fill_fraction
-            )
-            next_level: list[tuple[bytes, int]] = []
-            node = tree._new_node(is_leaf=False)
-            node.children.append(level[0][1])
-            first_key = level[0][0]
-            used = 0
-            for separator, child in level[1:]:
-                size = _internal_entry_size(separator)
-                if node.keys and used + size > parent_budget:
-                    tree._store_node(node)
-                    next_level.append((first_key, node.page_id))
-                    node = tree._new_node(is_leaf=False)
-                    node.children.append(child)
-                    first_key = separator
-                    used = 0
-                    continue
-                node.keys.append(separator)
-                node.children.append(child)
-                used += size
-            tree._store_node(node)
-            next_level.append((first_key, node.page_id))
-            level = next_level
-        tree._write_meta(level[0][1])
+        pages = [tree.meta_page_id, tree._root_id]
+        try:
+            level = tree._pack_leaves(runs, fill_fraction, pages)
+            while len(level) > 1:
+                level = tree._pack_level(level, fill_fraction, pages)
+            tree._write_meta(level[0][1])
+        except BaseException:
+            for page_id in pages:
+                pool.free_page(page_id)
+            raise
         return tree
+
+    def _pack_leaves(self, runs, fill_fraction, pages) -> list[tuple[bytes, int]]:
+        """Level 0 of :meth:`bulk_create_runs`: ``(first key, page id)``
+        per leaf, allocated pages appended to ``pages``."""
+        pool = self.pool
+        budget = int((pool.disk.payload_size - _HEADER_SIZE) * fill_fraction)
+        leaves: list[tuple[bytes, int]] = []
+        page_id = self._root_id  # the open leaf, the empty root first
+        pool.fetch(page_id)
+        pool.unpin(page_id)
+        # The open leaf's entries, then each run's after them.
+        data, ends = b"", np.zeros(0, dtype=np.int64)
+        for run, run_ends in runs:
+            data, ends = data + run, np.concatenate((ends, run_ends + len(data)))
+            first, offset = 0, 0  # the open leaf's first entry and byte
+            while True:
+                stop = max(first + 1, int(np.searchsorted(
+                    ends, offset + budget, side="right")))
+                if stop >= len(ends):
+                    break  # the next run may still fit the open leaf
+                fresh = self._allocate(pages, is_leaf=True)
+                end = int(ends[stop - 1])
+                self._write_leaf(page_id, data[offset:end], stop - first,
+                                 fresh.page_id)
+                leaves.append((_entry_key(data, offset), page_id))
+                page_id, first, offset = fresh.page_id, stop, end
+            data, ends = data[offset:], ends[first:] - offset
+        self._write_leaf(page_id, data, len(ends), None)
+        leaves.append((_entry_key(data, 0) if data else b"", page_id))
+        return leaves
+
+    def _pack_level(self, level, fill_fraction, pages) -> list[tuple[bytes, int]]:
+        """One internal level over ``level``'s ``(first key, page id)``
+        pairs, allocated pages appended to ``pages``."""
+        budget = int(
+            (self.pool.disk.payload_size - _HEADER_SIZE - 8) * fill_fraction
+        )
+        next_level: list[tuple[bytes, int]] = []
+        node = self._allocate(pages, is_leaf=False)
+        node.children.append(level[0][1])
+        first_key = level[0][0]
+        used = 0
+        for separator, child in level[1:]:
+            size = _internal_entry_size(separator)
+            if node.keys and used + size > budget:
+                self._store_node(node)
+                next_level.append((first_key, node.page_id))
+                node = self._allocate(pages, is_leaf=False)
+                node.children.append(child)
+                first_key = separator
+                used = 0
+                continue
+            node.keys.append(separator)
+            node.children.append(child)
+            used += size
+        self._store_node(node)
+        next_level.append((first_key, node.page_id))
+        return next_level
+
+    def _allocate(self, pages: list[int], is_leaf: bool) -> _Node:
+        node = self._new_node(is_leaf)
+        pages.append(node.page_id)
+        return node
+
+    def _write_leaf(
+        self, page_id: int, entries: bytes, count: int, next_leaf: int | None
+    ) -> None:
+        """Store a leaf of ``count`` already-encoded ``entries``."""
+        capacity = self.pool.disk.payload_size
+        end = _HEADER_SIZE + len(entries)
+        if end > capacity:
+            raise BTreeError(
+                f"leaf {page_id} serializes to {end} bytes "
+                f"> page payload capacity {capacity}"
+            )
+        next_ref = _NO_LEAF if next_leaf is None else next_leaf + 1
+        frame = self.pool.fetch(page_id)
+        frame.data[:_HEADER_SIZE] = (
+            bytes([_LEAF]) + count.to_bytes(2, "big") + next_ref.to_bytes(8, "big")
+        )
+        frame.data[_HEADER_SIZE:end] = entries
+        frame.data[end:] = bytes(capacity - end)
+        self.pool.unpin(page_id, dirty=True)
 
     def _read_meta(self) -> int:
         frame = self.pool.fetch(self.meta_page_id)
@@ -448,6 +691,48 @@ class BTree:
                 index = 0
             yield None
 
+    def leaf_entries(self, leaves: int) -> Iterator[LeafEntries]:
+        """Every entry of the tree, ``leaves`` leaves at a time, parsed as
+        arrays by :func:`parse_leaves`.
+
+        Reads the pages a full :meth:`scan` reads, in the order it reads
+        them — one descent to the leftmost leaf, then the leaf chain — one
+        pool fetch each, but decodes no node: each page is copied out of
+        its frame and a group is parsed at once.
+        """
+        pages = self._leaf_pages()
+        payload_size = self.pool.disk.payload_size
+        while group := list(islice(pages, leaves)):
+            data = np.frombuffer(b"".join(group), dtype=np.uint8)
+            yield parse_leaves(data, payload_size)
+
+    def _leaf_pages(self) -> Iterator[bytes]:
+        """The payload of every leaf page, left to right."""
+        page_id, depth = self._root_id, 0
+        while True:
+            frame = self.pool.fetch(page_id)
+            data = bytes(frame.data)
+            self.pool.unpin(page_id)
+            if data[0] == _LEAF:
+                break
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise BTreeError("descent exceeded max depth; tree corrupt?")
+            page_id = int.from_bytes(data[_HEADER_SIZE : _HEADER_SIZE + 8], "big")
+        while True:
+            yield data
+            next_ref = int.from_bytes(data[3:_HEADER_SIZE], "big")
+            if next_ref == _NO_LEAF:
+                return
+            page_id = next_ref - 1
+            frame = self.pool.fetch(page_id)
+            data = bytes(frame.data)
+            self.pool.unpin(page_id)
+            if data[0] != _LEAF:
+                raise SerializationError(
+                    f"the leaf chain reaches page {page_id}, which is not a leaf"
+                )
+
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Full ordered scan."""
         return self.scan()
@@ -496,7 +781,7 @@ class BTree:
     def _check_entry(self, key: bytes, value: bytes) -> None:
         # An entry must leave room for at least two entries per node,
         # otherwise a split cannot reduce node size.
-        limit = (self.pool.disk.payload_size - _HEADER_SIZE - 16) // 2
+        limit = entry_limit(self.pool.disk.payload_size)
         entry_size = len(key) + len(value) + 10
         if entry_size > limit:
             raise BTreeError(

@@ -13,14 +13,16 @@ fixed-width encodings.
 
 Tuple records have two coders for one format.  The scalar pair
 (:func:`encode_tuple_record` / :func:`decode_tuple_record`) is the
-one-record API and the oracle; the batch pair (:func:`encode_tuple_records`
-/ :func:`decode_tuple_records`) does the same work for a run of records
-with array operations and no per-element Python (DESIGN.md, "Columnar
-batch path").
+one-record API and the oracle; the batch pair (:func:`encode_tuple_buffer`
+/ :func:`decode_tuple_buffer`) does the same work for a run of records
+held in one buffer, with array operations and no per-element Python
+(DESIGN.md, "Columnar batch path").  :func:`encode_tuple_records` and
+:func:`decode_tuple_records` are the batch pair over a list of ``bytes``.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import chain
 
 import numpy as np
@@ -34,8 +36,12 @@ __all__ = [
     "decode_set",
     "encode_tuple_record",
     "decode_tuple_record",
+    "encode_tuple_buffer",
+    "decode_tuple_buffer",
     "encode_tuple_records",
     "decode_tuple_records",
+    "varint_widths",
+    "scatter_varints",
     "encode_partition_entry",
     "decode_partition_entry",
     "decode_partition_entries",
@@ -161,38 +167,62 @@ def _segment_sort(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def encode_tuple_records(tids, sets, payload: bytes) -> list[bytes]:
-    """:func:`encode_tuple_record` for a run of tuples sharing one payload.
+    """:func:`encode_tuple_record` for a run of tuples sharing one payload:
+    :func:`encode_tuple_buffer`'s records as one ``bytes`` each."""
+    data, bounds = encode_tuple_buffer(tids, sets, payload)
+    buffer, bounds = data.tobytes(), bounds.tolist()
+    return [buffer[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    ``[encode_tuple_record(tid, elements, payload) for ...]`` byte for
-    byte: the values of the whole run (tid, count, element deltas, payload
-    length per record) are laid out in one array, their varint lengths
-    found by comparison and their bytes scattered to their offsets, seven
-    bits per pass.  A tid or element that is not an integer fitting int64
-    sends the run through the scalar encoder, which encodes or rejects it
-    as it always did.
+
+def _flattened(sets, total: int) -> "np.ndarray | None":
+    """Every member of ``sets`` in one int64 array, or ``None`` if one is
+    not an integer that fits.  ``struct`` converts as NumPy's ``fromiter``
+    does, minus its ``int()`` coercion: a float or a string is refused,
+    not truncated or parsed."""
+    try:
+        packed = struct.pack(f"={total}q", *chain.from_iterable(sets))
+    except struct.error:
+        return None
+    return np.frombuffer(packed, dtype=np.int64)
+
+
+def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_tuple_record` for a run of tuples sharing one payload,
+    as one buffer.
+
+    Returns ``(data, bounds)``: a uint8 array and ``n + 1`` int64 offsets,
+    record ``i`` being ``data[bounds[i]:bounds[i + 1]]`` — byte for byte
+    ``encode_tuple_record(tids[i], sets[i], payload)``.  The values of the
+    whole run (tid, count, element deltas, payload length per record) are
+    laid out in one array, their varint lengths found by comparison and
+    their bytes scattered to their offsets, seven bits per pass.  A tid or
+    element that is not an integer fitting int64 sends the run through the
+    scalar encoder, which encodes or rejects it as it always did.
     """
-    sets = [
-        elements if hasattr(elements, "__len__") else list(elements)
-        for elements in sets
-    ]
     count = len(sets)
-    # NumPy infers int64 exactly when every value is an integer that fits.
-    members = list(chain.from_iterable(sets))
-    flat = np.array(members) if members else np.zeros(0, dtype=np.int64)
+    try:
+        cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
+    except TypeError:  # a generator among the sets: materialize them
+        sets = [
+            elements if hasattr(elements, "__len__") else list(elements)
+            for elements in sets
+        ]
+        cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
+    flat = _flattened(sets, int(cardinalities.sum())) if count else None
+    # NumPy infers int64 exactly when every tid is an integer that fits.
     tid_values = np.array(tids)
     if (
-        not count
-        or flat.dtype != np.int64 or tid_values.dtype != np.int64
-        or tid_values.shape != (count,)
+        flat is None
+        or tid_values.dtype != np.int64 or tid_values.shape != (count,)
         or (flat.size and flat.min() < 0) or tid_values.min() < 0
     ):
         # The scalar encoder handles the wide value, or raises on the
         # first record it cannot encode.
-        return [
+        records = [
             encode_tuple_record(tid, elements, payload)
             for tid, elements in zip(tids, sets, strict=True)
         ]
-    cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
+        return np.frombuffer(b"".join(records), dtype=np.uint8), _bounds_of(records)
     ends = np.cumsum(cardinalities)
     starts = ends - cardinalities
     rows = np.repeat(np.arange(count), cardinalities)
@@ -212,50 +242,96 @@ def encode_tuple_records(tids, sets, payload: bytes) -> list[bytes]:
     values[np.arange(flat.size) + 3 * rows + 2] = deltas
     value_record = np.repeat(np.arange(count), cardinalities + 3)
 
-    widths = np.searchsorted(_VARINT_STEPS, values, side="right") + 1
+    widths = varint_widths(values)
     # Each value's first byte: the varint bytes before it plus one payload
     # per earlier record.
     positions = np.cumsum(widths) - widths + len(payload) * value_record
-    record_ends = positions[tail] + widths[tail] + len(payload)
-    out = np.zeros(int(record_ends[-1]), dtype=np.uint8)
-    live = np.arange(values.size)
-    for step in range(int(widths.max())):
-        live = live[widths[live] > step]
-        chunk = (values[live] >> (7 * step)) & 0x7F
-        chunk[widths[live] > step + 1] |= 0x80
-        out[positions[live] + step] = chunk
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    bounds[1:] = positions[tail] + widths[tail] + len(payload)
+    out = np.zeros(int(bounds[-1]), dtype=np.uint8)
+    scatter_varints(out, positions, values, widths)
     if payload.strip(b"\x00"):
-        at = record_ends[:, None] - len(payload) + np.arange(len(payload))
+        at = bounds[1:, None] - len(payload) + np.arange(len(payload))
         out[at] = np.frombuffer(payload, dtype=np.uint8)
-    buffer = out.tobytes()
-    bounds = [0] + record_ends.tolist()
-    return [buffer[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return out, bounds
+
+
+def varint_widths(values: np.ndarray) -> np.ndarray:
+    """Bytes the varint of each (non-negative int64) value takes."""
+    return np.searchsorted(_VARINT_STEPS, values, side="right") + 1
+
+
+def scatter_varints(
+    out: np.ndarray, positions: np.ndarray, values: np.ndarray, widths: np.ndarray
+) -> None:
+    """Write the varint of each value into ``out`` from its position on.
+
+    Seven bits a pass; each pass after the first touches only the values
+    still wider, so a run of mostly one-byte varints costs one full pass.
+    """
+    more = widths > 1
+    out[positions] = (values & 0x7F) | (more << 7)
+    wide = np.flatnonzero(more)
+    step = 1
+    while wide.size:
+        more = widths[wide] > step + 1
+        bits = (values[wide] >> 7 * step) & 0x7F
+        out[positions[wide] + step] = bits | (more << 7)
+        wide = wide[more]
+        step += 1
 
 
 def decode_tuple_records(
     records: "list[bytes]",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode_tuple_buffer` over ``records`` joined."""
+    return decode_tuple_buffer(b"".join(records), _bounds_of(records))
+
+
+def _bounds_of(records: "list[bytes]") -> np.ndarray:
+    """The ``n + 1`` offsets of ``records`` laid back to back."""
+    bounds = np.zeros(len(records) + 1, dtype=np.int64)
+    lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
+
+
+def decode_tuple_buffer(
+    data: "bytes | np.ndarray", bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`decode_tuple_record` for a run of records, as arrays.
 
-    Returns ``(tids, elements, offsets)``: the ``n`` tuple identifiers, one
-    flat array holding every set's elements in ascending order, and
-    ``n + 1`` offsets — record ``i``'s set is
-    ``elements[offsets[i]:offsets[i + 1]]``.  Payloads are located (their
-    length is checked against the record) but not copied.
+    Record ``i`` is ``data[bounds[i]:bounds[i + 1]]`` (``data`` bytes or a
+    uint8 array, ``bounds`` ``n + 1`` ascending offsets; bytes outside
+    ``bounds[0]:bounds[-1]`` are not looked at).  Returns ``(tids,
+    elements, offsets)``: the ``n`` tuple identifiers, one flat array
+    holding every set's elements in ascending order, and ``n + 1`` offsets
+    — record ``i``'s set is ``elements[offsets[i]:offsets[i + 1]]``.
+    Payloads are located (their length is checked against the record) but
+    not copied.
 
-    The varint terminators (bytes below 0x80) of the joined records are
-    found in one comparison; a record's header varints are the terminators
-    from its first byte on, so payload bytes — whatever their value — lie
-    beyond the last one it uses.  Anything the arrays cannot express or
-    vouch for (a corrupt record, a value past int64) sends the run through
+    The varint terminators (bytes below 0x80) of the records are found in
+    one comparison; a record's header varints are the terminators from its
+    first byte on, so payload bytes — whatever their value — lie beyond
+    the last one it uses.  Anything the arrays cannot express or vouch for
+    (a corrupt record, a value past int64) sends the run through
     :func:`decode_tuple_record`, which raises that record's
     :class:`SerializationError` or returns the wide value; the arrays then
     have ``object`` dtype.
     """
-    decoded = _decode_tuple_records(records) if records else None
+    if not isinstance(data, np.ndarray):
+        data = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    data = data[bounds[0] : bounds[-1]]
+    bounds = bounds - bounds[0]
+    decoded = _decode_tuple_records(data, bounds) if len(bounds) > 1 else None
     if decoded is not None:
         return decoded
-    rows = [decode_tuple_record(record) for record in records]
+    spans = bounds.tolist()
+    rows = [
+        decode_tuple_record(data[lo:hi].tobytes())
+        for lo, hi in zip(spans, spans[1:])
+    ]
     sets = [sorted(elements) for __, elements, __ in rows]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(elements) for elements in sets], out=offsets[1:])
@@ -273,14 +349,12 @@ def _int_array(values: "list[int]") -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _decode_tuple_records(records):
-    """The array decoder proper, for a non-empty run; ``None`` where only
-    the scalar one will do."""
-    count = len(records)
-    lengths = np.fromiter(map(len, records), dtype=np.int64, count=count)
-    record_ends = np.cumsum(lengths)
-    record_starts = record_ends - lengths
-    data = np.frombuffer(b"".join(records), dtype=np.uint8)
+def _decode_tuple_records(data: np.ndarray, bounds: np.ndarray):
+    """The array decoder proper, for a non-empty run starting at
+    ``data[0]`` and ending at ``data[-1]``; ``None`` where only the scalar
+    one will do."""
+    count = len(bounds) - 1
+    record_starts, record_ends = bounds[:-1], bounds[1:]
     terminators = np.flatnonzero(data < 0x80)
     # Looking up a varint the data does not hold lands on this sentinel,
     # which lies beyond every record.

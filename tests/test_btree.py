@@ -818,3 +818,234 @@ class TestInsertDirtiesOnlyWhatChanged:
         assert pages == old_pages
         assert (hits, misses) == (old_hits, old_misses)
         assert writes < old_writes
+
+
+# ----------------------------------------------------------------------
+# The one packer against the per-item loader it replaced
+# ----------------------------------------------------------------------
+
+
+def legacy_bulk_create(pool, items, fill_fraction=0.9):
+    """``BTree.bulk_create`` as it stood before runs: one Python step per
+    item, checks included.  Kept verbatim as the oracle for page bytes,
+    page allocation and the pool's fetch/unpin sequence."""
+    if not 0.1 <= fill_fraction <= 1.0:
+        raise BTreeError(f"fill fraction {fill_fraction} outside [0.1, 1]")
+    tree = BTree.create(pool)
+    budget = int((pool.disk.payload_size - btree_module._HEADER_SIZE) * fill_fraction)
+    leaves = []
+    current = tree._load_node(tree._root_id)
+    used = 0
+    previous_key = None
+    for key, value in items:
+        if previous_key is not None and key <= previous_key:
+            raise BTreeError(
+                "bulk_create requires strictly increasing keys; "
+                f"{key!r} after {previous_key!r}"
+            )
+        previous_key = key
+        tree._check_entry(key, value)
+        size = btree_module._leaf_entry_size(key, value)
+        if current.keys and used + size > budget:
+            fresh = tree._new_node(is_leaf=True)
+            current.next_leaf = fresh.page_id
+            tree._store_node(current)
+            leaves.append((bytes(current.keys[0]), current.page_id))
+            current = fresh
+            used = 0
+        current.keys.append(key)
+        current.values.append(value)
+        used += size
+    tree._store_node(current)
+    leaves.append((bytes(current.keys[0]) if current.keys else b"",
+                   current.page_id))
+    level = leaves
+    while len(level) > 1:
+        parent_budget = int(
+            (pool.disk.payload_size - btree_module._HEADER_SIZE - 8) * fill_fraction
+        )
+        next_level = []
+        node = tree._new_node(is_leaf=False)
+        node.children.append(level[0][1])
+        first_key = level[0][0]
+        used = 0
+        for separator, child in level[1:]:
+            size = btree_module._internal_entry_size(separator)
+            if node.keys and used + size > parent_budget:
+                tree._store_node(node)
+                next_level.append((first_key, node.page_id))
+                node = tree._new_node(is_leaf=False)
+                node.children.append(child)
+                first_key = separator
+                used = 0
+                continue
+            node.keys.append(separator)
+            node.children.append(child)
+            used += size
+        tree._store_node(node)
+        next_level.append((first_key, node.page_id))
+        level = next_level
+    tree._write_meta(level[0][1])
+    return tree
+
+
+def pool_image(pool):
+    """Every page's bytes and every I/O counter of ``pool`` and its disk."""
+    pool.flush_all()
+    disk = pool.disk
+    return (
+        [disk.read_page(page) for page in range(disk.num_pages)],
+        (pool.stats.hits, pool.stats.misses, pool.stats.evictions,
+         pool.stats.dirty_writebacks),
+        (disk.stats.page_reads, disk.stats.page_writes),
+    )
+
+
+def mixed_items(rng, count, page_size):
+    """Sorted unique items with key and value lengths either side of the
+    one-byte varint limit, up to the per-entry limit."""
+    limit = btree_module.entry_limit(page_size - 16)
+    items = {}
+    while len(items) < count:
+        key = rng.randbytes(rng.choice([4, 8, 12, 12, 12, 127, 128, 130]))
+        room = limit - 10 - len(key)
+        value = rng.randbytes(min(room, rng.choice([0, 1, 20, 127, 128, 300, room])))
+        items[key] = value
+    return sorted(items.items())
+
+
+def first_leaf(tree):
+    leaf = tree._load_node(tree._root_id)
+    while not leaf.is_leaf:
+        leaf = tree._load_node(leaf.children[0])
+    return leaf
+
+
+class TestOnePacker:
+    @pytest.mark.parametrize("page_size", [512, 1024, 4096])
+    @pytest.mark.parametrize("fill_fraction", [0.37, 0.9, 1.0])
+    def test_pages_and_io_match_the_per_item_loader(self, page_size, fill_fraction):
+        # 2 500 items: the adapter's runs end mid-leaf, and a 12-page pool
+        # evicts, so every fetch and unpin shows in the counters.
+        items = mixed_items(random.Random(page_size), 2_500, page_size)
+        images = []
+        for build in (BTree.bulk_create, legacy_bulk_create):
+            pool = BufferPool(InMemoryDiskManager(page_size), capacity=12)
+            tree = build(pool, iter(items), fill_fraction)
+            assert list(tree.items()) == items
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+        assert images[0][1][2] > 0  # the pool did evict
+
+    def test_runs_cut_anywhere_pack_the_same_leaves(self):
+        from repro.storage.btree import _item_runs
+
+        items = mixed_items(random.Random(4), 300, 1024)
+        (data, ends), = _item_runs(items, btree_module.entry_limit(1008))
+        images = []
+        for cut in (None, 1, 2, 7, 64):
+            if cut is None:
+                runs = [(data, ends)]
+            else:
+                bounds = [0] + ends.tolist()
+                runs = [
+                    (data[bounds[at]:bounds[min(at + cut, len(ends))]],
+                     ends[at:at + cut] - bounds[at])
+                    for at in range(0, len(ends), cut)
+                ]
+            pool = BufferPool(InMemoryDiskManager(1024), capacity=12)
+            BTree.bulk_create_runs(pool, iter(runs))
+            images.append(pool_image(pool))
+        assert all(image == images[0] for image in images)
+
+    @pytest.mark.parametrize("fill_fraction", [0.9, 1.0])
+    def test_a_leaf_filled_exactly_to_its_budget(self, fill_fraction):
+        page_size = 512
+        budget = int((page_size - 16 - 11) * fill_fraction)
+        # 8-byte keys and 90-byte values: 100 bytes an entry.
+        values = [bytes(90)] * (budget // 100)
+        values.append(bytes(budget - 100 * len(values) - 10))
+        items = [(key_of(at), value) for at, value in enumerate(values * 3)]
+        images = []
+        for build in (BTree.bulk_create, legacy_bulk_create):
+            pool = BufferPool(InMemoryDiskManager(page_size), capacity=8)
+            tree = build(pool, items, fill_fraction)
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+        leaf = first_leaf(tree)
+        assert len(leaf.keys) == len(values)
+        assert leaf.encoded_size() - 11 == budget
+
+    def test_partition_index_pages_match_the_per_item_loader(self, monkeypatch):
+        from repro.storage import partition_store
+        from repro.storage.partition_store import PartitionStore
+
+        rng = random.Random(6)
+        appends = [(rng.randrange(40), rng.randrange(2**64), rng.randrange(2**32))
+                   for __ in range(12_000)]
+        images = []
+        for legacy in (False, True):
+            if legacy:
+                monkeypatch.setattr(partition_store.BTree, "bulk_create",
+                                    staticmethod(legacy_bulk_create))
+            pool = BufferPool(InMemoryDiskManager(512), capacity=16)
+            store = PartitionStore(pool, signature_bytes=8, num_partitions=40)
+            for partition, signature, tid in appends:
+                store.append(partition, signature, tid)
+            store.seal()
+            assert store._tree.height() >= 2
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+
+
+class TestRejectedLoadsFreeTheirPages:
+    """A bulk load that fails part way — after it has written leaves —
+    frees every page it allocated, and the next load reuses them."""
+
+    LOADED = 2_000  # more than one run of items: leaves are written first
+
+    @classmethod
+    def failing(cls, kind):
+        items = [(key_of(value), bytes(40)) for value in range(cls.LOADED)]
+        if kind == "unsorted":
+            items.append((key_of(5), b""))
+        elif kind == "duplicate":
+            items.append(items[-1])
+        else:
+            items.append((key_of(cls.LOADED), bytes(400)))
+        return items
+
+    @pytest.mark.parametrize("kind", ["unsorted", "duplicate", "oversize"])
+    def test_page_accounting_returns_to_its_start(self, kind):
+        disk, pool, tree = make_tree(page_size=512, capacity=16)
+        tree.insert(b"resident", b"1")
+        live, pages = disk.num_live_pages, disk.num_pages
+        with pytest.raises(BTreeError) as rejected:
+            BTree.bulk_create(pool, self.failing(kind))
+        assert disk.num_live_pages == live
+        assert disk.num_free_pages == disk.num_pages - pages > 0
+        # The same error as the per-item loader, item for item.
+        __, legacy_pool, __ = make_tree(page_size=512, capacity=16)
+        with pytest.raises(BTreeError) as legacy:
+            legacy_bulk_create(legacy_pool, self.failing(kind))
+        assert str(rejected.value) == str(legacy.value)
+        # The next load takes the freed pages before growing the file.
+        freed = disk.num_free_pages
+        reloaded = BTree.bulk_create(pool, self.failing(kind)[:-1])
+        assert disk.num_free_pages == 0
+        assert disk.num_pages == pages + max(freed, disk.num_live_pages - live)
+        assert [int.from_bytes(key, "big") for key, __ in reloaded.items()] == (
+            list(range(self.LOADED)))
+        assert tree.get(b"resident") == b"1"
+
+    def test_a_producer_error_frees_the_pages_too(self):
+        disk, pool, __ = make_tree(page_size=512, capacity=16)
+        live = disk.num_live_pages
+
+        def items():
+            yield from ((key_of(value), bytes(40)) for value in range(2_000))
+            raise OSError("input went away")
+
+        with pytest.raises(OSError, match="went away"):
+            BTree.bulk_create(pool, items())
+        assert disk.num_live_pages == live

@@ -20,6 +20,11 @@ portion pages (DESIGN.md, "Portion pages"): ``append_entries`` does not
 loop over entry offsets, and nothing but the monolithic ablation inserts
 into a B-tree.
 
+One walk keeps the relation pages columnar (DESIGN.md, "Columnar relation
+pages"): ``create_sorted`` and its batch encoder do not loop, the leaf
+packer loops over runs only, the per-tuple ``_chunks``/``_encoded`` stay
+gone, and ``scan_batches`` does not reach the per-record ``_records``.
+
 Two walks keep verification one forward pass (DESIGN.md, "One-pass
 verification"): the fetch-and-verify functions build no set and call no
 predicate or one-tuple fetch per pair, and the store's batch fetch never
@@ -283,6 +288,57 @@ def test_batch_fetch_stays_off_the_one_tuple_api():
     assert not bad, (
         "the batch fetch descends per tid again (go through "
         "BTree.scan_ranges):\n" + "\n".join(bad)
+    )
+
+
+#: The load path: ``create_sorted`` (its nested run producer included),
+#: the batch encoder it calls and the B-tree's entry layout may not loop
+#: at all; the leaf packer may loop over its runs, never over items or
+#: entries.
+LOAD_FUNCTIONS = ("create_sorted", "_entry_run")
+ENTRY_LAYOUT = "leaf_entry_run"
+PACKER = "_pack_leaves"
+RETIRED_PAGE_HELPERS = {"_chunks", "_encoded"}
+SCAN_RETIRED = ("_records", "_decoded")
+
+
+def _loops(function):
+    return [node for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))]
+
+
+def test_relation_pages_stay_columnar():
+    store = ast.parse(
+        (LIBRARY_ROOT / "storage" / "relation_store.py").read_text())
+    btree = ast.parse((LIBRARY_ROOT / "storage" / "btree.py").read_text())
+    bad = [
+        f"storage/relation_store.py:{loop.lineno}: {function.name} loops"
+        for function in _functions(store, LOAD_FUNCTIONS)
+        for loop in _loops(function)
+    ]
+    (layout,) = _functions(btree, (ENTRY_LAYOUT,))
+    bad += [f"storage/btree.py:{loop.lineno}: {ENTRY_LAYOUT} loops"
+            for loop in _loops(layout)]
+    (packer,) = _functions(btree, (PACKER,))
+    bad += [
+        f"storage/btree.py:{loop.lineno}: {PACKER} loops over "
+        f"{ast.unparse(loop.iter)}"
+        for loop in _loops(packer)
+        if not (isinstance(loop.iter, ast.Name) and loop.iter.id == "runs")
+    ]
+    bad += _uses_of(RETIRED_PAGE_HELPERS)
+    (scan_batches,) = _functions(store, ("scan_batches",))
+    bad += [
+        f"storage/relation_store.py:{node.lineno}: scan_batches reaches "
+        f"{name}"
+        for node in ast.walk(scan_batches)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in SCAN_RETIRED
+    ]
+    assert not bad, (
+        "the relation load or scan makes an object per tuple again (encode "
+        "a batch into leaf-entry runs, pack leaves with one searchsorted "
+        "each, parse a group of leaves at once):\n" + "\n".join(bad)
     )
 
 

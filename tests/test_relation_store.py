@@ -1,7 +1,9 @@
 """Tests for the tid-keyed relation store."""
 
+import numpy as np
 import pytest
 
+from repro.storage.btree import parse_leaves
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import InMemoryDiskManager
 from repro.storage.relation_store import RelationStore
@@ -120,7 +122,9 @@ def all_pages(pool):
 
 def reference_create_sorted(pool, tuples, payload_size):
     """The loader as it stood before the batch codec: one scalar
-    ``encode_tuple_record`` per tuple, the same chunking, one bulk_create."""
+    ``encode_tuple_record`` per tuple, the same chunking, one bulk_create
+    over ``(key, value)`` items (``tests/test_btree.py`` holds that to the
+    per-item loader it replaced, page for page and fetch for fetch)."""
     from repro.storage.btree import BTree
     from repro.storage.relation_store import _chunk_key
     from repro.storage.serialization import encode_tuple_record
@@ -283,17 +287,18 @@ def fetched_rows(store, tids):
 
 
 def count_reads(store, walk):
-    """``_load_node`` pages, buffer accesses (hits + misses) and the
-    result of ``walk()`` over ``store``'s tree."""
-    tree, loads = store._tree, []
-    original = tree._load_node
-    tree._load_node = lambda page: loads.append(page) or original(page)
-    before = tree.pool.stats.snapshot()
+    """Pages fetched from the pool, buffer accesses (hits + misses) and
+    the result of ``walk()`` over ``store``'s tree.  A node load and a
+    scan's leaf read each fetch their page once."""
+    pool, loads = store._tree.pool, []
+    original = pool.fetch
+    pool.fetch = lambda page: loads.append(page) or original(page)
+    before = pool.stats.snapshot()
     try:
         result = walk()
     finally:
-        del tree._load_node
-    delta = tree.pool.stats.delta(before)
+        del pool.fetch
+    delta = pool.stats.delta(before)
     return loads, delta.hits + delta.misses, result
 
 
@@ -441,3 +446,238 @@ class TestTidBounds:
         assert tid not in store
         assert store.fetch_many([tid, 0]) == {0: frozenset({1})}
         assert [found.tolist() for found, __, __ in store.fetch_batches([tid])] == []
+
+
+# ----------------------------------------------------------------------
+# Columnar relation pages: the load and the scan against the references
+# ----------------------------------------------------------------------
+
+def pool_image(pool):
+    """Every page's bytes and every I/O counter of ``pool`` and its disk."""
+    pool.flush_all()
+    disk = pool.disk
+    return (
+        [disk.read_page(page) for page in range(disk.num_pages)],
+        (pool.stats.hits, pool.stats.misses, pool.stats.evictions),
+        (disk.stats.page_reads, disk.stats.page_writes),
+    )
+
+
+def edge_rows():
+    """One relation of the load's edge cases: empty sets, sets of three or
+    more chunks either side of a batch boundary, and tids and elements
+    past int64 (the scalar encoder's batches) at the end."""
+    import random
+
+    from repro.storage.relation_store import BATCH_TUPLES
+
+    rng = random.Random(8)
+    rows = mixed_rows(3 * BATCH_TUPLES + 11, seed=3)
+    for tid in (0, 5, BATCH_TUPLES + 1, 2 * BATCH_TUPLES):
+        rows[tid] = (tid, frozenset())
+    for tid in (2 * BATCH_TUPLES - 1, 2 * BATCH_TUPLES + 1):
+        rows[tid] = (tid, frozenset(rng.sample(range(2**40), 1_500)))
+    base = 2**63 - 3
+    rows += [(base, {2**63 + 5, 1}), (base + 1, {3}), (2**64 - 2, set()),
+             (2**64 - 1, {7, 2**64 - 1})]
+    return rows
+
+
+def leaf_counts(store):
+    """The entry count of every leaf, along the chain."""
+    return [int.from_bytes(page[1:3], "big") for page in store._tree._leaf_pages()]
+
+
+class TestColumnarLoad:
+    @pytest.mark.parametrize("page_size", [512, 1024, 4096])
+    @pytest.mark.parametrize("payload_size", [0, 16, 100])
+    def test_pages_and_io_match_the_reference_loader(self, page_size, payload_size):
+        rows = edge_rows()
+        images = []
+        for load in (RelationStore.create_sorted, reference_create_sorted):
+            pool = BufferPool(InMemoryDiskManager(page_size), capacity=12)
+            load(pool, iter(rows), payload_size)
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+        assert images[0][1][2] > 0  # the pool did evict
+
+    @pytest.mark.parametrize("rows", [
+        [], [(7, {1, 2})], [(0, set())], [(2**64 - 1, {2**63})],
+        [(tid, set()) for tid in range(40)],
+    ], ids=["empty", "one", "one-empty-set", "widest", "empty-sets"])
+    def test_small_relations(self, rows):
+        images = []
+        for load in (RelationStore.create_sorted, reference_create_sorted):
+            pool = BufferPool(InMemoryDiskManager(512), capacity=8)
+            load(pool, rows, 16)
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+        store = RelationStore.create_sorted(
+            BufferPool(InMemoryDiskManager(512), capacity=8), rows, 16)
+        assert len(store) == len(rows)
+        assert scan_rows(store) == [(tid, frozenset(s)) for tid, s in rows]
+
+    def test_a_leaf_filled_exactly_to_its_budget(self):
+        # 1 024-byte pages: a budget of int((1008 - 11) * 0.9) = 897 bytes.
+        # A tuple with tid < 128, n one-byte deltas and no payload is a
+        # 3 + n byte record, a 17 + n byte entry: 30 of 29 and one of 27.
+        cardinalities = [12] * 30 + [10]
+        rows = [(tid, set(range(count)))
+                for tid, count in enumerate(cardinalities * 2)]
+        images = []
+        for load in (RelationStore.create_sorted, reference_create_sorted):
+            pool = BufferPool(InMemoryDiskManager(1024), capacity=8)
+            load(pool, rows, 0)
+            images.append(pool_image(pool))
+        assert images[0] == images[1]
+        store = RelationStore.create_sorted(
+            BufferPool(InMemoryDiskManager(1024), capacity=8), rows, 0)
+        assert leaf_counts(store) == [31, 31]
+        leaf = np.frombuffer(next(store._tree._leaf_pages()), dtype=np.uint8)
+        entries = parse_leaves(leaf, leaf.size)
+        assert entries.value_starts[-1] + entries.value_lengths[-1] == 11 + 897
+
+
+class TestRejectedLoads:
+    """``create_sorted`` frees what it allocated before an error leaves it,
+    so a long-lived pool (a shard's) strands nothing, and the next load
+    takes the freed pages."""
+
+    @staticmethod
+    def rows(kind):
+        rows = [(tid, {tid, tid + 1}) for tid in range(600)]
+        if kind == "duplicate":
+            rows.append((599, {1}))
+        elif kind == "unsorted":
+            rows.append((17, {1}))
+        else:
+            rows.append((600, {-4}))
+        return rows
+
+    @pytest.mark.parametrize("kind", ["duplicate", "unsorted", "bad-element"])
+    def test_page_accounting_returns_to_its_start(self, kind):
+        from repro.errors import BTreeError, SerializationError
+
+        pool = BufferPool(InMemoryDiskManager(1024), capacity=16)
+        resident = RelationStore.create_sorted(pool, [(1, {1}), (2, {2})])
+        disk = pool.disk
+        live, pages = disk.num_live_pages, disk.num_pages
+        error = SerializationError if kind == "bad-element" else BTreeError
+        with pytest.raises(error):
+            RelationStore.create_sorted(pool, iter(self.rows(kind)))
+        freed = disk.num_pages - pages
+        assert disk.num_live_pages == live and freed > 2  # leaves were written
+        assert disk.num_free_pages == freed
+        store = RelationStore.create_sorted(pool, self.rows(kind)[:-1])
+        assert disk.num_free_pages == 0
+        assert disk.num_pages == pages + max(freed, disk.num_live_pages - live)
+        assert len(store) == 600 and store.fetch_set(599) == frozenset({599, 600})
+        assert scan_rows(resident) == [(1, frozenset({1})), (2, frozenset({2}))]
+
+
+def random_store(pool, rows, build):
+    """``rows`` stored one of three ways, then partly overwritten and
+    partly deleted, so that some leaves are left empty; returns the store
+    and the rows it holds."""
+    import random
+
+    rng = random.Random(12)
+    if build == "create_sorted":
+        store = RelationStore.create_sorted(pool, rows, 40)
+    else:
+        store = RelationStore.create(pool)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        if build == "bulk_load":
+            store.bulk_load(shuffled, 40)
+        else:
+            for tid, elements in shuffled:
+                store.insert(tid, elements, bytes(40))
+    held = dict(rows)
+    for tid in rng.sample(sorted(held), 60):
+        held[tid] = frozenset(rng.sample(range(10**5), rng.choice([0, 2, 2_500])))
+        store.insert(tid, held[tid], b"\xff" * 7)
+    for tid in list(held)[300:420]:  # a run of tids: whole leaves go empty
+        store._delete_chunks(tid)
+        del held[tid]
+    return store, sorted(held.items())
+
+
+class TestColumnarScan:
+    @pytest.mark.parametrize("build", ["create_sorted", "bulk_load", "inserts"])
+    @pytest.mark.parametrize("group", [1, 2, 5, None])
+    def test_batches_equal_scan_with_whole_batches(self, monkeypatch, build, group):
+        from repro.storage import relation_store
+        from repro.storage.relation_store import BATCH_TUPLES
+
+        if group is not None:
+            monkeypatch.setattr(relation_store, "SCAN_LEAVES", group)
+        pool = BufferPool(InMemoryDiskManager(512), capacity=64)
+        store, held = random_store(pool, mixed_rows(3 * BATCH_TUPLES + 30), build)
+        assert 0 in leaf_counts(store)
+        batched, sizes = batch_rows(store)
+        assert batched == scan_rows(store) == held
+        whole, rest = divmod(len(held), BATCH_TUPLES)
+        assert sizes == [BATCH_TUPLES] * whole + [rest]
+
+    def test_chunks_spanning_groups_and_leaves(self, monkeypatch):
+        from repro.storage import relation_store
+
+        monkeypatch.setattr(relation_store, "SCAN_LEAVES", 3)
+        pool = BufferPool(InMemoryDiskManager(512), capacity=64)
+        rows = edge_rows()
+        store = RelationStore.create_sorted(pool, rows)
+        batched, __ = batch_rows(store)
+        assert batched == scan_rows(store) == [
+            (tid, frozenset(elements)) for tid, elements in rows]
+
+    @staticmethod
+    def corrupted(pool, edit):
+        """A small store whose second leaf went through ``edit(page)``."""
+        store = RelationStore.create_sorted(
+            pool, [(tid, set(range(tid % 9))) for tid in range(200)])
+        leaf = list(store._tree._leaf_pages())[1]
+        page_id = store._tree._leaf_for(None).next_leaf
+        frame = pool.fetch(page_id)
+        assert bytes(frame.data) == leaf
+        edit(frame.data)
+        pool.unpin(page_id, dirty=True)
+        return store
+
+    @pytest.mark.parametrize("name, match", [
+        ("count past the entries", "truncated leaf entry"),
+        ("count past the page", "claims 400 entries"),
+        ("value past the page", "runs past its page"),
+        ("key length", "chunk keys are 12 bytes"),
+        ("varint cut by the page end", "truncated uvarint"),
+        ("chain into an internal node", "not a leaf"),
+    ])
+    def test_a_corrupt_leaf_raises_serialization_error(self, name, match):
+        from repro.errors import SerializationError
+
+        pool = BufferPool(InMemoryDiskManager(512), capacity=64)
+        payload = pool.disk.payload_size
+
+        def edit(page):
+            if name == "count past the entries":
+                page[1:3] = (240).to_bytes(2, "big")
+            elif name == "count past the page":
+                page[1:3] = (400).to_bytes(2, "big")
+            elif name == "value past the page":
+                page[11 + 13:11 + 15] = b"\xff\x7f"  # the first value's length
+            elif name == "key length":
+                page[11] = 11
+            elif name == "varint cut by the page end":
+                # Two entries: a long first value, then a second entry
+                # whose value length starts on the page's last byte.
+                value = payload - 11 - 15 - len(b"\x0c" + bytes(12) + b"\x80")
+                page[1:3] = (2).to_bytes(2, "big")
+                page[11:] = (b"\x0c" + bytes(12) + bytes([0x80 | value & 0x7F,
+                                                         value >> 7])
+                             + bytes(value) + b"\x0c" + bytes(12) + b"\x80")
+            else:
+                page[0] = 0
+
+        store = self.corrupted(pool, edit)
+        with pytest.raises(SerializationError, match=match):
+            list(store.scan_batches())

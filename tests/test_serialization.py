@@ -339,6 +339,27 @@ class TestBatchTupleCodec:
                 (200, [130, 131]), (201, []), (2**20, [2**40]),
             ]
 
+    @pytest.mark.parametrize("junk", [b"", b"\xff" * 7, b"\x00\x05\x81"])
+    def test_a_buffer_is_decoded_between_its_bounds_only(self, junk):
+        from repro.storage.serialization import (
+            decode_tuple_buffer,
+            encode_tuple_buffer,
+        )
+
+        sets = [frozenset({1, 200}), frozenset(), frozenset({2**40, 3})]
+        data, bounds = encode_tuple_buffer([7, 8, 9], sets, b"\xff\x00")
+        assert data.tobytes() == b"".join(
+            encode_tuple_records([7, 8, 9], sets, b"\xff\x00"))
+        padded = np.frombuffer(junk + data.tobytes() + junk, dtype=np.uint8)
+        middle = bounds[1:] + len(junk)  # records 8 and 9 only
+        tids, elements, offsets = decode_tuple_buffer(padded, middle)
+        assert (tids.tolist(), elements.tolist(), offsets.tolist()) == (
+            [8, 9], [3, 2**40], [0, 0, 2])
+        # A corrupt record between the bounds raises the scalar error.
+        cut = bytes(padded[: middle[-1] - 1]) + junk
+        with pytest.raises(SerializationError, match="payload"):
+            decode_tuple_buffer(cut, middle - [0, 0, 1])
+
     def test_arrays_are_int64_on_the_array_path(self):
         tids, elements, offsets = decode_tuple_records(
             [encode_tuple_record(5, {1, 2}, b"")]

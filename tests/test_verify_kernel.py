@@ -224,13 +224,16 @@ class TestVerifyPairs:
 #: predicate per pair) with the calls below.  The partitioning and joining
 #: I/O was re-pinned once, lower, for portion pages (DESIGN.md §1.12):
 #: (41, 30) (25, 0) / (41, 30) (49, 0) / (41, 30) (25, 1) / (39, 20)
-#: (14, 0) / (0, 28) / (0, 74) before; verification did not move.
+#: (14, 0) / (0, 28) / (0, 74) before; verification did not move.  The
+#: resident-partition joining reads fell 8 → 6 with columnar relation
+#: pages (DESIGN.md §1.13): the scan reads its leaves a group at a time,
+#: before the portion flushes, so the 16-page pool evicts in another order.
 CANDIDATES, FALSE_POSITIVES, RESULTS = 153, 132, 21
 PHASE_IO = {
     "deferred": [(39, 24), (18, 0), (39, 0)],
     "verify_per_partition": [(39, 24), (42, 0), (162, 0)],
     "spill_candidates": [(39, 24), (19, 1), (39, 0)],
-    "resident_partitions": [(39, 16), (8, 0), (39, 0)],
+    "resident_partitions": [(39, 16), (6, 0), (39, 0)],
     "database": [(0, 24), (0, 0), (0, 0)],
     "two shards": [(0, 68), (0, 0), (0, 0)],
 }
