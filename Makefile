@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-smoke experiments ablations scorecard \
-	paper-scale examples profile-baseline clean
+	paper-scale examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -14,24 +14,13 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 	$(PYTHON) benchmarks/baseline.py --out BENCH_joins.json \
-		--check benchmarks/BENCH_seed.json --counters-only \
-		--history BENCH_history.jsonl
+		--check benchmarks/BENCH_seed.json
 
 # The benchmark of record (bench/, BENCHMARK.json) at 1/20 size: its own
 # test, then the smoke run's result document on standard output.
 bench-smoke:
 	$(PYTHON) -m pytest bench/test_smoke.py -q
 	python3 bench/run.py --smoke
-
-# Regenerate the checked-in sampling-profiler baseline from the
-# canonical bench suite.  Refresh it (and eyeball the diff) whenever a
-# change is expected to move the hot-path ranking — new phases, engine
-# rewrites, storage-layer changes — so later "did the profile shift?"
-# comparisons start from the current code, not an ancestor's.
-profile-baseline:
-	mkdir -p results
-	$(PYTHON) benchmarks/baseline.py --out results/profile_run.json \
-		--profile results/profile_baseline.txt
 
 experiments:
 	$(PYTHON) -m repro.experiments --all --out results/
@@ -81,9 +70,9 @@ examples:
 		echo "== $$script"; $(PYTHON) $$script || exit 1; \
 	done
 
-# Removes only what .gitignore lists: results/ (committed tables, the
-# profile baseline, the ablation report) and BENCH_history.jsonl are tracked.
+# Removes only what .gitignore lists: results/ (committed tables and the
+# ablation report) and BENCH_history.jsonl are tracked.
 clean:
-	rm -rf results/profile_run.json BENCH_joins.json bench/out/ build/ \
+	rm -rf BENCH_joins.json bench/out/ build/ \
 		*.egg-info src/*.egg-info .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

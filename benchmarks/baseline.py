@@ -1,27 +1,17 @@
-"""Benchmark baselines: canonical-workload snapshots and regression checks.
+"""The deterministic-counter gate: canonical-workload snapshots and checks.
 
 ``python benchmarks/baseline.py`` runs a small canonical workload suite
 (uniform workloads through the public join API — optimizer-chosen, forced
 DCJ, forced PSJ, and a parallel DCJ run) and writes a ``BENCH_joins.json``
-snapshot: per workload, the wall time, the paper's x/y counts, page I/O
-and result sizes.
+snapshot: per workload, the paper's x/y counts, page I/O, result sizes and
+the wall time.
 
-``--check BASELINE`` compares the fresh run against a stored snapshot:
-
-* deterministic counters (signature comparisons ``x``, replicated
-  signatures ``y``, candidates, results, page reads/writes) must match
-  **exactly** — any drift means the join's accounting changed;
-* wall time may regress at most ``--time-threshold`` (default 25%) per
-  workload — unless ``--counters-only``, which skips the timing check
-  (CI compares against the committed machine-agnostic seed baseline,
-  where another machine's absolute times are meaningless).
-
-``--history BENCH_history.jsonl`` additionally appends every run's
-snapshot as one JSON line, building a local time series.  When a check
-runs with history present, wall times are *also* compared against the
-rolling median of the last ``--rolling-window`` compatible runs — a
-single-run baseline is one noisy sample, while the rolling median
-absorbs scheduler jitter and only trips on sustained slowdowns.
+``--check BASELINE`` compares the fresh run against a stored snapshot.
+The deterministic counters (signature comparisons ``x``, replicated
+signatures ``y``, candidates, results, page reads/writes) must match
+**exactly** — any drift means the join's accounting changed.  Wall time
+is printed and stored but never checked: time is the business of the
+benchmark of record (``bench/run.py``), which runs at paper scale.
 
 Exit status: 0 on pass, 1 on regression — so it wires directly into
 ``make bench`` and the ``explain-regression`` CI job.
@@ -159,78 +149,11 @@ def load_baseline(path: str) -> dict:
         return json.load(handle)
 
 
-def append_history(snapshot: dict, path: str) -> None:
-    """Append one snapshot as a JSON line to the rolling history file."""
-    record = dict(snapshot)
-    record["recorded_at"] = time.time()
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+def check_regression(current: dict, baseline: dict) -> list[str]:
+    """Compare a fresh snapshot's counters against a stored baseline.
 
-
-def load_history(path: str) -> list[dict]:
-    """Load every snapshot from a history file (oldest first)."""
-    if not os.path.exists(path):
-        return []
-    records: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def rolling_medians(
-    history: list[dict], current: dict, window: int = 5
-) -> dict[str, float]:
-    """Per-workload median wall time over the last ``window`` runs.
-
-    Only snapshots compatible with ``current`` (same schema and scale)
-    contribute; an empty dict means there is no usable history yet.
-    """
-    compatible = [
-        record for record in history
-        if record.get("schema") == current.get("schema")
-        and record.get("scale") == current.get("scale")
-    ][-window:]
-    medians: dict[str, float] = {}
-    names = {
-        name
-        for record in compatible
-        for name in record.get("workloads", {})
-    }
-    for name in names:
-        samples = sorted(
-            record["workloads"][name]["wall_seconds"]
-            for record in compatible
-            if name in record.get("workloads", {})
-        )
-        if not samples:
-            continue
-        mid = len(samples) // 2
-        if len(samples) % 2:
-            medians[name] = samples[mid]
-        else:
-            medians[name] = (samples[mid - 1] + samples[mid]) / 2.0
-    return medians
-
-
-def check_regression(
-    current: dict,
-    baseline: dict,
-    time_threshold: float = 0.25,
-    counters_only: bool = False,
-    history: list[dict] | None = None,
-    rolling_window: int = 5,
-) -> list[str]:
-    """Compare a fresh snapshot against a stored baseline.
-
-    Returns a list of human-readable failures (empty = pass).  Counters
-    are compared exactly; wall time fails when the current run is more
-    than ``time_threshold`` (fraction) slower than the baseline.  When
-    ``history`` is given, wall time is also checked against the rolling
-    median of the last ``rolling_window`` compatible snapshots — the
-    median is a far less noisy reference than any single stored run.
+    Returns a list of human-readable failures (empty = pass).  Every
+    :data:`COUNTER_KEYS` value must match exactly; wall time is ignored.
     """
     failures: list[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -256,36 +179,13 @@ def check_regression(
                     f"{name}: {key} changed: expected {expected.get(key)}, "
                     f"got {actual.get(key)}"
                 )
-        if counters_only:
-            continue
-        allowed = expected["wall_seconds"] * (1.0 + time_threshold)
-        if actual["wall_seconds"] > allowed:
-            failures.append(
-                f"{name}: wall time regressed: {actual['wall_seconds']:.4f}s "
-                f"vs baseline {expected['wall_seconds']:.4f}s "
-                f"(threshold {time_threshold:.0%})"
-            )
-    if history and not counters_only:
-        medians = rolling_medians(history, current, window=rolling_window)
-        for name, median in sorted(medians.items()):
-            actual = current.get("workloads", {}).get(name)
-            if actual is None:
-                continue
-            allowed = median * (1.0 + time_threshold)
-            if actual["wall_seconds"] > allowed:
-                failures.append(
-                    f"{name}: wall time above rolling median: "
-                    f"{actual['wall_seconds']:.4f}s vs median "
-                    f"{median:.4f}s of last {rolling_window} runs "
-                    f"(threshold {time_threshold:.0%})"
-                )
     return failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the canonical join workloads and snapshot/check "
-        "their performance counters.",
+        "their deterministic counters.",
     )
     parser.add_argument(
         "--out", metavar="PATH", default="BENCH_joins.json",
@@ -297,15 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         "exit 1 on regression",
     )
     parser.add_argument(
-        "--time-threshold", type=float, default=0.25,
-        help="allowed fractional wall-time regression (default 0.25)",
-    )
-    parser.add_argument(
-        "--counters-only", action="store_true",
-        help="compare only deterministic counters, not wall time "
-        "(for cross-machine baselines)",
-    )
-    parser.add_argument(
         "--scale", type=float, default=1.0,
         help="workload size scale (default 1.0; must match the baseline)",
     )
@@ -313,61 +204,10 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", metavar="PATH", default=None,
         help="also write a span trace of the first workload (JSON Lines)",
     )
-    parser.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="sample the suite with the stack profiler and write the "
-        "hot-path report here",
-    )
-    parser.add_argument(
-        "--profile-repeats", type=int, default=5,
-        help="extra suite repetitions while profiling, so short suites "
-        "still accumulate enough samples (default 5)",
-    )
-    parser.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="append this run to a JSONL history file and, with --check, "
-        "also compare wall time against the rolling median of prior runs",
-    )
-    parser.add_argument(
-        "--rolling-window", type=int, default=5,
-        help="number of recent history runs the rolling median covers "
-        "(default 5)",
-    )
     arguments = parser.parse_args(argv)
 
-    profiler = None
-    if arguments.profile:
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler()
-        profiler.start()
     snapshot = run_suite(scale=arguments.scale, trace_path=arguments.trace)
-    if profiler is not None:
-        # The canonical suite runs in about a second; repeat it so the
-        # sampler sees enough of the hot loops to rank them stably.
-        for __ in range(max(arguments.profile_repeats, 0)):
-            run_suite(scale=arguments.scale)
-        profiler.stop()
-        report = profiler.report()
-        with open(arguments.profile, "w") as handle:
-            handle.write(profiler.render() + "\n")
-        print(
-            f"profile: {report['attributed']} samples attributed "
-            f"({report['unknown_share'] * 100:.1f}% unknown, "
-            f"overhead {report['overhead'] * 100:.2f}%) -> "
-            f"{arguments.profile}"
-        )
     write_baseline(snapshot, arguments.out)
-    prior_runs: list[dict] = []
-    if arguments.history:
-        # Load before appending so the fresh run is judged against its
-        # predecessors, not against itself.
-        prior_runs = load_history(arguments.history)
-        append_history(snapshot, arguments.history)
-        print(
-            f"history: run {len(prior_runs) + 1} appended to "
-            f"{arguments.history}"
-        )
     for name, record in sorted(snapshot["workloads"].items()):
         print(
             f"{name}: {record['algorithm']} k={record['k']} "
@@ -381,21 +221,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trace written to {arguments.trace}")
 
     if arguments.check:
-        failures = check_regression(
-            snapshot,
-            load_baseline(arguments.check),
-            time_threshold=arguments.time_threshold,
-            counters_only=arguments.counters_only,
-            history=prior_runs,
-            rolling_window=arguments.rolling_window,
-        )
+        failures = check_regression(snapshot, load_baseline(arguments.check))
         if failures:
             print(f"REGRESSION vs {arguments.check}:")
             for failure in failures:
                 print(f"  - {failure}")
             return 1
-        mode = "counters" if arguments.counters_only else "counters + time"
-        print(f"no regression vs {arguments.check} ({mode})")
+        print(f"no regression vs {arguments.check} (counters)")
     return 0
 
 

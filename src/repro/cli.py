@@ -306,9 +306,26 @@ def _wait_forever() -> None:
         pass
 
 
+#: ``serve`` options only the query service reads; without ``--service``
+#: they would be silently ignored, so setting one there is a usage error.
+_SERVICE_ONLY_OPTIONS = (
+    "workers", "backend", "shards", "plan_cache_size", "queue_depth",
+    "deadline", "drift", "recalibrate_every", "model_store",
+    "flight_recorder", "postmortems", "slo_join", "slo_probe", "trace",
+    "capture",
+)
+
+
 def _cmd_serve(arguments) -> int:
     if arguments.service is not None:
         return _cmd_serve_service(arguments)
+    parser = arguments.serve_parser
+    for dest in _SERVICE_ONLY_OPTIONS:
+        if getattr(arguments, dest) != parser.get_default(dest):
+            parser.error(
+                f"--{dest.replace('_', '-')} requires --service DATABASE "
+                "(without it, serve exposes only /metrics and /healthz)"
+            )
     from .obs.serve import MetricsServer
 
     server = MetricsServer(arguments.host, arguments.port,
@@ -347,7 +364,6 @@ def _cmd_serve_service(arguments) -> int:
         flight_recorder=arguments.flight_recorder,
         postmortem_dir=arguments.postmortems,
         slo=slo or None,
-        profile_hz=arguments.profile_hz,
         capture_path=arguments.capture,
     )
     service.start()
@@ -360,8 +376,7 @@ def _cmd_serve_service(arguments) -> int:
     )
     print(f"query service on {server.url} — POST /join, POST /probe, "
           f"GET /readyz, /healthz, /metrics, /debug/queries, "
-          f"/debug/query/<id>, /debug/profile, /debug/workload, "
-          f"/debug/slo "
+          f"/debug/query/<id>, /debug/workload, /debug/slo "
           f"(workers={arguments.workers}, backend={arguments.backend}, "
           f"queue={arguments.queue_depth}{capture_note}; "
           f"SIGTERM or Ctrl-C drains)",
@@ -970,20 +985,16 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="with --service: latency objective for probe "
                        "queries")
-    serve.add_argument("--profile-hz", metavar="HZ", type=float,
-                       default=None,
-                       help="with --service: run the stack-sampling "
-                       "profiler at HZ and expose GET /debug/profile")
     serve.add_argument("--trace", metavar="JSONL", default=None,
-                       help="append per-query span traces to this JSONL "
-                       "file")
+                       help="with --service: append per-query span traces "
+                       "to this JSONL file")
     serve.add_argument("--capture", metavar="JSONL", default=None,
                        help="with --service: append one fingerprinted "
                        "workload record per finished query (resolved "
                        "plan, resource ledger, answer digest) to this "
                        "JSONL file for 'setjoins replay'; rotated on "
                        "startup")
-    serve.set_defaults(handler=_cmd_serve)
+    serve.set_defaults(handler=_cmd_serve, serve_parser=serve)
 
     workload = commands.add_parser(
         "workload",

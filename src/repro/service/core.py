@@ -37,9 +37,8 @@ is the resident process the ROADMAP asks for.  Architecture:
   PR-5 closed calibration loop, with periodic recalibration under
   sustained traffic) and capture lines are three
   :class:`~repro.obs.rotation.JsonlSink` histories, rotated on startup.
-  An optional :class:`~repro.obs.profile.SamplingProfiler` attributes
-  wall time to operator phases.  All observation-only, so results stay
-  bit-identical with every layer on or off.
+  All observation-only, so results stay bit-identical with every layer
+  on or off.
 * **Shutdown** — ``stop()`` (or SIGTERM via
   :meth:`install_signal_handlers`) moves READY → DRAINING (``/readyz``
   flips, new submits are rejected), finishes or rejects the queue, then
@@ -199,7 +198,6 @@ class QueryService:
         flight_recorder=None,
         postmortem_dir: str | None = None,
         slo=None,
-        profile_hz: float | None = None,
         ledger: bool = True,
         capture_path: str | None = None,
         capture_max_bytes: int = 16 * 1024 * 1024,
@@ -262,9 +260,9 @@ class QueryService:
             if plan_cache_size else None
         )
 
-        # Request-scoped observability: flight recorder, SLO tracker,
-        # sampling profiler.  All observation-only — none of them feeds
-        # back into execution, so results are bit-identical on or off.
+        # Request-scoped observability: flight recorder and SLO tracker.
+        # Both observation-only — neither feeds back into execution, so
+        # results are bit-identical on or off.
         from ..obs.flight import FlightRecorder
         from ..obs.slo import SLOTracker
 
@@ -279,11 +277,6 @@ class QueryService:
         if slo is not None and not isinstance(slo, SLOTracker):
             slo = SLOTracker(slo, registry=self._registry)
         self._slo = slo
-        self._profiler = None
-        if profile_hz is not None:
-            from ..obs.profile import SamplingProfiler
-
-            self._profiler = SamplingProfiler(hz=profile_hz)
 
         # The three JSONL histories — span traces, drift records, capture
         # lines (what ``repro replay`` re-executes) — rotated and opened
@@ -386,8 +379,6 @@ class QueryService:
                 self.trace_rotation = self._trace.open_()
             if self._capture is not None:
                 self.capture_rotation = self._capture.open_()
-            if self._profiler is not None:
-                self._profiler.start()
             if self._ledger is not None:
                 # Baseline *before* the lane can run anything, so the
                 # reconciliation window covers every attributed query.
@@ -426,8 +417,6 @@ class QueryService:
                 raise ServiceError(
                     f"execution lane still busy after {timeout}s drain"
                 )
-        if self._profiler is not None:
-            self._profiler.stop()
         for sink in (self._trace, self._drift, self._capture):
             if sink is not None:
                 sink.close()
@@ -971,12 +960,6 @@ class QueryService:
             return None
         return self._flight.get(query_id)
 
-    def profile_report(self, top: int = 15) -> "dict | None":
-        """Sampling-profiler attribution, or ``None`` when disabled."""
-        if self._profiler is None:
-            return None
-        return self._profiler.report(top=top)
-
     def debug_workload(self, top: int = 5) -> "dict | None":
         """Workload-ledger report (totals, reconciliation, heavy
         hitters), or ``None`` when the ledger is disabled."""
@@ -1033,10 +1016,4 @@ class QueryService:
             }
         if self._capture is not None:
             snapshot["capture"] = {"path": self._capture.path}
-        if self._profiler is not None:
-            snapshot["profiler"] = {
-                "hz": self._profiler.hz,
-                "samples": self._profiler.report(top=0)["samples"],
-                "overhead": self._profiler.overhead,
-            }
         return snapshot

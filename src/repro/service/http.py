@@ -16,10 +16,9 @@ gate on ``/metrics`` — with the service routes:
 * ``GET /debug/queries`` — flight-recorder ring summaries (newest
   first); ``GET /debug/query/<id>`` — one query's full evidence
   (timeline, plan, drift, span tree; the frozen postmortem for failed
-  or objective-breaching queries); ``GET /debug/profile`` — the
-  sampling profiler's phase attribution; ``GET /debug/workload`` —
-  the workload ledger's heavy-hitter report (totals, reconciliation,
-  top fingerprints by wall/pages/comparisons; ``?top=N`` widens it);
+  or objective-breaching queries); ``GET /debug/workload`` — the
+  workload ledger's heavy-hitter report (totals, reconciliation, top
+  fingerprints by wall/pages/comparisons; ``?top=N`` widens it);
   ``GET /debug/slo`` — SLO window states and burn rates.  All debug
   routes are token-gated like ``/metrics`` (query evidence names
   relations and carries plans) and return 404 when the corresponding
@@ -81,8 +80,7 @@ class _ServiceHandler(_Handler):
                 status, "application/json",
                 json.dumps(stats, sort_keys=True).encode(),
             )
-        elif route in ("/debug/queries", "/debug/profile",
-                       "/debug/workload", "/debug/slo") \
+        elif route in ("/debug/queries", "/debug/workload", "/debug/slo") \
                 or route.startswith("/debug/query/"):
             if not self._authorized():
                 self._reply(401, "application/json",
@@ -105,11 +103,6 @@ class _ServiceHandler(_Handler):
             if entries is None:
                 return 404, {"error": "flight recorder disabled"}
             return 200, {"queries": entries}
-        if route == "/debug/profile":
-            report = service.profile_report()
-            if report is None:
-                return 404, {"error": "profiler disabled"}
-            return 200, report
         if route == "/debug/workload":
             top = 5
             query_string = self.path.partition("?")[2]
@@ -151,8 +144,8 @@ class _ServiceHandler(_Handler):
                 {"error": "not found",
                  "endpoints": ["/join", "/probe", "/readyz", "/healthz",
                                "/metrics", "/debug/queries",
-                               "/debug/query/<id>", "/debug/profile",
-                               "/debug/workload", "/debug/slo"]}
+                               "/debug/query/<id>", "/debug/workload",
+                               "/debug/slo"]}
             ).encode())
             return
         try:

@@ -61,8 +61,6 @@ def test_history_row_appended(full_run):
                full_run["history"].read_text().splitlines()]
     assert len(records) == 1
     record = records[0]
-    # String schema so benchmarks/baseline.py's integer-schema history
-    # filter ignores ablation rows.
     assert record["schema"] == "ablation-1"
     assert "baseline" in record["runs"]
     assert record["runs"]["baseline"]["x"] > 0

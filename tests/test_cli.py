@@ -274,6 +274,37 @@ class TestPlanInspectorFlags:
         )
         assert db_arguments.serve and db_arguments.port == 0
 
+    @pytest.mark.parametrize("options", [
+        ["--flight-recorder", "8", "--capture", "c.jsonl"],
+        ["--workers", "4"],
+        ["--slo-join", "0.5"],
+        ["--trace", "t.jsonl"],
+    ])
+    def test_serve_rejects_service_options_without_service(
+        self, monkeypatch, capsys, options
+    ):
+        from repro.obs.serve import MetricsServer
+
+        def refuse(self):
+            raise AssertionError("serve started a bare metrics server")
+
+        monkeypatch.setattr(MetricsServer, "start", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", *options])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{options[0]} requires --service" in err
+
+    def test_serve_has_no_profiler_flag(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve accepted --profile-hz")
+
+        monkeypatch.setattr("repro.service.QueryService", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--service", "x.db", "--profile-hz", "1"])
+        assert exit_info.value.code == 2
+        assert "--profile-hz" in capsys.readouterr().err
+
 
 class TestAdaptiveFlags:
     def test_recalibrate_requires_analyze_and_drift(self, set_files, capsys):

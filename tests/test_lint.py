@@ -40,6 +40,11 @@ Three walks keep the fan-out single (DESIGN.md, "One fan-out"): executor
 pools are built only in ``parallel/executor.py``, metric shares fold only
 in ``parallel/merge.py``, and the second fan-out's dispatch, merge and
 ``fanout`` selection stay gone.
+
+A text scan keeps the performance record single (DESIGN.md, "One
+performance record"): the stack-sampling profiler and its service, HTTP
+and Makefile surfaces stay gone, and ``benchmarks/baseline.py`` keeps no
+wall-time gate or run history.
 """
 
 from __future__ import annotations
@@ -488,4 +493,33 @@ def test_second_fanout_stays_retired():
         "the coordinator's private fan-out is back (dispatch through "
         "parallel/executor.py, merge through parallel/merge.py):\n"
         + "\n".join(bad)
+    )
+
+
+#: Text of the retired stack-sampling profiler and of baseline.py's
+#: wall-time gate, per file set.
+RETIRED_PROFILER_TEXT = (
+    (sorted(LIBRARY_ROOT.rglob("*.py")),
+     ("sys._current_frames", "SamplingProfiler", "profile_hz",
+      "profile_report", "/debug/profile")),
+    ([REPO_ROOT / "benchmarks" / "baseline.py"],
+     ("rolling_medians", "--history", "--time-threshold")),
+)
+
+
+def test_sampling_profiler_stays_retired():
+    bad = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}: {needle}"
+        for paths, needles in RETIRED_PROFILER_TEXT
+        for path in paths
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for needle in needles if needle in line
+    ]
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    if re.search(r"^profile-baseline\s*:", makefile, re.M):
+        bad.append("Makefile: profile-baseline target")
+    assert not bad, (
+        "the sampling profiler or baseline.py's wall-time gate is back "
+        "(time is bench/run.py, counters are baseline.py, one query is its "
+        "span tree, function-level digging is cProfile):\n" + "\n".join(bad)
     )

@@ -319,8 +319,7 @@ class TestServiceIntegration:
         with make_service(loaded_db) as plain:
             expected, expected_metrics = plain.join("r", "s")
         with make_service(
-            loaded_db, flight_recorder=8,
-            slo={"join": 30.0}, profile_hz=200.0,
+            loaded_db, flight_recorder=8, slo={"join": 30.0},
         ) as observed:
             pairs, metrics = observed.join("r", "s")
         assert pairs == expected
@@ -395,7 +394,6 @@ class TestServiceIntegration:
             service.join("r", "s")
             assert service.debug_queries() is None
             assert service.debug_query(1) is None
-            assert service.profile_report() is None
 
     def test_postmortem_dir_implies_recorder(self, loaded_db, tmp_path):
         with make_service(

@@ -391,7 +391,6 @@ class TestHTTPDebugEndpoints:
         registry = MetricsRegistry()
         service = make_service(
             loaded_db, registry=registry, flight_recorder=8,
-            profile_hz=200.0,
         ).start()
         server = ServiceServer(service, port=0, registry=registry).start()
         yield service, server
@@ -448,15 +447,6 @@ class TestHTTPDebugEndpoints:
         assert postmortem["postmortem_reason"] == entry["status"]
         assert postmortem["error"]["type"]
         assert postmortem["environment"]["platform"]
-
-    def test_debug_profile_reports_attribution(self, served):
-        __, server = served
-        self.post_join(server)
-        status, report = self.get(server.url + "/debug/profile")
-        assert status == 200
-        assert report["hz"] == 200.0
-        assert report["samples"] >= 0
-        assert "phases" in report and "overhead" in report
 
     def test_disabled_layers_are_404(self, loaded_db):
         registry = MetricsRegistry()
