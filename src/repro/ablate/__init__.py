@@ -2,8 +2,8 @@
 
 The system is a stack of separable design choices — the paper's
 (α/β alternation, optimal firing probability, hash-family construction)
-and the repo's own (WAL, checksums, buffer pool, drift corrections,
-plan cache, parallel backends).  This package measures each one's
+and the repo's own (WAL, checksums, buffer pool, plan cache, parallel
+backends).  This package measures each one's
 importance by turning it off alone and diffing the result against a
 common baseline:
 

@@ -5,12 +5,10 @@ mirroring the shapes in ``benchmarks/baseline.py``) against a throwaway
 file-backed :class:`~repro.database.SetJoinDatabase` assembled from the
 run's knobs:
 
-* ``auto_mixed`` — the optimizer picks the plan from sampled statistics,
-  through a real :class:`~repro.service.core.PlanCache` when the
-  ``plan-cache`` knob is on and with a *seeded* synthetic drift history
-  (as if DCJ had been observed 3x slower than its prediction) when
-  ``drift-corrections`` is on, so both decision paths are exercised
-  deterministically.
+* ``auto_mixed`` — the optimizer picks the plan from sampled statistics
+  with the paper's time model, through a real
+  :class:`~repro.service.core.PlanCache` when the ``plan-cache`` knob is
+  on.
 * ``dcj_forced`` — DCJ at k=16 with the partitioner built directly from
   the partitioning knobs (hash-family construction, firing-probability
   scale on the optimal bit-string length b, α/β alternation pattern), so
@@ -42,16 +40,10 @@ import tempfile
 from ..errors import SetJoinError
 from ..obs.ledger import query_fingerprint
 
-__all__ = ["DCJ_FORCED_K", "SYNTHETIC_DRIFT", "suite_fingerprint", "run_bench"]
+__all__ = ["DCJ_FORCED_K", "suite_fingerprint", "run_bench"]
 
 #: Partition count for the forced-DCJ workload (levels = log2 k = 4).
 DCJ_FORCED_K = 16
-
-#: The seeded drift history the drift-corrections knob applies: a fixed
-#: "DCJ ran 3x slower than predicted" correction, large enough to flip
-#: the optimizer's DCJ/PSJ choice on the canonical workload — the flip
-#: is the component's measurable importance.
-SYNTHETIC_DRIFT = {"DCJ": 3.0, "PSJ": 1.0}
 
 
 def _workload_shape(scale: float, seed: int) -> dict:
@@ -116,7 +108,6 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
 
     shape = _workload_shape(scale, seed)
     lhs, rhs = uniform_workload(**shape).materialize()
-    drift = SYNTHETIC_DRIFT if knobs["drift_corrections"] else None
     plan_cache = PlanCache(8) if knobs["plan_cache"] else None
 
     extras = {"plans": 0, "plan_pages": 0}
@@ -141,13 +132,13 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
                 just wrote those pages), so plan cost is counted as pool
                 accesses (hits+misses), not physical disk reads.
                 """
-                key = ("ablate_r", "ablate_s", bool(drift))
+                key = ("ablate_r", "ablate_s")
                 if plan_cache is not None:
                     cached = plan_cache.lookup(key)
                     if cached is not None:
                         return cached
                 before = db.pool.stats.hits + db.pool.stats.misses
-                plan = db.plan("ablate_r", "ablate_s", drift_history=drift)
+                plan = db.plan("ablate_r", "ablate_s")
                 extras["plans"] += 1
                 extras["plan_pages"] += (
                     db.pool.stats.hits + db.pool.stats.misses - before

@@ -2,8 +2,8 @@
 
 Every separable design choice in the system — the paper's (alternation
 heuristic, optimal firing probability, hash-family construction) and the
-repo's own (WAL, checksums, buffer policy and size, drift corrections,
-plan cache, parallel backend) — registers here as a :class:`Component`:
+repo's own (WAL, checksums, buffer policy and size, plan cache,
+parallel backend) — registers here as a :class:`Component`:
 a name, the layer it lives in, the knob it toggles, one or more ablated
 variants, and an **invariance class**:
 
@@ -16,7 +16,7 @@ variants, and an **invariance class**:
   plan, so x/y may move (that movement *is* its importance), but the
   join answer itself is still unique: pairs must stay bit-identical.
   (Partitioning components: hash family, firing probability,
-  alternation, drift corrections.)
+  alternation.)
 
 Components toggle through :data:`BASELINE_KNOBS` — a flat dict of knob
 name → baseline value that :mod:`repro.ablate.bench` interprets when
@@ -59,8 +59,7 @@ BASELINE_KNOBS: dict = {
     "family_kind": "bitstring", # monotone hash-family construction
     "firing_scale": 1.0,        # multiplier on the optimal bit-string length b
     "pattern": "alternating",   # α/β operator alternation
-    # optimizer / service
-    "drift_corrections": True,  # drift-aware cost corrections during planning
+    # service
     "plan_cache": True,         # reuse plans across repeat executions
     # engine
     "workers": 2,               # partition-parallel workers
@@ -209,15 +208,6 @@ register_component(Component(
     invariance=ANSWER_AFFECTING,
     variants={"alpha-only": {"pattern": "alpha"},
               "beta-only": {"pattern": "beta"}},
-))
-
-register_component(Component(
-    name="drift-corrections",
-    layer="optimizer",
-    description="drift-aware plan costing (PR 5): observed/predicted "
-    "correction ratios reweight DCJ vs PSJ during planning",
-    invariance=ANSWER_AFFECTING,
-    variants={"off": {"drift_corrections": False}},
 ))
 
 register_component(Component(

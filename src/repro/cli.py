@@ -49,17 +49,14 @@ def load_relation_file(path: str, name: str = "") -> Relation:
 
 
 def _cmd_join(arguments) -> int:
-    import os
-
     lhs = load_relation_file(arguments.r_file, "R")
     rhs = load_relation_file(arguments.s_file, "S")
     algorithm = (
         "auto" if arguments.algorithm == "auto"
         else arguments.algorithm.upper()
     )
-    if arguments.drift and not (arguments.analyze or arguments.explain):
-        print("error: --drift requires --analyze (or --explain, which "
-              "uses the history read-only)", file=sys.stderr)
+    if arguments.drift and not arguments.analyze:
+        print("error: --drift requires --analyze", file=sys.stderr)
         return 2
     if arguments.recalibrate and not (arguments.drift and arguments.analyze):
         print("error: --recalibrate requires --analyze --drift PATH",
@@ -67,8 +64,7 @@ def _cmd_join(arguments) -> int:
         return 2
 
     # The closed loop: the model store's freshest recalibrated version
-    # plans this join, and the drift history (when it already exists)
-    # weights the auto selection by each algorithm's recent drift.
+    # plans this join.
     model = PAPER_TIME_MODEL
     store = None
     if arguments.recalibrate or arguments.model_store:
@@ -84,10 +80,6 @@ def _cmd_join(arguments) -> int:
                   f"{store.active_version} (c1={model.c1:.4g}, "
                   f"c2={model.c2:.4g}, c3={model.c3:.4g})",
                   file=sys.stderr)
-    drift_history = (
-        arguments.drift
-        if arguments.drift and os.path.exists(arguments.drift) else None
-    )
 
     if arguments.shards > 1:
         if arguments.analyze or arguments.drift:
@@ -105,7 +97,6 @@ def _cmd_join(arguments) -> int:
         signature_bits=arguments.signature_bits,
         workers=arguments.workers,
         backend=arguments.parallel_backend,
-        drift_history=drift_history,
     )
     if arguments.explain:
         from .obs.explain import explain_join
@@ -815,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--drift", metavar="PATH", default=None,
         help="with --analyze: append the predicted-vs-observed drift "
-        "record to PATH (JSON Lines); an existing history also makes "
-        "auto selection drift-aware and adds the corrected column",
+        "record to PATH (JSON Lines), the history --recalibrate refits "
+        "the time model from",
     )
     join.add_argument(
         "--recalibrate", action="store_true",

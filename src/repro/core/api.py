@@ -43,14 +43,21 @@ __all__ = [
 _ALGORITHMS = ("auto", "DCJ", "PSJ", "LSJ")
 
 
-def resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed,
-                          drift_history=None):
+def check_algorithm(algorithm: str) -> None:
+    """Raise unless ``algorithm`` names a join :func:`containment_join` runs."""
+    if algorithm not in _ALGORITHMS:
+        raise ConfigurationError(
+            f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
+        )
+
+
+def resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed):
     """``(algorithm, k, θ_R, θ_S, partitioner)`` of a containment join of two
     in-memory relations: the optimizer's plan for ``"auto"``, else the named
     algorithm at ``num_partitions`` (default 32).  What runs and what
     EXPLAIN shows are this one answer."""
     if algorithm == "auto":
-        plan = choose_plan(lhs, rhs, model, drift_history=drift_history)
+        plan = choose_plan(lhs, rhs, model)
         return (plan.algorithm, plan.k, plan.theta_r, plan.theta_s,
                 plan.build_partitioner(seed=seed))
     k = num_partitions or 32
@@ -71,7 +78,6 @@ def containment_join(
     workers: int = 1,
     backend: str = "serial",
     tracer=None,
-    drift_history=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Compute ``{(r.tid, s.tid) : r ⊆ s}``.
 
@@ -87,24 +93,13 @@ def containment_join(
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records a span tree
     of the execution — phases, partition pairs, per-shard worker spans —
     without changing results or accounting; see :mod:`repro.obs`.
-
-    ``drift_history`` (drift records, a JSONL history path, or a
-    precomputed ``{algorithm: factor}`` mapping) makes the ``"auto"``
-    selection drift-aware: each candidate algorithm's predicted time is
-    weighted by its recent observed wall-time drift before DCJ and PSJ
-    are compared (:mod:`repro.obs.adaptive`).  Once an (algorithm, k)
-    pair is chosen, execution — results and x/y accounting — is
-    bit-identical with or without the history.
     """
-    if algorithm not in _ALGORITHMS:
-        raise ConfigurationError(
-            f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
-        )
+    check_algorithm(algorithm)
     if not lhs or not rhs:
         return set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
                                   s_size=len(rhs))
     *__, partitioner = resolve_configuration(
-        lhs, rhs, algorithm, num_partitions, model, seed, drift_history
+        lhs, rhs, algorithm, num_partitions, model, seed
     )
     return run_disk_join(
         lhs, rhs, partitioner, signature_bits=signature_bits,

@@ -16,17 +16,10 @@ experiments) can inspect the prediction landscape, and
 :meth:`JoinPlan.build_partitioner` turns the decision into a configured
 partitioner ready to run.
 
-**Drift-aware planning** (``drift_history=``): the paper fits c1/c2/c3
-once on a test machine and trusts them forever; a long-lived
-installation accumulates per-join predicted-vs-observed drift records
-(:mod:`repro.obs.drift`) instead.  Passing that history (a record list,
-a JSONL path, or a precomputed ``{algorithm: factor}`` mapping) makes
-step 4 multiply each candidate algorithm's predicted time by its recent
-mean observed/predicted wall-time ratio — shrunk toward 1.0 for thin
-histories (:func:`repro.obs.adaptive.drift_corrections`) — before step 5
-compares them.  Only the *comparison* changes: every candidate also
-keeps its raw model prediction, and executing a plan is bit-identical
-with corrections on or off.
+Observed wall time changes a plan only through ``model``: a long-lived
+installation refits c1/c2/c3 from its drift history
+(:class:`repro.obs.adaptive.Recalibrator`) and plans with the refitted
+model, which is the paper's own calibration procedure run again.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ __all__ = [
     "JoinPlan",
     "choose_plan",
     "plan_from_statistics",
-    "resolve_drift_corrections",
 ]
 
 DEFAULT_LEVELS = tuple(range(1, 14))  # k = 2^1 .. 2^13, as in the paper
@@ -57,24 +49,13 @@ DEFAULT_LEVELS = tuple(range(1, 14))  # k = 2^1 .. 2^13, as in the paper
 
 @dataclass(frozen=True)
 class CandidatePlan:
-    """One (algorithm, k) candidate with its model estimates.
-
-    ``predicted_seconds`` is what step 5 compares — the raw model
-    prediction times the algorithm's ``drift_correction`` (1.0 without a
-    drift history, in which case it equals ``raw_seconds``).
-    """
+    """One (algorithm, k) candidate with its model estimates."""
 
     algorithm: str
     k: int
     comparison_factor: float
     replication_factor: float
     predicted_seconds: float
-    raw_seconds: float = None  # uncorrected model prediction
-    drift_correction: float = 1.0
-
-    def __post_init__(self):
-        if self.raw_seconds is None:
-            object.__setattr__(self, "raw_seconds", self.predicted_seconds)
 
 
 @dataclass
@@ -89,9 +70,6 @@ class JoinPlan:
     r_size: int
     s_size: int
     candidates: list[CandidatePlan] = field(default_factory=list)
-    #: per-algorithm wall-time correction factors applied during step 5
-    #: (empty without a drift history).
-    drift_corrections: dict = field(default_factory=dict)
 
     def explain(self, top: int = 5) -> str:
         """EXPLAIN-style text: the decision plus the best-k line per
@@ -102,15 +80,6 @@ class JoinPlan:
             f"chosen: {self.algorithm} with k={self.k} "
             f"(predicted {self.predicted_seconds:.3f}s)",
         ]
-        if self.drift_corrections:
-            lines.append(
-                "  drift corrections: " + ", ".join(
-                    f"{algorithm}×{factor:.3f}"
-                    for algorithm, factor in sorted(
-                        self.drift_corrections.items()
-                    )
-                )
-            )
         per_algorithm: dict[str, CandidatePlan] = {}
         for candidate in self.candidates:
             best = per_algorithm.get(candidate.algorithm)
@@ -171,34 +140,6 @@ class JoinPlan:
         )
 
 
-def resolve_drift_corrections(drift_history) -> "dict[str, float]":
-    """Normalize a ``drift_history=`` argument into correction factors.
-
-    Accepts ``None`` (no corrections), an already-computed
-    ``{algorithm: factor}`` mapping, a JSONL drift-history path (a path
-    that does not exist yet is an empty history, not an error — a first
-    run has nothing to learn from), or a sequence of
-    :class:`~repro.obs.drift.DriftRecord`\\ s.
-    """
-    if drift_history is None:
-        return {}
-    if isinstance(drift_history, dict):
-        return dict(drift_history)
-    # Imported lazily: repro.obs.adaptive imports analysis code, while
-    # this module is part of core — keep the import graph acyclic.
-    from ..obs.adaptive import drift_corrections
-
-    if isinstance(drift_history, str):
-        import os
-
-        from ..obs.drift import read_drift_jsonl
-
-        if not os.path.exists(drift_history):
-            return {}
-        return drift_corrections(read_drift_jsonl(drift_history))
-    return drift_corrections(list(drift_history))
-
-
 def plan_from_statistics(
     r_size: int,
     s_size: int,
@@ -207,36 +148,26 @@ def plan_from_statistics(
     model: TimeModel,
     algorithms: tuple[str, ...] = ("DCJ", "PSJ"),
     levels: tuple[int, ...] = DEFAULT_LEVELS,
-    drift_history=None,
 ) -> JoinPlan:
     """Steps 3-5 of the procedure, given the step 1-2 statistics.
 
     Useful when the inputs are disk-resident and only their statistics are
-    at hand (the database layer plans this way).  ``drift_history`` makes
-    step 5 drift-aware (see the module docstring).
+    at hand (the database layer plans this way).
     """
     if r_size < 1 or s_size < 1:
         raise ConfigurationError("cannot plan a join over an empty relation")
     if theta_r <= 0 or theta_s <= 0:
         raise ConfigurationError("relations must contain non-empty sets to plan")
     rho = s_size / r_size
-    corrections = resolve_drift_corrections(drift_history)
-    # Steps 3-4: estimate factors and predicted times over the k grid,
-    # inflating/deflating each algorithm by its recent observed drift.
+    # Steps 3-4: estimate factors and predicted times over the k grid.
     candidates: list[CandidatePlan] = []
     for algorithm in algorithms:
-        correction = corrections.get(algorithm, 1.0)
         for level in levels:
             k = 2**level
             comp = comparison_factor(algorithm, k, theta_r, theta_s)
             repl = replication_factor(algorithm, k, theta_r, theta_s, rho)
             seconds = model.predict_factors(comp, repl, r_size, s_size, k)
-            candidates.append(CandidatePlan(
-                algorithm, k, comp, repl,
-                predicted_seconds=seconds * correction,
-                raw_seconds=seconds,
-                drift_correction=correction,
-            ))
+            candidates.append(CandidatePlan(algorithm, k, comp, repl, seconds))
     # Step 5: pick the best.
     best = min(candidates, key=lambda plan: plan.predicted_seconds)
     return JoinPlan(
@@ -248,9 +179,6 @@ def plan_from_statistics(
         r_size=r_size,
         s_size=s_size,
         candidates=candidates,
-        drift_corrections={
-            a: f for a, f in corrections.items() if a in algorithms
-        },
     )
 
 
@@ -262,16 +190,12 @@ def choose_plan(
     levels: tuple[int, ...] = DEFAULT_LEVELS,
     sample_size: int | None = None,
     seed: int = 0,
-    drift_history=None,
 ) -> JoinPlan:
     """Run the five-step selection procedure on in-memory relations.
 
     ``sample_size`` switches step 2 from exact statistics to sampling.
     ``algorithms`` defaults to the paper's DCJ-vs-PSJ decision; add
     ``"LSJ"`` to include it (it never wins, as the paper shows).
-    ``drift_history`` (records, a JSONL path, or precomputed factors)
-    weights each algorithm's predictions by its recent observed drift
-    before comparing — see the module docstring.
     """
     if not lhs or not rhs:
         raise ConfigurationError("cannot plan a join over an empty relation")
@@ -286,5 +210,4 @@ def choose_plan(
         theta_s = rhs.sample_cardinality(sample_size, seed + 1)
     return plan_from_statistics(
         r_size, s_size, theta_r, theta_s, model, algorithms, levels,
-        drift_history=drift_history,
     )

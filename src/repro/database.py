@@ -44,19 +44,23 @@ __all__ = ["SetJoinDatabase"]
 _STATS_SAMPLE = 200
 
 
-def resolve_partitioner(db, r_name: str, s_name: str, algorithm: str,
-                        num_partitions: "int | None", seed: int):
-    """The partitioner a join of two stored relations runs on ``db`` (a
-    database or a sharded one): the optimizer's plan for ``"auto"``, else
-    the named algorithm at ``num_partitions`` tuned to the stored θ."""
+def resolve_configuration(db, r_name: str, s_name: str, algorithm: str,
+                          num_partitions: "int | None", seed: int):
+    """``(algorithm, k, |R|, θ_R, |S|, θ_S, partitioner)`` of a join of two
+    stored relations on ``db`` (a database or a sharded one): the
+    optimizer's plan for ``"auto"``, else the named algorithm at
+    ``num_partitions`` (default 32) tuned to the stored θ.  What ``join``
+    runs and what ``explain_plan`` shows are this one answer."""
     if algorithm == "auto":
-        return db.plan(r_name, s_name).build_partitioner(seed=seed)
-    __, theta_r = db._statistics(r_name)
-    __, theta_s = db._statistics(s_name, seed=1)
-    return make_partitioner(
-        algorithm, num_partitions or 32,
-        max(theta_r, 1.0), max(theta_s, 1.0), seed,
-    )
+        plan = db.plan(r_name, s_name)
+        return (plan.algorithm, plan.k, plan.r_size, plan.theta_r,
+                plan.s_size, plan.theta_s, plan.build_partitioner(seed=seed))
+    r_size, theta_r = db._statistics(r_name)
+    s_size, theta_s = db._statistics(s_name, seed=1)
+    k = num_partitions or 32
+    theta_r, theta_s = max(theta_r, 1.0), max(theta_s, 1.0)
+    return (algorithm, k, r_size, theta_r, s_size, theta_s,
+            make_partitioner(algorithm, k, theta_r, theta_s, seed))
 
 
 class SetJoinDatabase:
@@ -269,21 +273,15 @@ class SetJoinDatabase:
             self.model = self.model_store.active
         return self.model
 
-    def plan(self, r_name: str, s_name: str,
-             drift_history=None) -> JoinPlan:
-        """Run the optimizer over the stored relations' statistics.
-
-        ``drift_history`` (records, a JSONL path, or precomputed
-        factors) makes the selection drift-aware — see
-        :func:`repro.core.optimizer.plan_from_statistics`.
-        """
+    def plan(self, r_name: str, s_name: str) -> JoinPlan:
+        """Run the optimizer over the stored relations' statistics, with
+        the model store's freshest model."""
         self._check_open()
         self.refresh_model()
         r_size, theta_r = self._statistics(r_name)
         s_size, theta_s = self._statistics(s_name, seed=1)
         return plan_from_statistics(
-            r_size, s_size, theta_r, theta_s, self.model,
-            drift_history=drift_history,
+            r_size, s_size, theta_r, theta_s, self.model
         )
 
     def explain(self, r_name: str, s_name: str) -> str:
@@ -310,22 +308,14 @@ class SetJoinDatabase:
         from .obs.explain import build_plan_from_statistics
 
         self._check_open()
-        r_size, theta_r = self._statistics(r_name)
-        s_size, theta_s = self._statistics(s_name, seed=1)
-        if algorithm == "auto":
-            plan = plan_from_statistics(
-                r_size, s_size, theta_r, theta_s, self.model
+        algorithm, k, r_size, theta_r, s_size, theta_s, partitioner = (
+            resolve_configuration(
+                self, r_name, s_name, algorithm, num_partitions, seed
             )
-            algorithm, k = plan.algorithm, plan.k
-            partitioner = plan.build_partitioner(seed=seed)
-        else:
-            k = num_partitions or 32
-            theta_r = max(theta_r, 1.0)
-            theta_s = max(theta_s, 1.0)
-            partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
+        )
         return build_plan_from_statistics(
-            algorithm, k, r_size, s_size, max(theta_r, 1e-9),
-            max(theta_s, 1e-9), self.model, partitioner=partitioner,
+            algorithm, k, r_size, s_size, theta_r, theta_s,
+            self.refresh_model(), partitioner=partitioner,
             signature_bits=signature_bits, page_size=self.disk.page_size,
         )
 
@@ -364,9 +354,9 @@ class SetJoinDatabase:
         """
         self._check_open()
         if partitioner is None:
-            partitioner = resolve_partitioner(
+            partitioner = resolve_configuration(
                 self, r_name, s_name, algorithm, num_partitions, seed
-            )
+            )[-1]
         testbed = Testbed.from_components(
             self.disk, self.pool, self.get_store(r_name), self.get_store(s_name)
         )

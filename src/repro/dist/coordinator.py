@@ -49,7 +49,7 @@ from ..core.metrics import JoinMetrics
 from ..core.optimizer import JoinPlan, plan_from_statistics
 from ..core.sets import Relation, SetTuple
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
-from ..database import resolve_partitioner
+from ..database import resolve_configuration
 from ..errors import ConfigurationError
 from ..obs.trace import current_tracer, use_tracer
 from ..parallel.executor import resolve_backend
@@ -337,14 +337,13 @@ class ShardedDatabase:
             self.model = self.model_store.active
         return self.model
 
-    def plan(self, r_name: str, s_name: str, drift_history=None) -> JoinPlan:
+    def plan(self, r_name: str, s_name: str) -> JoinPlan:
         self._check_open()
         self.refresh_model()
         r_size, theta_r = self._statistics(r_name)
         s_size, theta_s = self._statistics(s_name)
         return plan_from_statistics(
-            r_size, s_size, theta_r, theta_s, self.model,
-            drift_history=drift_history,
+            r_size, s_size, theta_r, theta_s, self.model
         )
 
     def explain(self, r_name: str, s_name: str) -> str:
@@ -444,9 +443,9 @@ class ShardedDatabase:
         """
         self._check_open()
         if partitioner is None:
-            partitioner = resolve_partitioner(
+            partitioner = resolve_configuration(
                 self, r_name, s_name, algorithm, num_partitions, seed
-            )
+            )[-1]
         partitioner = deterministic_partitioner(partitioner)
         tracer = tracer if tracer is not None else current_tracer()
         root_attrs = dict(

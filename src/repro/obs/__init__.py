@@ -25,9 +25,8 @@ cross-cutting layer the rest of the system reports through:
 * :mod:`.adaptive` — the *act* half of the loop: a
   :class:`~repro.obs.adaptive.Recalibrator` refits the time model from
   accumulated drift when its wall-time bias exceeds a threshold,
-  versioned into a :class:`~repro.obs.adaptive.ModelStore`, and
-  :func:`~repro.obs.adaptive.drift_corrections` feeds per-algorithm
-  correction factors back into the optimizer.
+  versioned into a :class:`~repro.obs.adaptive.ModelStore` that the
+  optimizer plans with.
 * :mod:`.serve` — a stdlib HTTP endpoint (``/metrics``, ``/healthz``)
   serving the registry in Prometheus text format.
 * :mod:`.ledger` — per-query resource attribution: lane-window registry
@@ -77,7 +76,6 @@ _LAZY = {
     "RefitOutcome": "adaptive",
     "Recalibrator": "adaptive",
     "samples_from_history": "adaptive",
-    "drift_corrections": "adaptive",
     "publish_model": "adaptive",
     "RESOURCE_COUNTERS": "ledger",
     "Fingerprint": "ledger",

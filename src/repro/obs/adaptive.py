@@ -19,17 +19,13 @@ systematically wrong.  This module closes the loop:
   :func:`~repro.analysis.timemodel.calibrate` whenever the wall-time
   bias of the recent drift window exceeds a threshold, persist the new
   version, and publish ``setjoin_model_*`` gauges so the active
-  coefficients and refit count are scrapable;
-* :func:`drift_corrections` — per-algorithm multiplicative correction
-  factors (recent mean observed/predicted wall-time ratio, shrunk
-  toward 1.0 for thin histories) that
-  :func:`repro.core.optimizer.choose_plan` applies to candidate
-  predictions before comparing DCJ vs PSJ.
+  coefficients and refit count are scrapable.
 
-The design treats the calibrated constants the way adaptive query
-processors treat cost estimates — as hypotheses to be corrected by
-observed behaviour — while never touching the join itself: results and
-the paper's x/y accounting are bit-identical with adaptation on or off.
+A refit is the only way observed time reaches the planner: the paper's
+one cost model ``c1·x + c2·y·k^c3``, fitted again by the paper's own
+least-squares procedure on this machine's history.  The join itself is
+never touched: results and the paper's x/y accounting are bit-identical
+under any model version.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ __all__ = [
     "RollbackOutcome",
     "Recalibrator",
     "samples_from_history",
-    "drift_corrections",
     "publish_model",
 ]
 
@@ -76,17 +71,6 @@ DEFAULT_MIN_RECORDS = 20
 #: rollback check will judge it — a refit must not be reverted on a
 #: couple of noisy joins.
 DEFAULT_MIN_ROLLBACK_RECORDS = 20
-
-#: Shrinkage prior strength for per-algorithm corrections: a history of
-#: n records pulls the factor n/(n+PRIOR) of the way from 1.0 toward
-#: the observed ratio, so a couple of noisy joins barely move the
-#: optimizer while a long consistent history dominates.
-CORRECTION_PRIOR_STRENGTH = 8.0
-
-#: Per-record observed/predicted wall-time ratios are clamped here so a
-#: single pathological record (timer glitch, page-cache cliff) cannot
-#: swing an algorithm's correction arbitrarily.
-CORRECTION_RATIO_CLAMP = (0.1, 10.0)
 
 
 def samples_from_history(
@@ -570,50 +554,3 @@ class Recalibrator:
             "Time-model recalibrations accepted",
         ).inc()
         publish_model(version.model, version.version, registry=self.registry)
-
-
-def drift_corrections(
-    records: "Sequence[DriftRecord] | None",
-    window: int = 50,
-    prior_strength: float = CORRECTION_PRIOR_STRENGTH,
-) -> "dict[str, float]":
-    """Per-algorithm multiplicative wall-time correction factors.
-
-    For each algorithm with drift history, the factor is the recent mean
-    of the per-join observed/predicted wall-time ratio — equivalently
-    ``1/(1 − e)`` for the signed relative error ``e`` the drift layer
-    stores — shrunk toward 1.0 by a prior of strength
-    ``prior_strength`` pseudo-records::
-
-        correction = (n·mean_ratio + prior) / (n + prior)
-
-    A factor above 1.0 means the model systematically undershoots that
-    algorithm (its runs take longer than predicted), so the optimizer
-    should inflate its candidate predictions; below 1.0, deflate.
-    Algorithms without history are simply absent (treated as 1.0 by the
-    optimizer).  Per-record ratios are clamped to
-    :data:`CORRECTION_RATIO_CLAMP` so one outlier cannot dominate.
-    """
-    if not records:
-        return {}
-    if prior_strength < 0:
-        raise ConfigurationError(
-            f"prior strength must be >= 0, got {prior_strength}"
-        )
-    lo, hi = CORRECTION_RATIO_CLAMP
-    per_algorithm: dict[str, list[float]] = {}
-    for record in records:
-        error = record.errors.get("seconds")
-        if error is None or error >= 1.0:
-            continue  # e == 1 would mean predicted 0; unusable either way
-        ratio = min(max(1.0 / (1.0 - error), lo), hi)
-        per_algorithm.setdefault(record.algorithm, []).append(ratio)
-    corrections: dict[str, float] = {}
-    for algorithm, ratios in per_algorithm.items():
-        recent = ratios[-window:]
-        n = len(recent)
-        mean_ratio = sum(recent) / n
-        corrections[algorithm] = (
-            (n * mean_ratio + prior_strength) / (n + prior_strength)
-        )
-    return corrections

@@ -22,18 +22,14 @@ it afterwards.  This module puts both on one tree so a user can ask
   tracer's (injectable) clocks, so ANALYZE output is deterministic under
   fake clocks and snapshot-testable.
 
-Beyond the paper's three disk-based algorithms, the inspector renders
-structural plans for the two extra operators the testbed carries: SHJ's
-submask-probing **lattice levels** and the hybrid join's cardinality
-**switchover** each get their own plan nodes.
+Both describe only the plans :func:`repro.core.api.containment_join`
+runs: ``auto``, ``DCJ``, ``PSJ`` and ``LSJ``.
 
 The per-join predicted-vs-observed deltas feed the drift layer
 (:mod:`repro.obs.drift`), closing the loop between ``repro.analysis``
-and ``repro.obs``.  The loop's *act* half feeds back in here too:
-passing ``drift_history=`` (or precomputed correction factors) adds a
-**corrected** column next to the raw predictions — the model prediction
-times the algorithm's recent observed wall-time drift, exactly the
-number the drift-aware optimizer compares (:mod:`repro.obs.adaptive`).
+and ``repro.obs``.  The loop's *act* half reaches EXPLAIN through
+``model=`` alone: a refitted model (:mod:`repro.obs.adaptive`) prices
+every node, exactly as it prices the optimizer's candidates.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ __all__ = [
 #: Fixed rendering order of metric keys (everything else sorts after).
 _METRIC_ORDER = (
     "seconds",
-    "drift_correction",
     "cpu_seconds",
     "replication_seconds",
     "comparisons",
@@ -90,10 +85,7 @@ class PlanNode:
     ``predicted`` holds the analytical model's values, ``observed`` the
     measured ones (ANALYZE only); :meth:`errors` pairs them up.  Keys
     are shared between the two dicts where comparison makes sense
-    (``seconds``, ``comparisons``, ``replicated``, ...).  ``corrected``
-    holds drift-corrected predictions — the raw model value times the
-    algorithm's recent observed wall-time drift factor — and renders as
-    its own column when any node carries one.
+    (``seconds``, ``comparisons``, ``replicated``, ...).
     """
 
     name: str
@@ -101,7 +93,6 @@ class PlanNode:
     detail: str = ""
     predicted: dict = field(default_factory=dict)
     observed: dict = field(default_factory=dict)
-    corrected: dict = field(default_factory=dict)
     children: "list[PlanNode]" = field(default_factory=list)
 
     def add(self, child: "PlanNode") -> "PlanNode":
@@ -145,7 +136,6 @@ class PlanNode:
             "kind": self.kind,
             "detail": self.detail,
             "predicted": dict(self.predicted),
-            "corrected": dict(self.corrected),
             "observed": dict(self.observed),
             "errors": self.errors(),
             "children": [child.to_dict() for child in self.children],
@@ -171,7 +161,7 @@ def _fmt_error(error) -> str:
 
 
 def _metric_keys(node: PlanNode) -> list[str]:
-    keys = set(node.predicted) | set(node.observed) | set(node.corrected)
+    keys = set(node.predicted) | set(node.observed)
     ordered = [key for key in _METRIC_ORDER if key in keys]
     ordered.extend(sorted(keys - set(_METRIC_ORDER)))
     return ordered
@@ -200,24 +190,19 @@ class ExplainReport:
         """Deterministic plain-text plan tree.
 
         Layout: one header block, then per node a name line followed by
-        one aligned row per metric — predicted, corrected (when a drift
-        history supplied correction factors), observed (ANALYZE), and
+        one aligned row per metric — predicted, observed (ANALYZE), and
         the signed relative-error column.
         """
         lines = list(self.header)
-        with_corrected = any(node.corrected for node in self.root.walk())
         columns = f"{'':34}{'predicted':>14}"
-        if with_corrected:
-            columns += f"  {'corrected':>14}"
         if self.analyzed:
             columns += f"  {'observed':>14}  {'err':>8}"
         lines.append(columns)
-        self._render_node(self.root, "", None, lines, with_corrected)
+        self._render_node(self.root, "", None, lines)
         return "\n".join(lines)
 
     def _render_node(
         self, node: PlanNode, prefix: str, is_last, lines: list[str],
-        with_corrected: bool = False,
     ) -> None:
         connector = "" if is_last is None else ("└─ " if is_last else "├─ ")
         title = node.name + (f"  [{node.detail}]" if node.detail else "")
@@ -230,8 +215,6 @@ class ExplainReport:
         for key in _metric_keys(node):
             label = f"{metric_prefix}{key}"
             row = f"{label:<34}{_fmt(node.predicted.get(key)):>14}"
-            if with_corrected:
-                row += f"  {_fmt(node.corrected.get(key)):>14}"
             if self.analyzed:
                 row += (
                     f"  {_fmt(node.observed.get(key)):>14}"
@@ -241,7 +224,6 @@ class ExplainReport:
         for index, child in enumerate(node.children):
             self._render_node(
                 child, child_prefix, index == len(node.children) - 1, lines,
-                with_corrected,
             )
 
 
@@ -279,11 +261,6 @@ def build_plan_from_statistics(
     backend: str = "serial",
     page_size: int = 4096,
     operator_levels: int = 3,
-    drift_corrections: dict | None = None,
-    shj_bits: int = 10,
-    lattice_levels: int = 6,
-    tau: int | None = None,
-    quadrants: "list[dict] | None" = None,
 ) -> ExplainReport:
     """Build the predicted (EXPLAIN) plan tree from join statistics.
 
@@ -295,41 +272,15 @@ def build_plan_from_statistics(
     partitioning phase (replication I/O and fragmentation); the
     verification phase is outside the paper's model and carries no time
     prediction.
-
-    ``drift_corrections`` (an ``{algorithm: factor}`` mapping, e.g. from
-    :func:`repro.obs.adaptive.drift_corrections`) adds the drift-aware
-    optimizer's view: every time prediction also appears in a
-    *corrected* column, multiplied by the algorithm's factor.
-
-    Besides the paper's disk-based ``DCJ``/``PSJ``/``LSJ``, two further
-    algorithms render structural plans: ``"SHJ"`` shows the submask
-    lattice it probes level by level (``shj_bits`` wide signatures, the
-    first ``lattice_levels`` levels expanded), and ``"HYBRID"`` shows
-    the cardinality switchover at ``tau`` with one sub-plan per active
-    quadrant (pass ``quadrants`` — dicts with ``label``, ``algorithm``,
-    ``k``, ``r_size``, ``s_size``, ``theta_r``, ``theta_s`` — for exact
-    quadrant statistics; otherwise a median-split approximation is
-    used).  Neither is covered by the Section 5 time model, so SHJ nodes
-    predict probe counts rather than seconds.
     """
     from ..analysis.factors import predict_quantities
+    from ..core.api import check_algorithm
     from ..storage.serialization import partition_entry_size
 
+    check_algorithm(algorithm)
     if theta_r <= 0 or theta_s <= 0:
         raise ConfigurationError(
             "cannot explain a join over empty sets (θ must be positive)"
-        )
-    corrections = drift_corrections or {}
-    if algorithm == "SHJ":
-        return _build_shj_plan(
-            r_size, s_size, theta_r, theta_s,
-            shj_bits=shj_bits, lattice_levels=lattice_levels,
-        )
-    if algorithm == "HYBRID":
-        return _build_hybrid_plan(
-            r_size, s_size, theta_r, theta_s, model,
-            corrections=corrections, tau=tau, quadrants=quadrants,
-            signature_bits=signature_bits, page_size=page_size,
         )
     quantities = predict_quantities(
         algorithm, k, theta_r, theta_s, r_size, s_size
@@ -384,7 +335,6 @@ def build_plan_from_statistics(
         kind="phase",
         detail="sorted fetch + exact subset test (outside the time model)",
     ))
-    _apply_corrections(root, algorithm, corrections)
 
     header = [
         f"{algorithm} set containment join"
@@ -395,220 +345,6 @@ def build_plan_from_statistics(
         "",
     ]
     return ExplainReport(root=root, mode="explain", header=header)
-
-
-def _apply_corrections(root: PlanNode, algorithm: str, corrections: dict) -> None:
-    """Annotate a plan's time predictions with the drift-corrected view.
-
-    The correction factor scales wall time only — the x/y quantities are
-    work counts the drift layer tracks separately — so every node that
-    predicts ``seconds`` gets a corrected ``seconds``, and the root also
-    shows the factor itself under ``drift_correction``.
-    """
-    factor = corrections.get(algorithm)
-    if factor is None:
-        return
-    for node in root.walk():
-        if "seconds" in node.predicted:
-            node.corrected["seconds"] = node.predicted["seconds"] * factor
-    root.corrected["drift_correction"] = factor
-
-
-def _build_shj_plan(
-    r_size: int,
-    s_size: int,
-    theta_r: float,
-    theta_s: float,
-    *,
-    shj_bits: int,
-    lattice_levels: int,
-) -> ExplainReport:
-    """The SHJ plan: hash build, then the submask lattice, level by level.
-
-    SHJ probes every submask of ``sig(s)``; with ``b = shj_bits`` and an
-    expected ``m = b·(1 − (1 − 1/b)^θ_S)`` set bits per S-signature, a
-    probe walks a lattice of ``2^m`` submasks — ``C(m, ℓ)`` of them at
-    level ℓ (ℓ bits cleared).  Each level is its own plan node so the
-    exponential blow-up that motivates the paper's disk-based algorithms
-    is visible in the plan itself.  SHJ sits outside the Section 5 time
-    model, so nodes predict probe counts, not seconds.
-    """
-    from math import comb
-
-    if not 1 <= shj_bits <= 24:
-        raise ConfigurationError(
-            f"SHJ signature width must be in 1..24 bits, got {shj_bits}"
-        )
-    b = shj_bits
-    m_r = b * (1.0 - (1.0 - 1.0 / b) ** theta_r)
-    m_s = b * (1.0 - (1.0 - 1.0 / b) ** theta_s)
-    m = max(1, round(m_s))
-    probes = s_size * 2**m
-
-    root = PlanNode(
-        "set containment join",
-        kind="join",
-        detail=f"SHJ, b={b}-bit signatures (main-memory)",
-        predicted={
-            "probes": probes,
-            "E_signature_bits_r": m_r,
-            "E_signature_bits_s": m_s,
-        },
-    )
-    root.add(PlanNode(
-        "phase.build",
-        kind="phase",
-        detail=f"hash table over R keyed by {b}-bit signature",
-        predicted={"buckets": min(r_size, 2**b)},
-    ))
-    probe = root.add(PlanNode(
-        "phase.probe",
-        kind="phase",
-        detail="enumerate the submask lattice of sig(s), probe per submask",
-        predicted={"probes": probes},
-    ))
-    shown = min(m, lattice_levels)
-    for level in range(shown + 1):
-        probe.add(PlanNode(
-            f"lattice.level {level}",
-            kind="operator",
-            detail=f"submasks with {level} of ≈{m} bits cleared",
-            predicted={"probes": s_size * comb(m, level)},
-        ))
-    if m > shown:
-        elided = s_size * sum(comb(m, level) for level in range(shown + 1, m + 1))
-        probe.add(PlanNode(
-            f"… lattice levels {shown + 1}..{m} elided",
-            kind="note",
-            detail=f"{elided} further probes",
-        ))
-    root.add(PlanNode(
-        "phase.verify",
-        kind="phase",
-        detail="exact subset test on probe hits (outside the time model)",
-    ))
-    header = [
-        f"SHJ set containment join"
-        f"  |R|={r_size} (θ_R≈{theta_r:.2f})  ⋈⊆  |S|={s_size}"
-        f" (θ_S≈{theta_s:.2f})",
-        "model: n/a — SHJ predates the Section 5 time model"
-        f" (probe cost 2^popcount(sig(s)), E≈2^{m_s:.2f} per S-tuple)",
-        "",
-    ]
-    return ExplainReport(root=root, mode="explain", header=header)
-
-
-def _build_hybrid_plan(
-    r_size: int,
-    s_size: int,
-    theta_r: float,
-    theta_s: float,
-    model: TimeModel,
-    *,
-    corrections: dict,
-    tau: int | None,
-    quadrants: "list[dict] | None",
-    signature_bits: int,
-    page_size: int,
-) -> ExplainReport:
-    """The hybrid plan: the switchover at τ plus one sub-plan per quadrant.
-
-    Mirrors :func:`repro.core.hybrid.hybrid_join`: both relations split
-    at cardinality τ, the impossible large⋈small quadrant is dropped,
-    and each surviving quadrant is planned independently.  Without exact
-    ``quadrants`` statistics a median-split approximation is used (each
-    relation halves; the small half's θ scaled by 2/3, the large's by
-    4/3 — the halves of a distribution straddle its mean).
-    """
-    from ..core.optimizer import plan_from_statistics
-
-    if tau is None:
-        tau = max(1, round(
-            (theta_r * r_size + theta_s * s_size) / (r_size + s_size)
-        ))
-    if quadrants is None:
-        quadrants = _approximate_quadrants(r_size, s_size, theta_r, theta_s)
-
-    root = PlanNode(
-        "hybrid set containment join",
-        kind="join",
-        detail=f"cardinality switchover at τ={tau}",
-    )
-    root.add(PlanNode(
-        "switchover",
-        kind="operator",
-        detail=(
-            f"split R and S at |t| < τ={tau}; "
-            "drop large⋈small (|r| ≥ τ > |s| forbids r ⊆ s)"
-        ),
-        predicted={"tau": tau, "quadrants": len(quadrants)},
-    ))
-    totals = {"seconds": 0.0, "comparisons": 0.0, "replicated": 0.0}
-    corrected_total = 0.0
-    any_corrected = False
-    for quadrant in quadrants:
-        sub_algorithm = quadrant.get("algorithm")
-        sub_k = quadrant.get("k")
-        if sub_algorithm is None or sub_k is None:
-            sub_plan = plan_from_statistics(
-                quadrant["r_size"], quadrant["s_size"],
-                quadrant["theta_r"], quadrant["theta_s"], model,
-                drift_history=corrections or None,
-            )
-            sub_algorithm, sub_k = sub_plan.algorithm, sub_plan.k
-        sub_report = build_plan_from_statistics(
-            sub_algorithm, sub_k,
-            quadrant["r_size"], quadrant["s_size"],
-            quadrant["theta_r"], quadrant["theta_s"], model,
-            signature_bits=signature_bits, page_size=page_size,
-            drift_corrections=corrections,
-        )
-        node = sub_report.root
-        node.name = f"quadrant.{quadrant['label']}"
-        node.detail = (
-            f"{sub_algorithm} k={sub_k}, "
-            f"|R_q|={quadrant['r_size']} |S_q|={quadrant['s_size']}"
-        )
-        root.add(node)
-        totals["seconds"] += node.predicted.get("seconds", 0.0)
-        totals["comparisons"] += node.predicted.get("comparisons", 0.0)
-        totals["replicated"] += node.predicted.get("replicated", 0.0)
-        if "seconds" in node.corrected:
-            any_corrected = True
-            corrected_total += node.corrected["seconds"]
-        else:
-            corrected_total += node.predicted.get("seconds", 0.0)
-    root.predicted.update(totals)
-    if any_corrected:
-        root.corrected["seconds"] = corrected_total
-    header = [
-        f"HYBRID set containment join"
-        f"  |R|={r_size} (θ_R≈{theta_r:.2f})  ⋈⊆  |S|={s_size}"
-        f" (θ_S≈{theta_s:.2f})",
-        f"model: time(x,y,k) = c1·x + c2·y·k^c3 per quadrant"
-        f"  (c1={model.c1:.4g}, c2={model.c2:.4g}, c3={model.c3:.4g})",
-        "",
-    ]
-    return ExplainReport(root=root, mode="explain", header=header)
-
-
-def _approximate_quadrants(
-    r_size: int, s_size: int, theta_r: float, theta_s: float,
-) -> "list[dict]":
-    """Statistics-only quadrant estimates for a median-τ hybrid split."""
-    r_half, s_half = max(1, r_size // 2), max(1, s_size // 2)
-    small_r = max(theta_r * 2.0 / 3.0, 1e-9)
-    large_r = theta_r * 4.0 / 3.0
-    small_s = max(theta_s * 2.0 / 3.0, 1e-9)
-    large_s = theta_s * 4.0 / 3.0
-    return [
-        {"label": "small⋈small", "r_size": r_half, "s_size": s_half,
-         "theta_r": small_r, "theta_s": small_s},
-        {"label": "small⋈large", "r_size": r_half, "s_size": s_half,
-         "theta_r": small_r, "theta_s": large_s},
-        {"label": "large⋈large", "r_size": r_half, "s_size": s_half,
-         "theta_r": large_r, "theta_s": large_s},
-    ]
 
 
 def _describe_partitioner(partitioner, algorithm: str, k: int) -> str:
@@ -828,84 +564,27 @@ def explain_join(
     backend: str = "serial",
     seed: int = 0,
     operator_levels: int = 3,
-    drift_history=None,
-    shj_bits: int = 10,
-    lattice_levels: int = 6,
-    tau: int | None = None,
 ) -> ExplainReport:
     """EXPLAIN: the predicted plan for a join, without executing it.
 
-    ``drift_history`` (drift records, a JSONL path, or an
-    ``{algorithm: factor}`` mapping) makes the ``"auto"`` selection
-    drift-aware and adds the corrected-prediction column (see
-    :func:`build_plan_from_statistics`).  Beyond ``auto``/``DCJ``/
-    ``PSJ``/``LSJ``, ``algorithm`` also accepts ``"SHJ"`` (lattice plan,
-    ``shj_bits``-wide signatures) and ``"HYBRID"`` (switchover plan at
-    ``tau``, default median cardinality, with per-quadrant sub-plans
-    computed from the actual relation split).
+    ``algorithm`` is one of ``auto``/``DCJ``/``PSJ``/``LSJ``, the joins
+    :func:`repro.core.api.containment_join` runs; ``model`` prices the
+    plan and, for ``"auto"``, chooses it.
     """
+    from ..core.api import check_algorithm, resolve_configuration
+
+    check_algorithm(algorithm)
     if not lhs or not rhs:
         raise ConfigurationError("cannot explain a join over an empty relation")
-    from ..core.api import resolve_configuration
-    from ..core.optimizer import resolve_drift_corrections
-
-    corrections = resolve_drift_corrections(drift_history)
-    theta_r = max(lhs.average_cardinality(), 1e-9)
-    theta_s = max(rhs.average_cardinality(), 1e-9)
-    if algorithm == "SHJ":
-        return build_plan_from_statistics(
-            "SHJ", 1, len(lhs), len(rhs), theta_r, theta_s, model,
-            shj_bits=shj_bits, lattice_levels=lattice_levels,
-        )
-    if algorithm == "HYBRID":
-        tau, quadrants = _hybrid_quadrants_from_relations(lhs, rhs, tau)
-        return build_plan_from_statistics(
-            "HYBRID", 0, len(lhs), len(rhs), theta_r, theta_s, model,
-            signature_bits=signature_bits, drift_corrections=corrections,
-            tau=tau, quadrants=quadrants,
-        )
     algorithm, k, theta_r, theta_s, partitioner = resolve_configuration(
-        lhs, rhs, algorithm, num_partitions, model, seed,
-        corrections or None,
+        lhs, rhs, algorithm, num_partitions, model, seed
     )
     return build_plan_from_statistics(
         algorithm, k, len(lhs), len(rhs), theta_r, theta_s, model,
         partitioner=partitioner, signature_bits=signature_bits,
         workers=workers, backend=backend,
-        operator_levels=operator_levels, drift_corrections=corrections,
+        operator_levels=operator_levels,
     )
-
-
-def _hybrid_quadrants_from_relations(lhs, rhs, tau):
-    """Exact switchover statistics from the actual cardinality split —
-    the same τ default and quadrant pruning as
-    :func:`repro.core.hybrid.hybrid_join`."""
-    from statistics import median
-
-    from ..core.hybrid import split_by_cardinality
-
-    if tau is None:
-        cards = [row.cardinality for row in lhs]
-        cards += [row.cardinality for row in rhs]
-        tau = max(1, int(median(cards)))
-    r_small, r_large = split_by_cardinality(lhs, tau)
-    s_small, s_large = split_by_cardinality(rhs, tau)
-    quadrants = []
-    for label, sub_r, sub_s in (
-        ("small⋈small", r_small, s_small),
-        ("small⋈large", r_small, s_large),
-        ("large⋈large", r_large, s_large),
-    ):
-        if not len(sub_r) or not len(sub_s):
-            continue
-        quadrants.append({
-            "label": label,
-            "r_size": len(sub_r),
-            "s_size": len(sub_s),
-            "theta_r": max(sub_r.average_cardinality(), 1e-9),
-            "theta_s": max(sub_s.average_cardinality(), 1e-9),
-        })
-    return tau, quadrants
 
 
 def analyze_join(
@@ -923,7 +602,6 @@ def analyze_join(
     tracer=None,
     registry=None,
     drift_path: str | None = None,
-    drift_history=None,
     wall=None,
 ) -> AnalyzeResult:
     """ANALYZE: execute the join and annotate the plan with observations.
@@ -939,11 +617,6 @@ def analyze_join(
     ``tracer`` (default: a fresh real-clock :class:`~repro.obs.trace.Tracer`)
     supplies the observed durations; inject fake clocks for
     deterministic output.  ``wall`` stamps the drift record.
-
-    ``drift_history`` makes the ``"auto"`` selection drift-aware and
-    adds the corrected-prediction column (see :func:`explain_join`);
-    the recorded drift still compares observations against the *raw*
-    model prediction — drift measures the model, not the correction.
     """
     from ..core.api import containment_join
     from .drift import compute_drift, record_drift
@@ -953,7 +626,6 @@ def analyze_join(
         lhs, rhs, algorithm, num_partitions, model=model,
         signature_bits=signature_bits, workers=workers,
         backend=backend, seed=seed, operator_levels=operator_levels,
-        drift_history=drift_history,
     )
     if tracer is None:
         tracer = Tracer()
@@ -961,7 +633,6 @@ def analyze_join(
         lhs, rhs, algorithm, num_partitions,
         signature_bits=signature_bits, model=model, seed=seed,
         workers=workers, backend=backend, tracer=tracer,
-        drift_history=drift_history,
     )
     attach_observed(report, tracer, metrics)
     drift = compute_drift(

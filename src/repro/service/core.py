@@ -85,15 +85,12 @@ class ServiceState:
 class PlanCache:
     """LRU cache of optimizer plans keyed on a statistics fingerprint.
 
-    The key is ``(r, s, |R|, θ_R, |S|, θ_S, c1, c2, c3, drift
-    corrections)`` — everything the optimizer's decision depends on — so
-    a cached plan is only ever reused while it would be re-derived
-    identically: relation churn changes the statistics (and is
-    invalidated eagerly by name anyway), a model refit/rollback changes
-    the coefficients (the service also clears the cache then), and
-    accumulated drift moves the per-algorithm correction factors (keyed
-    to one decimal, so a one-record nudge does not defeat the cache).
-    Entries hold the full
+    The key is ``(r, s, |R|, θ_R, |S|, θ_S, c1, c2, c3)`` — everything
+    the optimizer's decision depends on — so a cached plan is only ever
+    reused while it would be re-derived identically: relation churn
+    changes the statistics (and is invalidated eagerly by name anyway),
+    and a model refit/rollback changes the coefficients (the service
+    also clears the cache then).  Entries hold the full
     :class:`~repro.core.optimizer.JoinPlan`, so EXPLAIN-grade detail
     stays available for drift prediction without replanning.
     """
@@ -860,31 +857,22 @@ class QueryService:
 
     def _plan_for(self, r_name: str, s_name: str):
         """Plan a join, reusing a cached plan when its statistics
-        fingerprint matches the current relations, model and drift."""
-        from ..core.optimizer import (
-            plan_from_statistics,
-            resolve_drift_corrections,
-        )
+        fingerprint matches the current relations and model."""
+        from ..core.optimizer import plan_from_statistics
 
-        corrections = resolve_drift_corrections(self.drift_path)
         if self._plan_cache is None:
-            return self.db.plan(r_name, s_name, drift_history=corrections)
+            return self.db.plan(r_name, s_name)
         model = self.db.refresh_model()
         r_size, theta_r = self.db._statistics(r_name)
         s_size, theta_s = self.db._statistics(s_name, seed=1)
         key = (
             r_name, s_name, r_size, round(theta_r, 9), s_size,
             round(theta_s, 9), model.c1, model.c2, model.c3,
-            tuple(sorted(
-                (name, round(factor, 1))
-                for name, factor in corrections.items()
-            )),
         )
         plan = self._plan_cache.lookup(key)
         if plan is None:
             plan = plan_from_statistics(
-                r_size, s_size, theta_r, theta_s, model,
-                drift_history=corrections,
+                r_size, s_size, theta_r, theta_s, model
             )
             self._plan_cache.store(key, plan)
         return plan

@@ -16,8 +16,7 @@ from repro.errors import ConfigurationError
 #: The components the acceptance criteria name explicitly.
 REQUIRED = {
     "checksums", "wal", "buffer-policy", "buffer-size", "hash-family",
-    "firing-probability", "alternation", "drift-corrections",
-    "plan-cache", "parallel-backend",
+    "firing-probability", "alternation", "plan-cache", "parallel-backend",
 }
 
 

@@ -347,33 +347,28 @@ class TestAdaptiveFlags:
         err = capsys.readouterr().err
         assert "planning with recalibrated model v1" in err
 
-    def test_explain_with_drift_history_shows_corrections(
+    def test_explain_with_drift_history_is_usage_error(
         self, set_files, capsys, tmp_path
     ):
-        from repro.analysis.timemodel import PAPER_TIME_MODEL
-        from repro.obs.drift import DriftRecord, append_drift_jsonl
-
+        """Drift reaches EXPLAIN only through a refitted model, so a
+        history on an EXPLAIN alone would do nothing: refuse it."""
         r_path, s_path = set_files
         drift = str(tmp_path / "drift.jsonl")
-        for i in range(20):
-            predicted = PAPER_TIME_MODEL.predict(1000.0, 100.0, 4)
-            append_drift_jsonl(DriftRecord(
-                timestamp=float(i), algorithm="DCJ", k=4,
-                r_size=4, s_size=4,
-                predicted={"seconds": predicted, "comparisons": 1000.0,
-                           "replicated": 100.0},
-                observed={"seconds": predicted * 2, "comparisons": 1000.0,
-                          "replicated": 100.0},
-                errors={"seconds": 0.5, "comparisons": 0.0,
-                        "replicated": 0.0},
-            ), drift)
         assert main([
             "join", r_path, s_path, "--algorithm", "dcj", "--partitions", "4",
             "--explain", "--drift", drift,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "corrected" in out
-        assert "drift_correction" in out
+        ]) == 2
+        assert "--drift requires --analyze" in capsys.readouterr().err
+
+    def test_explain_rejects_algorithms_no_join_runs(self, set_files):
+        from repro.errors import ConfigurationError
+        from repro.obs.explain import explain_join
+
+        lhs = load_relation_file(set_files[0])
+        rhs = load_relation_file(set_files[1])
+        for algorithm in ("SHJ", "HYBRID"):
+            with pytest.raises(ConfigurationError, match="algorithm must be"):
+                explain_join(lhs, rhs, algorithm=algorithm)
 
     def test_join_parser_accepts_adaptive_flags(self):
         from repro.cli import build_parser

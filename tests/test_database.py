@@ -260,18 +260,52 @@ class TestAdaptivePlanning:
             assert db.plan("r", "s") is not None
             assert db.model == fitted
 
-    def test_plan_accepts_drift_history(self, relations):
+    @staticmethod
+    def comparison_bound_store():
+        """A store whose one refit makes comparisons 100x dearer than the
+        paper's constants — enough to move the relations' plan from
+        DCJ k=4 to PSJ k=128."""
+        from repro.analysis.timemodel import PAPER_TIME_MODEL, TimeModel
+        from repro.obs.adaptive import ModelStore
+
+        store = ModelStore()
+        refit = TimeModel(100 * PAPER_TIME_MODEL.c1, PAPER_TIME_MODEL.c2,
+                          PAPER_TIME_MODEL.c3)
+        return store, lambda: store.add_version(
+            refit, records=24, window=200,
+            mean_abs_error_before=0.5, mean_abs_error_after=0.01,
+            wall=lambda: 1.0,
+        )
+
+    def test_a_refitted_model_can_change_the_plan(self, relations):
         lhs, rhs = relations
-        with SetJoinDatabase.open() as db:
+        store, refit = self.comparison_bound_store()
+        with SetJoinDatabase.open(model_store=store) as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            baseline = db.plan("r", "s")
-            loser = "PSJ" if baseline.algorithm == "DCJ" else "DCJ"
-            flipped = db.plan(
-                "r", "s",
-                drift_history={baseline.algorithm: 50.0, loser: 1.0},
+            before = db.plan("r", "s")
+            refit()
+            after = db.plan("r", "s")
+            assert (after.algorithm, after.k) != (before.algorithm, before.k)
+            assert db.model == store.active
+
+    def test_explain_plan_shows_the_plan_join_runs_after_a_refit(
+        self, relations
+    ):
+        lhs, rhs = relations
+        store, refit = self.comparison_bound_store()
+        with SetJoinDatabase.open(model_store=store) as db:
+            db.create_relation("r", lhs)
+            db.create_relation("s", rhs)
+            stale = db.explain_plan("r", "s").root.detail
+            refit()
+            report = db.explain_plan("r", "s")
+            __, metrics = db.join("r", "s")
+            assert report.root.detail == (
+                f"{metrics.algorithm} k={metrics.num_partitions}"
             )
-            assert flipped.algorithm == loser
+            assert report.root.detail != stale
+            assert f"c1={store.active.c1:.4g}" in report.header[1]
 
 
 class TestProbe:

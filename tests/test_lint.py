@@ -523,3 +523,26 @@ def test_sampling_profiler_stays_retired():
         "(time is bench/run.py, counters are baseline.py, one query is its "
         "span tree, function-level digging is cProfile):\n" + "\n".join(bad)
     )
+
+
+#: Text of the retired per-algorithm drift correction and of the EXPLAIN
+#: plans for the SHJ/HYBRID joins that containment_join does not run.
+RETIRED_DRIFT_CORRECTION_TEXT = (
+    "drift_history", "drift_corrections", "resolve_drift_corrections",
+    "raw_seconds", "SYNTHETIC_DRIFT", "_build_shj_plan", "_build_hybrid_plan",
+    "shj_bits", "lattice_levels", ".corrected",
+)
+
+
+def test_drift_corrections_stay_retired():
+    bad = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}: {needle}"
+        for path in sorted(LIBRARY_ROOT.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for needle in RETIRED_DRIFT_CORRECTION_TEXT if needle in line
+    ]
+    assert not bad, (
+        "a second route from observed time to the plan is back (drift "
+        "reaches the planner only as a refitted c1/c2/c3), or EXPLAIN "
+        "describes a join containment_join does not run:\n" + "\n".join(bad)
+    )

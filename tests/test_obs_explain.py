@@ -298,129 +298,3 @@ class TestRendering:
         report = ExplainReport(root=root, mode="analyze")
         line = [l for l in report.render().splitlines() if "seconds" in l][0]
         assert "·" in line
-
-
-class TestCorrectedColumn:
-    def test_corrections_add_a_corrected_column(self, relations):
-        lhs, rhs = relations
-        report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
-            drift_history={"DCJ": 2.0},
-        )
-        text = report.render()
-        assert "corrected" in text
-        assert "drift_correction" in text
-        assert report.root.corrected["drift_correction"] == 2.0
-        assert report.root.corrected["seconds"] == pytest.approx(
-            report.root.predicted["seconds"] * 2.0
-        )
-
-    def test_every_timed_node_gets_the_corrected_estimate(self, relations):
-        lhs, rhs = relations
-        report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
-            drift_history={"DCJ": 1.5},
-        )
-        for node in report.root.walk():
-            if "seconds" in node.predicted:
-                assert node.corrected["seconds"] == pytest.approx(
-                    node.predicted["seconds"] * 1.5
-                )
-
-    def test_no_history_means_no_corrected_column(self, relations):
-        lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
-        assert report.root.corrected == {}
-        assert "corrected" not in report.render()
-
-    def test_uncorrected_algorithm_is_left_alone(self, relations):
-        lhs, rhs = relations
-        report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
-            drift_history={"PSJ": 3.0},
-        )
-        assert report.root.corrected == {}
-
-    def test_corrected_report_roundtrips_to_dict(self, relations):
-        lhs, rhs = relations
-        report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
-            drift_history={"DCJ": 2.0},
-        )
-        document = json.loads(json.dumps(report.to_dict()))
-        assert document["plan"]["corrected"]["drift_correction"] == 2.0
-
-
-class TestSHJPlan:
-    def test_lattice_levels_render_as_operator_nodes(self, relations):
-        lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="SHJ", shj_bits=6)
-        text = report.render()
-        names = [node.name for node in report.root.walk()]
-        assert "phase.build" in names
-        assert "phase.probe" in names
-        assert any(name.startswith("lattice.level") for name in names)
-        assert "SHJ predates the Section 5 time model" in text
-
-    def test_probe_counts_follow_the_binomial(self):
-        from math import comb
-
-        report = build_plan_from_statistics(
-            "SHJ", 1, 100, 200, 4.0, 8.0, shj_bits=6, lattice_levels=3,
-        )
-        levels = [
-            node for node in report.root.walk()
-            if node.name.startswith("lattice.level")
-        ]
-        assert levels, "no lattice nodes in the SHJ plan"
-        # The lattice width is the rounded expected popcount.
-        m = max(1, round(report.root.predicted["E_signature_bits_s"]))
-        for level, node in enumerate(levels):
-            assert node.predicted["probes"] == 200 * comb(m, level)
-
-    def test_root_probe_total_is_2_to_the_m(self):
-        report = build_plan_from_statistics(
-            "SHJ", 1, 100, 200, 4.0, 8.0, shj_bits=6,
-        )
-        m = max(1, round(report.root.predicted["E_signature_bits_s"]))
-        assert report.root.predicted["probes"] == 200 * 2 ** m
-
-    def test_rejects_bad_bit_widths(self):
-        with pytest.raises(ConfigurationError):
-            build_plan_from_statistics("SHJ", 1, 10, 10, 2.0, 4.0, shj_bits=0)
-        with pytest.raises(ConfigurationError):
-            build_plan_from_statistics("SHJ", 1, 10, 10, 2.0, 4.0, shj_bits=25)
-
-
-class TestHybridPlan:
-    def test_switchover_and_quadrants_render(self, relations):
-        lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="HYBRID")
-        names = [node.name for node in report.root.walk()]
-        assert "switchover" in names
-        assert any(name.startswith("quadrant.") for name in names)
-        switchover = next(
-            node for node in report.root.walk() if node.name == "switchover"
-        )
-        assert switchover.predicted["tau"] >= 1
-
-    def test_root_totals_sum_the_quadrants(self):
-        report = build_plan_from_statistics(
-            "HYBRID", 0, 200, 300, 4.0, 12.0,
-        )
-        quadrants = [
-            node for node in report.root.children
-            if node.name.startswith("quadrant.")
-        ]
-        assert quadrants
-        total = sum(node.predicted["seconds"] for node in quadrants)
-        assert report.root.predicted["seconds"] == pytest.approx(total)
-
-    def test_corrections_flow_into_the_quadrants(self):
-        report = build_plan_from_statistics(
-            "HYBRID", 0, 200, 300, 4.0, 12.0,
-            drift_corrections={"DCJ": 2.0, "PSJ": 2.0},
-        )
-        assert report.root.corrected.get("seconds") == pytest.approx(
-            report.root.predicted["seconds"] * 2.0
-        )
