@@ -493,6 +493,7 @@ def _run_db_action(db, arguments) -> int:
             return 1
         print(f"ok: {report['relations']} relations, "
               f"{report['tuples']} tuples, "
+              f"{report['postings']} postings, "
               f"{report['pages_read']} pages read, "
               f"all checksums valid")
         return 0

@@ -19,6 +19,7 @@ directly over the stored data.
 
 from __future__ import annotations
 
+import operator
 import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -32,10 +33,12 @@ from .core.operator import SetContainmentJoin, Testbed
 from .core.optimizer import JoinPlan, plan_from_statistics
 from .core.sets import Relation, SetTuple
 from .core.signatures import DEFAULT_SIGNATURE_BITS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StorageError
 from .storage.buffer import BufferPool
 from .storage.catalog import Catalog
+from .storage.btree import BTree
 from .storage.pager import DiskManager, FileDiskManager, InMemoryDiskManager
+from .storage.posting_index import PostingIndex
 from .storage.relation_store import DEFAULT_PAYLOAD_SIZE, RelationStore
 from .storage.wal import WALDiskManager, WriteAheadLog
 
@@ -194,6 +197,9 @@ class SetJoinDatabase:
 
         ``rows`` is either an in-memory :class:`Relation` or an iterable of
         ``(tid, elements)`` pairs (streamed; never fully materialized).
+        The relation's posting index (:mod:`repro.storage.posting_index`)
+        is built from the stored tuples in the same transaction, so a
+        crash leaves both or neither.
         """
         self._check_open()
         if name in self.catalog:
@@ -203,17 +209,25 @@ class SetJoinDatabase:
         with self._atomic():
             store = RelationStore.create(self.pool, name=name)
             count = store.bulk_load(rows, payload_size)
-            self.catalog.register(name, store.meta_page_id, count)
+            index = PostingIndex.build(self.pool, store)
+            self.catalog.register(
+                name, store.meta_page_id, count,
+                None if index is None else index.meta_page_id,
+            )
         return count
+
+    def _entry(self, name: str) -> tuple[int, int, int | None]:
+        """The catalog entry of ``name``: relation meta page, tuple count,
+        posting-index meta page (``None`` without an index)."""
+        entry = self.catalog.lookup(name)
+        if entry is None:
+            raise ConfigurationError(f"no relation named {name!r}")
+        return entry
 
     def get_store(self, name: str) -> RelationStore:
         """The stored relation's access object."""
         self._check_open()
-        entry = self.catalog.lookup(name)
-        if entry is None:
-            raise ConfigurationError(f"no relation named {name!r}")
-        meta_page_id, __ = entry
-        return RelationStore(self.pool, meta_page_id, name=name)
+        return RelationStore(self.pool, self._entry(name)[0], name=name)
 
     def read_relation(self, name: str) -> Relation:
         """Materialize a stored relation in memory."""
@@ -224,16 +238,14 @@ class SetJoinDatabase:
         return relation
 
     def drop_relation(self, name: str) -> None:
-        """Remove a relation from the catalog and free its pages."""
+        """Remove a relation from the catalog and free its pages and its
+        posting index's, in one transaction."""
         self._check_open()
-        entry = self.catalog.lookup(name)
-        if entry is None:
-            raise ConfigurationError(f"no relation named {name!r}")
-        meta_page_id, __ = entry
-        from .storage.btree import BTree
-
+        meta_page_id, __, index_page_id = self._entry(name)
         with self._atomic():
             BTree(self.pool, meta_page_id).destroy()
+            if index_page_id is not None:
+                BTree(self.pool, index_page_id).destroy()
             self.catalog.unregister(name)
 
     def relation_names(self) -> list[str]:
@@ -241,29 +253,36 @@ class SetJoinDatabase:
         return list(self.catalog.names())
 
     def relation_size(self, name: str) -> int:
-        entry = self.catalog.lookup(name)
-        if entry is None:
-            raise ConfigurationError(f"no relation named {name!r}")
-        return entry[1]
+        return self._entry(name)[1]
 
     # ------------------------------------------------------------------
     # Planning and joining
     # ------------------------------------------------------------------
 
     def _statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
-        """(size, sampled average cardinality) for one stored relation."""
+        """(size, sampled average cardinality) for one stored relation.
+
+        The sample is the first :data:`_STATS_SAMPLE` tuples in tid order
+        plus each of the next ``3 ×`` :data:`_STATS_SAMPLE` with
+        probability 1/4, one ``random.Random(seed)`` draw per tuple, read
+        as cardinality arrays from :meth:`RelationStore.scan_batches`.
+        """
         size = self.relation_size(name)
-        store = self.get_store(name)
-        rng = random.Random(seed)
+        limit = _STATS_SAMPLE * 4
         cardinalities = []
-        for index, (__, elements, __payload) in enumerate(store.scan()):
-            if index >= _STATS_SAMPLE * 4:
+        for __, __, offsets in self.get_store(name).scan_batches():
+            cardinalities.append(np.diff(offsets))
+            if sum(map(len, cardinalities)) >= limit:
                 break
-            if index < _STATS_SAMPLE or rng.random() < 0.25:
-                cardinalities.append(len(elements))
         if not cardinalities:
             return size, 0.0
-        return size, sum(cardinalities) / len(cardinalities)
+        head = np.concatenate(cardinalities)[:limit]
+        rng = random.Random(seed)
+        draws = [rng.random() for __ in head[_STATS_SAMPLE:]]
+        sample = np.concatenate(
+            (head[:_STATS_SAMPLE], head[_STATS_SAMPLE:][np.less(draws, 0.25)])
+        )
+        return size, int(sample.sum()) / sample.size
 
     def refresh_model(self) -> TimeModel:
         """Re-adopt the model store's freshest version (no-op without a
@@ -375,15 +394,29 @@ class SetJoinDatabase:
         return pairs, metrics
 
     def probe(self, name: str, elements: Iterable[int]) -> list[int]:
-        """Point containment probe: tids of stored sets ⊇ ``elements``.
+        """Point containment probe: tids of stored sets ⊇ ``elements``, in
+        tid order.
 
-        The service's cheap read-only query class — a single scan of one
-        relation, no partitioning, no temporary pages.  An empty probe
-        set matches every tuple (∅ ⊆ anything), mirroring the join's
-        containment semantics.
+        The service's cheap read-only query class.  It reads the query
+        elements' lists from the relation's posting index and intersects
+        them rarest first (:meth:`PostingIndex.probe`), so its cost
+        follows the query's lists, not the relation.  The relation is
+        scanned instead — each tuple's query hits counted — for an empty
+        probe, which matches every tuple (∅ ⊆ anything, the join's
+        containment semantics), and for a relation without an index: one
+        stored before indexes existed, or one holding a tid or element
+        past int64.  A query element past int64 matches nothing on an
+        indexed relation.  Elements must be integers.
         """
         self._check_open()
-        query = np.array(list(frozenset(elements)))
+        __, __, index_page_id = self._entry(name)
+        try:
+            query = sorted(set(map(operator.index, elements)))
+        except TypeError:
+            raise ConfigurationError("probe elements must be integers") from None
+        if query and index_page_id is not None:
+            return PostingIndex(self.pool, index_page_id).probe(query)
+        query = np.array(query)
         matches: list[int] = []
         for tids, stored, offsets in self.get_store(name).scan_batches():
             if query.size:
@@ -441,9 +474,12 @@ class SetJoinDatabase:
     def verify_integrity(self) -> dict[str, int]:
         """Read every catalog-reachable page, verifying page checksums.
 
-        Raises :class:`~repro.errors.CorruptPageError` (or another
-        :class:`~repro.errors.StorageError`) on the first damaged page;
-        returns counters describing what was checked otherwise.
+        Each relation is scanned, and every page of its posting index is
+        read and every list decoded; the index must hold one posting per
+        stored element.  Raises :class:`~repro.errors.CorruptPageError`
+        (or another :class:`~repro.errors.StorageError`) on the first
+        damaged page or miscounted index; returns counters describing what
+        was checked otherwise.
         """
         self._check_open()
         # Cached frames were checksummed when first read; drop them so
@@ -451,16 +487,28 @@ class SetJoinDatabase:
         self.pool.flush_all()
         self.pool.drop_all()
         before = self.disk.stats.snapshot()
-        relations = 0
-        tuples = 0
+        relations = tuples = postings = 0
         for name in self.relation_names():
             relations += 1
-            for __ in self.get_store(name).scan():
+            elements = 0
+            for __, stored, __ in self.get_store(name).scan():
                 tuples += 1
+                elements += len(stored)
+            index_page_id = self._entry(name)[2]
+            if index_page_id is None:
+                continue
+            indexed = PostingIndex(self.pool, index_page_id).postings()
+            if indexed != elements:
+                raise StorageError(
+                    f"posting index of {name!r} holds {indexed} postings; "
+                    f"the relation holds {elements} elements"
+                )
+            postings += indexed
         delta = self.disk.stats.delta(before)
         return {
             "relations": relations,
             "tuples": tuples,
+            "postings": postings,
             "pages_read": delta.page_reads,
         }
 

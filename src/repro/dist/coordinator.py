@@ -571,11 +571,12 @@ class ShardedDatabase:
 
     def verify_integrity(self) -> "dict[str, int]":
         self._check_open()
-        out = {"relations": 0, "tuples": 0, "pages_read": 0, "shards": 0}
+        out = {"relations": 0, "tuples": 0, "postings": 0, "pages_read": 0,
+               "shards": 0}
         for shard in self.shards:
             report = shard.db.verify_integrity()
-            out["tuples"] += report["tuples"]
-            out["pages_read"] += report["pages_read"]
+            for key in ("tuples", "postings", "pages_read"):
+                out[key] += report[key]
             out["shards"] += 1
         out["relations"] = len(self.relation_names())
         return out

@@ -6,8 +6,8 @@ in-memory) paged storage with exact physical-I/O accounting, checksummed
 pages, write-ahead logging with crash recovery, a buffer pool with
 pluggable replacement policies, a B+tree access method, the two record
 layouts the testbed needs (tid-keyed relations and portioned partition
-data), and a fault-injection subsystem for proving the reliability
-properties.
+data), each relation's element-keyed posting index, and a
+fault-injection subsystem for proving the reliability properties.
 """
 
 from .buffer import BufferPool, BufferStats, REPLACEMENT_POLICIES
@@ -31,6 +31,7 @@ from .pager import (
     encode_page,
 )
 from .partition_store import PartitionStore
+from .posting_index import PostingIndex
 from .relation_store import DEFAULT_PAYLOAD_SIZE, RelationStore
 from .wal import WALDiskManager, WriteAheadLog
 
@@ -51,6 +52,7 @@ __all__ = [
     "InMemoryDiskManager",
     "IOStats",
     "PartitionStore",
+    "PostingIndex",
     "DEFAULT_PAYLOAD_SIZE",
     "RelationStore",
     "SimulatedCrash",

@@ -752,16 +752,22 @@ class BTree:
         returning the space for reuse.
         """
         freed = 0
+        for page_id in self.page_ids():
+            self.pool.free_page(page_id)
+            freed += 1
+        self.pool.free_page(self.meta_page_id)
+        return freed + 1
+
+    def page_ids(self) -> Iterator[int]:
+        """The page id of every node (not the meta page), depth first,
+        each page read once as it is reached."""
         stack = [self._root_id]
         while stack:
             page_id = stack.pop()
             node = self._load_node(page_id)
             if not node.is_leaf:
                 stack.extend(node.children)
-            self.pool.free_page(page_id)
-            freed += 1
-        self.pool.free_page(self.meta_page_id)
-        return freed + 1
+            yield page_id
 
     def height(self) -> int:
         """Number of levels from root to leaf (1 for a lone leaf)."""

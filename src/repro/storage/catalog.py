@@ -3,8 +3,10 @@
 A catalog is itself a B-tree whose meta page sits at a fixed, well-known
 page id (the first two pages of a fresh store), mapping relation names to
 the meta page ids of their :class:`~repro.storage.relation_store.RelationStore`
-trees.  That makes a whole multi-relation database addressable by just a
-file path: open the file, read the catalog, look up relations by name.
+trees, their tuple counts, and the meta page ids of their
+:class:`~repro.storage.posting_index.PostingIndex` trees.  That makes a
+whole multi-relation database addressable by just a file path: open the
+file, read the catalog, look up relations by name.
 
 The catalog itself carries no crash-safety machinery: every page it
 touches flows through the buffer pool to the disk manager, so when the
@@ -31,7 +33,9 @@ CATALOG_META_PAGE = 0
 
 
 class Catalog:
-    """Name → relation-store meta page mapping, stored in a B-tree."""
+    """Name → (relation meta page, size, posting-index meta page) mapping,
+    stored in a B-tree: uvarints, the last absent for a relation without
+    an index."""
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
@@ -47,23 +51,37 @@ class Catalog:
             self._tree = BTree(pool, CATALOG_META_PAGE)
 
     @staticmethod
-    def _encode(meta_page_id: int, size: int) -> bytes:
-        return encode_uvarint(meta_page_id) + encode_uvarint(size)
+    def _encode(meta_page_id: int, size: int, index_page_id: int | None) -> bytes:
+        record = encode_uvarint(meta_page_id) + encode_uvarint(size)
+        if index_page_id is None:
+            return record
+        return record + encode_uvarint(index_page_id)
 
     @staticmethod
-    def _decode(record: bytes) -> tuple[int, int]:
+    def _decode(record: bytes) -> tuple[int, int, int | None]:
         meta_page_id, offset = decode_uvarint(record, 0)
-        size, __ = decode_uvarint(record, offset)
-        return meta_page_id, size
+        size, offset = decode_uvarint(record, offset)
+        # Records from before posting indexes end here: no index.
+        index_page_id = (
+            decode_uvarint(record, offset)[0] if offset < len(record) else None
+        )
+        return meta_page_id, size, index_page_id
 
-    def register(self, name: str, meta_page_id: int, size: int) -> None:
-        """Add or update one relation entry."""
+    def register(
+        self, name: str, meta_page_id: int, size: int,
+        index_page_id: int | None = None,
+    ) -> None:
+        """Add or update one relation entry; ``index_page_id`` is the meta
+        page of its posting index, if it has one."""
         if not name:
             raise ConfigurationError("relation name must be non-empty")
-        self._tree.insert(name.encode(), self._encode(meta_page_id, size))
+        self._tree.insert(
+            name.encode(), self._encode(meta_page_id, size, index_page_id)
+        )
 
-    def lookup(self, name: str) -> tuple[int, int] | None:
-        """Return (meta_page_id, tuple_count) or ``None``."""
+    def lookup(self, name: str) -> tuple[int, int, int | None] | None:
+        """Return (meta_page_id, tuple_count, index meta page or ``None``)
+        or ``None``."""
         record = self._tree.get(name.encode())
         return None if record is None else self._decode(record)
 

@@ -109,18 +109,28 @@ def _entry_run(
             "create_sorted requires strictly increasing tids; "
             f"{order[fall[0] + 1]} after {order[fall[0]]}"
         )
-    chunks = (np.diff(bounds) + size - 1) // size  # every record has bytes
-    rows = np.repeat(np.arange(len(tids)), chunks)
+    data, ends = _chunked_run(keys, records, bounds, size)
+    return data, ends, int(keys[-1])
+
+
+def _chunked_run(
+    prefixes: np.ndarray, records: np.ndarray, bounds: np.ndarray, size: int
+) -> tuple[bytes, np.ndarray]:
+    """Non-empty records ``records[bounds[i]:bounds[i + 1]]`` (``bounds[0]``
+    0) as a run of :meth:`BTree.bulk_create_runs`: each split into chunks
+    of ``size`` bytes, chunk ``j`` of record ``i`` keyed ``(prefixes[i],
+    j)`` as :func:`_chunk_key` writes it."""
+    chunks = (np.diff(bounds) + size - 1) // size
+    rows = np.repeat(np.arange(len(prefixes)), chunks)
     numbers = np.arange(rows.size) - np.repeat(np.cumsum(chunks) - chunks, chunks)
     lengths = np.minimum(size, bounds[rows + 1] - bounds[rows] - numbers * size)
     chunk_keys = np.empty(rows.size, dtype=_CHUNK_KEY)
-    chunk_keys["tid"], chunk_keys["chunk"] = keys[rows], numbers
+    chunk_keys["tid"], chunk_keys["chunk"] = prefixes[rows], numbers
     # The chunks tile the records in order, so the records are the values.
-    data, ends = leaf_entry_run(
+    return leaf_entry_run(
         chunk_keys.view(np.uint8).reshape(rows.size, _CHUNK_KEY.itemsize),
         records, lengths,
     )
-    return data, ends, int(keys[-1])
 
 
 def _key_tids(entries: LeafEntries) -> np.ndarray:

@@ -281,6 +281,83 @@ def scatter_varints(
         step += 1
 
 
+def encode_set_buffer(
+    elements: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_set` for a run of sets, as one buffer.
+
+    Set ``i`` is ``elements[offsets[i]:offsets[i + 1]]``: distinct
+    non-negative int64 values in ascending order.  Returns ``(data,
+    bounds)`` as :func:`encode_tuple_buffer` does, record ``i`` byte for
+    byte ``encode_set(set i)``: the count, then the deltas.
+    """
+    counts = np.diff(offsets)
+    heads = offsets[:-1] + np.arange(counts.size)
+    deltas = elements.copy()
+    deltas[1:] -= elements[:-1]
+    firsts = offsets[:-1][counts > 0]
+    deltas[firsts] = elements[firsts]
+    values = np.empty(elements.size + counts.size, dtype=np.int64)
+    values[heads] = counts
+    is_delta = np.ones(values.size, dtype=bool)
+    is_delta[heads] = False
+    values[is_delta] = deltas
+    widths = varint_widths(values)
+    positions = np.cumsum(widths) - widths
+    bounds = np.append(positions[heads], widths.sum())
+    out = np.zeros(int(bounds[-1]), dtype=np.uint8)
+    scatter_varints(out, positions, values, widths)
+    return out, bounds
+
+
+def decode_set_buffer(
+    data: "bytes | np.ndarray", bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_set` for a run of records, as arrays.
+
+    Record ``i`` is ``data[bounds[i]:bounds[i + 1]]``, a set of
+    :func:`encode_set`.  Returns ``(elements, offsets)``, set ``i`` being
+    the ascending ``elements[offsets[i]:offsets[i + 1]]``.  Every byte of a
+    set record is part of a varint, so the varints are the runs ending at
+    the bytes below 0x80.  A record whose varints do not tile it as its
+    count says, or a value past int64, raises :class:`SerializationError`.
+    """
+    if not isinstance(data, np.ndarray):
+        data = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    data = data[bounds[0] : bounds[-1]]
+    bounds = bounds - bounds[0]
+    if (np.diff(bounds) < 1).any():
+        raise SerializationError("empty set record")
+    ends = np.flatnonzero(data < 0x80)
+    if data.size and (not ends.size or ends[-1] != data.size - 1):
+        raise SerializationError("truncated uvarint")
+    starts = np.append(0, ends[:-1] + 1)[: ends.size]
+    widths = ends - starts + 1
+    if widths.size and widths.max() > _INT64_VARINT_BYTES:
+        raise SerializationError("uvarint too long")
+    values = _read_varints(data, starts, widths) if widths.size else widths
+    heads = np.searchsorted(starts, bounds[:-1])
+    counts = values[heads]
+    if (
+        (starts[heads] != bounds[:-1]).any()
+        or (counts != np.diff(np.append(heads, starts.size)) - 1).any()
+    ):
+        raise SerializationError("set record does not match its count")
+    is_delta = np.ones(values.size, dtype=bool)
+    is_delta[heads] = False
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # As in the tuple decoder: running sums restart at each set, and a sum
+    # past int64 shows up as a negative element.
+    sums = np.cumsum(values[is_delta])
+    before = np.concatenate(([0], sums))[offsets[:-1]]
+    elements = sums - np.repeat(before, counts)
+    if elements.size and elements.min() < 0:
+        raise SerializationError("set element past int64")
+    return elements, offsets
+
+
 def decode_tuple_records(
     records: "list[bytes]",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

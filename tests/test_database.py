@@ -23,7 +23,10 @@ class TestCatalog:
         pool = BufferPool(InMemoryDiskManager(512), capacity=16)
         catalog = Catalog(pool)
         catalog.register("students", meta_page_id=7, size=100)
-        assert catalog.lookup("students") == (7, 100)
+        assert catalog.lookup("students") == (7, 100, None)
+        catalog.register("indexed", meta_page_id=9, size=3, index_page_id=12)
+        assert catalog.lookup("indexed") == (9, 3, 12)
+        assert catalog.unregister("indexed")
         assert "students" in catalog
         assert list(catalog.names()) == ["students"]
         assert catalog.unregister("students")
@@ -42,7 +45,7 @@ class TestCatalog:
         catalog.register("r", 3, 5)
         pool.flush_all()
         again = Catalog(pool)  # same store, no re-create
-        assert again.lookup("r") == (3, 5)
+        assert again.lookup("r") == (3, 5, None)
 
 
 class TestDatabase:
@@ -309,8 +312,10 @@ class TestAdaptivePlanning:
 
 
 class TestProbe:
-    """``probe`` counts query hits per stored tuple over ``scan_batches``;
-    the per-tuple ``frozenset.issubset`` scan it replaced is the oracle."""
+    """``probe`` intersects posting lists (an empty probe counts query
+    hits per stored tuple over ``scan_batches``); the per-tuple
+    ``frozenset.issubset`` scan is the oracle.  ``test_probe_index.py``
+    holds the index path to the scan on adversarial relations."""
 
     @pytest.fixture()
     def db(self):
@@ -351,12 +356,49 @@ class TestProbe:
         assert all(type(tid) is int for tid in answer)
 
     def test_one_full_scan_of_the_leaf_chain(self, db):
+        # The empty probe is the scan fallback on an indexed relation.
         reads = []
         for walk in (lambda: list(db.get_store("S").scan()),
-                     lambda: db.probe("S", [3])):
+                     lambda: db.probe("S", [])):
             db.pool.flush_all()
             db.pool.drop_all()
             before = db.disk.stats.snapshot()
             walk()
             reads.append(db.disk.stats.delta(before).page_reads)
         assert reads[0] == reads[1] > 0
+
+
+class TestStatistics:
+    """``_statistics`` reads cardinality arrays off ``scan_batches``; the
+    per-tuple loop it replaced is the oracle, and θ must be bit-identical."""
+
+    @staticmethod
+    def oracle(db, name, seed):
+        import random
+
+        rng = random.Random(seed)
+        cardinalities = []
+        for index, (__, elements, __) in enumerate(db.get_store(name).scan()):
+            if index >= 800:
+                break
+            if index < 200 or rng.random() < 0.25:
+                cardinalities.append(len(elements))
+        if not cardinalities:
+            return db.relation_size(name), 0.0
+        return db.relation_size(name), sum(cardinalities) / len(cardinalities)
+
+    @pytest.mark.parametrize("count", [0, 150, 800, 5000])
+    def test_matches_the_per_tuple_loop(self, count):
+        import random
+
+        rng = random.Random(count)
+        rows = [(tid, frozenset(rng.sample(range(400), rng.randint(0, 30))))
+                for tid in range(count)]
+        if count:
+            # One set whose record spans several chunks of a 512-byte page.
+            rows[count // 2] = (count // 2, frozenset(range(0, 4000, 7)))
+        with SetJoinDatabase.open(None, page_size=512) as db:
+            db.create_relation("S", rows)
+            for seed in (0, 1, 7):
+                assert db._statistics("S", seed=seed) == self.oracle(
+                    db, "S", seed)

@@ -23,6 +23,24 @@ def rows(count, start=0, width=5):
     return [(tid, set(range(tid, tid + width))) for tid in range(start, start + count)]
 
 
+#: Probes every crash-sweep check answers from each relation's posting
+#: index and holds to the scan.
+PROBES = ([3], [52, 54], [5, 6, 7], [104], [0, 999], [14, 15, 16, 17, 18])
+
+
+def check_probes(db):
+    """Every cataloged relation has a posting index whose answers are the
+    scan's."""
+    for name in db.relation_names():
+        assert db.catalog.lookup(name)[2] is not None, name
+        stored = [(tid, elements) for tid, elements, __
+                  in db.get_store(name).scan()]
+        for query in PROBES:
+            assert db.probe(name, query) == [
+                tid for tid, elements in stored if set(query) <= elements
+            ], (name, query)
+
+
 # ----------------------------------------------------------------------
 # WriteAheadLog unit tests
 # ----------------------------------------------------------------------
@@ -339,6 +357,7 @@ class TestCrashSweeps:
             if "fresh" in names:
                 assert len(db.read_relation("fresh")) == 15
             assert len(db.read_relation("base")) == 15
+            check_probes(db)
             db.verify_integrity()
 
         assert sim.sweep(prepare, operation, check) > 0
@@ -351,7 +370,15 @@ class TestCrashSweeps:
             db.create_relation("victim", rows(10, start=50))
 
         def operation(db):
+            from repro.storage.btree import BTree
+
+            meta, __, index = db.catalog.lookup("victim")
+            pages = sum(len(list(BTree(db.pool, tree).page_ids())) + 1
+                        for tree in (meta, index))
+            free = db.disk.num_free_pages
             db.drop_relation("victim")
+            # Every page of the relation and of its index is unreachable.
+            assert db.disk.num_free_pages == free + pages
 
         def check(db, crashed):
             names = sorted(db.relation_names())
@@ -361,6 +388,7 @@ class TestCrashSweeps:
             assert len(db.read_relation("keep")) == 10
             if "victim" in names:
                 assert len(db.read_relation("victim")) == 10
+            check_probes(db)
             db.verify_integrity()
 
         assert sim.sweep(prepare, operation, check) > 0
