@@ -187,9 +187,7 @@ def _run_sharded_join(arguments, lhs, rhs, algorithm, model) -> int:
     in-memory shards and join through the dist coordinator."""
     from .dist import ShardedDatabase
 
-    with ShardedDatabase.open(
-        None, shards=arguments.shards, prune=arguments.prune, model=model,
-    ) as db:
+    with ShardedDatabase.open(None, shards=arguments.shards, model=model) as db:
         db.create_relation("R", lhs)
         db.create_relation("S", rhs)
         if arguments.explain:
@@ -787,12 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distribute the relations over N in-memory database shards "
         "behind the dist coordinator (default 1 = single database); "
         "results and x/y accounting stay bit-identical",
-    )
-    join.add_argument(
-        "--prune", default="partitions", choices=["partitions", "signature"],
-        help="R-replication pruning with --shards: 'partitions' keeps "
-        "x/y bit-identical; 'signature' also skips shards by signature-"
-        "prefix digest (fewer shipped rows, x may shrink)",
     )
     join.add_argument(
         "--explain", action="store_true",

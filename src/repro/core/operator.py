@@ -59,8 +59,11 @@ __all__ = [
 
 ENGINES = ("python", "numpy")
 
-_TID = attrgetter("tid")
 _TID_AND_SET = attrgetter("tid", "elements")
+
+#: Leaf fill of the testbed's relations: the layout every committed page
+#: count of a testbed join (``benchmarks/BENCH_seed.json``) was taken on.
+TESTBED_FILL = 0.9
 
 #: ``(signatures, tids)``, the signatures as :func:`pack_signatures` words.
 PackedBlock = tuple[np.ndarray, np.ndarray]
@@ -346,19 +349,20 @@ class Testbed:
     ) -> None:
         """Store both input relations (R = subset side, S = superset side).
 
-        Loads in tid order through the B-tree bulk loader (pages written
-        once, no splits).  The rows are sorted by tid and streamed as
-        ``(tid, elements)`` pairs, a batch at a time: no pair outlives its
-        batch, so a load leaves the collector no long-lived objects to
-        trace.
+        Each goes through :meth:`RelationStore.create`, which orders the
+        rows by tid and builds the B-tree bottom-up (pages written once,
+        no splits), its leaves filled to :data:`TESTBED_FILL`.  The rows
+        are streamed as ``(tid, elements)`` pairs, a batch at a time: no
+        pair outlives its batch, so a load leaves the collector no
+        long-lived objects to trace.
         """
-        self.relation_r = RelationStore.create_sorted(
-            self.pool, map(_TID_AND_SET, sorted(lhs, key=_TID)),
-            payload_size, name=lhs.name or "R",
+        self.relation_r = RelationStore.create(
+            self.pool, map(_TID_AND_SET, lhs), payload_size, lhs.name or "R",
+            TESTBED_FILL,
         )
-        self.relation_s = RelationStore.create_sorted(
-            self.pool, map(_TID_AND_SET, sorted(rhs, key=_TID)),
-            payload_size, name=rhs.name or "S",
+        self.relation_s = RelationStore.create(
+            self.pool, map(_TID_AND_SET, rhs), payload_size, rhs.name or "S",
+            TESTBED_FILL,
         )
         self.pool.flush_all()
 

@@ -196,10 +196,13 @@ class SetJoinDatabase:
         """Store a new named relation; returns the tuple count.
 
         ``rows`` is either an in-memory :class:`Relation` or an iterable of
-        ``(tid, elements)`` pairs (streamed; never fully materialized).
-        The relation's posting index (:mod:`repro.storage.posting_index`)
-        is built from the stored tuples in the same transaction, so a
-        crash leaves both or neither.
+        ``(tid, elements)`` pairs in any tid order, read once; no more
+        than one encoded copy of the rows is held
+        (:meth:`RelationStore.create`), and a repeated tid raises
+        :class:`ConfigurationError` with nothing written.  The relation's
+        posting index (:mod:`repro.storage.posting_index`) is built from
+        the stored tuples in the same transaction, so a crash leaves both
+        or neither.
         """
         self._check_open()
         if name in self.catalog:
@@ -207,8 +210,8 @@ class SetJoinDatabase:
         if isinstance(rows, Relation):
             rows = ((row.tid, row.elements) for row in rows)
         with self._atomic():
-            store = RelationStore.create(self.pool, name=name)
-            count = store.bulk_load(rows, payload_size)
+            store = RelationStore.create(self.pool, rows, payload_size, name)
+            count = len(store)
             index = PostingIndex.build(self.pool, store)
             self.catalog.register(
                 name, store.meta_page_id, count,

@@ -4,8 +4,8 @@
 :class:`~repro.database.SetJoinDatabase` shards (each with its own WAL,
 buffer pool and catalog) and coordinates containment joins across them:
 S rows are rendezvous-hashed to a single home shard, R rows are
-replicated only to the shards whose partition occupancy (optionally
-signature digest) says superset candidates may live there, and the
+replicated only to the shards whose partition occupancy says superset
+candidates may live there, and the
 per-shard answers — provably disjoint — merge into a result that is
 bit-identical to single-shard execution, x/y accounting included.
 
@@ -18,8 +18,6 @@ argument.
 
 from .coordinator import ShardedDatabase
 from .placement import (
-    DEFAULT_PREFIX_BITS,
-    PRUNE_MODES,
     PlacementReport,
     ReplicationPlanner,
     ShardSummary,
@@ -36,8 +34,6 @@ __all__ = [
     "ShardedDatabase",
     "Shard",
     "ShardJoinRequest",
-    "PRUNE_MODES",
-    "DEFAULT_PREFIX_BITS",
     "PlacementReport",
     "ReplicationPlanner",
     "ShardSummary",

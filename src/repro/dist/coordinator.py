@@ -31,7 +31,7 @@ runs in four steps:
    :class:`~repro.core.metrics.JoinMetrics` fold onto a global header,
    and ``replicated_signatures`` is then restored to the *logical*
    count so the paper's x/y accounting is bit-identical to a
-   single-shard run at any shard count (default prune mode).  The
+   single-shard run at any shard count.  The
    merged record is published via ``record_join``.
 """
 
@@ -55,8 +55,6 @@ from ..obs.trace import current_tracer, use_tracer
 from ..parallel.executor import resolve_backend
 from ..parallel.merge import ShardResult, merge_results
 from .placement import (
-    DEFAULT_PREFIX_BITS,
-    PRUNE_MODES,
     PlacementReport,
     ReplicationPlanner,
     assign_shard,
@@ -109,11 +107,9 @@ class ShardedDatabase:
     set persists in ``<path>.shards.json`` so reopening without
     ``shards=`` resumes the existing layout.  Shard joins run on threads
     only where they can overlap (see :meth:`_fan_out`); intra-shard
-    parallelism is the join call's ``workers``/``backend``.
-    ``prune`` selects the R-replication mode (see
-    :mod:`repro.dist.placement`): ``"partitions"`` (default) keeps the
-    x/y accounting bit-identical to single-shard execution,
-    ``"signature"`` trades that for fewer shipped rows and comparisons.
+    parallelism is the join call's ``workers``/``backend``.  R rows are
+    replicated by partition occupancy (:mod:`repro.dist.placement`), so
+    the x/y accounting is bit-identical to single-shard execution.
     """
 
     def __init__(
@@ -122,19 +118,11 @@ class ShardedDatabase:
         path: "str | None" = None,
         model: TimeModel = PAPER_TIME_MODEL,
         model_store=None,
-        prune: str = "partitions",
-        prefix_bits: int = DEFAULT_PREFIX_BITS,
     ):
         if not shards:
             raise ConfigurationError("a sharded database needs >= 1 shard")
-        if prune not in PRUNE_MODES:
-            raise ConfigurationError(
-                f"prune must be one of {PRUNE_MODES}, got {prune!r}"
-            )
         self.shards = sorted(shards, key=lambda shard: shard.shard_id)
         self.path = path
-        self.prune = prune
-        self.prefix_bits = prefix_bits
         self.model_store = None
         if model_store is not None:
             from ..obs.adaptive import ModelStore
@@ -158,8 +146,6 @@ class ShardedDatabase:
         path: "str | None" = None,
         shards: "int | None" = None,
         *,
-        prune: str = "partitions",
-        prefix_bits: int = DEFAULT_PREFIX_BITS,
         model: TimeModel = PAPER_TIME_MODEL,
         model_store=None,
         **db_kwargs,
@@ -201,10 +187,7 @@ class ShardedDatabase:
             Shard.open(sid, _shard_path(path, sid), model=model, **db_kwargs)
             for sid in shard_ids
         ]
-        db = cls(
-            opened, path=path, model=model, model_store=model_store,
-            prune=prune, prefix_bits=prefix_bits,
-        )
+        db = cls(opened, path=path, model=model, model_store=model_store)
         db._write_manifest()
         return db
 
@@ -319,17 +302,18 @@ class ShardedDatabase:
 
         Exact rather than sampled: the integer cardinality sum is
         order-independent, so statistics — and therefore the plan — are
-        identical at every shard count.  ``seed`` is accepted for
-        interface parity with ``SetJoinDatabase._statistics`` and
-        ignored.
+        identical at every shard count.  Each shard's sum is read off the
+        offsets of its columnar scan, a batch at a time.  ``seed`` is
+        accepted for interface parity with ``SetJoinDatabase._statistics``
+        and ignored.
         """
         del seed
         self._check_open()
         size = self.relation_size(name)
         total = 0
         for shard in self.shards:
-            for __, elements in shard.scan_relation(name):
-                total += len(elements)
+            for __, __, offsets in shard.db.get_store(name).scan_batches():
+                total += int(offsets[-1])
         return size, (total / size if size else 0.0)
 
     def refresh_model(self) -> TimeModel:
@@ -363,34 +347,23 @@ class ShardedDatabase:
     # The distributed join
     # ------------------------------------------------------------------
 
-    def _place(
-        self, r_name: str, s_name: str, partitioner,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-    ):
+    def _place(self, r_name: str, s_name: str, partitioner):
         """Summarize S per shard, then scan R and route every row.
 
         Returns ``(planner, rows_by_shard)``; the planner carries the
         exact logical/physical accounting of the scan.
         """
-        summaries = [
-            shard.summarize(
-                s_name, copy.deepcopy(partitioner),
-                signature_bits=signature_bits,
-                prefix_bits=self.prefix_bits,
-            )
+        planner = ReplicationPlanner([
+            shard.summarize(s_name, copy.deepcopy(partitioner))
             for shard in self.shards
-        ]
-        planner = ReplicationPlanner(
-            summaries, mode=self.prune,
-            signature_bits=signature_bits, prefix_bits=self.prefix_bits,
-        )
+        ])
         rows_by_shard: "dict[int, list[tuple[int, frozenset]]]" = {
             shard.shard_id: [] for shard in self.shards
         }
         for shard in self.shards:
             for tid, elements in shard.scan_relation(r_name):
                 partitions = partitioner.assign_r(elements)
-                for target in planner.targets(elements, partitions):
+                for target in planner.targets(partitions):
                     rows_by_shard[target].append((tid, elements))
         return planner, rows_by_shard
 
@@ -437,9 +410,8 @@ class ShardedDatabase:
 
         ``partitioner`` overrides planning with a pre-built partitioner
         (``run_disk_join(shards=N)`` uses this); it is sanitized to a
-        content-deterministic equivalent.  With the default
-        ``prune="partitions"`` the returned pairs *and* the x/y
-        accounting are bit-identical to single-shard execution.
+        content-deterministic equivalent.  The returned pairs *and* the
+        x/y accounting are bit-identical to single-shard execution.
         """
         self._check_open()
         if partitioner is None:
@@ -452,15 +424,12 @@ class ShardedDatabase:
             shards=len(self.shards),
             algorithm=partitioner.name,
             k=partitioner.num_partitions,
-            prune=self.prune,
         )
         if query_id is not None:
             root_attrs["query_id"] = query_id
         with use_tracer(tracer), tracer.span("dist.join", **root_attrs) as root:
             placement_started = time.perf_counter()
-            planner, rows_by_shard = self._place(
-                r_name, s_name, partitioner, signature_bits
-            )
+            planner, rows_by_shard = self._place(r_name, s_name, partitioner)
             report = planner.report()
             summaries = {s.shard_id: s for s in planner.summaries}
             requests = [
@@ -508,7 +477,7 @@ class ShardedDatabase:
                 replicated_signatures=metrics.replicated_signatures,
                 replicated_rows=report.physical_r_rows,
                 replication_factor=round(report.replication_factor, 6),
-                pruned_shard_visits=report.pruned_shard_visits,
+                pruned_shard_visits=report.pruned_occupancy,
             )
         return set(pairs), metrics
 
@@ -564,7 +533,6 @@ class ShardedDatabase:
         totals["tuples"] = sum(self.relation_size(name) for name in names)
         totals["shards"] = len(self.shards)
         totals["shard_ids"] = self.shard_ids
-        totals["prune"] = self.prune
         if self.last_placement is not None:
             totals["last_placement"] = self.last_placement.as_dict()
         return totals

@@ -13,25 +13,14 @@ predicate.  This module owns the three placement decisions:
   one moves only that shard's rows (:mod:`repro.dist.rebalance` relies
   on this).
 * **R row → target shards** (:class:`ReplicationPlanner`): which shards
-  an R row must be shipped to.  Two pruning modes:
-
-  - ``"partitions"`` (default) prunes at *partition-occupancy*
-    granularity: ship r to shard j iff ``partitions(r) ∩ occupied(j)``
-    is non-empty, where ``occupied(j)`` is the set of partitions with at
-    least one local S entry.  This is exact for the paper's accounting:
-    for every partition p with S entries on shard j the *entire* global
-    R_p is present there, so the per-shard block-nested-loop comparison
-    counts sum to exactly the single-shard x, and skipped shards would
-    have contributed zero comparisons anyway.
-  - ``"signature"`` additionally prunes with a per-shard signature
-    digest: r is shipped only if ``prefix(sig(r)) ⊆ᵇ`` the OR of the
-    shard's S-signature prefixes and ``|r| ≤`` the shard's maximum S
-    cardinality.  Both tests are sound (``sig(r) ⊆ᵇ sig(s)`` implies
-    prefix inclusion in the OR, and ``r ⊆ s`` implies ``|r| ≤ |s|``),
-    so the *pairs* stay bit-identical — but comparisons that a
-    single-shard run would have performed (and counted in x) are
-    skipped, so x may shrink.  It is a performance mode, not the
-    invariance default.
+  an R row must be shipped to, pruned at *partition-occupancy*
+  granularity: ship r to shard j iff ``partitions(r) ∩ occupied(j)`` is
+  non-empty, where ``occupied(j)`` is the set of partitions with at
+  least one local S entry.  This is exact for the paper's accounting:
+  for every partition p with S entries on shard j the *entire* global
+  R_p is present there, so the per-shard block-nested-loop comparison
+  counts sum to exactly the single-shard x, and skipped shards would
+  have contributed zero comparisons anyway.
 
 * **Deterministic partition assignment**
   (:func:`deterministic_choice`): PSJ's R-side routing draws from a
@@ -53,11 +42,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..core.psj import PSJPartitioner, _mix
-from ..core.signatures import DEFAULT_SIGNATURE_BITS, signature_of
 from ..errors import ConfigurationError
 
 __all__ = [
-    "PRUNE_MODES",
     "assign_shard",
     "deterministic_choice",
     "deterministic_partitioner",
@@ -67,14 +54,6 @@ __all__ = [
     "PlacementReport",
     "publish_placement",
 ]
-
-#: Supported R-replication pruning modes (see the module docstring).
-PRUNE_MODES = ("partitions", "signature")
-
-#: Width of the per-shard S-signature prefix digest (``"signature"``
-#: mode).  64 bits keeps the digest a machine word while catching sets
-#: whose low signature bits miss the shard entirely.
-DEFAULT_PREFIX_BITS = 64
 
 _SHARD_SALT = 0x9E3779B97F4A7C15
 
@@ -139,39 +118,27 @@ class ShardSummary:
     rows: int
     entries: int
     occupied: "frozenset[int]"
-    signature_prefix: int
-    max_cardinality: int
 
 
 def summarize_rows(
     shard_id: int,
     rows: "Iterable[tuple[int, frozenset[int]]]",
     partitioner,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
-    prefix_bits: int = DEFAULT_PREFIX_BITS,
 ) -> ShardSummary:
     """Digest one shard's S rows (``(tid, elements)`` pairs)."""
-    prefix_mask = (1 << prefix_bits) - 1
     count = 0
     entries = 0
     occupied: set[int] = set()
-    prefix_or = 0
-    max_cardinality = 0
     for __, elements in rows:
         count += 1
         partitions = partitioner.assign_s(elements)
         entries += len(partitions)
         occupied.update(partitions)
-        prefix_or |= signature_of(elements, signature_bits) & prefix_mask
-        if len(elements) > max_cardinality:
-            max_cardinality = len(elements)
     return ShardSummary(
         shard_id=shard_id,
         rows=count,
         entries=entries,
         occupied=frozenset(occupied),
-        signature_prefix=prefix_or,
-        max_cardinality=max_cardinality,
     )
 
 
@@ -182,52 +149,25 @@ class ReplicationPlanner:
     accounting, and :meth:`report` packages it once the R scan is done.
     """
 
-    def __init__(
-        self,
-        summaries: "Sequence[ShardSummary]",
-        mode: str = "partitions",
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        prefix_bits: int = DEFAULT_PREFIX_BITS,
-    ):
-        if mode not in PRUNE_MODES:
-            raise ConfigurationError(
-                f"prune mode must be one of {PRUNE_MODES}, got {mode!r}"
-            )
-        self.mode = mode
-        self.signature_bits = signature_bits
-        self.prefix_mask = (1 << prefix_bits) - 1
+    def __init__(self, summaries: "Sequence[ShardSummary]"):
         self.summaries = sorted(summaries, key=lambda s: s.shard_id)
         self.rows = 0
         self.logical_entries = 0
         self.physical_rows = 0
         self.physical_entries = 0
         self.pruned_occupancy = 0
-        self.pruned_signature = 0
 
-    def targets(
-        self, elements: "frozenset[int]", partitions: "Sequence[int]"
-    ) -> "list[int]":
-        """Shard ids that must receive this R row (sorted)."""
+    def targets(self, partitions: "Sequence[int]") -> "list[int]":
+        """Shard ids that must receive an R row with these partitions
+        (sorted)."""
         self.rows += 1
         self.logical_entries += len(partitions)
         parts = set(partitions)
-        prefix = None
         out: list[int] = []
         for summary in self.summaries:
             if not summary.rows or parts.isdisjoint(summary.occupied):
                 self.pruned_occupancy += 1
                 continue
-            if self.mode == "signature":
-                if len(elements) > summary.max_cardinality:
-                    self.pruned_signature += 1
-                    continue
-                if prefix is None:
-                    prefix = signature_of(
-                        elements, self.signature_bits
-                    ) & self.prefix_mask
-                if prefix & ~summary.signature_prefix:
-                    self.pruned_signature += 1
-                    continue
             out.append(summary.shard_id)
         self.physical_rows += len(out)
         self.physical_entries += len(out) * len(partitions)
@@ -236,7 +176,6 @@ class ReplicationPlanner:
     def report(self) -> "PlacementReport":
         return PlacementReport(
             shards=len(self.summaries),
-            mode=self.mode,
             r_rows=self.rows,
             s_rows=sum(s.rows for s in self.summaries),
             logical_r_entries=self.logical_entries,
@@ -244,7 +183,6 @@ class ReplicationPlanner:
             physical_r_rows=self.physical_rows,
             physical_r_entries=self.physical_entries,
             pruned_occupancy=self.pruned_occupancy,
-            pruned_signature=self.pruned_signature,
         )
 
 
@@ -253,7 +191,6 @@ class PlacementReport:
     """Exact replication accounting of one distributed join's placement."""
 
     shards: int
-    mode: str
     r_rows: int
     s_rows: int
     #: the paper's y, split by side — identical at every shard count.
@@ -263,7 +200,6 @@ class PlacementReport:
     physical_r_rows: int
     physical_r_entries: int
     pruned_occupancy: int
-    pruned_signature: int
 
     @property
     def logical_entries(self) -> int:
@@ -276,14 +212,9 @@ class PlacementReport:
         ``shards`` = full broadcast)."""
         return self.physical_r_rows / self.r_rows if self.r_rows else 0.0
 
-    @property
-    def pruned_shard_visits(self) -> int:
-        return self.pruned_occupancy + self.pruned_signature
-
     def as_dict(self) -> dict:
         return {
             "shards": self.shards,
-            "mode": self.mode,
             "r_rows": self.r_rows,
             "s_rows": self.s_rows,
             "logical_r_entries": self.logical_r_entries,
@@ -292,13 +223,12 @@ class PlacementReport:
             "physical_r_entries": self.physical_r_entries,
             "replication_factor": round(self.replication_factor, 6),
             "pruned_occupancy": self.pruned_occupancy,
-            "pruned_signature": self.pruned_signature,
         }
 
     def explain_lines(self) -> "list[str]":
         """The EXPLAIN section describing this placement."""
         return [
-            f"distribution: {self.shards} shards (prune={self.mode})",
+            f"distribution: {self.shards} shards",
             f"  R replication: {self.physical_r_rows} placements for "
             f"{self.r_rows} rows → factor "
             f"{self.replication_factor:.3f} (bounds: 1.0 ≤ factor ≤ "
@@ -310,8 +240,7 @@ class PlacementReport:
             f"{self.physical_r_entries} R + "
             f"{self.logical_s_entries} S",
             f"  pruned shard visits: {self.pruned_occupancy} by "
-            f"partition occupancy, {self.pruned_signature} by "
-            f"signature prefix / cardinality",
+            f"partition occupancy",
         ]
 
 
@@ -336,8 +265,8 @@ def publish_placement(report: PlacementReport, registry=None) -> None:
     ).inc(report.physical_r_entries)
     reg.counter(
         "setjoin_dist_pruned_shard_visits_total",
-        "R-row shard placements skipped by occupancy/signature pruning",
-    ).inc(report.pruned_shard_visits)
+        "R-row shard placements skipped by partition-occupancy pruning",
+    ).inc(report.pruned_occupancy)
     reg.gauge(
         "setjoin_dist_replication_factor",
         "Average shard copies per R row in the last distributed join",

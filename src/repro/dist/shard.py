@@ -32,7 +32,7 @@ from ..database import SetJoinDatabase
 from ..errors import SetJoinError
 from ..parallel.merge import ShardResult
 from ..storage.relation_store import RelationStore
-from .placement import DEFAULT_PREFIX_BITS, ShardSummary, summarize_rows
+from .placement import ShardSummary, summarize_rows
 
 __all__ = ["Shard", "ShardJoinRequest"]
 
@@ -87,8 +87,8 @@ class Shard:
 
     def create_relation(self, name: str,
                         rows: "list[tuple[int, frozenset[int]]]") -> int:
-        """Store this shard's slice of a relation (rows sorted by tid)."""
-        return self.db.create_relation(name, sorted(rows))
+        """Store this shard's slice of a relation."""
+        return self.db.create_relation(name, rows)
 
     def drop_relation(self, name: str) -> None:
         self.db.drop_relation(name)
@@ -105,17 +105,10 @@ class Shard:
     # Join messages
     # ------------------------------------------------------------------
 
-    def summarize(
-        self,
-        s_name: str,
-        partitioner,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        prefix_bits: int = DEFAULT_PREFIX_BITS,
-    ) -> ShardSummary:
+    def summarize(self, s_name: str, partitioner) -> ShardSummary:
         """Digest the local S slice for the coordinator's placement."""
         return summarize_rows(
-            self.shard_id, self.scan_relation(s_name), partitioner,
-            signature_bits=signature_bits, prefix_bits=prefix_bits,
+            self.shard_id, self.scan_relation(s_name), partitioner
         )
 
     def execute_join(self, request: ShardJoinRequest) -> ShardResult:
@@ -129,7 +122,6 @@ class Shard:
         stranded pages.
         """
         s_store = self.db.get_store(request.s_name)
-        rows = sorted(request.r_rows)
         # The shard builds its *own* tracer rather than borrowing the
         # coordinator's: under thread fan-out a shared tracer's span
         # stack is a race, and a future remote shard could not share one
@@ -146,10 +138,10 @@ class Shard:
             tracer = Tracer(tags=tags)
             shard_span = tracer.start(
                 "dist.shard", shard_id=self.shard_id,
-                r_rows=len(rows), s_rows=len(s_store),
+                r_rows=len(request.r_rows), s_rows=len(s_store),
             )
-        portion = RelationStore.create_sorted(
-            self.db.pool, iter(rows),
+        portion = RelationStore.create(
+            self.db.pool, request.r_rows,
             name=f"__dist_r_portion_{self.shard_id}",
         )
         try:

@@ -49,7 +49,6 @@ is the resident process the ROADMAP asks for.  Architecture:
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 
@@ -71,6 +70,17 @@ __all__ = ["ServiceState", "PlanCache", "QueryService"]
 _LATENCY_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0
 )
+
+#: Consecutive failures that open a backend's circuit breaker, and the
+#: seconds it stays open before a half-open trial.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN = 5.0
+
+#: Size at which each JSONL history rotates: span traces, drift records,
+#: capture lines.
+TRACE_MAX_BYTES = 4 * 1024 * 1024
+DRIFT_MAX_BYTES = 4 * 1024 * 1024
+CAPTURE_MAX_BYTES = 16 * 1024 * 1024
 
 
 class ServiceState:
@@ -167,8 +177,8 @@ class QueryService:
     :class:`~repro.service.chaos.ChaosInjector` (or any shard-hook
     callable) threaded into every parallel join.
 
-    ``clock``/``sleep``/``rng`` are injectable for deterministic tests;
-    the clock must be monotonic.
+    ``clock``/``sleep`` are injectable for deterministic tests; the
+    clock must be monotonic.
     """
 
     def __init__(
@@ -181,26 +191,19 @@ class QueryService:
         plan_cache_size: int = 0,
         queue_depth: int = 64,
         default_deadline: float | None = None,
-        shard_timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 5.0,
         chaos=None,
         drift_path: str | None = None,
-        drift_max_bytes: int = 4 * 1024 * 1024,
         recalibrate_every: int | None = None,
         model_store=None,
         trace_path: str | None = None,
-        trace_max_bytes: int = 4 * 1024 * 1024,
         flight_recorder=None,
         postmortem_dir: str | None = None,
         slo=None,
         ledger: bool = True,
         capture_path: str | None = None,
-        capture_max_bytes: int = 16 * 1024 * 1024,
         clock=time.monotonic,
         sleep=time.sleep,
-        rng: random.Random | None = None,
         cpu_clock=time.process_time,
         registry=None,
     ):
@@ -234,7 +237,6 @@ class QueryService:
         self.workers = workers
         self.backend = backend
         self.default_deadline = default_deadline
-        self.shard_timeout = shard_timeout
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
@@ -243,14 +245,13 @@ class QueryService:
         self.recalibrate_every = recalibrate_every
         self._clock = clock
         self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self._registry = (
             registry if registry is not None else get_registry()
         )
         self._queue = AdmissionQueue(queue_depth, registry=self._registry)
         self._ladder = BackendLadder(
-            backend, failure_threshold=breaker_threshold,
-            cooldown=breaker_cooldown, clock=clock, registry=self._registry,
+            backend, failure_threshold=BREAKER_THRESHOLD,
+            cooldown=BREAKER_COOLDOWN, clock=clock, registry=self._registry,
         )
         self._plan_cache = (
             PlanCache(plan_cache_size, registry=self._registry)
@@ -285,12 +286,12 @@ class QueryService:
         def sink(path, **options):
             return JsonlSink(path, **options) if path is not None else None
 
-        self._trace = sink(trace_path, max_bytes=trace_max_bytes)
+        self._trace = sink(trace_path, max_bytes=TRACE_MAX_BYTES)
         self._drift = sink(
-            drift_path, max_bytes=drift_max_bytes, parse=drift_line
+            drift_path, max_bytes=DRIFT_MAX_BYTES, parse=drift_line
         )
         self._capture = sink(
-            capture_path, max_bytes=capture_max_bytes, keep=5000,
+            capture_path, max_bytes=CAPTURE_MAX_BYTES, keep=5000,
             parse=capture_line,
         )
         self._cpu_clock = cpu_clock
@@ -785,13 +786,8 @@ class QueryService:
             tracer = Tracer(tags={"query_id": query.query_id})
 
         def attempt(backend: str):
-            remaining = self._remaining(query)
-            shard_timeout = self.shard_timeout
-            if remaining is not None:
-                shard_timeout = (
-                    remaining if shard_timeout is None
-                    else min(shard_timeout, remaining)
-                )
+            # The query's remaining budget is each shard's timeout.
+            shard_timeout = self._remaining(query)
             record.attempts += 1
             number = record.attempts
             record.event("attempt", number=number, backend=backend)
@@ -838,7 +834,6 @@ class QueryService:
             pairs, metrics = run_with_retries(
                 attempt, self.retry_policy, ladder=self._ladder,
                 deadline=query.deadline, clock=self._clock, sleep=self._sleep,
-                rng=self._rng,
                 on_retry=on_retry,
             )
         except BaseException as error:

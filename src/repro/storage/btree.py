@@ -343,7 +343,8 @@ class BTree:
         being ``data[ends[i - 1]:ends[i]]``.  Keys must be strictly
         increasing across all runs and every entry within
         :func:`entry_limit`; the producers check both with arrays
-        (:meth:`bulk_create` and ``RelationStore.create_sorted``).
+        (:meth:`bulk_create`, and ``RelationStore.create``, which sorts its
+        records by tid and refuses a repeated one).
 
         Leaves are packed left to right to ``fill_fraction`` of the page:
         one ``searchsorted`` per leaf finds where the entry sizes exceed

@@ -10,6 +10,10 @@ thousands of elements — e.g. ~10000 active genes) are transparently split
 into chunks keyed by ``(tid, chunk number)``, so arbitrarily large sets
 round-trip; chunks of one tuple are adjacent in key order and read
 sequentially.
+
+A relation is written once, bottom-up, by :meth:`RelationStore.create`
+and never changed afterwards: nothing is inserted into or deleted from
+its B-tree, which is dropped whole with the relation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import BTreeError, ConfigurationError, SerializationError
+from ..errors import ConfigurationError, SerializationError
 from .btree import BTree, LeafEntries, entry_limit, leaf_entry_run
 from .buffer import BufferPool
 from .serialization import (
@@ -28,8 +32,6 @@ from .serialization import (
     decode_tuple_record,
     decode_tuple_records,
     encode_tuple_buffer,
-    encode_tuple_record,
-    encode_tuple_records,
 )
 
 __all__ = ["RelationStore", "DEFAULT_PAYLOAD_SIZE"]
@@ -86,31 +88,49 @@ def _chunk_size(pool: BufferPool) -> int:
     return size
 
 
-def _entry_run(
-    batch: list, payload: bytes, size: int, previous: "int | None"
-) -> tuple[bytes, np.ndarray, int]:
-    """A batch of ``(tid, elements)`` as B-tree leaf entries, with arrays.
+def _encoded_rows(
+    rows: Iterable[tuple[int, Iterable[int]]], payload: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tid, elements)`` rows encoded :data:`BATCH_TUPLES` at a time.
 
-    Returns ``(data, ends, last tid)``, the first two a run of
-    :meth:`BTree.bulk_create_runs`: each record split into chunks of
-    ``size`` bytes, each chunk one entry under its chunk key.  Tids must
-    rise strictly, from beyond ``previous`` (the last tid of the batch
-    before) on; a violation raises :class:`BTreeError`.
+    Returns ``(tids, records, bounds)`` in input order: the tids as
+    uint64, and record ``i`` as ``records[bounds[i]:bounds[i + 1]]``.  No
+    row object outlives its batch; only the encoded bytes are kept.
     """
-    tids = list(map(itemgetter(0), batch))
-    records, bounds = encode_tuple_buffer(
-        tids, list(map(itemgetter(1), batch)), payload
-    )
-    keys = np.array(tids, dtype=np.uint64)
-    order = keys if previous is None else np.append(np.uint64(previous), keys)
-    fall = np.flatnonzero(order[1:] <= order[:-1])
-    if fall.size:
-        raise BTreeError(
-            "create_sorted requires strictly increasing tids; "
-            f"{order[fall[0] + 1]} after {order[fall[0]]}"
+    tids = [np.zeros(0, dtype=np.uint64)]
+    records = [np.zeros(0, dtype=np.uint8)]
+    lengths = [np.zeros(0, dtype=np.int64)]
+    rows = iter(rows)
+    while batch := list(islice(rows, BATCH_TUPLES)):
+        batch_tids = list(map(itemgetter(0), batch))
+        data, batch_bounds = encode_tuple_buffer(
+            batch_tids, list(map(itemgetter(1), batch)), payload
         )
-    data, ends = _chunked_run(keys, records, bounds, size)
-    return data, ends, int(keys[-1])
+        tids.append(np.array(batch_tids, dtype=np.uint64))
+        records.append(data)
+        lengths.append(np.diff(batch_bounds))
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+    return np.concatenate(tids), np.concatenate(records), bounds
+
+
+def _sorted_runs(
+    tids: np.ndarray, order: np.ndarray, records: np.ndarray,
+    bounds: np.ndarray, size: int,
+) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The records of :func:`_encoded_rows` in ``order`` (``tids`` already
+    in it), :data:`BATCH_TUPLES` at a time, as runs of
+    :meth:`BTree.bulk_create_runs`."""
+    first = 0
+    while first < order.size:
+        rows = order[first : first + BATCH_TUPLES]
+        starts, lengths = bounds[rows], bounds[rows + 1] - bounds[rows]
+        ends = np.cumsum(lengths)
+        gather = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        yield _chunked_run(
+            tids[first : first + BATCH_TUPLES], records[gather],
+            np.concatenate(([0], ends)), size,
+        )
+        first += BATCH_TUPLES
 
 
 def _chunked_run(
@@ -183,97 +203,56 @@ class RelationStore:
 
     def __init__(self, pool: BufferPool, meta_page_id: int, name: str = ""):
         self.name = name
-        self._pool = pool
         self._tree = BTree(pool, meta_page_id)
         self._count: int | None = None
 
     @classmethod
-    def create(cls, pool: BufferPool, name: str = "") -> "RelationStore":
-        store = cls.__new__(cls)
-        store.name = name
-        store._pool = pool
-        store._tree = BTree.create(pool)
-        store._count = 0
-        return store
-
-    @classmethod
-    def create_sorted(
+    def create(
         cls,
         pool: BufferPool,
-        tuples: Iterable[tuple[int, Iterable[int]]],
+        rows: Iterable[tuple[int, Iterable[int]]],
         payload_size: int = DEFAULT_PAYLOAD_SIZE,
         name: str = "",
+        fill_fraction: float = 1.0,
     ) -> "RelationStore":
-        """Create and load in one pass from tid-ascending ``(tid, elements)``.
+        """Create and load a relation from ``(tid, elements)`` rows given
+        in any tid order, each tuple with a zero payload of
+        ``payload_size`` bytes.
 
-        Uses the B-tree's bottom-up bulk loader — each page written once,
-        no splits — which is how the testbed loads relations.  The input
-        is streamed :data:`BATCH_TUPLES` at a time, and each batch goes
-        straight from its arrays to leaf-entry bytes (no object per
-        tuple).  Raises :class:`BTreeError` if tids are not strictly
-        increasing, after freeing every page the load allocated.
+        The rows are encoded :data:`BATCH_TUPLES` at a time (no object per
+        tuple outlives its batch) into one buffer of records, which one
+        stable argsort puts in tid order.  The B-tree is then built
+        bottom-up (:meth:`BTree.bulk_create_runs`): each page written
+        once, no splits.  Nothing is ever inserted into a stored
+        relation, so its leaves are filled to the page by default;
+        ``fill_fraction`` is the testbed's lower fill (the paper-testbed
+        layout its committed counters hold).  A repeated tid raises
+        :class:`ConfigurationError`, as :meth:`Relation.add
+        <repro.core.sets.Relation.add>` does, and an unencodable row the
+        encoder's error, both before any page is allocated.
         """
+        size = _chunk_size(pool)
+        tids, records, bounds = _encoded_rows(rows, bytes(payload_size))
+        order = np.argsort(tids, kind="stable")
+        tids = tids[order]
+        repeated = np.flatnonzero(tids[1:] == tids[:-1])
+        if repeated.size:
+            raise ConfigurationError(
+                f"duplicate tid {tids[repeated[0]]} in relation {name!r}"
+            )
         store = cls.__new__(cls)
         store.name = name
-        store._pool = pool
-        size, payload = _chunk_size(pool), bytes(payload_size)
-        count = 0
-
-        def runs():
-            nonlocal count
-            rows, previous = iter(tuples), None
-            while batch := list(islice(rows, BATCH_TUPLES)):
-                data, ends, previous = _entry_run(batch, payload, size, previous)
-                count += len(batch)
-                yield data, ends
-
-        store._tree = BTree.bulk_create_runs(pool, runs())
-        store._count = count
+        store._tree = BTree.bulk_create_runs(
+            pool, _sorted_runs(tids, order, records, bounds, size),
+            fill_fraction,
+        )
+        store._count = int(tids.size)
         return store
 
     @property
     def meta_page_id(self) -> int:
         """Page id that re-opens this store via the constructor."""
         return self._tree.meta_page_id
-
-    def insert(self, tid: int, elements: Iterable[int], payload: bytes = b"") -> None:
-        """Insert one tuple (overwrites an existing tid)."""
-        self._insert_record(tid, encode_tuple_record(tid, elements, payload))
-
-    def _insert_record(self, tid: int, record: bytes) -> None:
-        existing = self._tree.get(_chunk_key(tid, 0))
-        if existing is not None:
-            self._delete_chunks(tid)
-        elif self._count is not None:
-            self._count += 1
-        size = _chunk_size(self._pool)
-        for chunk, offset in enumerate(range(0, len(record), size)):
-            self._tree.insert(_chunk_key(tid, chunk), record[offset : offset + size])
-
-    def _delete_chunks(self, tid: int) -> None:
-        chunk = 0
-        while self._tree.delete(_chunk_key(tid, chunk)):
-            chunk += 1
-
-    def bulk_load(
-        self,
-        tuples: Iterable[tuple[int, Iterable[int]]],
-        payload_size: int = DEFAULT_PAYLOAD_SIZE,
-    ) -> int:
-        """Load ``(tid, elements)`` pairs with uniform zero payloads.
-
-        Returns the number of tuples loaded.
-        """
-        loaded, payload, rows = 0, bytes(payload_size), iter(tuples)
-        while batch := list(islice(rows, BATCH_TUPLES)):
-            tids = list(map(itemgetter(0), batch))
-            records = encode_tuple_records(
-                tids, list(map(itemgetter(1), batch)), payload
-            )
-            for tid, record in zip(tids, records):
-                self._insert_record(tid, record)
-            loaded += len(batch)
-        return loaded
 
     def fetch(self, tid: int) -> tuple[frozenset[int], bytes] | None:
         """Fetch the set and payload of one tuple, or ``None`` if absent."""

@@ -16,8 +16,8 @@ Tuple records have two coders for one format.  The scalar pair
 one-record API and the oracle; the batch pair (:func:`encode_tuple_buffer`
 / :func:`decode_tuple_buffer`) does the same work for a run of records
 held in one buffer, with array operations and no per-element Python
-(DESIGN.md, "Columnar batch path").  :func:`encode_tuple_records` and
-:func:`decode_tuple_records` are the batch pair over a list of ``bytes``.
+(DESIGN.md, "Columnar batch path").  :func:`decode_tuple_records` is
+the batch decoder over a list of ``bytes``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "decode_tuple_record",
     "encode_tuple_buffer",
     "decode_tuple_buffer",
-    "encode_tuple_records",
     "decode_tuple_records",
     "varint_widths",
     "scatter_varints",
@@ -164,14 +163,6 @@ def _segment_sort(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         keys.sort()
         return keys & ((1 << shift) - 1)
     return values[np.lexsort((values, rows))]
-
-
-def encode_tuple_records(tids, sets, payload: bytes) -> list[bytes]:
-    """:func:`encode_tuple_record` for a run of tuples sharing one payload:
-    :func:`encode_tuple_buffer`'s records as one ``bytes`` each."""
-    data, bounds = encode_tuple_buffer(tids, sets, payload)
-    buffer, bounds = data.tobytes(), bounds.tolist()
-    return [buffer[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _flattened(sets, total: int) -> "np.ndarray | None":

@@ -95,19 +95,46 @@ class TestShardCountInvariance:
                                  metrics.replicated_signatures))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_statistics_equal_the_per_tuple_loop(self, workload, shards):
+        """θ from the columnar offsets is the integer sum the per-tuple
+        frozenset loop took, so plans do not move."""
+        r_rows, s_rows = workload
+        wide = [(10**6, frozenset(range(0, 6_000, 3))),  # spans chunks
+                (10**6 + 1, frozenset())]
+        with ShardedDatabase.open(None, shards=shards) as db:
+            db.create_relation("r", r_rows)
+            db.create_relation("s", s_rows + wide)
+            db.create_relation("empty", [])
+            for name, size in (("r", len(r_rows)),
+                               ("s", len(s_rows) + 2), ("empty", 0)):
+                total = sum(
+                    len(elements)
+                    for shard in db.shards
+                    for __, elements in shard.scan_relation(name)
+                )
+                assert db._statistics(name) == (
+                    size, total / size if size else 0.0)
+            assert db._statistics("empty") == (0, 0.0)
+
     def test_signature_prune_keeps_pairs_exact(self, workload,
                                                single_answer):
+        """The signature prune mode is gone: every placement keeps the
+        pairs *and* x/y of one database."""
         r_rows, s_rows = workload
-        expected_pairs, __ = single_answer
+        expected_pairs, expected = single_answer
         partitioner = deterministic_partitioner(PSJPartitioner(8))
-        with ShardedDatabase.open(None, shards=4,
-                                  prune="signature") as db:
+        with pytest.raises(TypeError):
+            ShardedDatabase.open(None, shards=4, prune="signature")
+        with ShardedDatabase.open(None, shards=4) as db:
             db.create_relation("r", r_rows)
             db.create_relation("s", s_rows)
-            pairs, __m = db.join("r", "s", partitioner=partitioner)
+            pairs, metrics = db.join("r", "s", partitioner=partitioner)
             report = db.last_placement
         assert pairs == expected_pairs
-        assert report.mode == "signature"
+        assert metrics.signature_comparisons == expected.signature_comparisons
+        assert metrics.replicated_signatures == expected.replicated_signatures
+        assert "mode" not in report.as_dict()
 
 
 class TestCoordinatorSurface:

@@ -4,7 +4,6 @@ and the replication planner's exactness/pruning accounting."""
 import pytest
 
 from repro.core.psj import PSJPartitioner, _mix
-from repro.core.signatures import signature_of
 from repro.dist.placement import (
     PlacementReport,
     ReplicationPlanner,
@@ -85,10 +84,9 @@ class TestDeterministicPSJ:
         assert deterministic_partitioner(partitioner) is partitioner
 
 
-def _summaries(partitioner, slices, signature_bits=160):
+def _summaries(partitioner, slices):
     return [
-        summarize_rows(sid, rows, partitioner,
-                       signature_bits=signature_bits)
+        summarize_rows(sid, rows, partitioner)
         for sid, rows in slices.items()
     ]
 
@@ -103,7 +101,7 @@ class TestReplicationPlanner:
         }
         planner = ReplicationPlanner(_summaries(partitioner, slices))
         r = frozenset({0, 1, 2})
-        targets = planner.targets(r, partitioner.assign_r(r))
+        targets = planner.targets(partitioner.assign_r(r))
         assert 2 not in targets
 
     def test_exact_accounting(self):
@@ -115,7 +113,7 @@ class TestReplicationPlanner:
         planner = ReplicationPlanner(_summaries(partitioner, slices))
         r_rows = [frozenset({i}) for i in range(8)]
         for elements in r_rows:
-            planner.targets(elements, partitioner.assign_r(elements))
+            planner.targets(partitioner.assign_r(elements))
         report = planner.report()
         assert report.r_rows == len(r_rows)
         assert report.s_rows == 3
@@ -130,38 +128,40 @@ class TestReplicationPlanner:
         assert 1.0 <= report.replication_factor <= 2.0
         # physical + pruned visits account for every (row, shard) pair
         assert (report.physical_r_rows + report.pruned_occupancy
-                + report.pruned_signature) == len(r_rows) * len(slices)
+                ) == len(r_rows) * len(slices)
 
     def test_signature_mode_is_sound(self):
-        """Signature pruning must never skip a shard holding a superset."""
+        """Occupancy pruning never skips a shard holding a superset."""
         partitioner = deterministic_partitioner(PSJPartitioner(4))
         s_sets = {
             0: [(1, frozenset({1, 2, 3, 4})), (2, frozenset({10, 11}))],
             1: [(3, frozenset({5, 6, 7, 8, 9}))],
         }
-        planner = ReplicationPlanner(
-            _summaries(partitioner, s_sets), mode="signature"
-        )
+        planner = ReplicationPlanner(_summaries(partitioner, s_sets))
         for r in (frozenset({1, 2}), frozenset({5, 9}), frozenset({10}),
                   frozenset({2, 3, 4}), frozenset({999})):
-            targets = planner.targets(r, partitioner.assign_r(r))
+            targets = planner.targets(partitioner.assign_r(r))
             for sid, rows in s_sets.items():
                 if any(r <= s for __, s in rows):
                     assert sid in targets, (r, sid)
 
     def test_signature_mode_prunes_by_cardinality(self):
+        """Only partition occupancy prunes: a row larger than every set
+        on a shard still goes wherever its partitions are occupied, so
+        the shard's comparisons (and x) are those of one database."""
         partitioner = deterministic_partitioner(PSJPartitioner(2))
-        slices = {0: [(1, frozenset({1, 2}))]}
-        planner = ReplicationPlanner(
-            _summaries(partitioner, slices), mode="signature"
-        )
+        slices = {0: [(1, frozenset({1, 2})), (2, frozenset({3, 8}))]}
+        (summary,) = _summaries(partitioner, slices)
+        assert summary.occupied == {0, 1}
+        planner = ReplicationPlanner([summary])
         big = frozenset(range(1, 10))  # |r| > max |s| on the shard
-        assert planner.targets(big, partitioner.assign_r(big)) == []
-        assert planner.report().pruned_signature == 1
+        assert planner.targets(partitioner.assign_r(big)) == [0]
+        assert planner.report().pruned_occupancy == 0
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReplicationPlanner([], mode="bogus")
+        # The planner has one mode; there is nothing to select.
+        with pytest.raises(TypeError):
+            ReplicationPlanner([], mode="signature")
 
 
 class TestShardSummary:
@@ -174,21 +174,17 @@ class TestShardSummary:
         assert summary.entries == sum(
             len(partitioner.assign_s(e)) for __, e in rows
         )
-        assert summary.max_cardinality == 3
-        mask = (1 << 64) - 1
-        expected_prefix = 0
-        for __, e in rows:
-            expected_prefix |= signature_of(e, 160) & mask
-        assert summary.signature_prefix == expected_prefix
+        assert summary.occupied == frozenset().union(
+            *(partitioner.assign_s(e) for __, e in rows))
 
 
 class TestPlacementReport:
     def test_explain_lines_report_the_replication_factor(self):
         report = PlacementReport(
-            shards=3, mode="partitions", r_rows=100, s_rows=50,
+            shards=3, r_rows=100, s_rows=50,
             logical_r_entries=150, logical_s_entries=90,
             physical_r_rows=220, physical_r_entries=330,
-            pruned_occupancy=80, pruned_signature=0,
+            pruned_occupancy=80,
         )
         text = "\n".join(report.explain_lines())
         assert "factor 2.200" in text

@@ -21,9 +21,12 @@ loop over entry offsets, and nothing but the monolithic ablation inserts
 into a B-tree.
 
 One walk keeps the relation pages columnar (DESIGN.md, "Columnar relation
-pages"): ``create_sorted`` and its batch encoder do not loop, the leaf
-packer loops over runs only, the per-tuple ``_chunks``/``_encoded`` stay
-gone, and ``scan_batches`` does not reach the per-record ``_records``.
+pages"): the loader ``RelationStore.create`` and its batch encoder do not
+loop, the leaf packer loops over runs only, the per-tuple
+``_chunks``/``_encoded`` stay gone, and ``scan_batches`` does not reach
+the per-record ``_records``.  Another keeps that loader the only writer
+(DESIGN.md, "One relation loader"): the store inserts into and deletes
+from no B-tree, and its per-record write path stays deleted.
 
 Two walks keep verification one forward pass (DESIGN.md, "One-pass
 verification"): the fetch-and-verify functions build no set and call no
@@ -40,6 +43,10 @@ Three walks keep the fan-out single (DESIGN.md, "One fan-out"): executor
 pools are built only in ``parallel/executor.py``, metric shares fold only
 in ``parallel/merge.py``, and the second fan-out's dispatch, merge and
 ``fanout`` selection stay gone.
+
+Two signature pins keep options nobody set deleted: the keyword options
+of ``QueryService`` and of ``ShardedDatabase.open`` are exactly the
+listed ones.
 
 A text scan keeps the performance record single (DESIGN.md, "One
 performance record"): the stack-sampling profiler and its service, HTTP
@@ -296,11 +303,10 @@ def test_batch_fetch_stays_off_the_one_tuple_api():
     )
 
 
-#: The load path: ``create_sorted`` (its nested run producer included),
-#: the batch encoder it calls and the B-tree's entry layout may not loop
-#: at all; the leaf packer may loop over its runs, never over items or
-#: entries.
-LOAD_FUNCTIONS = ("create_sorted", "_entry_run")
+#: The load path: ``create``, the batch encoder and run producer it
+#: calls and the B-tree's entry layout may not loop at all; the leaf
+#: packer may loop over its runs, never over items or entries.
+LOAD_FUNCTIONS = ("create", "_encoded_rows", "_sorted_runs")
 ENTRY_LAYOUT = "leaf_entry_run"
 PACKER = "_pack_leaves"
 RETIRED_PAGE_HELPERS = {"_chunks", "_encoded"}
@@ -344,6 +350,86 @@ def test_relation_pages_stay_columnar():
         "the relation load or scan makes an object per tuple again (encode "
         "a batch into leaf-entry runs, pack leaves with one searchsorted "
         "each, parse a group of leaves at once):\n" + "\n".join(bad)
+    )
+
+
+#: The relation's second writer — per-record inserts and deletes — and
+#: the sorted-only loader the one loader replaced.
+RETIRED_RELATION_WRITERS = {
+    "create_sorted", "bulk_load", "_insert_record", "_delete_chunks",
+    "encode_tuple_records",
+}
+TREE_WRITES = ("insert", "delete")
+
+
+def test_relations_have_one_loader():
+    store = ast.parse(
+        (LIBRARY_ROOT / "storage" / "relation_store.py").read_text())
+    bad = [
+        f"storage/relation_store.py:{node.lineno}: calls .{node.func.attr}()"
+        for node in ast.walk(store)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in TREE_WRITES
+    ]
+    (relation_store,) = [
+        node for node in store.body
+        if isinstance(node, ast.ClassDef) and node.name == "RelationStore"
+    ]
+    bad += [
+        f"storage/relation_store.py:{node.lineno}: RelationStore.{node.name}"
+        for node in relation_store.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("insert", "bulk_load", "create_sorted")
+    ]
+    bad += _uses_of(RETIRED_RELATION_WRITERS)
+    assert not bad, (
+        "a relation has a second writer again (RelationStore.create loads "
+        "rows in any tid order, bottom-up, and nothing changes the tree "
+        "afterwards):\n" + "\n".join(bad)
+    )
+
+
+#: The keyword options of ``QueryService`` — its breaker, shard-timeout,
+#: rng and history-size options, which nothing set, are gone — and of
+#: ``ShardedDatabase.open``, whose signature prune mode is gone.
+SERVICE_OPTIONS = {
+    "workers", "backend", "shards", "plan_cache_size", "queue_depth",
+    "default_deadline", "retry_policy", "chaos", "drift_path",
+    "recalibrate_every", "model_store", "trace_path", "flight_recorder",
+    "postmortem_dir", "slo", "ledger", "capture_path", "clock", "sleep",
+    "cpu_clock", "registry",
+}
+SHARDED_OPEN_OPTIONS = {"path", "shards", "model", "model_store", "db_kwargs"}
+
+
+def _options(path, class_name, method):
+    """The parameter names of ``class_name.method`` in ``path`` (after
+    ``self``/``cls``), as written in the source."""
+    tree = ast.parse((LIBRARY_ROOT / path).read_text())
+    (function,) = [
+        item for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == method
+    ]
+    args = function.args
+    names = [arg.arg for arg in args.args[1:] + args.kwonlyargs]
+    return names + [arg.arg for arg in (args.vararg, args.kwarg) if arg]
+
+
+def test_deleted_options_stay_deleted():
+    service = _options("service/core.py", "QueryService", "__init__")
+    assert service[0] == "database"
+    assert set(service[1:]) == SERVICE_OPTIONS and len(service) == 22, (
+        "QueryService's keyword options changed; unset ones are constants "
+        f"(added {sorted(set(service[1:]) - SERVICE_OPTIONS)}, removed "
+        f"{sorted(SERVICE_OPTIONS - set(service[1:]))})"
+    )
+    sharded = _options("dist/coordinator.py", "ShardedDatabase", "open")
+    assert set(sharded) == SHARDED_OPEN_OPTIONS, (
+        "ShardedDatabase.open's options changed (R rows replicate by "
+        f"partition occupancy only): {sorted(sharded)}"
     )
 
 

@@ -31,13 +31,17 @@ X, Y, CANDIDATES = 24_493, 888, 15
 
 #: (shards, workers) → digest of the run's registry counter totals (every
 #: counter but the ``seconds`` ones).  The backend is not a key: serial,
-#: thread and process runs must publish identical totals.  Re-pinned once
-#: for portion pages (DESIGN.md §1.12): only ``setjoin_buffer_hits_total``
+#: thread and process runs must publish identical totals.  Re-pinned for
+#: portion pages (DESIGN.md §1.12): only ``setjoin_buffer_hits_total``
 #: moved, 172 → 81, 277 → 139 and 394 → 197 at 1, 2 and 3 shards.
+#: Re-pinned for the one relation loader (DESIGN.md §1.17), whose R
+#: portions have full leaves: at 1, 2 and 3 shards buffer hits fell
+#: 81 → 80, 139 → 135 and 197 → 190, and page writes (all of them the
+#: partition phase's) 20 → 19, 34 → 32 and 51 → 48.
 REGISTRY_DIGESTS = {
-    (1, 1): "598d804374aa7536", (1, 2): "08f296b4b582cb24",
-    (2, 1): "fec27665f28a0f26", (2, 2): "3861eae9b7e42353",
-    (3, 1): "2e4e0b7888c084ea", (3, 2): "c007771c2f3436ba",
+    (1, 1): "5fb36681a680fc50", (1, 2): "300a58704cc89f7a",
+    (2, 1): "055d52f17b318fa6", (2, 2): "38956bcd082ecf5d",
+    (3, 1): "8c885a2d780fe1b4", (3, 2): "cb39740f0a667c29",
 }
 
 

@@ -4,7 +4,7 @@
 posting index (element → ascending tids, intersected rarest first).  Every
 answer here is held to the per-tuple ``frozenset.issubset`` scan of the
 stored relation, on relations built to hit the index's edges: empty
-relations and sets, chunked records and chunked posting lists, duplicate
+relations and sets, chunked records and chunked posting lists, refused duplicate
 input tids, values past int64, small pages, and sharded databases.
 """
 
@@ -143,12 +143,18 @@ class TestDifferential:
                 assert db.probe("S", query) == scan_probe(db, "S", query)
 
     def test_duplicate_input_tids_index_what_is_stored(self):
+        # A repeated tid is refused, nothing stored; the rows without the
+        # repeats are stored and indexed as usual.
         rows = [(1, {1, 2}), (4, {2, 3}), (1, {3}), (4, {5})]
         with SetJoinDatabase.open(None, page_size=512) as db:
-            db.create_relation("S", rows)
+            pages = db.disk.num_pages
+            with pytest.raises(ConfigurationError, match="duplicate tid 1 "):
+                db.create_relation("S", rows)
+            assert db.relation_names() == [] and db.disk.num_pages == pages
+            db.create_relation("S", rows[3:] + rows[2:3])
             assert db.probe("S", [1]) == [] == scan_probe(db, "S", [1])
             assert db.probe("S", [3]) == [1] == scan_probe(db, "S", [3])
-            assert db.probe("S", [5]) == [4]
+            assert db.probe("S", [5]) == [4] == scan_probe(db, "S", [5])
             db.verify_integrity()
 
     def test_element_past_int64_registers_no_index_and_scans(self):

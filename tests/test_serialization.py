@@ -15,8 +15,8 @@ from repro.storage.serialization import (
     decode_uvarint,
     encode_partition_entry,
     encode_set,
+    encode_tuple_buffer,
     encode_tuple_record,
-    encode_tuple_records,
     encode_uvarint,
     partition_entry_size,
 )
@@ -198,6 +198,13 @@ def decoded_rows(records):
         (tid, flat[lo:hi])
         for tid, lo, hi in zip(tids.tolist(), bounds, bounds[1:])
     ]
+
+
+def encode_tuple_records(tids, sets, payload):
+    """``encode_tuple_buffer``'s records as one ``bytes`` each."""
+    data, bounds = encode_tuple_buffer(tids, sets, payload)
+    buffer, bounds = data.tobytes(), bounds.tolist()
+    return [buffer[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def assert_batch_matches_scalar(tids, sets, payload):
