@@ -25,21 +25,18 @@ bench-smoke:
 experiments:
 	$(PYTHON) -m repro.experiments --all --out results/
 
-# Regenerate the committed ablation artifacts: the per-question
-# experiment tables (results/ablation-*.tsv/.txt — seeded, so their
-# deterministic columns reproduce bit-identically) and the declarative
-# harness's importance report (results/ablation_importance.tsv/.jsonl;
-# checked against itself so regeneration also proves the tripwire
-# passes).  Wall-time columns vary per machine; x/y/pages do not.
+# Regenerate the committed ablation tables (results/ablation-*.tsv/.txt).
+# Every one is seeded, so its deterministic columns reproduce
+# bit-identically; wall-time columns vary per machine.  A failed claim
+# check stops the loop.
 ablations:
 	mkdir -p results
-	for id in ablation-alternation ablation-buffer ablation-firing \
-		ablation-hash-family ablation-hybrid ablation-modulo \
-		ablation-options ablation-portions ablation-skew; do \
+	for id in ablation-alternation ablation-buffer ablation-components \
+		ablation-firing ablation-hash-family ablation-hybrid \
+		ablation-modulo ablation-options ablation-portions \
+		ablation-skew; do \
 		$(PYTHON) -m repro.experiments $$id --out results/ || exit 1; \
 	done
-	$(PYTHON) -m repro.cli ablate --scale 0.5 --out results/ \
-		--history BENCH_history.jsonl
 
 scorecard:
 	$(PYTHON) -m repro.experiments scorecard
@@ -70,8 +67,8 @@ examples:
 		echo "== $$script"; $(PYTHON) $$script || exit 1; \
 	done
 
-# Removes only what .gitignore lists: results/ (committed tables and the
-# ablation report) and BENCH_history.jsonl are tracked.
+# Removes only what .gitignore lists: results/ (committed tables) and
+# BENCH_history.jsonl are tracked.
 clean:
 	rm -rf BENCH_joins.json bench/out/ build/ \
 		*.egg-info src/*.egg-info .pytest_cache .hypothesis

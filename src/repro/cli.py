@@ -13,8 +13,6 @@ Commands:
 * ``workload``   -- aggregate a capture file into the heavy-hitter report
 * ``replay``     -- re-execute a capture against a database and diff
                     answers and deterministic resources per query
-* ``ablate``     -- run the component-importance ablation matrix and
-                    rank components by their deltas vs baseline
 * ``demo``       -- the Section 2 worked example, end to end
 
 Set files are plain text: one set per line, whitespace-separated
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .analysis.timemodel import PAPER_TIME_MODEL
 from .core.api import containment_join
@@ -34,11 +31,6 @@ from .core.sets import Relation
 from .errors import SetJoinError
 
 __all__ = ["main", "load_relation_file"]
-
-# Wall-clock reference for history timestamps (injected-clock idiom:
-# stored once so tests can monkeypatch it; library code never calls
-# time.time() directly — the CI clock lint enforces this).
-_WALL_CLOCK = time.time
 
 
 def load_relation_file(path: str, name: str = "") -> Relation:
@@ -231,11 +223,10 @@ def _cmd_experiment(arguments) -> int:
     from contextlib import nullcontext
 
     from .experiments import get_experiment
+    from .experiments.base import scale_kwargs
 
-    kwargs = {}
-    if arguments.scale is not None and arguments.id in (
-            "fig8", "fig9", "parallel", "dist"):
-        kwargs["scale"] = arguments.scale
+    run = get_experiment(arguments.id)
+    kwargs = scale_kwargs(arguments.id, run, arguments.scale)
     tracer = None
     scope = nullcontext()
     if arguments.trace:
@@ -245,7 +236,7 @@ def _cmd_experiment(arguments) -> int:
         tracer = Tracer()
         scope = use_tracer(tracer)
     with scope:
-        result = get_experiment(arguments.id)(**kwargs)
+        result = run(**kwargs)
     if arguments.plot:
         from .experiments.plotting import plot_result
 
@@ -585,137 +576,6 @@ def _cmd_replay(arguments) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_ablate(arguments) -> int:
-    """Component-importance ablations: ``setjoins ablate``."""
-    import json
-    import os
-
-    from .ablate import (
-        all_components,
-        build_matrix,
-        check_importance,
-        execute_matrix,
-        parse_importance_tsv,
-        render_importance_tsv,
-        score_runs,
-    )
-
-    if arguments.list:
-        for component in all_components():
-            variants = ", ".join(sorted(component.variants))
-            print(f"{component.name:<20} {component.layer:<10} "
-                  f"{component.invariance:<17} variants: {variants}")
-            print(f"{'':<20} {component.description}")
-        return 0
-
-    full_matrix = not arguments.component
-    specs = build_matrix(
-        components=arguments.component or None,
-        scale=arguments.scale, seed=arguments.seed,
-    )
-    if not arguments.json:
-        print(f"running {len(specs)} configurations "
-              f"(scale={arguments.scale}, seed={arguments.seed}, "
-              f"repeats={arguments.repeats})", file=sys.stderr)
-
-    def progress(row):
-        if not arguments.json:
-            print(f"  {row['name']:<30} x={row['x']:<8} y={row['y']:<6} "
-                  f"{row['wall_seconds']:.3f}s  [{row['run_id']}]",
-                  file=sys.stderr)
-
-    result = execute_matrix(specs, repeats=arguments.repeats,
-                            progress=progress)
-    report = score_runs(result["runs"])
-    reconciliation = result["reconciliation"]
-
-    failures: list[str] = []
-    if not reconciliation["exact"]:
-        unattributed = {
-            field: entry["unattributed"]
-            for field, entry in reconciliation["counters"].items()
-            if entry["unattributed"]
-        }
-        failures.append(
-            f"ledger reconciliation is not exact: {unattributed} — some "
-            "code path moved resource counters outside a run window"
-        )
-    if arguments.check:
-        with open(arguments.check) as handle:
-            committed = parse_importance_tsv(handle.read())
-        failures.extend(
-            check_importance(report, committed, full_matrix=full_matrix))
-    else:
-        # Answer invariants are enforced even without a committed report.
-        for component in report["components"]:
-            for violation in component["violations"]:
-                failures.append(
-                    f"{component['component']}: answer invariant violated: "
-                    f"{violation}"
-                )
-
-    if arguments.out:
-        os.makedirs(arguments.out, exist_ok=True)
-        stem = ("ablation_importance" if full_matrix
-                else "ablation_importance_partial")
-        tsv_path = os.path.join(arguments.out, stem + ".tsv")
-        with open(tsv_path, "w") as handle:
-            handle.write(render_importance_tsv(report))
-        jsonl_path = os.path.join(arguments.out, stem + ".jsonl")
-        with open(jsonl_path, "w") as handle:
-            handle.write(json.dumps(
-                {"schema": report["schema"], "suite": report["suite"],
-                 "scale": report["scale"], "seed": report["seed"],
-                 "reconciliation": reconciliation},
-                sort_keys=True) + "\n")
-            for row in result["runs"]:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        if not arguments.json:
-            print(f"report written to {tsv_path} (+ {jsonl_path})",
-                  file=sys.stderr)
-
-    if arguments.history:
-        record = {
-            "schema": f"ablation-{report['schema']}",
-            "scale": report["scale"],
-            "seed": report["seed"],
-            "recorded_at": _WALL_CLOCK(),
-            "runs": {
-                row["name"]: {
-                    "run_id": row["run_id"],
-                    "x": row["x"],
-                    "y": row["y"],
-                    "wall_seconds": row["wall_seconds"],
-                    "fingerprint": row["fingerprint"],
-                }
-                for row in result["runs"]
-            },
-        }
-        with open(arguments.history, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    if arguments.json:
-        print(json.dumps(
-            {"report": report, "reconciliation": reconciliation,
-             "failures": failures},
-            sort_keys=True, indent=2))
-    else:
-        for component in report["components"]:
-            print(f"{component['rank']:>2}. {component['component']:<20} "
-                  f"importance_det={component['importance_det']:.4f} "
-                  f"importance={component['importance']:.4f} "
-                  f"({component['invariance']}, variant "
-                  f"{component['variant']}, "
-                  f"{'ok' if component['answer_ok'] else 'VIOLATED'})")
-        print(f"reconciliation: "
-              f"{'exact' if reconciliation['exact'] else 'NOT EXACT'}")
-        if failures:
-            print("TRIPWIRE FAILURES:")
-            for failure in failures:
-                print(f"  - {failure}")
-    return 1 if failures else 0
-
-
 def _cmd_stats(arguments) -> int:
     from .analysis.statistics import collect_statistics
     from .analysis.selectivity import expected_selectivity
@@ -1012,40 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--json", action="store_true",
                         help="emit the replay report as JSON")
     replay.set_defaults(handler=_cmd_replay)
-
-    ablate = commands.add_parser(
-        "ablate",
-        help="run the component-importance ablation matrix "
-        "(baseline plus one component off per run)",
-    )
-    ablate.add_argument(
-        "--component", action="append", metavar="NAME",
-        help="ablate only this component (repeatable; default: full "
-        "matrix of every registered component)",
-    )
-    ablate.add_argument("--list", action="store_true",
-                        help="list registered components and exit")
-    ablate.add_argument("--scale", type=float, default=1.0,
-                        help="bench-suite size scale (default 1.0; must "
-                        "match a committed report for --check)")
-    ablate.add_argument("--seed", type=int, default=11,
-                        help="bench-suite seed (default 11)")
-    ablate.add_argument("--repeats", type=int, default=2,
-                        help="executions per workload per run (default 2; "
-                        ">= 2 makes the plan cache observable)")
-    ablate.add_argument("--out", metavar="DIR", default="results",
-                        help="write ablation_importance.tsv/.jsonl here "
-                        "(default results/; '' disables)")
-    ablate.add_argument("--check", metavar="TSV", default=None,
-                        help="diff importance against this committed "
-                        "report; exit 1 on rank collapse or "
-                        "answer-exactness violation")
-    ablate.add_argument("--history", metavar="PATH", default=None,
-                        help="append one ablation row to this "
-                        "BENCH_history.jsonl-style file")
-    ablate.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON on stdout")
-    ablate.set_defaults(handler=_cmd_ablate)
 
     stats = commands.add_parser("stats", help="summarize set files")
     stats.add_argument("files", nargs="+", help="one or two set files")

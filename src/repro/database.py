@@ -371,8 +371,9 @@ class SetJoinDatabase:
         Results are bit-identical at any worker count.
 
         ``partitioner`` bypasses planning entirely: the given partitioner
-        runs as-is with no statistics sampling (the ablation harness uses
-        this to pin the physical plan while varying one knob).
+        runs as-is with no statistics sampling (the
+        ``ablation-components`` experiment uses this to pin the physical
+        plan while varying one knob).
         """
         self._check_open()
         if partitioner is None:

@@ -1,11 +1,17 @@
-"""Run experiments from the command line: ``python -m repro.experiments fig8``."""
+"""Run experiments from the command line: ``python -m repro.experiments fig8``.
+
+Exits 1 when any claim check of the run fails, and 2 on a usage error —
+among them ``--scale`` for an experiment whose ``run`` takes no scale.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
+from ..errors import ConfigurationError
 from . import experiment_ids, get_experiment
+from .base import scale_kwargs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -17,8 +23,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--scale", type=float, default=None,
-        help="relation-size scale for testbed experiments "
-        "(fig8/fig9/parallel)",
+        help="relation-size scale, for experiments whose run takes one",
     )
     parser.add_argument(
         "--all", action="store_true", help="run every registered experiment"
@@ -33,26 +38,36 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(experiment_ids()))
         return 0
     if arguments.all:
-        for experiment_id in experiment_ids():
-            result = get_experiment(experiment_id)()
-            print(result.render())
-            print()
-            if arguments.out:
-                result.save(arguments.out)
-        return 0
-    if not arguments.experiment:
+        selected = experiment_ids()
+    elif arguments.experiment:
+        selected = [arguments.experiment]
+    else:
         parser.print_help()
         return 2
-    run = get_experiment(arguments.experiment)
-    kwargs = {}
-    if arguments.scale is not None and arguments.experiment in (
-            "fig8", "fig9", "parallel"):
-        kwargs["scale"] = arguments.scale
-    result = run(**kwargs)
-    print(result.render())
-    if arguments.out:
-        txt_path, tsv_path = result.save(arguments.out)
-        print(f"\nwrote {txt_path} and {tsv_path}")
+    runs = []
+    for experiment_id in selected:
+        run = get_experiment(experiment_id)
+        try:
+            runs.append((run, scale_kwargs(experiment_id, run,
+                                           arguments.scale)))
+        except ConfigurationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    failed = []
+    for run, kwargs in runs:
+        result = run(**kwargs)
+        print(result.render())
+        if arguments.all:
+            print()
+        if arguments.out:
+            txt_path, tsv_path = result.save(arguments.out)
+            if not arguments.all:
+                print(f"\nwrote {txt_path} and {tsv_path}")
+        failed.extend(f"{result.experiment_id}: {description}"
+                      for description, passed in result.checks if not passed)
+    if failed:
+        print("failed checks:", *failed, sep="\n  ", file=sys.stderr)
+        return 1
     return 0
 
 

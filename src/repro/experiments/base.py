@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
 
 __all__ = ["ExperimentResult", "format_table", "register", "get_experiment",
-           "experiment_ids", "EXPERIMENTS"]
+           "experiment_ids", "scale_kwargs", "EXPERIMENTS"]
 
 
 @dataclass
@@ -149,6 +150,18 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
             return function(*args, **kwargs)
 
     return traced
+
+
+def scale_kwargs(experiment_id: str, run: Callable, scale) -> dict:
+    """The keyword arguments that hand ``scale`` to ``run``: none when
+    ``scale`` is None, and a :class:`ConfigurationError` when ``run``
+    takes no ``scale`` parameter."""
+    if scale is None:
+        return {}
+    if "scale" not in inspect.signature(run).parameters:
+        raise ConfigurationError(
+            f"experiment {experiment_id!r} takes no scale")
+    return {"scale": scale}
 
 
 def experiment_ids() -> list[str]:

@@ -206,7 +206,7 @@ class LedgerWindow:
 
     Construction baselines ``registry`` and both clocks; :meth:`close`
     returns the bill and keeps the raw movement as :attr:`delta`.  The
-    service lane, capture replay and the ablation executor all bill
+    service lane, capture replay and ``ablation-components`` all bill
     through this; a bill is exact only while nothing else moves the
     registry.
     """

@@ -1,87 +1,25 @@
-"""Matrix generation and content-hashed run-ID stability."""
+"""The ``ablation-components`` configurations: baseline plus one
+component off per run."""
 
-import os
-import subprocess
-import sys
-
-from repro.ablate import BASELINE_KNOBS, all_components, build_matrix, run_id_for
+from repro.experiments.ablations import (
+    BASELINE_KNOBS,
+    COMPONENTS,
+    configurations,
+)
 
 
 class TestMatrixShape:
     def test_baseline_plus_one_variant_per_run(self):
-        specs = build_matrix(scale=0.5)
-        variants = sum(
-            len(component.variants) for component in all_components())
-        assert len(specs) == 1 + variants
-        assert specs[0].component is None
-        assert specs[0].name == "baseline"
-        for spec in specs[1:]:
+        runs = list(configurations())
+        variants = sum(len(component.variants) for component in COMPONENTS)
+        assert len(runs) == 1 + variants
+        assert runs[0] == (None, None, BASELINE_KNOBS)
+        for component, variant, knobs in runs[1:]:
             overrides = {
-                knob for knob, value in spec.knobs.items()
+                knob for knob, value in knobs.items()
                 if BASELINE_KNOBS[knob] != value
             }
-            component = next(
-                c for c in all_components() if c.name == spec.component)
-            assert overrides == set(component.variants[spec.variant]), (
-                f"{spec.name} is not a clean one-component diff"
+            assert overrides == set(component.variants[variant]), (
+                f"{component.name}:{variant} is not a clean "
+                "one-component diff"
             )
-
-    def test_component_filter_keeps_baseline(self):
-        specs = build_matrix(components=["wal"], scale=0.5)
-        assert [spec.name for spec in specs] == ["baseline", "wal:off"]
-
-    def test_run_ids_unique(self):
-        specs = build_matrix(scale=0.5)
-        ids = [spec.run_id for spec in specs]
-        assert len(set(ids)) == len(ids)
-
-
-class TestRunIdStability:
-    def test_same_config_same_id(self):
-        knobs = dict(BASELINE_KNOBS)
-        assert run_id_for(knobs, 0.5, 11) == run_id_for(knobs, 0.5, 11)
-
-    def test_key_order_does_not_matter(self):
-        knobs = dict(BASELINE_KNOBS)
-        reordered = dict(reversed(list(knobs.items())))
-        assert run_id_for(knobs, 0.5, 11) == run_id_for(reordered, 0.5, 11)
-
-    def test_any_knob_change_changes_id(self):
-        base = run_id_for(dict(BASELINE_KNOBS), 0.5, 11)
-        for knob, value in BASELINE_KNOBS.items():
-            changed = dict(BASELINE_KNOBS)
-            if isinstance(value, bool):
-                changed[knob] = not value
-            elif isinstance(value, (int, float)):
-                changed[knob] = value + 1
-            else:
-                changed[knob] = value + "-x"
-            assert run_id_for(changed, 0.5, 11) != base, knob
-
-    def test_scale_seed_and_suite_feed_the_id(self):
-        knobs = dict(BASELINE_KNOBS)
-        base = run_id_for(knobs, 0.5, 11)
-        assert run_id_for(knobs, 0.25, 11) != base
-        assert run_id_for(knobs, 0.5, 12) != base
-        assert run_id_for(knobs, 0.5, 11, suite="other") != base
-
-    def test_stable_across_processes(self):
-        """The committed report's IDs must mean the same thing on CI."""
-        specs = build_matrix(scale=0.5, seed=11)
-        expected = ",".join(spec.run_id for spec in specs)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        # PYTHONHASHSEED unset → a fresh interpreter uses a different
-        # hash seed, which is exactly what the content hash must survive.
-        env.pop("PYTHONHASHSEED", None)
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.ablate import build_matrix;"
-             "print(','.join(s.run_id for s in"
-             " build_matrix(scale=0.5, seed=11)))"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert result.stdout.strip() == expected

@@ -18,7 +18,8 @@ EXPECTED_IDS = {
     "baselines",
     "ablation-alternation", "ablation-hash-family", "ablation-firing",
     "ablation-portions", "ablation-buffer", "ablation-hybrid",
-    "ablation-options", "ablation-modulo", "ablation-skew", "scorecard",
+    "ablation-options", "ablation-modulo", "ablation-skew",
+    "ablation-components", "scorecard",
 }
 
 

@@ -52,10 +52,15 @@ A text scan keeps the performance record single (DESIGN.md, "One
 performance record"): the stack-sampling profiler and its service, HTTP
 and Makefile surfaces stay gone, and ``benchmarks/baseline.py`` keeps no
 wall-time gate or run history.
+
+One more keeps the ablations single (DESIGN.md, "One ablation system"):
+the ``repro.ablate`` package and the ``setjoins ablate`` subcommand stay
+deleted; every ablation is an experiment in ``experiments/ablations.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import pathlib
 import re
@@ -121,7 +126,6 @@ PARTITIONER_CALLS = ("PSJPartitioner", "dcj_with_any_k", "lsj_with_any_k",
 #: deterministic-PSJ rebuild and the paper's pinned element choices.
 PARTITIONER_CALLS_ALLOWED = {
     LIBRARY_ROOT / "experiments" / "ablations.py",
-    LIBRARY_ROOT / "ablate" / "bench.py",
     LIBRARY_ROOT / "dist" / "placement.py",
     LIBRARY_ROOT / "experiments" / "worked_example.py",
 }
@@ -631,4 +635,28 @@ def test_drift_corrections_stay_retired():
         "a second route from observed time to the plan is back (drift "
         "reaches the planner only as a refitted c1/c2/c3), or EXPLAIN "
         "describes a join containment_join does not run:\n" + "\n".join(bad)
+    )
+
+
+def test_second_ablation_runner_stays_deleted():
+    from repro.cli import build_parser
+
+    bad = []
+    if (LIBRARY_ROOT / "ablate").exists():
+        bad.append("src/repro/ablate/ exists")
+    for path, tree in _walk_library():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").split(".")[-1] == "ablate":
+                bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                           f"import from {node.module}")
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction))
+    if "ablate" in subcommands.choices:
+        bad.append("setjoins ablate subcommand")
+    assert not bad, (
+        "a second ablation runner is back (add a component to "
+        "ablation-components in experiments/ablations.py instead):\n"
+        + "\n".join(bad)
     )
