@@ -24,8 +24,9 @@ from .placement import (
     assign_shard,
     deterministic_choice,
     deterministic_partitioner,
+    home_shards,
     publish_placement,
-    summarize_rows,
+    summarize_batches,
 )
 from .rebalance import RebalanceReport, rebalance, reshard
 from .shard import Shard, ShardJoinRequest
@@ -40,8 +41,9 @@ __all__ = [
     "assign_shard",
     "deterministic_choice",
     "deterministic_partitioner",
+    "home_shards",
     "publish_placement",
-    "summarize_rows",
+    "summarize_batches",
     "RebalanceReport",
     "rebalance",
     "reshard",

@@ -13,9 +13,10 @@ runs in four steps:
    coordinator and every shard agree on each row's partitions.
 2. **Summarize + place** — each shard digests its S slice
    (:class:`~repro.dist.placement.ShardSummary`), then the coordinator
-   scans R once, computing each row's partitions (the logical y share)
-   and its target shards through the
-   :class:`~repro.dist.placement.ReplicationPlanner`.
+   scans R once, a columnar batch at a time, routing the rows to their
+   partitions (the logical y share) and, through the
+   :class:`~repro.dist.placement.ReplicationPlanner`, to the shards
+   whose portions receive the masked slices of the batch.
 3. **Fan out** — one :class:`~repro.dist.shard.ShardJoinRequest` per
    shard with work, run through the partition-parallel engine's
    executor (:func:`~repro.parallel.executor.resolve_backend`): on
@@ -41,8 +42,13 @@ import copy
 import heapq
 import json
 import os
+import struct
 import time
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..core.metrics import JoinMetrics
@@ -57,8 +63,8 @@ from ..parallel.merge import ShardResult, merge_results
 from .placement import (
     PlacementReport,
     ReplicationPlanner,
-    assign_shard,
     deterministic_partitioner,
+    home_shards,
     publish_placement,
 )
 from .shard import Shard, ShardJoinRequest
@@ -74,6 +80,15 @@ def _manifest_path(path: str) -> str:
 
 def _shard_path(path: "str | None", shard_id: int) -> "str | None":
     return None if path is None else f"{path}.shard{shard_id}"
+
+
+def _rows_of(batch, mask: np.ndarray):
+    """The rows of a ``(tids, elements, offsets)`` batch where ``mask``."""
+    tids, elements, offsets = batch
+    sizes = np.diff(offsets)
+    kept = np.zeros(np.count_nonzero(mask) + 1, dtype=np.int64)
+    np.cumsum(sizes[mask], out=kept[1:])
+    return tids[mask], elements[np.repeat(mask, sizes)], kept
 
 
 class _MergedRelationView:
@@ -240,25 +255,24 @@ class ShardedDatabase:
         name: str,
         rows: "Relation | Iterable[tuple[int, Iterable[int]]]",
     ) -> int:
-        """Hash-place a relation's rows across the shards by tuple id.
+        """Hash-place a relation's rows across the shards by tuple id
+        (:func:`~repro.dist.placement.home_shards` of the tid column; a tid
+        outside ``[0, 2**64)`` raises :class:`ConfigurationError` first).
 
         Every shard stores a (possibly empty) slice under the same name,
         so shard catalogs stay congruent and reopening finds the same
         layout everywhere.
         """
         self._check_open()
-        if isinstance(rows, Relation):
-            rows = ((row.tid, row.elements) for row in rows)
-        ids = self.shard_ids
-        buckets: "dict[int, list[tuple[int, frozenset]]]" = {
-            sid: [] for sid in ids
-        }
-        for tid, elements in rows:
-            buckets[assign_shard(tid, ids)].append(
-                (tid, frozenset(elements))
-            )
+        rows = ([(row.tid, row.elements) for row in rows]
+                if isinstance(rows, Relation) else list(rows))
+        try:
+            tids = struct.pack(f"={len(rows)}Q", *map(itemgetter(0), rows))
+        except struct.error as error:
+            raise ConfigurationError(f"relation {name!r}: tuple id {error}") from None
+        homes = home_shards(np.frombuffer(tids, dtype=np.uint64), self.shard_ids)
         return sum(
-            shard.create_relation(name, buckets[shard.shard_id])
+            shard.create_relation(name, list(compress(rows, homes == shard.shard_id)))
             for shard in self.shards
         )
 
@@ -348,24 +362,24 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
 
     def _place(self, r_name: str, s_name: str, partitioner):
-        """Summarize S per shard, then scan R and route every row.
+        """Summarize S per shard, then scan and route R a batch at a time.
 
-        Returns ``(planner, rows_by_shard)``; the planner carries the
-        exact logical/physical accounting of the scan.
+        Returns ``(planner, portions)``: the planner carries the exact
+        accounting, ``portions[shard_id]`` the R batch slices it ships.
         """
         planner = ReplicationPlanner([
             shard.summarize(s_name, copy.deepcopy(partitioner))
             for shard in self.shards
         ])
-        rows_by_shard: "dict[int, list[tuple[int, frozenset]]]" = {
-            shard.shard_id: [] for shard in self.shards
-        }
+        portions: "dict[int, list]" = {shard.shard_id: [] for shard in self.shards}
         for shard in self.shards:
-            for tid, elements in shard.scan_relation(r_name):
-                partitions = partitioner.assign_r(elements)
-                for target in planner.targets(partitions):
-                    rows_by_shard[target].append((tid, elements))
-        return planner, rows_by_shard
+            for batch in shard.db.get_store(r_name).scan_batches():
+                rows, partitions = partitioner.assign_r_batch(*batch[1:])
+                masks = planner.targets(rows, partitions, len(batch[0]))
+                for summary, mask in zip(planner.summaries, masks):
+                    if mask.any():
+                        portions[summary.shard_id].append(_rows_of(batch, mask))
+        return planner, portions
 
     def _fan_out(
         self, requests: "list[ShardJoinRequest]"
@@ -429,14 +443,13 @@ class ShardedDatabase:
             root_attrs["query_id"] = query_id
         with use_tracer(tracer), tracer.span("dist.join", **root_attrs) as root:
             placement_started = time.perf_counter()
-            planner, rows_by_shard = self._place(r_name, s_name, partitioner)
+            planner, portions = self._place(r_name, s_name, partitioner)
             report = planner.report()
-            summaries = {s.shard_id: s for s in planner.summaries}
             requests = [
                 ShardJoinRequest(
                     shard_id=sid,
                     s_name=s_name,
-                    r_rows=rows,
+                    r_rows=portion,
                     partitioner=copy.deepcopy(partitioner),
                     signature_bits=signature_bits,
                     workers=workers,
@@ -446,8 +459,7 @@ class ShardedDatabase:
                     trace=tracer.enabled,
                     query_id=query_id,
                 )
-                for sid, rows in sorted(rows_by_shard.items())
-                if rows and summaries[sid].rows
+                for sid, portion in sorted(portions.items()) if portion
             ]
             placement_seconds = time.perf_counter() - placement_started
 

@@ -7,16 +7,17 @@ the *R* side is **replicated** to every shard that may hold superset
 candidates — the HyperCube-style distribution specialized to the ⊆
 predicate.  This module owns the three placement decisions:
 
-* **Row → home shard** (:func:`assign_shard`): rendezvous (highest-
-  random-weight) hashing of the tuple id over the shard-id set, so
-  adding a shard moves only the rows the new shard wins and removing
-  one moves only that shard's rows (:mod:`repro.dist.rebalance` relies
-  on this).
+* **Row → home shard** (:func:`home_shards`, a tid array at a time;
+  :func:`assign_shard` for one): rendezvous (highest-random-weight)
+  hashing of the tuple id over the shard-id set, so adding a shard
+  moves only the rows the new shard wins and removing one moves only
+  that shard's rows (:mod:`repro.dist.rebalance` relies on this).
 * **R row → target shards** (:class:`ReplicationPlanner`): which shards
   an R row must be shipped to, pruned at *partition-occupancy*
   granularity: ship r to shard j iff ``partitions(r) ∩ occupied(j)`` is
   non-empty, where ``occupied(j)`` is the set of partitions with at
-  least one local S entry.  This is exact for the paper's accounting:
+  least one local S entry; both sides are routed a columnar batch at a
+  time.  This is exact for the paper's accounting:
   for every partition p with S entries on shard j the *entire* global
   R_p is present there, so the per-shard block-nested-loop comparison
   counts sum to exactly the single-shard x, and skipped shards would
@@ -41,15 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..core.psj import PSJPartitioner, _mix
 from ..errors import ConfigurationError
 
 __all__ = [
     "assign_shard",
+    "home_shards",
     "deterministic_choice",
     "deterministic_partitioner",
     "ShardSummary",
-    "summarize_rows",
+    "summarize_batches",
     "ReplicationPlanner",
     "PlacementReport",
     "publish_placement",
@@ -58,13 +62,10 @@ __all__ = [
 _SHARD_SALT = 0x9E3779B97F4A7C15
 
 
-def _shard_weight(tid: int, shard_id: int) -> int:
-    """Rendezvous weight of (row, shard): a 64-bit mixed hash."""
-    return _mix(_mix(tid) ^ _mix(shard_id ^ _SHARD_SALT))
-
-
-def assign_shard(tid: int, shard_ids: Sequence[int]) -> int:
-    """Home shard of a row: the highest-random-weight (rendezvous) winner.
+def home_shards(tids: np.ndarray, shard_ids: Sequence[int]) -> np.ndarray:
+    """Home shard of each uint64 tid: the highest-random-weight
+    (rendezvous) winner, weight ``_mix(_mix(tid) ^ _mix(shard_id ^ salt))``
+    in wrapping uint64 arithmetic, ties to the larger shard id.
 
     Deterministic in ``(tid, set of shard ids)`` — the order of
     ``shard_ids`` does not matter.  Rendezvous hashing gives the
@@ -73,7 +74,16 @@ def assign_shard(tid: int, shard_ids: Sequence[int]) -> int:
     """
     if not shard_ids:
         raise ConfigurationError("cannot place a row over zero shards")
-    return max(shard_ids, key=lambda sid: (_shard_weight(tid, sid), sid))
+    ids = np.array(sorted(shard_ids), dtype=np.uint64)
+    weights = _mix(_mix(np.asarray(tids, dtype=np.uint64))[None, :]
+                   ^ _mix(ids ^ _SHARD_SALT)[:, None])
+    # argmax takes the first maximum; over the ids reversed, the largest.
+    return ids[len(ids) - 1 - np.argmax(weights[::-1], axis=0)].astype(np.int64)
+
+
+def assign_shard(tid: int, shard_ids: Sequence[int]) -> int:
+    """Home shard of one row: :func:`home_shards` of one tid."""
+    return int(home_shards(np.array([tid], dtype=np.uint64), shard_ids)[0])
 
 
 def deterministic_choice(elements: "frozenset[int]") -> int:
@@ -111,39 +121,35 @@ class ShardSummary:
 
     Everything the replication planner needs to decide which R rows the
     shard must receive, plus the shard's exact share of the logical y
-    accounting (``entries`` = Σ|partitions(s)| over local S rows).
+    accounting (``entries`` = Σ|partitions(s)| over local S rows);
+    ``occupied[p]`` when a local S row is in partition ``p``.
     """
 
     shard_id: int
     rows: int
     entries: int
-    occupied: "frozenset[int]"
+    occupied: np.ndarray
 
 
-def summarize_rows(
+def summarize_batches(
     shard_id: int,
-    rows: "Iterable[tuple[int, frozenset[int]]]",
+    batches: "Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]",
     partitioner,
 ) -> ShardSummary:
-    """Digest one shard's S rows (``(tid, elements)`` pairs)."""
+    """Digest one shard's S rows, given as ``scan_batches()`` batches."""
     count = 0
     entries = 0
-    occupied: set[int] = set()
-    for __, elements in rows:
-        count += 1
-        partitions = partitioner.assign_s(elements)
+    occupied = np.zeros(partitioner.num_partitions, dtype=bool)
+    for tids, elements, offsets in batches:
+        __, partitions = partitioner.assign_s_batch(elements, offsets)
+        count += len(tids)
         entries += len(partitions)
-        occupied.update(partitions)
-    return ShardSummary(
-        shard_id=shard_id,
-        rows=count,
-        entries=entries,
-        occupied=frozenset(occupied),
-    )
+        occupied[partitions] = True
+    return ShardSummary(shard_id, count, entries, occupied)
 
 
 class ReplicationPlanner:
-    """Decides, R row by R row, which shards must receive a copy.
+    """Decides, an R batch at a time, which shards must receive a copy.
 
     Stateful: every :meth:`targets` call updates the exact replication
     accounting, and :meth:`report` packages it once the R scan is done.
@@ -157,21 +163,24 @@ class ReplicationPlanner:
         self.physical_entries = 0
         self.pruned_occupancy = 0
 
-    def targets(self, partitions: "Sequence[int]") -> "list[int]":
-        """Shard ids that must receive an R row with these partitions
-        (sorted)."""
-        self.rows += 1
+    def targets(self, rows, partitions, count: int) -> "list[np.ndarray]":
+        """One boolean mask over a batch's ``count`` R rows per shard, in
+        :attr:`summaries` order, given the batch's ``assign_r_batch``
+        routing: a row goes to every non-empty shard occupying one of its
+        partitions."""
+        entries = np.bincount(rows, minlength=count)
+        self.rows += count
         self.logical_entries += len(partitions)
-        parts = set(partitions)
-        out: list[int] = []
+        masks: list[np.ndarray] = []
         for summary in self.summaries:
-            if not summary.rows or parts.isdisjoint(summary.occupied):
-                self.pruned_occupancy += 1
-                continue
-            out.append(summary.shard_id)
-        self.physical_rows += len(out)
-        self.physical_entries += len(out) * len(partitions)
-        return out
+            hits = rows[summary.occupied[partitions]] if summary.rows else rows[:0]
+            mask = np.bincount(hits, minlength=count) > 0
+            shipped = int(np.count_nonzero(mask))
+            self.pruned_occupancy += count - shipped
+            self.physical_rows += shipped
+            self.physical_entries += int(entries[mask].sum())
+            masks.append(mask)
+        return masks
 
     def report(self) -> "PlacementReport":
         return PlacementReport(

@@ -32,7 +32,7 @@ from ..database import SetJoinDatabase
 from ..errors import SetJoinError
 from ..parallel.merge import ShardResult
 from ..storage.relation_store import RelationStore
-from .placement import ShardSummary, summarize_rows
+from .placement import ShardSummary, summarize_batches
 
 __all__ = ["Shard", "ShardJoinRequest"]
 
@@ -42,7 +42,8 @@ class ShardJoinRequest:
     """Everything a shard needs to run its slice of one distributed join.
 
     ``r_rows`` is the replicated R portion this shard must join against
-    its local S slice; ``partitioner`` must be content-deterministic
+    its local S slice, as ``(tids, elements, offsets)`` arrays of
+    :meth:`RelationStore.scan_batches`; ``partitioner`` must be content-deterministic
     (see :func:`repro.dist.placement.deterministic_partitioner`) and is
     private to the shard — the coordinator sends each shard its own
     copy, never a shared instance.
@@ -50,7 +51,7 @@ class ShardJoinRequest:
 
     shard_id: int
     s_name: str
-    r_rows: "list[tuple[int, frozenset[int]]]"
+    r_rows: "list[tuple]"
     partitioner: object
     signature_bits: int = DEFAULT_SIGNATURE_BITS
     workers: int = 1
@@ -96,20 +97,14 @@ class Shard:
     def has_relation(self, name: str) -> bool:
         return name in self.db.relation_names()
 
-    def scan_relation(self, name: str):
-        """Yield ``(tid, elements)`` in tid order from local storage."""
-        for tid, elements, __ in self.db.get_store(name).scan():
-            yield tid, elements
-
     # ------------------------------------------------------------------
     # Join messages
     # ------------------------------------------------------------------
 
     def summarize(self, s_name: str, partitioner) -> ShardSummary:
         """Digest the local S slice for the coordinator's placement."""
-        return summarize_rows(
-            self.shard_id, self.scan_relation(s_name), partitioner
-        )
+        batches = self.db.get_store(s_name).scan_batches()
+        return summarize_batches(self.shard_id, batches, partitioner)
 
     def execute_join(self, request: ShardJoinRequest) -> ShardResult:
         """Join the replicated R portion against the local S slice.
@@ -138,9 +133,10 @@ class Shard:
             tracer = Tracer(tags=tags)
             shard_span = tracer.start(
                 "dist.shard", shard_id=self.shard_id,
-                r_rows=len(request.r_rows), s_rows=len(s_store),
+                r_rows=sum(len(tids) for tids, __, __ in request.r_rows),
+                s_rows=len(s_store),
             )
-        portion = RelationStore.create(
+        portion = RelationStore.create_batches(
             self.db.pool, request.r_rows,
             name=f"__dist_r_portion_{self.shard_id}",
         )

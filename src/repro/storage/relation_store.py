@@ -31,7 +31,8 @@ from .serialization import (
     decode_tuple_buffer,
     decode_tuple_record,
     decode_tuple_records,
-    encode_tuple_buffer,
+    encode_tuple_arrays,
+    tuple_arrays,
 )
 
 __all__ = ["RelationStore", "DEFAULT_PAYLOAD_SIZE"]
@@ -88,25 +89,31 @@ def _chunk_size(pool: BufferPool) -> int:
     return size
 
 
-def _encoded_rows(
-    rows: Iterable[tuple[int, Iterable[int]]], payload: bytes
+def _row_batches(rows: Iterable[tuple[int, Iterable[int]]]) -> Iterator[tuple]:
+    """``(tid, elements)`` rows as :func:`~.serialization.tuple_arrays`
+    batches of :data:`BATCH_TUPLES`; no row object outlives its batch."""
+    rows = iter(rows)
+    while batch := list(islice(rows, BATCH_TUPLES)):
+        yield tuple_arrays(
+            list(map(itemgetter(0), batch)), list(map(itemgetter(1), batch))
+        )
+
+
+def _encoded_batches(
+    batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], payload: bytes
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(tid, elements)`` rows encoded :data:`BATCH_TUPLES` at a time.
+    """``(tids, elements, offsets)`` batches encoded one at a time.
 
     Returns ``(tids, records, bounds)`` in input order: the tids as
-    uint64, and record ``i`` as ``records[bounds[i]:bounds[i + 1]]``.  No
-    row object outlives its batch; only the encoded bytes are kept.
+    uint64, and record ``i`` as ``records[bounds[i]:bounds[i + 1]]``.
     """
     tids = [np.zeros(0, dtype=np.uint64)]
     records = [np.zeros(0, dtype=np.uint8)]
     lengths = [np.zeros(0, dtype=np.int64)]
-    rows = iter(rows)
-    while batch := list(islice(rows, BATCH_TUPLES)):
-        batch_tids = list(map(itemgetter(0), batch))
-        data, batch_bounds = encode_tuple_buffer(
-            batch_tids, list(map(itemgetter(1), batch)), payload
-        )
-        tids.append(np.array(batch_tids, dtype=np.uint64))
+    batches = iter(batches)
+    while batch := next(batches, None):
+        data, batch_bounds = encode_tuple_arrays(*batch, payload)
+        tids.append(batch[0].astype(np.uint64))
         records.append(data)
         lengths.append(np.diff(batch_bounds))
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
@@ -215,24 +222,38 @@ class RelationStore:
         name: str = "",
         fill_fraction: float = 1.0,
     ) -> "RelationStore":
-        """Create and load a relation from ``(tid, elements)`` rows given
-        in any tid order, each tuple with a zero payload of
-        ``payload_size`` bytes.
+        """:meth:`create_batches` of ``(tid, elements)`` rows in any tid
+        order, taken :data:`BATCH_TUPLES` at a time."""
+        return cls.create_batches(
+            pool, _row_batches(rows), payload_size, name, fill_fraction
+        )
 
-        The rows are encoded :data:`BATCH_TUPLES` at a time (no object per
-        tuple outlives its batch) into one buffer of records, which one
-        stable argsort puts in tid order.  The B-tree is then built
-        bottom-up (:meth:`BTree.bulk_create_runs`): each page written
-        once, no splits.  Nothing is ever inserted into a stored
-        relation, so its leaves are filled to the page by default;
+    @classmethod
+    def create_batches(
+        cls,
+        pool: BufferPool,
+        batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        payload_size: int = DEFAULT_PAYLOAD_SIZE,
+        name: str = "",
+        fill_fraction: float = 1.0,
+    ) -> "RelationStore":
+        """Create and load a relation from ``(tids, elements, offsets)``
+        batches in any tid order, as :meth:`scan_batches` yields them,
+        each tuple with a zero payload of ``payload_size`` bytes.
+
+        The batches are encoded one at a time into one buffer of records,
+        which one stable argsort puts in tid order.  The B-tree
+        is then built bottom-up (:meth:`BTree.bulk_create_runs`): each
+        page written once, no splits.  Nothing is ever inserted into a
+        stored relation, so its leaves are filled to the page by default;
         ``fill_fraction`` is the testbed's lower fill (the paper-testbed
         layout its committed counters hold).  A repeated tid raises
         :class:`ConfigurationError`, as :meth:`Relation.add
-        <repro.core.sets.Relation.add>` does, and an unencodable row the
+        <repro.core.sets.Relation.add>` does, and an unencodable tuple the
         encoder's error, both before any page is allocated.
         """
         size = _chunk_size(pool)
-        tids, records, bounds = _encoded_rows(rows, bytes(payload_size))
+        tids, records, bounds = _encoded_batches(batches, bytes(payload_size))
         order = np.argsort(tids, kind="stable")
         tids = tids[order]
         repeated = np.flatnonzero(tids[1:] == tids[:-1])

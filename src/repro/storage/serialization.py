@@ -16,8 +16,9 @@ Tuple records have two coders for one format.  The scalar pair
 one-record API and the oracle; the batch pair (:func:`encode_tuple_buffer`
 / :func:`decode_tuple_buffer`) does the same work for a run of records
 held in one buffer, with array operations and no per-element Python
-(DESIGN.md, "Columnar batch path").  :func:`decode_tuple_records` is
-the batch decoder over a list of ``bytes``.
+(DESIGN.md, "Columnar batch path"); :func:`encode_tuple_arrays` is its
+array half.  :func:`decode_tuple_records` is the batch decoder over a
+list of ``bytes``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "encode_tuple_record",
     "decode_tuple_record",
     "encode_tuple_buffer",
+    "encode_tuple_arrays",
+    "tuple_arrays",
     "decode_tuple_buffer",
     "decode_tuple_records",
     "varint_widths",
@@ -165,31 +168,22 @@ def _segment_sort(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values, rows))]
 
 
-def _flattened(sets, total: int) -> "np.ndarray | None":
-    """Every member of ``sets`` in one int64 array, or ``None`` if one is
-    not an integer that fits.  ``struct`` converts as NumPy's ``fromiter``
-    does, minus its ``int()`` coercion: a float or a string is refused,
-    not truncated or parsed."""
+def _int64s(values: list) -> np.ndarray:
+    """``values`` as an int64 array, or an ``object`` array of them as
+    given if one is not an integer that fits (``struct`` refuses a float
+    or a string that NumPy would truncate or parse)."""
     try:
-        packed = struct.pack(f"={total}q", *chain.from_iterable(sets))
+        packed = struct.pack(f"={len(values)}q", *values)
     except struct.error:
-        return None
+        return np.fromiter(values, dtype=object, count=len(values))
     return np.frombuffer(packed, dtype=np.int64)
 
 
-def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`encode_tuple_record` for a run of tuples sharing one payload,
-    as one buffer.
-
-    Returns ``(data, bounds)``: a uint8 array and ``n + 1`` int64 offsets,
-    record ``i`` being ``data[bounds[i]:bounds[i + 1]]`` — byte for byte
-    ``encode_tuple_record(tids[i], sets[i], payload)``.  The values of the
-    whole run (tid, count, element deltas, payload length per record) are
-    laid out in one array, their varint lengths found by comparison and
-    their bytes scattered to their offsets, seven bits per pass.  A tid or
-    element that is not an integer fitting int64 sends the run through the
-    scalar encoder, which encodes or rejects it as it always did.
-    """
+def tuple_arrays(tids, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run of ``(tid, elements)`` tuples as the ``(tids, elements,
+    offsets)`` arrays of :func:`decode_tuple_buffer` (a set's elements in
+    iteration order, duplicates kept), int64 arrays where every value is
+    an integer that fits, ``object`` arrays (:func:`_int64s`) otherwise."""
     count = len(sets)
     try:
         cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
@@ -199,25 +193,51 @@ def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndar
             for elements in sets
         ]
         cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
-    flat = _flattened(sets, int(cardinalities.sum())) if count else None
-    # NumPy infers int64 exactly when every tid is an integer that fits.
-    tid_values = np.array(tids)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(cardinalities, out=offsets[1:])
+    return _int64s(list(tids)), _int64s(list(chain.from_iterable(sets))), offsets
+
+
+def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_tuple_arrays` of :func:`tuple_arrays`: record ``i``
+    of ``(data, bounds)`` is byte for byte ``encode_tuple_record(tids[i],
+    sets[i], payload)``."""
+    return encode_tuple_arrays(*tuple_arrays(tids, sets), payload)
+
+
+def encode_tuple_arrays(
+    tids: np.ndarray, elements: np.ndarray, offsets: np.ndarray, payload: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_tuple_record` for a run of tuples sharing one
+    payload, held as the ``(tids, elements, offsets)`` arrays of
+    :func:`tuple_arrays` or :func:`decode_tuple_buffer` (``offsets[0]`` 0,
+    a set's elements in any order).
+
+    Returns ``(data, bounds)``: a uint8 array and ``n + 1`` int64 offsets,
+    record ``i`` being ``data[bounds[i]:bounds[i + 1]]``.  The values of
+    the whole run (tid, count, element deltas, payload length per record)
+    are laid out in one array, their varint lengths found by comparison
+    and their bytes scattered to their offsets, seven bits per pass.  A
+    value that is not a non-negative int64 sends the run through the
+    scalar encoder, which encodes or rejects it as it always did.
+    """
+    count = len(tids)
     if (
-        flat is None
-        or tid_values.dtype != np.int64 or tid_values.shape != (count,)
-        or (flat.size and flat.min() < 0) or tid_values.min() < 0
+        tids.dtype != np.int64 or elements.dtype != np.int64
+        or (count and tids.min() < 0) or (elements.size and elements.min() < 0)
     ):
         # The scalar encoder handles the wide value, or raises on the
         # first record it cannot encode.
+        flat, spans = elements.tolist(), offsets.tolist()
         records = [
-            encode_tuple_record(tid, elements, payload)
-            for tid, elements in zip(tids, sets, strict=True)
+            encode_tuple_record(tid, flat[lo:hi], payload)
+            for tid, lo, hi in zip(tids.tolist(), spans, spans[1:])
         ]
         return np.frombuffer(b"".join(records), dtype=np.uint8), _bounds_of(records)
-    ends = np.cumsum(cardinalities)
-    starts = ends - cardinalities
+    cardinalities = np.diff(offsets)
+    starts = offsets[:-1]
     rows = np.repeat(np.arange(count), cardinalities)
-    flat = _segment_sort(flat, rows)
+    flat = _segment_sort(elements, rows)
     deltas = flat.copy()
     deltas[1:] -= flat[:-1]
     firsts = starts[cardinalities > 0]
@@ -227,7 +247,7 @@ def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndar
     head = starts + 3 * np.arange(count)
     tail = head + 2 + cardinalities
     values = np.empty(flat.size + 3 * count, dtype=np.int64)
-    values[head] = tid_values
+    values[head] = tids
     values[head + 1] = cardinalities
     values[tail] = len(payload)
     values[np.arange(flat.size) + 3 * rows + 2] = deltas

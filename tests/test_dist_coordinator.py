@@ -111,7 +111,7 @@ class TestShardCountInvariance:
                 total = sum(
                     len(elements)
                     for shard in db.shards
-                    for __, elements in shard.scan_relation(name)
+                    for __, elements, __ in shard.db.get_store(name).scan()
                 )
                 assert db._statistics(name) == (
                     size, total / size if size else 0.0)

@@ -1,19 +1,26 @@
 """Placement math: rendezvous assignment, deterministic PSJ routing,
 and the replication planner's exactness/pruning accounting."""
 
+import numpy as np
 import pytest
 
 from repro.core.psj import PSJPartitioner, _mix
 from repro.dist.placement import (
     PlacementReport,
     ReplicationPlanner,
-    ShardSummary,
     assign_shard,
     deterministic_choice,
     deterministic_partitioner,
-    summarize_rows,
+    summarize_batches,
 )
 from repro.errors import ConfigurationError
+from repro.storage.serialization import tuple_arrays
+
+
+def _batch(rows):
+    """``(tid, elements)`` rows as one columnar batch."""
+    return tuple_arrays([tid for tid, __ in rows],
+                        [sorted(elements) for __, elements in rows])
 
 
 class TestAssignShard:
@@ -86,8 +93,20 @@ class TestDeterministicPSJ:
 
 def _summaries(partitioner, slices):
     return [
-        summarize_rows(sid, rows, partitioner)
+        summarize_batches(sid, [_batch(rows)], partitioner)
         for sid, rows in slices.items()
+    ]
+
+
+def _targets(planner, partitioner, r_sets):
+    """Each R set's target shard ids, the sets routed as one batch."""
+    __, elements, offsets = _batch(list(enumerate(r_sets)))
+    masks = planner.targets(
+        *partitioner.assign_r_batch(elements, offsets), len(r_sets))
+    return [
+        [summary.shard_id for summary, mask in zip(planner.summaries, masks)
+         if mask[row]]
+        for row in range(len(r_sets))
     ]
 
 
@@ -101,7 +120,7 @@ class TestReplicationPlanner:
         }
         planner = ReplicationPlanner(_summaries(partitioner, slices))
         r = frozenset({0, 1, 2})
-        targets = planner.targets(partitioner.assign_r(r))
+        (targets,) = _targets(planner, partitioner, [r])
         assert 2 not in targets
 
     def test_exact_accounting(self):
@@ -112,8 +131,8 @@ class TestReplicationPlanner:
         }
         planner = ReplicationPlanner(_summaries(partitioner, slices))
         r_rows = [frozenset({i}) for i in range(8)]
-        for elements in r_rows:
-            planner.targets(partitioner.assign_r(elements))
+        _targets(planner, partitioner, r_rows[:5])
+        _targets(planner, partitioner, r_rows[5:])
         report = planner.report()
         assert report.r_rows == len(r_rows)
         assert report.s_rows == 3
@@ -138,9 +157,9 @@ class TestReplicationPlanner:
             1: [(3, frozenset({5, 6, 7, 8, 9}))],
         }
         planner = ReplicationPlanner(_summaries(partitioner, s_sets))
-        for r in (frozenset({1, 2}), frozenset({5, 9}), frozenset({10}),
-                  frozenset({2, 3, 4}), frozenset({999})):
-            targets = planner.targets(partitioner.assign_r(r))
+        r_sets = (frozenset({1, 2}), frozenset({5, 9}), frozenset({10}),
+                  frozenset({2, 3, 4}), frozenset({999}))
+        for r, targets in zip(r_sets, _targets(planner, partitioner, r_sets)):
             for sid, rows in s_sets.items():
                 if any(r <= s for __, s in rows):
                     assert sid in targets, (r, sid)
@@ -152,10 +171,10 @@ class TestReplicationPlanner:
         partitioner = deterministic_partitioner(PSJPartitioner(2))
         slices = {0: [(1, frozenset({1, 2})), (2, frozenset({3, 8}))]}
         (summary,) = _summaries(partitioner, slices)
-        assert summary.occupied == {0, 1}
+        assert np.flatnonzero(summary.occupied).tolist() == [0, 1]
         planner = ReplicationPlanner([summary])
         big = frozenset(range(1, 10))  # |r| > max |s| on the shard
-        assert planner.targets(partitioner.assign_r(big)) == [0]
+        assert _targets(planner, partitioner, [big]) == [[0]]
         assert planner.report().pruned_occupancy == 0
 
     def test_unknown_mode_rejected(self):
@@ -168,13 +187,14 @@ class TestShardSummary:
     def test_summary_digest_matches_rows(self):
         partitioner = deterministic_partitioner(PSJPartitioner(4))
         rows = [(1, frozenset({1, 2, 3})), (2, frozenset({4, 5}))]
-        summary = summarize_rows(7, rows, partitioner)
+        summary = summarize_batches(7, [_batch(rows[:1]), _batch(rows[1:])],
+                                    partitioner)
         assert summary.shard_id == 7
         assert summary.rows == 2
         assert summary.entries == sum(
             len(partitioner.assign_s(e)) for __, e in rows
         )
-        assert summary.occupied == frozenset().union(
+        assert set(np.flatnonzero(summary.occupied)) == set().union(
             *(partitioner.assign_s(e) for __, e in rows))
 
 

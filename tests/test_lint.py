@@ -56,6 +56,11 @@ wall-time gate or run history.
 One more keeps the ablations single (DESIGN.md, "One ablation system"):
 the ``repro.ablate`` package and the ``setjoins ablate`` subcommand stay
 deleted; every ablation is an experiment in ``experiments/ablations.py``.
+
+A last one keeps the distributed join columnar (DESIGN.md, "Columnar
+distributed join"): the coordinator's placement, join and load and the
+shard's summary and join scan no row, route no tuple and build no set
+one at a time.
 """
 
 from __future__ import annotations
@@ -307,10 +312,14 @@ def test_batch_fetch_stays_off_the_one_tuple_api():
     )
 
 
-#: The load path: ``create``, the batch encoder and run producer it
-#: calls and the B-tree's entry layout may not loop at all; the leaf
+#: The load path: ``create``, its row adapter, the array core
+#: ``create_batches``, the batch encoder and run producer it calls and the
+#: B-tree's entry layout may not loop at all; the leaf
 #: packer may loop over its runs, never over items or entries.
-LOAD_FUNCTIONS = ("create", "_encoded_rows", "_sorted_runs")
+LOAD_FUNCTIONS = (
+    "create", "create_batches", "_row_batches", "_encoded_batches",
+    "_sorted_runs",
+)
 ENTRY_LAYOUT = "leaf_entry_run"
 PACKER = "_pack_leaves"
 RETIRED_PAGE_HELPERS = {"_chunks", "_encoded"}
@@ -659,4 +668,38 @@ def test_second_ablation_runner_stays_deleted():
         "a second ablation runner is back (add a component to "
         "ablation-components in experiments/ablations.py instead):\n"
         + "\n".join(bad)
+    )
+
+
+#: The distributed join's entry points and the per-row calls they may not
+#: make: a per-record scan, a per-tuple route, a set built per row.
+DIST_COLUMNAR = {
+    "coordinator.py": ("ShardedDatabase", ("_place", "join", "create_relation")),
+    "shard.py": ("Shard", ("summarize", "execute_join")),
+}
+PER_ROW_CALLS = ("scan", "scan_relation", "assign_r", "assign_s", "frozenset")
+
+
+def test_distributed_join_is_columnar():
+    bad = []
+    for module, (class_name, methods) in DIST_COLUMNAR.items():
+        tree = ast.parse((LIBRARY_ROOT / "dist" / module).read_text())
+        (owner,) = [node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == class_name]
+        functions = [node for node in owner.body
+                     if isinstance(node, ast.FunctionDef) and node.name in methods]
+        assert sorted(f.name for f in functions) == sorted(methods)
+        bad += [
+            f"dist/{module}:{node.lineno}: {class_name}.{function.name} "
+            f"calls {name}()"
+            for function in functions
+            for node in _calls(function, lambda func: True)
+            for name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))
+            if name in PER_ROW_CALLS
+        ]
+    assert not bad, (
+        "the distributed join makes an object or a call per row again "
+        "(scan_batches, route with assign_r_batch/assign_s_batch, ship "
+        "(tids, elements, offsets) arrays):\n" + "\n".join(bad)
     )

@@ -313,9 +313,10 @@ class TestBatchPaths:
         from repro.storage import relation_store
         from repro.storage.serialization import encode_tuple_record
 
-        def scalar_buffer(tids, sets, payload):
-            records = [encode_tuple_record(tid, elements, payload)
-                       for tid, elements in zip(tids, sets)]
+        def scalar_buffer(tids, elements, offsets, payload):
+            flat, bounds = elements.tolist(), offsets.tolist()
+            records = [encode_tuple_record(tid, flat[lo:hi], payload)
+                       for tid, lo, hi in zip(tids.tolist(), bounds, bounds[1:])]
             lengths = [len(record) for record in records]
             return (np.frombuffer(b"".join(records), dtype=np.uint8),
                     np.concatenate(([0], np.cumsum(lengths))))
@@ -325,7 +326,7 @@ class TestBatchPaths:
         for name, patched in (("batch", False), ("scalar", True)):
             if patched:
                 monkeypatch.setattr(
-                    relation_store, "encode_tuple_buffer", scalar_buffer
+                    relation_store, "encode_tuple_arrays", scalar_buffer
                 )
             path = tmp_path / f"{name}.db"
             with SetJoinDatabase.open(str(path), durable=True) as db:
