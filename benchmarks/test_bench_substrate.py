@@ -108,3 +108,44 @@ def test_bench_partition_store_append_scan(benchmark):
 
     total = benchmark.pedantic(run, rounds=1, iterations=1)
     assert total == 5000
+
+
+def test_bench_verify_pairs_lossy(benchmark):
+    """The fetch-and-verify step on candidates a lossy signature let
+    through: elements drawn from 10 000 values into 64 bits, so most
+    candidates fail the subset test.  Joins over a domain below the
+    width skip this step (DESIGN.md §1.20); this keeps it timed."""
+    from repro.core.metrics import JoinMetrics
+    from repro.core.operator import Testbed, verify_pairs
+    from repro.core.sets import Relation, SetTuple
+
+    bits = 64
+    rng = random.Random(11)
+    lhs = Relation([
+        SetTuple(tid, rng.sample(range(10_000), 3)) for tid in range(300)
+    ], "R")
+    rhs = Relation([
+        SetTuple(tid, rng.sample(range(10_000), 40)
+                 + (list(lhs[tid].elements) if tid < 30 else []))
+        for tid in range(400)
+    ], "S")
+    packed = pack_signatures(
+        [signature_of(row.elements, bits) for row in rhs], bits
+    )
+    pairs = sorted(
+        (r.tid, int(s_tid))
+        for r in lhs
+        for s_tid in included_in_any_matrix(
+            signature_of(r.elements, bits), packed, bits
+        ).nonzero()[0]
+    )
+    with Testbed() as testbed:
+        testbed.load(lhs, rhs)
+
+        def run():
+            metrics = JoinMetrics()
+            return verify_pairs(testbed, pairs, None, metrics), metrics
+
+        result, metrics = benchmark(run)
+    assert len(result) >= 30
+    assert metrics.false_positives >= 0.5 * len(pairs)

@@ -579,7 +579,7 @@ def _cmd_replay(arguments) -> int:
 def _cmd_stats(arguments) -> int:
     from .analysis.statistics import collect_statistics
     from .analysis.selectivity import expected_selectivity
-    from .core.signatures import recommend_signature_bits
+    from .core.signatures import DEFAULT_SIGNATURE_BITS, recommend_signature_bits
 
     relations = [
         load_relation_file(path, name) for path, name in
@@ -601,9 +601,17 @@ def _cmd_stats(arguments) -> int:
             print(f"  expected selectivity ≈ {selectivity:.3e} "
                   f"(~{selectivity * len(lhs) * len(rhs):.1f} result tuples)")
             bits = recommend_signature_bits(
-                theta_r, theta_s, pairs_compared=len(lhs) * len(rhs)
+                theta_r, theta_s, pairs_compared=len(lhs) * len(rhs),
+                domain=domain,
             )
             print(f"  recommended signature width ≥ {bits} bits")
+        if domain <= DEFAULT_SIGNATURE_BITS:
+            print(f"  {DEFAULT_SIGNATURE_BITS}-bit signatures are lossless "
+                  f"(every element < {DEFAULT_SIGNATURE_BITS}): "
+                  "verification elided")
+        else:
+            print(f"  {DEFAULT_SIGNATURE_BITS}-bit signatures are lossy "
+                  f"(max element {domain - 1}): candidates are verified")
     return 0
 
 

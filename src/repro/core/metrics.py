@@ -8,7 +8,8 @@ the paper's analysis is built on:
 * ``replicated_signatures`` (``y``) and the derived replication factor,
 * physical page I/O per phase,
 * wall-clock time per phase (partitioning / joining / verification),
-* candidate and false-positive counts from the signature filter.
+* candidate and false-positive counts from the signature filter, and
+  the candidates a lossless signature proved without a fetch.
 
 These are what the calibration step (Section 5) fits the time model
 ``time(x, y, k) = c1·x + c2·y·k^c3`` against.
@@ -70,6 +71,11 @@ class JoinMetrics:
     false_positives: int = 0
     result_size: int = 0
     set_comparisons: int = 0
+    #: candidates accepted without a fetch: the run's signatures were its
+    #: sets (every element below ``signature_bits``), so verification was
+    #: elided.  ``set_comparisons`` and ``false_positives`` count only the
+    #: subset tests actually run.
+    proven_by_signature: int = 0
 
     #: buffer-pool behaviour over the whole run (parent pool plus, for
     #: parallel runs, the workers' private pools).
@@ -131,6 +137,7 @@ class JoinMetrics:
             merged.false_positives += part.false_positives
             merged.result_size += part.result_size
             merged.set_comparisons += part.set_comparisons
+            merged.proven_by_signature += part.proven_by_signature
             merged.buffer_hits += part.buffer_hits
             merged.buffer_misses += part.buffer_misses
             merged.partitioning = merged.partitioning + part.partitioning

@@ -20,7 +20,9 @@ conditions remaining equal".  A join runs in three phases:
    corresponding tuples fetched from the relation B-trees in one forward
    pass each (sorted fetches avoid random I/O, as in the paper), then
    tested exactly -- every element of r found in s -- to eliminate false
-   positives.
+   positives.  When the partition scans saw no element at or above the
+   signature width, each element has a bit of its own, the filter is
+   exact and the candidates are the result: nothing is fetched.
 
 Two comparison engines are provided: ``"python"`` (pure-Python loop over
 integer signatures, faithful to the per-comparison accounting) and
@@ -49,7 +51,12 @@ from ..storage.serialization import decode_partition_entries
 from .metrics import JoinMetrics, PhaseMetrics
 from .partitioning import Partitioner
 from .sets import Relation
-from .signatures import DEFAULT_SIGNATURE_BITS, pack_signatures, signature_matrix
+from .signatures import (
+    DEFAULT_SIGNATURE_BITS,
+    check_signature_bits,
+    pack_signatures,
+    signature_matrix,
+)
 
 __all__ = [
     "Testbed", "SetContainmentJoin", "run_disk_join",
@@ -383,7 +390,7 @@ def partition_relation(
     store: PartitionStore,
     signature_bits: int,
     resident: "list[bytearray] | tuple" = (),
-) -> None:
+) -> int:
     """The partition-scan loop (containment R and S, intersection join).
 
     One scan of ``relation``, a batch of tuples at a time and every step
@@ -395,12 +402,16 @@ def partition_relation(
     (tuple, partition), in the order a per-tuple loop would append them.
     Entries of the first ``len(resident)`` partitions go to their
     memory-resident runs, the rest to ``store``, which is sealed.
+    Returns the largest element scanned, ``-1`` when there was none.
     """
+    largest = -1
     pinned = len(resident)
     entry = np.dtype(
         [("signature", np.uint8, (store.signature_bytes,)), ("tid", ">u8")]
     )
     for tids, elements, offsets in relation.scan_batches():
+        if len(elements):
+            largest = max(largest, int(elements.max()))
         rows, partitions = assign_batch(elements, offsets)
         entries = np.empty(len(rows), dtype=entry)
         entries["signature"] = signature_matrix(
@@ -414,6 +425,7 @@ def partition_relation(
             partitions, entries = partitions[spilled], entries[spilled]
         store.append_entries(partitions, entries.tobytes())
     store.seal()
+    return largest
 
 
 #: R elements one slice of the hit-count test expands and looks up at once.
@@ -624,6 +636,7 @@ class SetContainmentJoin:
         """
         if testbed.relation_r is None or testbed.relation_s is None:
             raise ConfigurationError("testbed has no loaded relations")
+        signature_bits = check_signature_bits(signature_bits)
         if engine not in ENGINES:
             raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
         if block_entries < 1:
@@ -687,6 +700,16 @@ class SetContainmentJoin:
         #: stores' own byte format (see encode_partition_entry).
         self._resident_r: list[bytearray] = []
         self._resident_s: list[bytearray] = []
+        #: the largest element the partition scans read from R and S, -1
+        #: for none; set by every run's partition phase.
+        self._max_element = -1
+
+    @property
+    def _lossless(self) -> bool:
+        """Whether this run's signatures are its sets: every element
+        scanned is below the width, so each has a bit of its own, the
+        bitwise-inclusion filter is exact and a candidate is a result."""
+        return self._max_element < self.signature_bits
 
     # ------------------------------------------------------------------
 
@@ -798,16 +821,17 @@ class SetContainmentJoin:
             try:
                 with tracer.span("partition.scan_r", tuples=metrics.r_size):
                     parts_r = self._make_store()
-                    partition_relation(
+                    largest_r = partition_relation(
                         self.testbed.relation_r, self.partitioner.assign_r_batch,
                         parts_r, self.signature_bits, self._resident_r,
                     )
                 with tracer.span("partition.scan_s", tuples=metrics.s_size):
                     parts_s = self._make_store()
-                    partition_relation(
+                    largest_s = partition_relation(
                         self.testbed.relation_s, self.partitioner.assign_s_batch,
                         parts_s, self.signature_bits, self._resident_s,
                     )
+                self._max_element = max(largest_r, largest_s)
                 pool.flush_all()
             except BaseException:
                 self._drop_partitions(parts_r, parts_s)
@@ -942,7 +966,7 @@ class SetContainmentJoin:
         joining it, as the paper's testbed does.
 
         A pair a partitioner co-locates in several partitions is verified
-        only the first time it appears.
+        only the first time it appears; a lossless run fetches nothing.
         """
         disk = self.testbed.disk
         tracer = self._run_tracer
@@ -966,14 +990,19 @@ class SetContainmentJoin:
                 with tracer.span(
                     "verify.partition", partition=partition
                 ) as verify_span:
-                    new_pairs = [
-                        pair for pair in fresh.sorted_pairs()
-                        if pair not in seen
-                    ]
+                    if self._lossless:
+                        new_pairs = fresh.pairs() - seen
+                        result |= new_pairs
+                        self._prove(len(new_pairs), metrics, verify_span)
+                    else:
+                        new_pairs = [
+                            pair for pair in fresh.sorted_pairs()
+                            if pair not in seen
+                        ]
+                        result |= verify_pairs(
+                            self.testbed, new_pairs, None, metrics, verify_span
+                        )
                     seen.update(new_pairs)
-                    result |= verify_pairs(
-                        self.testbed, new_pairs, None, metrics, verify_span
-                    )
                     verify_span.set(candidates=len(new_pairs))
                 metrics.verification += PhaseMetrics.from_io_delta(
                     time.perf_counter() - started, disk.stats.delta(before)
@@ -1037,19 +1066,30 @@ class SetContainmentJoin:
         before = disk.stats.snapshot()
         started = time.perf_counter()
         with self._run_tracer.span("phase.verify") as span:
-            pairs = list(candidates.sorted_pairs())
-            candidates.dispose()
-            result = verify_pairs(self.testbed, pairs, None, metrics, span)
+            count = len(candidates)
+            if self._lossless:
+                result = candidates.pairs()
+                candidates.dispose()
+                self._prove(count, metrics, span)
+            else:
+                pairs = list(candidates.sorted_pairs())
+                candidates.dispose()
+                result = verify_pairs(self.testbed, pairs, None, metrics, span)
             metrics.verification = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
             )
             span.set(
-                candidates=len(pairs),
+                candidates=count,
                 false_positives=metrics.false_positives,
                 results=len(result),
                 page_reads=metrics.verification.page_reads,
             )
         return result
+
+    def _prove(self, count: int, metrics: JoinMetrics, span) -> None:
+        """Accept ``count`` candidates of a lossless run unfetched."""
+        metrics.proven_by_signature += count
+        span.set(elided=True, proven=count, max_element=self._max_element)
 
 
 class _CandidateSink:
@@ -1063,6 +1103,10 @@ class _CandidateSink:
 
     def sorted_pairs(self) -> Iterable[tuple[int, int]]:
         raise NotImplementedError
+
+    def pairs(self) -> set[tuple[int, int]]:
+        """The distinct pairs, in no order."""
+        return set(self.sorted_pairs())
 
     def dispose(self) -> None:
         """Release any resources; the sink must not be used afterwards."""
@@ -1082,6 +1126,9 @@ class _SetCandidates(_CandidateSink):
 
     def sorted_pairs(self) -> Iterable[tuple[int, int]]:
         return sorted(self._pairs)
+
+    def pairs(self) -> set[tuple[int, int]]:
+        return self._pairs
 
     def dispose(self) -> None:
         self._pairs = set()

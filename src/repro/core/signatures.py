@@ -19,6 +19,7 @@ join engine works on :func:`pack_signatures`' uint64-word packing.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_SIGNATURE_BITS",
+    "check_signature_bits",
     "signature_of",
     "signatures_of",
     "signature_matrix",
@@ -40,6 +42,16 @@ __all__ = [
 ]
 
 DEFAULT_SIGNATURE_BITS = 160
+
+
+def check_signature_bits(bits) -> int:
+    """``bits`` as a join's signature width: an integer ``>= 1``, not a
+    ``bool``, else :class:`ConfigurationError`."""
+    if isinstance(bits, bool) or not isinstance(bits, Integral) or bits < 1:
+        raise ConfigurationError(
+            f"signature_bits must be an integer >= 1, got {bits!r}"
+        )
+    return int(bits)
 
 
 def signature_of(elements: Iterable[int], bits: int = DEFAULT_SIGNATURE_BITS) -> int:
@@ -127,6 +139,7 @@ def recommend_signature_bits(
     pairs_compared: float,
     target_false_positives: float = 1.0,
     max_bits: int = 4096,
+    domain: "int | None" = None,
 ) -> int:
     """Smallest signature width keeping expected false positives low.
 
@@ -136,20 +149,27 @@ def recommend_signature_bits(
     advisor makes that choice mechanical: find the smallest width (rounded
     up to whole bytes) such that the expected number of false positives
     over ``pairs_compared`` signature comparisons stays below the target.
+
+    ``domain`` (every element below it, e.g. ``Relation.domain_bound()``)
+    adds the lossless width ``8·ceil(domain/8)``: there each element has a
+    bit of its own, signatures are the sets and a join verifies nothing.
+    It is returned when it is no wider than the estimate's answer.
     """
     if pairs_compared < 0:
         raise ConfigurationError("pairs_compared must be non-negative")
     if target_false_positives <= 0:
         raise ConfigurationError("target_false_positives must be positive")
+    if domain is not None and domain < 1:
+        raise ConfigurationError(f"domain must be >= 1, got {domain}")
     bits = 8
-    while bits <= max_bits:
-        expected = pairs_compared * false_positive_probability(
-            int(theta_r), int(theta_s), bits
-        )
-        if expected <= target_false_positives:
-            return bits
+    while bits < max_bits and pairs_compared * false_positive_probability(
+        int(theta_r), int(theta_s), bits
+    ) > target_false_positives:
         bits += 8
-    return max_bits
+    bits = min(bits, max_bits)
+    if domain is not None:
+        return min(bits, 8 * -(-domain // 8))
+    return bits
 
 
 def pack_signatures(

@@ -333,7 +333,8 @@ def build_plan_from_statistics(
     root.add(PlanNode(
         "phase.verify",
         kind="phase",
-        detail="sorted fetch + exact subset test (outside the time model)",
+        detail="sorted fetch + exact subset test (outside the time model); "
+        f"elided at run time if every element < {signature_bits}",
     ))
 
     header = [
@@ -486,6 +487,12 @@ def attach_observed(report: ExplainReport, trace_source, metrics) -> ExplainRepo
             for key in ("fetched_r", "fetched_s"):
                 if key in verify_span.attrs:
                     node.observed[key] = verify_span.attrs[key]
+            if verify_span.attrs.get("elided"):
+                node.detail = (
+                    "elided: lossless signature (max element "
+                    f"{verify_span.attrs['max_element']} < "
+                    f"{metrics.signature_bits} bits)"
+                )
     return report
 
 

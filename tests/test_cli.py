@@ -111,6 +111,31 @@ class TestCommands:
         assert "join estimates" in output
         assert "signature width" in output
 
+    def test_stats_says_when_verification_is_elided(self, tmp_path, capsys):
+        """Elements below 20: the lossless 24 bits undercut the estimate's
+        answer for 40 × 40 sets of 3 and 12 elements."""
+        r_file, s_file = tmp_path / "r.txt", tmp_path / "s.txt"
+        r_file.write_text("".join(
+            " ".join(str((i + t) % 20) for t in range(3)) + "\n"
+            for i in range(40)))
+        s_file.write_text("".join(
+            " ".join(str((i + t) % 20) for t in range(12)) + "\n"
+            for i in range(40)))
+        assert main(["stats", str(r_file), str(s_file)]) == 0
+        output = capsys.readouterr().out
+        assert "recommended signature width ≥ 24 bits" in output
+        assert ("160-bit signatures are lossless (every element < 160): "
+                "verification elided") in output
+
+    def test_stats_says_when_candidates_are_verified(self, tmp_path, capsys):
+        r_file, s_file = tmp_path / "r.txt", tmp_path / "s.txt"
+        r_file.write_text("1 5\n3\n")
+        s_file.write_text("1 5 160\n2 3\n")
+        assert main(["stats", str(r_file), str(s_file)]) == 0
+        output = capsys.readouterr().out
+        assert ("160-bit signatures are lossy (max element 160): "
+                "candidates are verified") in output
+
     def test_stats_single_file(self, set_files, capsys):
         r_path, __ = set_files
         assert main(["stats", r_path]) == 0

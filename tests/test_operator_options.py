@@ -187,3 +187,86 @@ class TestSignatureAdvisor:
             recommend_signature_bits(10, 20, pairs_compared=-1)
         with pytest.raises(ConfigurationError):
             recommend_signature_bits(10, 20, 100, target_false_positives=0)
+        with pytest.raises(ConfigurationError):
+            recommend_signature_bits(10, 20, 100, domain=0)
+
+    def test_small_domain_gets_the_lossless_width(self):
+        """A domain whose byte-rounded width is within the estimate's
+        answer gets that width: signatures are then the sets."""
+        lossy = recommend_signature_bits(4, 24, pairs_compared=6000 * 9000)
+        assert lossy > 152
+        assert recommend_signature_bits(
+            4, 24, pairs_compared=6000 * 9000, domain=150
+        ) == 152
+        assert recommend_signature_bits(
+            4, 24, pairs_compared=6000 * 9000, domain=1
+        ) == 8
+
+    def test_large_domain_keeps_the_estimate(self):
+        lossy = recommend_signature_bits(50, 100, pairs_compared=1e8)
+        assert recommend_signature_bits(
+            50, 100, pairs_compared=1e8, domain=10_000
+        ) == lossy
+        assert recommend_signature_bits(
+            50, 100, pairs_compared=1e8, domain=lossy + 1
+        ) == lossy
+
+
+class TestSignatureWidthValidation:
+    """A width the join cannot use fails at construction, before any
+    partition store exists, from every entry point."""
+
+    BAD = [2.5, True, False, 0, -8, "160", None]
+
+    @pytest.fixture()
+    def relations(self):
+        from repro.data.workloads import uniform_workload
+
+        return uniform_workload(
+            20, 30, 2, 6, domain_size=50, seed=1
+        ).materialize()
+
+    @pytest.mark.parametrize("bits", BAD)
+    def test_containment_join(self, relations, bits):
+        from repro.core.api import containment_join
+
+        with pytest.raises(ConfigurationError, match="signature_bits"):
+            containment_join(*relations, "PSJ", 4, signature_bits=bits)
+
+    @pytest.mark.parametrize("bits", BAD)
+    def test_run_disk_join(self, relations, bits):
+        with pytest.raises(ConfigurationError, match="signature_bits"):
+            run_disk_join(*relations, PSJPartitioner(4), signature_bits=bits)
+
+    @pytest.mark.parametrize("bits", BAD)
+    def test_database_join(self, relations, bits):
+        from repro.database import SetJoinDatabase
+
+        with SetJoinDatabase.open(None) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            pages = db.disk.num_pages
+            with pytest.raises(ConfigurationError, match="signature_bits"):
+                db.join("R", "S", "PSJ", 4, signature_bits=bits)
+            assert db.disk.num_pages == pages
+
+    @pytest.mark.parametrize("bits", BAD)
+    def test_sharded_join(self, relations, bits):
+        from repro.dist import ShardedDatabase
+
+        with ShardedDatabase.open(None, shards=2) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            with pytest.raises(ConfigurationError, match="signature_bits"):
+                db.join("R", "S", "PSJ", 4, signature_bits=bits)
+
+    def test_integral_widths_run(self, relations):
+        import numpy as np
+
+        expected = containment_pairs_nested_loop(*relations)
+        for bits in (1, 7, np.int64(64)):
+            pairs, metrics = run_disk_join(
+                *relations, PSJPartitioner(4), signature_bits=bits
+            )
+            assert pairs == expected
+            assert type(metrics.signature_bits) is int
