@@ -24,10 +24,10 @@ conditions remaining equal".  A join runs in three phases:
    signature width, each element has a bit of its own, the filter is
    exact and the candidates are the result: nothing is fetched.
 
-Two comparison engines are provided: ``"python"`` (pure-Python loop over
-integer signatures, faithful to the per-comparison accounting) and
-``"numpy"`` (a blocked kernel over packed partition entries; the same
-comparison counts and candidate order, much faster at paper scale).
+There is one comparison kernel, the blocked one of :func:`compare_packed`
+over packed partition entries.  The scalar loop of :func:`compare_block`'s
+``"python"`` branch is its oracle: the same comparison counts and
+candidate order, one Python step per comparison.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from itertools import compress
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import Iterable
 
@@ -53,18 +54,15 @@ from .partitioning import Partitioner
 from .sets import Relation
 from .signatures import (
     DEFAULT_SIGNATURE_BITS,
-    check_signature_bits,
     pack_signatures,
     signature_matrix,
 )
 
 __all__ = [
-    "Testbed", "SetContainmentJoin", "run_disk_join",
+    "Testbed", "SetContainmentJoin", "check_join_options", "run_disk_join",
     "compare_block", "compare_packed", "join_partition",
     "partition_relation", "verify_pairs",
 ]
-
-ENGINES = ("python", "numpy")
 
 _TID_AND_SET = attrgetter("tid", "elements")
 
@@ -103,7 +101,6 @@ def compare_block(
     """
     if engine == "numpy":
         return compare_packed(
-            engine,
             signature_bits,
             _pack_entries(r_block, signature_bits),
             (_pack_entries(batch, signature_bits) for batch in s_batches),
@@ -127,16 +124,7 @@ def _pack_entries(entries, signature_bits: int) -> PackedBlock:
     )
 
 
-def _unpack_entries(block: PackedBlock) -> "list[tuple[int, int]]":
-    signatures, tids = block
-    return [
-        (int.from_bytes(row.tobytes(), "little"), tid)
-        for row, tid in zip(signatures, tids.tolist())
-    ]
-
-
 def compare_packed(
-    engine: str,
     signature_bits: int,
     r_block: PackedBlock,
     s_batches: "Iterable[PackedBlock]",
@@ -152,14 +140,6 @@ def compare_packed(
     nonzero words; only a tile holding an r with more set bits confirms
     them with the exact ``r & ~s == 0``.  Every r meets every s: x = |R|·|S|.
     """
-    if engine != "numpy":
-        return compare_block(
-            engine,
-            signature_bits,
-            _unpack_entries(r_block),
-            map(_unpack_entries, s_batches),
-            add,
-        )
     r_words, r_tids = r_block
     probes = _probe_rows(r_words)
     comparisons = 0
@@ -239,63 +219,67 @@ def _bit_sliced_index(s_words: np.ndarray) -> np.ndarray:
     return index.view(np.uint64)
 
 
+#: R entries one block of the block nested loop holds, the S side being
+#: re-read once per block; also the batch an inline or memory-resident
+#: partition's entry run is cut into.  A memory bound, not a knob: packed
+#: at the default 160 bits a block is 32 bytes per entry, 6.4 MB.
+_BLOCK_ENTRIES = 200_000
+#: Portions one read of a sealed partition store returns at once ("reading
+#: a batch of portions avoids random I/O").
+_BATCH_PORTIONS = 8
+
+
 def _entry_batches(
-    source, partition: int, signature_bits: int,
-    block_entries: int, batch_portions: int,
+    source, partition: int, signature_bits: int
 ) -> "Iterable[tuple[np.ndarray, np.ndarray]]":
     """One side of a partition as ``(signatures, tids)`` byte-level batches.
 
     ``source`` is a sealed :class:`PartitionStore`, read in multi-portion
     batches, or — an inline or memory-resident partition — its entry run
-    as bytes, cut every ``block_entries`` entries.
+    as bytes, cut every :data:`_BLOCK_ENTRIES` entries.
     """
     if not isinstance(source, (bytes, bytearray)):
-        return source.scan_partition_arrays(partition, batch_portions)
+        return source.scan_partition_arrays(partition, _BATCH_PORTIONS)
     signatures, tids = decode_partition_entries(source, (signature_bits + 7) // 8)
     return [
-        (signatures[at : at + block_entries], tids[at : at + block_entries])
-        for at in range(0, len(tids), block_entries)
+        (signatures[at : at + _BLOCK_ENTRIES], tids[at : at + _BLOCK_ENTRIES])
+        for at in range(0, len(tids), _BLOCK_ENTRIES)
     ]
 
 
 def join_partition(
-    engine: str, signature_bits: int, block_entries: int, batch_portions: int,
-    r_source, s_source, partition: int, add,
+    signature_bits: int, r_source, s_source, partition: int, add
 ) -> int:
     """Block-nested-loop one partition pair; returns its comparison count.
 
     The one joining loop of the serial operator and the partition-parallel
     workers (:mod:`repro.parallel.worker`): the S side is re-read, batch
-    by batch, for every memory-bounded block of the R side.
+    by batch, for every block of :data:`_BLOCK_ENTRIES` R entries.
     """
-    shape = (partition, signature_bits, block_entries, batch_portions)
     return sum(
         compare_packed(
-            engine, signature_bits, r_block, _s_batches(s_source, *shape), add
+            signature_bits, r_block,
+            _s_batches(s_source, partition, signature_bits), add,
         )
-        for r_block in _r_blocks(r_source, *shape)
+        for r_block in _r_blocks(r_source, partition, signature_bits)
     )
 
 
-def _r_blocks(source, partition, signature_bits, block_entries, batch_portions):
+def _r_blocks(source, partition, signature_bits):
     """Group a partition's R side into memory-bounded packed blocks."""
     pending, entries = [], 0
-    for batch in _entry_batches(
-        source, partition, signature_bits, block_entries, batch_portions
-    ):
+    for batch in _entry_batches(source, partition, signature_bits):
         pending.append(batch)
         entries += len(batch[1])
-        if entries >= block_entries:
+        if entries >= _BLOCK_ENTRIES:
             yield _pack_batches(pending, signature_bits)
             pending, entries = [], 0
     if pending:
         yield _pack_batches(pending, signature_bits)
 
 
-def _s_batches(source, partition, signature_bits, block_entries, batch_portions):
-    for signatures, tids in _entry_batches(
-        source, partition, signature_bits, block_entries, batch_portions
-    ):
+def _s_batches(source, partition, signature_bits):
+    for signatures, tids in _entry_batches(source, partition, signature_bits):
         yield pack_signatures(signatures, signature_bits), tids
 
 
@@ -570,6 +554,45 @@ def _scalar_hit_counts(
     )
 
 
+def check_join_options(
+    signature_bits=DEFAULT_SIGNATURE_BITS, workers=1, parallel_backend="serial",
+    shard_timeout=None, resident_partitions=0, spill_candidates=False,
+) -> int:
+    """Raise :class:`ConfigurationError` on options no join runs with,
+    before anything is stored or placed; returns ``signature_bits`` as an
+    ``int``.  Counts are integers, never a ``bool``."""
+    from ..parallel.executor import BACKENDS
+
+    for name, value, least in (
+        ("signature_bits", signature_bits, 1),
+        ("workers", workers, 1),
+        ("resident_partitions", resident_partitions, 0),
+    ):
+        if (isinstance(value, bool) or not isinstance(value, Integral)
+                or value < least):
+            raise ConfigurationError(
+                f"{name} must be an integer >= {least}, got {value!r}"
+            )
+    if parallel_backend not in BACKENDS:
+        raise ConfigurationError(
+            f"parallel_backend must be one of {BACKENDS}, got {parallel_backend!r}"
+        )
+    if shard_timeout is not None and (
+        isinstance(shard_timeout, bool)
+        or not isinstance(shard_timeout, Real)
+        or not shard_timeout > 0
+    ):
+        raise ConfigurationError(
+            f"shard_timeout must be None or seconds > 0, got {shard_timeout!r}"
+        )
+    if workers > 1 and spill_candidates:
+        raise ConfigurationError(
+            "workers > 1 keeps candidates in worker memory; it takes no "
+            "spill_candidates"
+        )
+    return int(signature_bits)
+
+
 class SetContainmentJoin:
     """Executes R ⋈⊆ S on a :class:`Testbed` with a pluggable partitioner."""
 
@@ -578,13 +601,9 @@ class SetContainmentJoin:
         testbed: Testbed,
         partitioner: Partitioner,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
-        block_entries: int = 200_000,
-        batch_portions: int = 8,
         monolithic_partitions: bool = False,
         resident_partitions: int = 0,
         spill_candidates: bool = False,
-        verify_per_partition: bool = False,
         workers: int = 1,
         parallel_backend: str = "serial",
         shard_timeout: float | None = None,
@@ -608,13 +627,6 @@ class SetContainmentJoin:
           temporary B-tree instead of holding them in memory ("first
           writing out potentially joining tuple identifiers of all
           partitions to disk may improve performance").
-        * ``verify_per_partition`` — verify candidates as soon as each
-          partition pair finishes, interleaving verification with joining
-          the way the paper's testbed does ("After comparing all
-          signatures in two partition batches, the identifiers of
-          potentially joining tuples ... are sorted, and the
-          corresponding tuples are fetched from disk").  Mutually
-          exclusive with ``spill_candidates``.
 
         ``workers``/``parallel_backend``/``shard_timeout`` engage the
         partition-parallel execution engine (:mod:`repro.parallel`):
@@ -622,9 +634,10 @@ class SetContainmentJoin:
         sharded across workers (largest-partition-first) and executed by
         the named backend (``"serial"``, ``"thread"`` or ``"process"``).
         ``workers=1`` (the default) takes the original single-threaded
-        code path untouched.  Parallel execution implies deferred
-        verification, so it is mutually exclusive with
-        ``spill_candidates`` and ``verify_per_partition``.
+        code path untouched.  Parallel execution keeps candidates in
+        worker memory, so it is mutually exclusive with
+        ``spill_candidates``.  Every option is checked here, by
+        :func:`check_join_options`, before anything is stored.
 
         ``tracer`` is an optional :class:`repro.obs.trace.Tracer`; when
         given (or when an ambient tracer is active, see
@@ -636,46 +649,19 @@ class SetContainmentJoin:
         """
         if testbed.relation_r is None or testbed.relation_s is None:
             raise ConfigurationError("testbed has no loaded relations")
-        signature_bits = check_signature_bits(signature_bits)
-        if engine not in ENGINES:
-            raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if block_entries < 1:
-            raise ConfigurationError("block_entries must be >= 1")
-        if resident_partitions < 0:
-            raise ConfigurationError("resident_partitions must be >= 0")
-        if spill_candidates and verify_per_partition:
-            raise ConfigurationError(
-                "spill_candidates and verify_per_partition are mutually "
-                "exclusive (spilling exists to defer verification)"
-            )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        from ..parallel.executor import BACKENDS
-
-        if parallel_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"parallel_backend must be one of {BACKENDS}, "
-                f"got {parallel_backend!r}"
-            )
-        if workers > 1 and (spill_candidates or verify_per_partition):
-            raise ConfigurationError(
-                "parallel execution (workers > 1) defers verification and "
-                "keeps candidates in worker memory; it is mutually "
-                "exclusive with spill_candidates and verify_per_partition"
-            )
+        signature_bits = check_join_options(
+            signature_bits, workers, parallel_backend, shard_timeout,
+            resident_partitions, spill_candidates,
+        )
         self.testbed = testbed
         self.partitioner = partitioner
         self.signature_bits = signature_bits
         self.signature_bytes = (signature_bits + 7) // 8
-        self.engine = engine
-        self.block_entries = block_entries
-        self.batch_portions = batch_portions
         self.monolithic_partitions = monolithic_partitions
         self.resident_partitions = min(
             resident_partitions, partitioner.num_partitions
         )
         self.spill_candidates = spill_candidates
-        self.verify_per_partition = verify_per_partition
         self.workers = workers
         self.parallel_backend = parallel_backend
         self.shard_timeout = shard_timeout
@@ -704,13 +690,6 @@ class SetContainmentJoin:
         #: for none; set by every run's partition phase.
         self._max_element = -1
 
-    @property
-    def _lossless(self) -> bool:
-        """Whether this run's signatures are its sets: every element
-        scanned is below the width, so each has a bit of its own, the
-        bitwise-inclusion filter is exact and a candidate is a result."""
-        return self._max_element < self.signature_bits
-
     # ------------------------------------------------------------------
 
     def run(self, cold_cache: bool = True) -> tuple[set[tuple[int, int]], JoinMetrics]:
@@ -736,7 +715,6 @@ class SetContainmentJoin:
             k=metrics.num_partitions,
             r_size=metrics.r_size,
             s_size=metrics.s_size,
-            engine=self.engine,
             workers=self.workers,
         )
         if self.query_id is not None:
@@ -745,22 +723,16 @@ class SetContainmentJoin:
             parts_r, parts_s = self._partition_phase(metrics)
             candidates: _CandidateSink | None = None
             try:
-                if self.verify_per_partition:
-                    result = self._join_and_verify_phase(
+                if self.workers > 1:
+                    candidates = self._parallel_join_phase(
                         parts_r, parts_s, metrics
                     )
-                    self._drop_partitions(parts_r, parts_s)
                 else:
-                    if self.workers > 1:
-                        candidates = self._parallel_join_phase(
-                            parts_r, parts_s, metrics
-                        )
-                    else:
-                        candidates = self._join_phase(parts_r, parts_s, metrics)
-                    # Partition data is temporary ("stored on disk
-                    # temporarily"); reclaim its pages before verification.
-                    self._drop_partitions(parts_r, parts_s)
-                    result = self._verification_phase(candidates, metrics)
+                    candidates = self._join_phase(parts_r, parts_s, metrics)
+                # Partition data is temporary ("stored on disk
+                # temporarily"); reclaim its pages before verification.
+                self._drop_partitions(parts_r, parts_s)
+                result = self._verification_phase(candidates, metrics)
             except BaseException:
                 # Spill cleanup must run on the failure path too, so an
                 # aborted join never strands temporary pages in a long-lived
@@ -889,9 +861,30 @@ class SetContainmentJoin:
             candidates = _SetCandidates()
         with self._run_tracer.span("phase.join") as span:
             for partition in range(self.partitioner.num_partitions):
-                self._join_pair(
-                    parts_r, parts_s, partition, candidates.add, metrics
+                r_entries = self._partition_size(
+                    parts_r, self._resident_r, partition
                 )
+                s_entries = r_entries and self._partition_size(
+                    parts_s, self._resident_s, partition
+                )
+                if not s_entries:
+                    continue
+                r_side, s_side = parts_r, parts_s
+                if partition < self.resident_partitions:
+                    r_side = self._resident_r[partition]
+                    s_side = self._resident_s[partition]
+                with self._run_tracer.span(
+                    "join.partition",
+                    partition=partition,
+                    r_entries=r_entries,
+                    s_entries=s_entries,
+                ) as pair_span:
+                    comparisons = join_partition(
+                        self.signature_bits, r_side, s_side, partition,
+                        candidates.add,
+                    )
+                    metrics.signature_comparisons += comparisons
+                    pair_span.set(comparisons=comparisons)
             metrics.candidates = len(candidates)
             metrics.joining = PhaseMetrics.from_io_delta(
                 time.perf_counter() - started, disk.stats.delta(before)
@@ -956,64 +949,6 @@ class SetContainmentJoin:
             )
         return candidates
 
-    def _join_and_verify_phase(
-        self,
-        parts_r: PartitionStore,
-        parts_s: PartitionStore,
-        metrics: JoinMetrics,
-    ) -> set[tuple[int, int]]:
-        """Interleaved mode: verify each partition's candidates right after
-        joining it, as the paper's testbed does.
-
-        A pair a partitioner co-locates in several partitions is verified
-        only the first time it appears; a lossless run fetches nothing.
-        """
-        disk = self.testbed.disk
-        tracer = self._run_tracer
-        result: set[tuple[int, int]] = set()
-        seen: set[tuple[int, int]] = set()
-        with tracer.span("phase.join+verify") as phase_span:
-            for partition in range(self.partitioner.num_partitions):
-                before = disk.stats.snapshot()
-                started = time.perf_counter()
-                fresh = _SetCandidates()
-                if not self._join_pair(
-                    parts_r, parts_s, partition, fresh.add, metrics
-                ):
-                    continue
-                metrics.joining += PhaseMetrics.from_io_delta(
-                    time.perf_counter() - started, disk.stats.delta(before)
-                )
-
-                before = disk.stats.snapshot()
-                started = time.perf_counter()
-                with tracer.span(
-                    "verify.partition", partition=partition
-                ) as verify_span:
-                    if self._lossless:
-                        new_pairs = fresh.pairs() - seen
-                        result |= new_pairs
-                        self._prove(len(new_pairs), metrics, verify_span)
-                    else:
-                        new_pairs = [
-                            pair for pair in fresh.sorted_pairs()
-                            if pair not in seen
-                        ]
-                        result |= verify_pairs(
-                            self.testbed, new_pairs, None, metrics, verify_span
-                        )
-                    seen.update(new_pairs)
-                    verify_span.set(candidates=len(new_pairs))
-                metrics.verification += PhaseMetrics.from_io_delta(
-                    time.perf_counter() - started, disk.stats.delta(before)
-                )
-            metrics.candidates = len(seen)
-            phase_span.set(
-                candidates=metrics.candidates,
-                false_positives=metrics.false_positives,
-            )
-        return result
-
     def _partition_size(
         self, parts: PartitionStore, resident: "list[bytearray]",
         partition: int,
@@ -1022,36 +957,6 @@ class SetContainmentJoin:
         if partition < self.resident_partitions:
             return len(resident[partition]) // parts.entry_size
         return parts.partition_size(partition)
-
-    def _join_pair(
-        self, parts_r: PartitionStore, parts_s: PartitionStore,
-        partition: int, add, metrics: JoinMetrics,
-    ) -> bool:
-        """Block-nested-loop one partition pair into ``add`` under its own
-        span, counting its comparisons; ``False``, nothing done, when
-        either side is empty."""
-        r_entries = self._partition_size(parts_r, self._resident_r, partition)
-        if not r_entries:
-            return False
-        s_entries = self._partition_size(parts_s, self._resident_s, partition)
-        if not s_entries:
-            return False
-        if partition < self.resident_partitions:
-            parts_r = self._resident_r[partition]
-            parts_s = self._resident_s[partition]
-        with self._run_tracer.span(
-            "join.partition",
-            partition=partition,
-            r_entries=r_entries,
-            s_entries=s_entries,
-        ) as span:
-            comparisons = join_partition(
-                self.engine, self.signature_bits, self.block_entries,
-                self.batch_portions, parts_r, parts_s, partition, add,
-            )
-            metrics.signature_comparisons += comparisons
-            span.set(comparisons=comparisons)
-        return True
 
     # ------------------------------------------------------------------
     # Phase 3: verification
@@ -1067,10 +972,13 @@ class SetContainmentJoin:
         started = time.perf_counter()
         with self._run_tracer.span("phase.verify") as span:
             count = len(candidates)
-            if self._lossless:
+            # Every element scanned below the width has a bit of its own:
+            # the bitwise-inclusion filter is exact, a candidate a result.
+            if self._max_element < self.signature_bits:
                 result = candidates.pairs()
                 candidates.dispose()
-                self._prove(count, metrics, span)
+                metrics.proven_by_signature += count
+                span.set(elided=True, proven=count, max_element=self._max_element)
             else:
                 pairs = list(candidates.sorted_pairs())
                 candidates.dispose()
@@ -1085,11 +993,6 @@ class SetContainmentJoin:
                 page_reads=metrics.verification.page_reads,
             )
         return result
-
-    def _prove(self, count: int, metrics: JoinMetrics, span) -> None:
-        """Accept ``count`` candidates of a lossless run unfetched."""
-        metrics.proven_by_signature += count
-        span.set(elided=True, proven=count, max_element=self._max_element)
 
 
 class _CandidateSink:
@@ -1175,7 +1078,6 @@ def run_disk_join(
     rhs: Relation,
     partitioner: Partitioner,
     signature_bits: int = DEFAULT_SIGNATURE_BITS,
-    engine: str = "numpy",
     buffer_pages: int = 512,
     buffer_policy: str = "lru",
     payload_size: int = DEFAULT_PAYLOAD_SIZE,
@@ -1183,7 +1085,6 @@ def run_disk_join(
     monolithic_partitions: bool = False,
     resident_partitions: int = 0,
     spill_candidates: bool = False,
-    verify_per_partition: bool = False,
     workers: int = 1,
     backend: str = "serial",
     shard_timeout: float | None = None,
@@ -1197,15 +1098,30 @@ def run_disk_join(
     set and the paper's x/y counts are identical for any worker count.
     ``shards > 1`` distributes the relations across that many
     independent in-memory databases behind the dist coordinator
-    (:mod:`repro.dist`) instead; results and x/y stay bit-identical.
+    (:mod:`repro.dist`) instead; results and x/y stay bit-identical, and
+    the options of the testbed it does not build are refused.  Every
+    option is checked before a relation is stored.
     ``tracer`` enables span tracing of the run (see :mod:`repro.obs`).
     """
+    check_join_options(
+        signature_bits, workers, backend, shard_timeout,
+        resident_partitions, spill_candidates,
+    )
+    if isinstance(shards, bool) or not isinstance(shards, Integral) or shards < 1:
+        raise ConfigurationError(f"shards must be an integer >= 1, got {shards!r}")
     if shards > 1:
-        if engine != "numpy":
-            raise ConfigurationError(
-                f"shards > 1 runs the blocked kernel only; engine={engine!r} "
-                "needs shards=1"
-            )
+        for name, given in (
+            ("path", path is not None),
+            ("payload_size", payload_size != DEFAULT_PAYLOAD_SIZE),
+            ("monolithic_partitions", monolithic_partitions),
+            ("resident_partitions", resident_partitions),
+            ("spill_candidates", spill_candidates),
+        ):
+            if given:
+                raise ConfigurationError(
+                    f"{name} is an option of the one-testbed join; shards > 1 "
+                    "joins in-memory shard databases"
+                )
         from ..dist.coordinator import ShardedDatabase
 
         with ShardedDatabase.open(
@@ -1228,11 +1144,9 @@ def run_disk_join(
             testbed,
             partitioner,
             signature_bits=signature_bits,
-            engine=engine,
             monolithic_partitions=monolithic_partitions,
             resident_partitions=resident_partitions,
             spill_candidates=spill_candidates,
-            verify_per_partition=verify_per_partition,
             workers=workers,
             parallel_backend=backend,
             shard_timeout=shard_timeout,

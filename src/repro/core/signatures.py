@@ -19,7 +19,6 @@ join engine works on :func:`pack_signatures`' uint64-word packing.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_SIGNATURE_BITS",
-    "check_signature_bits",
     "signature_of",
     "signatures_of",
     "signature_matrix",
@@ -42,16 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_SIGNATURE_BITS = 160
-
-
-def check_signature_bits(bits) -> int:
-    """``bits`` as a join's signature width: an integer ``>= 1``, not a
-    ``bool``, else :class:`ConfigurationError`."""
-    if isinstance(bits, bool) or not isinstance(bits, Integral) or bits < 1:
-        raise ConfigurationError(
-            f"signature_bits must be an integer >= 1, got {bits!r}"
-        )
-    return int(bits)
 
 
 def signature_of(elements: Iterable[int], bits: int = DEFAULT_SIGNATURE_BITS) -> int:

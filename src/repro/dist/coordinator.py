@@ -54,7 +54,8 @@ from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..core.metrics import JoinMetrics
 from ..core.optimizer import JoinPlan, plan_from_statistics
 from ..core.sets import Relation, SetTuple
-from ..core.signatures import DEFAULT_SIGNATURE_BITS, check_signature_bits
+from ..core.operator import check_join_options
+from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import resolve_configuration
 from ..errors import ConfigurationError
 from ..obs.trace import current_tracer, use_tracer
@@ -428,9 +429,11 @@ class ShardedDatabase:
         x/y accounting are bit-identical to single-shard execution.
         """
         self._check_open()
-        # Every shard's operator checks the width too, but only after
+        # Every shard's operator checks its options too, but only after
         # placement has run and shipped the R portions.
-        signature_bits = check_signature_bits(signature_bits)
+        signature_bits = check_join_options(
+            signature_bits, workers, backend, shard_timeout
+        )
         if partitioner is None:
             partitioner = resolve_configuration(
                 self, r_name, s_name, algorithm, num_partitions, seed

@@ -457,9 +457,7 @@ def attach_observed(report: ExplainReport, trace_source, metrics) -> ExplainRepo
             ):
                 if key in partition_span.attrs:
                     node.observed[key] = partition_span.attrs[key]
-    join_phase_span = _find_span(roots, "phase.join") or _find_span(
-        roots, "phase.join+verify"
-    )
+    join_phase_span = _find_span(roots, "phase.join")
     if "phase.join" in phase_nodes:
         node = phase_nodes["phase.join"]
         node.observed.update(

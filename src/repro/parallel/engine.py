@@ -146,10 +146,7 @@ def _build_spec(join, parts_r, parts_s, shard, file_source,
             )
     return ShardSpec(
         partitions=list(shard.partitions),
-        engine=join.engine,
         signature_bits=join.signature_bits,
-        block_entries=join.block_entries,
-        batch_portions=join.batch_portions,
         file_source=file_source,
         inline_r=inline_r,
         inline_s=inline_s,

@@ -67,10 +67,7 @@ class ShardSpec:
     """
 
     partitions: list[int]
-    engine: str
     signature_bits: int
-    block_entries: int
-    batch_portions: int
     file_source: FileSource | None = None
     #: partition -> its entry run (fixed-width signature + tid records,
     #: see repro.storage.serialization), for partitions not readable via
@@ -162,8 +159,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
                     "join.partition", partition=partition
                 ) as partition_span:
                     comparisons = join_partition(
-                        spec.engine, spec.signature_bits, spec.block_entries,
-                        spec.batch_portions, r_side, s_side, partition,
+                        spec.signature_bits, r_side, s_side, partition,
                         lambda r_tid, s_tid: pairs.add((r_tid, s_tid)),
                     )
                     metrics.signature_comparisons += comparisons

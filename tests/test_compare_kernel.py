@@ -1,7 +1,7 @@
 """Differential tests of the blocked signature kernel.
 
-The ``"python"`` engine's scalar loop is the oracle: on any block the
-``"numpy"`` kernel must return the same comparison count and make the
+``compare_block``'s ``"python"`` scalar loop is the oracle: on any block
+the ``"numpy"`` kernel must return the same comparison count and make the
 same ``add`` calls in the same order (S-major, R order within one S
 signature) — the order spilled-candidate B-trees and capture replays
 are pinned to.
@@ -142,11 +142,11 @@ def test_block_larger_than_the_default_tile():
     assert calls[0] == (0, 0) and calls[-1][1] == 2
 
 
-@pytest.mark.parametrize("engine", ["python", "numpy"])
-def test_spilled_candidates_page_io_is_pinned(engine):
+def test_spilled_candidates_page_io_is_pinned():
     """The spill B-tree's page traffic depends on the order candidates are
     inserted in; these are the counts of the per-signature loop the blocked
-    kernel replaced (8 buffer pages; R-major insertion would read 222).
+    kernel replaced (8 buffer pages; R-major insertion would read 222) —
+    the order the tests above hold the kernel to.
     Writes fell 2102 → 1603 and 2099 → 1601 when an insert stopped
     rewriting the ancestors a child absorbed it under; reads did not move."""
     lhs, rhs = uniform_workload(
@@ -155,7 +155,7 @@ def test_spilled_candidates_page_io_is_pinned(engine):
     for resident, reads, writes in ((0, 1449, 1603), (3, 1430, 1601)):
         __, metrics = run_disk_join(
             lhs, rhs, DCJPartitioner.for_cardinalities(8, 4, 24),
-            engine=engine, signature_bits=40, spill_candidates=True,
+            signature_bits=40, spill_candidates=True,
             buffer_pages=8, resident_partitions=resident,
         )
         assert metrics.candidates == 1476

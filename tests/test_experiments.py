@@ -160,6 +160,47 @@ class TestTestbedExperiments:
         assert 2.5 < second["comparisons_PSJ"] / first["comparisons_PSJ"] < 6
 
 
+@pytest.mark.parametrize("algorithm, k", [("DCJ", 16), ("PSJ", 32)])
+def test_paper_testbed_join_prices_the_join_it_runs(algorithm, k):
+    """The figure experiments' join is ``run_disk_join``: the same pairs
+    and counters, with every comparison and page priced on top."""
+    from repro.analysis.simulate import make_partitioner
+    from repro.core.operator import run_disk_join
+    from repro.data.workloads import case_study
+    from repro.experiments.case_study import (
+        PAPER_DISK_SECONDS_PER_PAGE,
+        PAPER_SECONDS_PER_COMPARISON,
+        paper_testbed_join,
+    )
+
+    lhs, rhs = case_study(scale=0.03, seed=7).materialize()
+
+    def join(run):
+        return run(lhs, rhs, make_partitioner(algorithm, k, 50, 100, seed=7),
+                   buffer_pages=64)
+
+    pairs, metrics = join(paper_testbed_join)
+    plain_pairs, plain = join(run_disk_join)
+    assert pairs == plain_pairs and len(pairs) >= 5
+
+    def counters(m):
+        return (m.signature_comparisons, m.replicated_signatures,
+                m.candidates, m.result_size,
+                [(phase.page_reads, phase.page_writes) for phase in
+                 (m.partitioning, m.joining, m.verification)])
+
+    assert counters(metrics) == counters(plain)
+    joining = metrics.joining
+    assert joining.seconds >= (
+        PAPER_SECONDS_PER_COMPARISON * metrics.signature_comparisons
+        + PAPER_DISK_SECONDS_PER_PAGE * (joining.page_reads + joining.page_writes)
+    )
+    for phase in (metrics.partitioning, metrics.verification):
+        assert phase.seconds >= PAPER_DISK_SECONDS_PER_PAGE * (
+            phase.page_reads + phase.page_writes
+        )
+
+
 class TestScorecard:
     def test_checks_mechanism(self):
         result = ExperimentResult("x", "t", ["c"])

@@ -130,13 +130,6 @@ def test_unknown_algorithm_is_refused_by_the_resolver():
         make_partitioner("SHJ", 8, 10, 20)
 
 
-def test_sharded_run_refuses_the_scalar_engine(small_workload):
-    lhs, rhs = small_workload
-    with pytest.raises(ConfigurationError, match="shards"):
-        run_disk_join(lhs, rhs, make_partitioner("DCJ", 8, 8, 16),
-                      engine="python", shards=2)
-
-
 # ----------------------------------------------------------------------
 # The shared partition-scan and fetch-and-verify routines
 # ----------------------------------------------------------------------
@@ -179,7 +172,7 @@ class _ElementReplicating(Partitioner):
     """Replicates both sides on every element, so a joining pair meets in
     one partition per shared residue.  DCJ, LSJ and PSJ never co-locate a
     pair twice (at each α/β node a pair follows one child together), so
-    this is what exercises interleaved mode's verify-once bookkeeping."""
+    this is what exercises verifying a candidate found twice once."""
 
     name = "ElementReplicating"
 
@@ -193,26 +186,22 @@ class _ElementReplicating(Partitioner):
 #: and (16, 12) when portions were inserted into the B-tree one by one.
 @pytest.mark.parametrize("make, x, y, candidates, false_positives, io", [
     (lambda: make_partitioner("DCJ", 16, 3, 10), 15089, 947, 2448, 2195,
-     {False: [(13, 8), (3, 0), (13, 0)],
-      True: [(13, 8), (60, 0), (181, 0)]}),
+     [(13, 8), (3, 0), (13, 0)]),
     (lambda: _ElementReplicating(8), 48181, 1351, 3266, 3013,
-     {False: [(13, 9), (3, 0), (13, 0)],
-      True: [(13, 9), (29, 0), (86, 0)]}),
+     [(13, 9), (3, 0), (13, 0)]),
 ])
-@pytest.mark.parametrize("interleaved", [False, True])
-def test_deferred_and_interleaved_verification_are_pinned(
-        make, x, y, candidates, false_positives, io, interleaved):
+def test_deferred_verification_is_pinned(
+        make, x, y, candidates, false_positives, io):
     lhs, rhs = uniform_workload(
         150, 150, 3, 10, domain_size=40, seed=5, planted_pairs=4
     ).materialize()
     pairs, metrics = run_disk_join(
         lhs, rhs, make(), signature_bits=16, buffer_pages=8,
-        verify_per_partition=interleaved,
     )
     assert pairs == containment_pairs_nested_loop(lhs, rhs)
     assert len(pairs) == 253
     assert _counters(metrics) == {
         "y": y, "x": x, "candidates": candidates,
         "set_comparisons": candidates, "false_positives": false_positives,
-        "io": io[interleaved],
+        "io": io,
     }

@@ -11,7 +11,8 @@ instead of in CI.
 
 Two more walks keep the join spine single (DESIGN.md, "The join spine"):
 an algorithm name becomes a partitioner only inside ``repro.core``, and
-the serving side takes no ``engine`` parameter.
+no function but the kernel oracle ``compare_block`` takes an ``engine``
+parameter (DESIGN.md, "One kernel").
 
 A last walk keeps the partition path columnar (DESIGN.md, "Columnar batch
 path"): ``partition_relation`` makes no per-tuple call, and the B-tree node
@@ -44,9 +45,10 @@ pools are built only in ``parallel/executor.py``, metric shares fold only
 in ``parallel/merge.py``, and the second fan-out's dispatch, merge and
 ``fanout`` selection stay gone.
 
-Two signature pins keep options nobody set deleted: the keyword options
-of ``QueryService`` and of ``ShardedDatabase.open`` are exactly the
-listed ones.
+Signature pins keep options nobody set deleted: the keyword options of
+``QueryService`` and of ``ShardedDatabase.open`` are exactly the listed
+ones, and so are the parameters of the join operator, ``run_disk_join``
+and ``join_partition`` and the fields of a worker's ``ShardSpec``.
 
 A text scan keeps the performance record single (DESIGN.md, "One
 performance record"): the stack-sampling profiler and its service, HTTP
@@ -135,10 +137,6 @@ PARTITIONER_CALLS_ALLOWED = {
     LIBRARY_ROOT / "experiments" / "worked_example.py",
 }
 
-#: Where nobody selects a comparison engine (see DESIGN.md).
-ENGINE_FREE = ("database.py", "dist", "service", "obs", "cli.py")
-
-
 def test_partitioners_are_built_from_names_only_in_core():
     bad = []
     for path, tree in _walk_library():
@@ -157,22 +155,23 @@ def test_partitioners_are_built_from_names_only_in_core():
     )
 
 
-def test_serving_side_takes_no_engine_parameter():
+def test_only_compare_block_takes_an_engine():
     bad = []
     for path, tree in _walk_library():
-        if path.relative_to(LIBRARY_ROOT).parts[0] not in ENGINE_FREE:
-            continue
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             arguments = node.args
             if any(arg.arg == "engine" for arg in (
                     arguments.posonlyargs + arguments.args
-                    + arguments.kwonlyargs)):
+                    + arguments.kwonlyargs)) and not (
+                    node.name == "compare_block"
+                    and path == LIBRARY_ROOT / "core" / "operator.py"):
                 bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert not bad, (
-        "engine= parameter outside the operator and the figure experiments "
-        "(the serving side runs the blocked kernel):\n" + "\n".join(bad)
+        "engine= parameter outside compare_block (every join runs the "
+        "blocked kernel; the scalar loop is its test oracle):\n"
+        + "\n".join(bad)
     )
 
 
@@ -444,6 +443,58 @@ def test_deleted_options_stay_deleted():
         "ShardedDatabase.open's options changed (R rows replicate by "
         f"partition occupancy only): {sorted(sharded)}"
     )
+
+
+#: One operator configuration (DESIGN.md, "One kernel"): no ``engine``,
+#: ``verify_per_partition``, ``block_entries`` or ``batch_portions``.
+OPERATOR_OPTIONS = [
+    "testbed", "partitioner", "signature_bits", "monolithic_partitions",
+    "resident_partitions", "spill_candidates", "workers", "parallel_backend",
+    "shard_timeout", "shard_hook", "tracer", "query_id",
+]
+RUN_DISK_JOIN_OPTIONS = [
+    "lhs", "rhs", "partitioner", "signature_bits", "buffer_pages",
+    "buffer_policy", "payload_size", "path", "monolithic_partitions",
+    "resident_partitions", "spill_candidates", "workers", "backend",
+    "shard_timeout", "tracer", "shards",
+]
+JOIN_PARTITION_PARAMETERS = [
+    "signature_bits", "r_source", "s_source", "partition", "add",
+]
+SHARD_SPEC_FIELDS = [
+    "partitions", "signature_bits", "file_source", "inline_r", "inline_s",
+    "fail_after", "chaos_delay", "chaos_kill", "parent_pid", "index",
+    "trace", "collect_metrics", "query_id",
+]
+
+
+def _module_function(path, name):
+    (function,) = [
+        node for node in ast.parse((LIBRARY_ROOT / path).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return [arg.arg for arg in function.args.args + function.args.kwonlyargs]
+
+
+def test_operator_knobs_stay_deleted():
+    assert _options(
+        "core/operator.py", "SetContainmentJoin", "__init__"
+    ) == OPERATOR_OPTIONS
+    assert _module_function(
+        "core/operator.py", "run_disk_join"
+    ) == RUN_DISK_JOIN_OPTIONS
+    assert _module_function(
+        "core/operator.py", "join_partition"
+    ) == JOIN_PARTITION_PARAMETERS
+    (spec,) = [
+        node for node in ast.parse(
+            (LIBRARY_ROOT / "parallel" / "worker.py").read_text()
+        ).body
+        if isinstance(node, ast.ClassDef) and node.name == "ShardSpec"
+    ]
+    assert [
+        item.target.id for item in spec.body if isinstance(item, ast.AnnAssign)
+    ] == SHARD_SPEC_FIELDS
 
 
 def test_service_opens_at_most_one_registry_window():

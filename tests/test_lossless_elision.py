@@ -169,7 +169,6 @@ def _file_database(r_rows, s_rows, bits, raw, partitioner, tmp_path):
 
 PATHS = [
     pytest.param(_operator(), id="serial"),
-    pytest.param(_operator(verify_per_partition=True), id="verify_per_partition"),
     pytest.param(_operator(spill_candidates=True), id="spill_candidates"),
     pytest.param(_operator(resident_partitions=2), id="resident_partitions=2"),
     pytest.param(
@@ -265,16 +264,3 @@ def test_spans_and_explain_name_the_elision():
 def _spans(tracer, name):
     return [record["attrs"] for record in tracer.export()
             if record["name"] == name]
-
-
-def test_per_partition_spans_carry_the_proof():
-    from repro.obs.trace import Tracer
-
-    tracer = Tracer()
-    run = _operator(verify_per_partition=True, tracer=tracer)
-    r_rows, s_rows, bits, raw = LOSSLESS["max=bits-1@64"]
-    __, metrics = run(r_rows, s_rows, bits, raw,
-                      make_partitioner("DCJ", 4, 2, 4, seed=3), None)
-    spans = _spans(tracer, "verify.partition")
-    assert spans and all(span["elided"] for span in spans)
-    assert sum(span["proven"] for span in spans) == metrics.candidates

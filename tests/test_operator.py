@@ -23,14 +23,11 @@ def all_partitioners(k=8, theta_r=8, theta_s=16):
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_all_algorithms_match_brute_force(self, small_workload, engine):
+    def test_all_algorithms_match_brute_force(self, small_workload):
         lhs, rhs = small_workload
         expected = containment_pairs_nested_loop(lhs, rhs)
         for partitioner in all_partitioners():
-            result, metrics = run_disk_join(
-                lhs, rhs, partitioner, engine=engine
-            )
+            result, metrics = run_disk_join(lhs, rhs, partitioner)
             assert result == expected, partitioner.describe()
             assert metrics.result_size == len(expected)
             assert metrics.false_positives >= 0
@@ -51,16 +48,6 @@ class TestEndToEnd:
         )
         assert result == expected
         assert (tmp_path / "join.db").stat().st_size > 0
-
-    def test_engines_agree_on_metrics(self, small_workload):
-        lhs, rhs = small_workload
-        results = {}
-        for engine in ("python", "numpy"):
-            partitioner = DCJPartitioner.for_cardinalities(8, 8, 16)
-            result, metrics = run_disk_join(lhs, rhs, partitioner, engine=engine)
-            results[engine] = (result, metrics.signature_comparisons,
-                               metrics.replicated_signatures, metrics.candidates)
-        assert results["python"] == results["numpy"]
 
 
 class TestMetricsConsistency:
@@ -102,26 +89,35 @@ class TestOperatorConfiguration:
         with pytest.raises(ConfigurationError):
             SetContainmentJoin(testbed, PSJPartitioner(4))
 
-    def test_engine_validated(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(testbed, PSJPartitioner(4), engine="cuda")
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(testbed, PSJPartitioner(4), block_entries=0)
-
-    def test_block_nested_loop_small_blocks(self, small_workload):
+    def test_block_nested_loop_small_blocks(self, small_workload, monkeypatch):
         """Tiny block budget forces multiple S re-scans; result unchanged."""
+        from repro.core import operator
+
         lhs, rhs = small_workload
         expected = containment_pairs_nested_loop(lhs, rhs)
+        __, unblocked = run_disk_join(
+            lhs, rhs, PSJPartitioner(4, seed=1), resident_partitions=4
+        )
+        blocks = []
+        compare_packed = operator.compare_packed
+
+        def counting(bits, r_block, s_batches, add):
+            blocks.append(len(r_block[1]))
+            return compare_packed(bits, r_block, s_batches, add)
+
+        monkeypatch.setattr(operator, "compare_packed", counting)
+        monkeypatch.setattr(operator, "_BLOCK_ENTRIES", 8)
         with Testbed() as testbed:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
-                testbed, PSJPartitioner(4, seed=1), block_entries=8
+                testbed, PSJPartitioner(4, seed=1), resident_partitions=4
             )
             result, metrics = join.run()
         assert result == expected
-        assert metrics.signature_comparisons >= len(lhs) * 1  # sanity
+        assert metrics.signature_comparisons == unblocked.signature_comparisons
+        # Memory-resident runs are cut every 8 entries: each block is one
+        # more pass over its partition's S side.
+        assert max(blocks) == 8 and len(blocks) > 4
 
     def test_warm_cache_runs(self, small_workload):
         lhs, rhs = small_workload

@@ -83,50 +83,6 @@ class TestSpilledCandidates:
         assert result == containment_pairs_nested_loop(lhs, rhs)
 
 
-class TestVerifyPerPartition:
-    def test_result_and_counts_match_deferred_mode(self, small_workload):
-        lhs, rhs = small_workload
-        deferred_result, deferred = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1)
-        )
-        interleaved_result, interleaved = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), verify_per_partition=True
-        )
-        assert interleaved_result == deferred_result
-        assert interleaved.candidates == deferred.candidates
-        assert interleaved.false_positives == deferred.false_positives
-        assert interleaved.signature_comparisons == deferred.signature_comparisons
-
-    def test_dcj_duplicates_verified_once(self, small_workload):
-        """Pairs co-located in several DCJ partitions must be verified
-        exactly once: set comparisons equal distinct candidates."""
-        from repro.core.dcj import DCJPartitioner
-
-        lhs, rhs = small_workload
-        partitioner = DCJPartitioner.for_cardinalities(16, 8, 16)
-        __, metrics = run_disk_join(
-            lhs, rhs, partitioner, verify_per_partition=True
-        )
-        assert metrics.set_comparisons == metrics.candidates
-
-    def test_mutually_exclusive_with_spilling(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(
-                    testbed, PSJPartitioner(4),
-                    spill_candidates=True, verify_per_partition=True,
-                )
-
-    def test_combined_with_resident_partitions(self, small_workload):
-        lhs, rhs = small_workload
-        result, __ = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1),
-            verify_per_partition=True, resident_partitions=4,
-        )
-        assert result == containment_pairs_nested_loop(lhs, rhs)
-
-
 class TestSpaceReclamation:
     def test_partition_pages_freed_after_join(self, small_workload):
         """Partitions are temporary: their pages return to the free list."""
@@ -270,3 +226,153 @@ class TestSignatureWidthValidation:
             )
             assert pairs == expected
             assert type(metrics.signature_bits) is int
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached past option validation")
+
+
+#: Values of the remaining options no join runs with, and the option the
+#: error names.  ``backend`` is ``run_disk_join``'s and the databases'
+#: name for the operator's ``parallel_backend``.
+SHARED_INVALID = [
+    pytest.param({"workers": 0}, "workers", id="workers=0"),
+    pytest.param({"workers": -2}, "workers", id="workers=-2"),
+    pytest.param({"workers": 2.5}, "workers", id="workers=2.5"),
+    pytest.param({"workers": True}, "workers", id="workers=True"),
+    pytest.param({"workers": "2"}, "workers", id="workers='2'"),
+    pytest.param({"workers": None}, "workers", id="workers=None"),
+    pytest.param({"backend": "gpu"}, "parallel_backend", id="backend=gpu"),
+    pytest.param({"backend": None}, "parallel_backend", id="backend=None"),
+    pytest.param({"shard_timeout": 0}, "shard_timeout", id="shard_timeout=0"),
+    pytest.param({"shard_timeout": -1}, "shard_timeout", id="shard_timeout=-1"),
+    pytest.param({"shard_timeout": float("nan")}, "shard_timeout",
+                 id="shard_timeout=nan"),
+    pytest.param({"shard_timeout": True}, "shard_timeout",
+                 id="shard_timeout=True"),
+    pytest.param({"shard_timeout": "5"}, "shard_timeout",
+                 id="shard_timeout='5'"),
+    pytest.param({"signature_bits": 2.5}, "signature_bits",
+                 id="signature_bits=2.5"),
+]
+#: Options only the one-testbed operator takes.
+OPERATOR_INVALID = SHARED_INVALID + [
+    pytest.param({"resident_partitions": -1}, "resident_partitions",
+                 id="resident_partitions=-1"),
+    pytest.param({"resident_partitions": 1.5}, "resident_partitions",
+                 id="resident_partitions=1.5"),
+    pytest.param({"resident_partitions": True}, "resident_partitions",
+                 id="resident_partitions=True"),
+    pytest.param({"workers": 2, "spill_candidates": True}, "spill_candidates",
+                 id="workers=2+spill_candidates"),
+]
+
+
+class TestOptionValidation:
+    """Every option no join runs with fails at construction — before a
+    relation, partition store or placement exists — from every entry point
+    that takes it, instead of mid-run or silently as a default."""
+
+    @pytest.fixture()
+    def relations(self):
+        from repro.data.workloads import uniform_workload
+
+        return uniform_workload(
+            20, 30, 2, 6, domain_size=50, seed=1
+        ).materialize()
+
+    @pytest.mark.parametrize("options, named", OPERATOR_INVALID)
+    def test_operator(self, relations, options, named):
+        options = dict(options)
+        if "backend" in options:
+            options["parallel_backend"] = options.pop("backend")
+        with Testbed() as testbed:
+            testbed.load(*relations)
+            pages = testbed.disk.num_pages
+            with pytest.raises(ConfigurationError, match=named):
+                SetContainmentJoin(testbed, PSJPartitioner(4), **options)
+            assert testbed.disk.num_pages == pages
+
+    @pytest.mark.parametrize("options, named", OPERATOR_INVALID)
+    def test_run_disk_join(self, relations, tmp_path, options, named):
+        path = tmp_path / "join.db"
+        with pytest.raises(ConfigurationError, match=named):
+            run_disk_join(*relations, PSJPartitioner(4), path=str(path),
+                          **options)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("options, named", SHARED_INVALID)
+    def test_sharded_run_disk_join(self, relations, monkeypatch, options,
+                                   named):
+        from repro.dist import ShardedDatabase
+
+        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
+        with pytest.raises(ConfigurationError, match=named):
+            run_disk_join(*relations, PSJPartitioner(4), shards=2, **options)
+
+    @pytest.mark.parametrize("options, named", SHARED_INVALID)
+    def test_database_join(self, relations, options, named):
+        from repro.database import SetJoinDatabase
+
+        with SetJoinDatabase.open(None) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            pages = db.disk.num_pages
+            with pytest.raises(ConfigurationError, match=named):
+                db.join("R", "S", "PSJ", 4, **options)
+            assert db.disk.num_pages == pages
+
+    @pytest.mark.parametrize("options, named", SHARED_INVALID)
+    def test_sharded_join(self, relations, monkeypatch, options, named):
+        from repro.dist import ShardedDatabase
+
+        with ShardedDatabase.open(None, shards=2) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            monkeypatch.setattr(db, "_place", _refuse)
+            with pytest.raises(ConfigurationError, match=named):
+                db.join("R", "S", "PSJ", 4, **options)
+
+    @pytest.mark.parametrize("option, value", [
+        ("path", "join.db"),
+        ("payload_size", 64),
+        ("monolithic_partitions", True),
+        ("resident_partitions", 2),
+        ("spill_candidates", True),
+    ])
+    def test_sharded_run_refuses_testbed_options(
+        self, relations, tmp_path, monkeypatch, option, value
+    ):
+        """A sharded ``run_disk_join`` builds no testbed, so it cannot
+        honour these; it names the option instead of dropping it."""
+        from repro.dist import ShardedDatabase
+
+        if option == "path":
+            value = str(tmp_path / value)
+        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
+        with pytest.raises(ConfigurationError, match=option):
+            run_disk_join(*relations, PSJPartitioner(4), shards=2,
+                          **{option: value})
+        assert not (tmp_path / "join.db").exists()
+
+    @pytest.mark.parametrize("shards", [0, -1, 1.5, True, "2", None])
+    def test_shard_count(self, relations, monkeypatch, shards):
+        from repro.dist import ShardedDatabase
+
+        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
+        monkeypatch.setattr(Testbed, "load", _refuse)
+        with pytest.raises(ConfigurationError, match="shards"):
+            run_disk_join(*relations, PSJPartitioner(4), shards=shards)
+
+    def test_valid_edge_values_run(self, relations):
+        import numpy as np
+
+        expected = containment_pairs_nested_loop(*relations)
+        for options in (
+            {"workers": np.int64(2), "backend": "thread", "shard_timeout": 30},
+            {"resident_partitions": np.int64(9), "shard_timeout": 0.5},
+            {"workers": 2, "shards": np.int64(2), "backend": "thread"},
+            {"payload_size": 64, "shards": 1},
+        ):
+            pairs, __ = run_disk_join(*relations, PSJPartitioner(4), **options)
+            assert pairs == expected, options

@@ -103,17 +103,16 @@ class TestResultInvariance:
 
 
 class TestDeterministicOrdering:
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_identical_order_across_worker_counts(self, workload, engine):
+    def test_identical_order_across_worker_counts(self, workload):
         """The determinism gap test: result pairs identically ordered for
-        workers 1/2/4 under both comparison engines (sorting happens at
-        the merge boundary, so no ordering depends on shard timing)."""
+        workers 1/2/4 (sorting happens at the merge boundary, so no
+        ordering depends on shard timing)."""
         lhs, rhs = workload
         orderings = []
         for workers in (1, 2, 4):
             pairs, __ = run_disk_join(
                 lhs, rhs, PSJPartitioner(8, seed=1),
-                engine=engine, workers=workers, backend="thread",
+                workers=workers, backend="thread",
             )
             orderings.append(sorted(pairs))
         assert orderings[0] == orderings[1] == orderings[2]
@@ -187,10 +186,7 @@ class TestConfigurationGuards:
                     testbed, PSJPartitioner(4), parallel_backend="gpu"
                 )
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"spill_candidates": True}, {"verify_per_partition": True}],
-    )
+    @pytest.mark.parametrize("options", [{"spill_candidates": True}])
     def test_parallel_excludes_serial_only_modes(self, paper_r, paper_s,
                                                  options):
         with Testbed() as testbed:

@@ -223,8 +223,8 @@ class TestVerifyPairs:
 #: Measured at the parent commit (one descent per tid, one frozenset
 #: predicate per pair) with the calls below.  The partitioning and joining
 #: I/O was re-pinned once, lower, for portion pages (DESIGN.md §1.12):
-#: (41, 30) (25, 0) / (41, 30) (49, 0) / (41, 30) (25, 1) / (39, 20)
-#: (14, 0) / (0, 28) / (0, 74) before; verification did not move.  The
+#: (41, 30) (25, 0) / (41, 30) (25, 1) / (39, 20) (14, 0) / (0, 28) /
+#: (0, 74) before; verification did not move.  The
 #: resident-partition joining reads fell 8 → 6 with columnar relation
 #: pages (DESIGN.md §1.13): the scan reads its leaves a group at a time,
 #: before the portion flushes, so the 16-page pool evicts in another order.
@@ -233,7 +233,6 @@ class TestVerifyPairs:
 CANDIDATES, FALSE_POSITIVES, RESULTS = 153, 132, 21
 PHASE_IO = {
     "deferred": [(39, 24), (18, 0), (39, 0)],
-    "verify_per_partition": [(39, 24), (42, 0), (162, 0)],
     "spill_candidates": [(39, 24), (19, 1), (39, 0)],
     "resident_partitions": [(39, 16), (6, 0), (39, 0)],
     "database": [(0, 24), (0, 0), (0, 0)],
@@ -261,7 +260,6 @@ def assert_pinned(pairs, metrics, truth, name):
 
 @pytest.mark.parametrize("name, options", [
     ("deferred", {}),
-    ("verify_per_partition", {"verify_per_partition": True}),
     ("spill_candidates", {"spill_candidates": True}),
     ("resident_partitions", {"resident_partitions": 2}),
 ])
@@ -291,21 +289,15 @@ def test_verify_spans_say_how_many_tuples_each_side_fetched(wide_domain):
     from repro.obs.trace import Tracer
 
     lhs, rhs, truth = wide_domain
-    for options, span_name in (
-        ({}, "phase.verify"), ({"verify_per_partition": True}, "verify.partition"),
-    ):
-        tracer = Tracer()
-        pairs, metrics = run_disk_join(
-            lhs, rhs, make_partitioner("DCJ", 8, 3, 14), signature_bits=160,
-            tracer=tracer, **options,
-        )
-        spans = [span for root in tracer.roots for span in root.walk()
-                 if span.name == span_name]
-        assert pairs == truth and spans
-        assert sum(span.attrs["candidates"] for span in spans) == CANDIDATES
-        for span in spans:
-            assert 0 <= span.attrs["fetched_r"] <= span.attrs["candidates"]
-            assert 0 <= span.attrs["fetched_s"] <= span.attrs["candidates"]
-        if span_name == "phase.verify":
-            candidates_r = {r for r, __ in truth}
-            assert spans[0].attrs["fetched_r"] >= len(candidates_r) > 0
+    tracer = Tracer()
+    pairs, metrics = run_disk_join(
+        lhs, rhs, make_partitioner("DCJ", 8, 3, 14), signature_bits=160,
+        tracer=tracer,
+    )
+    (span,) = [span for root in tracer.roots for span in root.walk()
+               if span.name == "phase.verify"]
+    assert pairs == truth
+    assert span.attrs["candidates"] == CANDIDATES
+    assert 0 <= span.attrs["fetched_r"] <= span.attrs["candidates"]
+    assert 0 <= span.attrs["fetched_s"] <= span.attrs["candidates"]
+    assert span.attrs["fetched_r"] >= len({r for r, __ in truth}) > 0
