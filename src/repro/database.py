@@ -228,9 +228,10 @@ class SetJoinDatabase:
         return entry
 
     def get_store(self, name: str) -> RelationStore:
-        """The stored relation's access object."""
+        """The stored relation's access object, sized by the catalog."""
         self._check_open()
-        return RelationStore(self.pool, self._entry(name)[0], name=name)
+        meta_page_id, size, __ = self._entry(name)
+        return RelationStore(self.pool, meta_page_id, name=name, size=size)
 
     def read_relation(self, name: str) -> Relation:
         """Materialize a stored relation in memory."""

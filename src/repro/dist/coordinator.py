@@ -68,7 +68,7 @@ from .placement import (
     home_shards,
     publish_placement,
 )
-from .shard import Shard, ShardJoinRequest
+from .shard import Shard, ShardJoinRequest, take_rows
 
 __all__ = ["ShardedDatabase"]
 
@@ -81,15 +81,6 @@ def _manifest_path(path: str) -> str:
 
 def _shard_path(path: "str | None", shard_id: int) -> "str | None":
     return None if path is None else f"{path}.shard{shard_id}"
-
-
-def _rows_of(batch, mask: np.ndarray):
-    """The rows of a ``(tids, elements, offsets)`` batch where ``mask``."""
-    tids, elements, offsets = batch
-    sizes = np.diff(offsets)
-    kept = np.zeros(np.count_nonzero(mask) + 1, dtype=np.int64)
-    np.cumsum(sizes[mask], out=kept[1:])
-    return tids[mask], elements[np.repeat(mask, sizes)], kept
 
 
 class _MergedRelationView:
@@ -150,6 +141,9 @@ class ShardedDatabase:
             model = self.model_store.active
         self.model = model
         self.last_placement: "PlacementReport | None" = None
+        #: relation name → its exact ``(size, mean cardinality)``, read
+        #: once; forgotten whenever the relation or the shard set changes.
+        self._exact_statistics: "dict[str, tuple[int, float]]" = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -265,6 +259,7 @@ class ShardedDatabase:
         layout everywhere.
         """
         self._check_open()
+        self._exact_statistics.pop(name, None)
         rows = ([(row.tid, row.elements) for row in rows]
                 if isinstance(rows, Relation) else list(rows))
         try:
@@ -279,6 +274,7 @@ class ShardedDatabase:
 
     def drop_relation(self, name: str) -> None:
         self._check_open()
+        self._exact_statistics.pop(name, None)
         for shard in self.shards:
             shard.drop_relation(name)
 
@@ -318,18 +314,24 @@ class ShardedDatabase:
         Exact rather than sampled: the integer cardinality sum is
         order-independent, so statistics — and therefore the plan — are
         identical at every shard count.  Each shard's sum is read off the
-        offsets of its columnar scan, a batch at a time.  ``seed`` is
-        accepted for interface parity with ``SetJoinDatabase._statistics``
-        and ignored.
+        offsets of its columnar scan, a batch at a time, on the first
+        call for ``name``; later calls answer from memory until the
+        relation is created or dropped or the shards are reshaped.
+        ``seed`` is accepted for interface parity with
+        ``SetJoinDatabase._statistics`` and ignored.
         """
         del seed
         self._check_open()
-        size = self.relation_size(name)
-        total = 0
-        for shard in self.shards:
-            for __, __, offsets in shard.db.get_store(name).scan_batches():
-                total += int(offsets[-1])
-        return size, (total / size if size else 0.0)
+        if name not in self._exact_statistics:
+            size = self.relation_size(name)
+            total = 0
+            for shard in self.shards:
+                for __, __, offsets in shard.db.get_store(name).scan_batches():
+                    total += int(offsets[-1])
+            self._exact_statistics[name] = (
+                size, total / size if size else 0.0
+            )
+        return self._exact_statistics[name]
 
     def refresh_model(self) -> TimeModel:
         if self.model_store is not None:
@@ -379,7 +381,8 @@ class ShardedDatabase:
                 masks = planner.targets(rows, partitions, len(batch[0]))
                 for summary, mask in zip(planner.summaries, masks):
                     if mask.any():
-                        portions[summary.shard_id].append(_rows_of(batch, mask))
+                        portions[summary.shard_id].append(
+                            take_rows(*batch, np.flatnonzero(mask)))
         return planner, portions
 
     def _fan_out(

@@ -12,12 +12,14 @@ partition-parallel engine; intra-shard parallelism goes through that
 engine, so a distributed join with process-backed shards runs on real
 cores.
 
-The join path deliberately does *not* register the replicated R portion
-in the shard's catalog: the portion is reconstructible coordinator
-state, so — like the operator's temporary partition pages — it is
-written without WAL logging and destroyed when the join finishes, and a
-crash mid-join can cost at most leaked pages, never a corrupt shard
-catalog.
+The join path never stores the replicated R portion: the shard joins
+the shipped ``(tids, elements, offsets)`` arrays as they are, through an
+in-memory relation (:class:`ArrayRelation`) with the read surface the
+operator uses of a stored one.  The portion is reconstructible
+coordinator state, so — like the operator's temporary partition pages,
+which are written without WAL logging and reclaimed after the join — it
+never touches the shard's catalog, and a join leaves the shard's pages
+as it found them.
 """
 
 from __future__ import annotations
@@ -25,16 +27,83 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..core.operator import SetContainmentJoin, Testbed
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import SetJoinDatabase
-from ..errors import SetJoinError
 from ..parallel.merge import ShardResult
-from ..storage.relation_store import RelationStore
+from ..storage.relation_store import _TID_LIMIT, BATCH_TUPLES
 from .placement import ShardSummary, summarize_batches
 
-__all__ = ["Shard", "ShardJoinRequest"]
+__all__ = ["ArrayRelation", "Shard", "ShardJoinRequest"]
+
+
+def take_rows(tids: np.ndarray, elements: np.ndarray, offsets: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``rows`` of a ``(tids, elements, offsets)`` relation, in that
+    order, as one such relation."""
+    starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
+    kept = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=kept[1:])
+    gather = np.arange(kept[-1]) + np.repeat(starts - kept[:-1], sizes)
+    return tids[rows], elements[gather], kept
+
+
+class ArrayRelation:
+    """``(tids, elements, offsets)`` batches as one in-memory relation.
+
+    The rows are kept in tid order (a stable sort, so the partition
+    entries and candidates come out in the order a stored relation's
+    scan gives them), with the read surface the join operator uses of a
+    :class:`~repro.storage.relation_store.RelationStore`: ``name``,
+    ``len()``, :meth:`scan_batches` and :meth:`fetch_batches`, each
+    yielding :data:`BATCH_TUPLES` rows at a time.  The arrays keep the
+    batches' dtype — ``object`` where a value does not fit int64.
+    """
+
+    def __init__(self, batches: "list[tuple]", name: str = ""):
+        self.name = name
+        columns = [(tids, elements, np.diff(offsets))
+                   for tids, elements, offsets in batches]
+        tids, elements, sizes = map(np.concatenate, zip(
+            *columns or [(np.zeros(0, dtype=np.int64),) * 3]))
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        self._tids, self._elements, self._offsets = take_rows(
+            tids, elements, offsets, np.argsort(tids, kind="stable")
+        )
+
+    def __len__(self) -> int:
+        return len(self._tids)
+
+    def _batches(self, rows: np.ndarray) -> Iterator[tuple]:
+        for first in range(0, len(rows), BATCH_TUPLES):
+            yield take_rows(self._tids, self._elements, self._offsets,
+                        rows[first : first + BATCH_TUPLES])
+
+    def scan_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every row in tid order, as :meth:`RelationStore.scan_batches`
+        yields them."""
+        return self._batches(np.arange(len(self._tids)))
+
+    def fetch_batches(
+        self, tids: Iterable[int]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The rows among ``tids``, in tid order, as
+        :meth:`RelationStore.fetch_batches` yields them; absent tids and
+        values that cannot be tids are skipped."""
+        wanted = sorted({tid for tid in tids if 0 <= tid < _TID_LIMIT})
+        try:
+            keys = np.array(wanted, dtype=self._tids.dtype)
+        except OverflowError:
+            keys = np.array(wanted, dtype=object)
+        rows = np.searchsorted(self._tids, keys)
+        inside = rows < len(self._tids)
+        rows, keys = rows[inside], keys[inside]
+        return self._batches(rows[self._tids[rows] == keys])
 
 
 @dataclass
@@ -42,8 +111,10 @@ class ShardJoinRequest:
     """Everything a shard needs to run its slice of one distributed join.
 
     ``r_rows`` is the replicated R portion this shard must join against
-    its local S slice, as ``(tids, elements, offsets)`` arrays of
-    :meth:`RelationStore.scan_batches`; ``partitioner`` must be content-deterministic
+    its local S slice, as ``(tids, elements, offsets)`` slices of
+    :meth:`RelationStore.scan_batches` batches, in any tid order; the
+    shard joins them in memory (:class:`ArrayRelation`) and stores
+    nothing of them.  ``partitioner`` must be content-deterministic
     (see :func:`repro.dist.placement.deterministic_partitioner`) and is
     private to the shard — the coordinator sends each shard its own
     copy, never a shared instance.
@@ -109,14 +180,16 @@ class Shard:
     def execute_join(self, request: ShardJoinRequest) -> ShardResult:
         """Join the replicated R portion against the local S slice.
 
-        The portion is bulk-loaded into an uncataloged temporary B-tree
-        in this shard's own file/pool, joined with the same operator the
-        single-database path uses (including the partition-parallel
-        engine when ``workers > 1``), and destroyed afterwards — on the
-        failure path too, so a retried shard join never accumulates
-        stranded pages.
+        The portion's arrays are joined as an :class:`ArrayRelation`
+        with the same operator the single-database path uses (including
+        the partition-parallel engine when ``workers > 1``); verification
+        fetches its R sets from those arrays.  Nothing of the portion is
+        written to the shard's pages.
         """
         s_store = self.db.get_store(request.s_name)
+        portion = ArrayRelation(
+            request.r_rows, name=f"__dist_r_portion_{self.shard_id}"
+        )
         # The shard builds its *own* tracer rather than borrowing the
         # coordinator's: under thread fan-out a shared tracer's span
         # stack is a race, and a future remote shard could not share one
@@ -133,13 +206,8 @@ class Shard:
             tracer = Tracer(tags=tags)
             shard_span = tracer.start(
                 "dist.shard", shard_id=self.shard_id,
-                r_rows=sum(len(tids) for tids, __, __ in request.r_rows),
-                s_rows=len(s_store),
+                r_rows=len(portion), s_rows=len(s_store),
             )
-        portion = RelationStore.create_batches(
-            self.db.pool, request.r_rows,
-            name=f"__dist_r_portion_{self.shard_id}",
-        )
         try:
             testbed = Testbed.from_components(
                 self.db.disk, self.db.pool, portion, s_store
@@ -161,11 +229,6 @@ class Shard:
                 shard_span.set(error=type(error).__name__)
                 tracer.finish(shard_span)
             raise
-        finally:
-            from ..storage.btree import BTree
-
-            with suppress(SetJoinError):
-                BTree(self.db.pool, portion.meta_page_id).destroy()
         if shard_span is not None:
             shard_span.set(pairs=len(pairs))
             tracer.finish(shard_span)

@@ -208,10 +208,12 @@ class RelationStore:
     realistic amount of I/O, as in the paper.
     """
 
-    def __init__(self, pool: BufferPool, meta_page_id: int, name: str = ""):
+    def __init__(self, pool: BufferPool, meta_page_id: int, name: str = "",
+                 size: int | None = None):
+        """``size``, the tuple count where known, spares ``len()`` a walk."""
         self.name = name
         self._tree = BTree(pool, meta_page_id)
-        self._count: int | None = None
+        self._count = size
 
     @classmethod
     def create(

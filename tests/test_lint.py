@@ -62,7 +62,7 @@ deleted; every ablation is an experiment in ``experiments/ablations.py``.
 A last one keeps the distributed join columnar (DESIGN.md, "Columnar
 distributed join"): the coordinator's placement, join and load and the
 shard's summary and join scan no row, route no tuple and build no set
-one at a time.
+one at a time, and the shard's join stores no R portion in a B-tree.
 """
 
 from __future__ import annotations
@@ -729,6 +729,9 @@ DIST_COLUMNAR = {
     "shard.py": ("Shard", ("summarize", "execute_join")),
 }
 PER_ROW_CALLS = ("scan", "scan_relation", "assign_r", "assign_s", "frozenset")
+#: What ``Shard.execute_join`` may not call either: the shipped R portion
+#: is joined as arrays, never loaded into a B-tree and read back.
+PORTION_STORE_CALLS = ("create_batches", "BTree")
 
 
 def test_distributed_join_is_columnar():
@@ -747,10 +750,12 @@ def test_distributed_join_is_columnar():
             for node in _calls(function, lambda func: True)
             for name in (getattr(node.func, "id", None),
                          getattr(node.func, "attr", None))
-            if name in PER_ROW_CALLS
+            if name in PER_ROW_CALLS or (
+                function.name == "execute_join" and name in PORTION_STORE_CALLS)
         ]
     assert not bad, (
-        "the distributed join makes an object or a call per row again "
-        "(scan_batches, route with assign_r_batch/assign_s_batch, ship "
-        "(tids, elements, offsets) arrays):\n" + "\n".join(bad)
+        "the distributed join makes an object or a call per row again, or "
+        "stores the R portion (scan_batches, route with assign_r_batch/"
+        "assign_s_batch, ship (tids, elements, offsets) arrays and join "
+        "them as an ArrayRelation):\n" + "\n".join(bad)
     )

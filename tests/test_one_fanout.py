@@ -38,10 +38,14 @@ X, Y, CANDIDATES = 24_493, 888, 15
 #: portions have full leaves: at 1, 2 and 3 shards buffer hits fell
 #: 81 → 80, 139 → 135 and 197 → 190, and page writes (all of them the
 #: partition phase's) 20 → 19, 34 → 32 and 51 → 48.
+#: Re-pinned for in-memory R portions (DESIGN.md §1.19): a shard joins
+#: the shipped arrays instead of writing them to a B-tree and reading it
+#: back, so at 1, 2 and 3 shards buffer hits fell 80 → 69, 135 → 114 and
+#: 190 → 159, and page writes 19 → 12, 32 → 18 and 48 → 27.
 REGISTRY_DIGESTS = {
-    (1, 1): "5fb36681a680fc50", (1, 2): "300a58704cc89f7a",
-    (2, 1): "055d52f17b318fa6", (2, 2): "38956bcd082ecf5d",
-    (3, 1): "8c885a2d780fe1b4", (3, 2): "cb39740f0a667c29",
+    (1, 1): "5684e75394c83ba9", (1, 2): "0c4c8ba5f33eb1bb",
+    (2, 1): "8d3918ebd8fc6280", (2, 2): "eae21d013110f2a8",
+    (3, 1): "6482f254d304f22a", (3, 2): "1add58fad249d66e",
 }
 
 

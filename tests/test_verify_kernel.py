@@ -230,13 +230,15 @@ class TestVerifyPairs:
 #: before the portion flushes, so the 16-page pool evicts in another order.
 #: The two-shard partitioning writes fell 68 → 66 with the one relation
 #: loader (DESIGN.md §1.17): each shard's R portion has full leaves.
+#: They fell 66 → 36 with in-memory R portions (DESIGN.md §1.19): a
+#: shard joins the shipped arrays and writes no portion B-tree.
 CANDIDATES, FALSE_POSITIVES, RESULTS = 153, 132, 21
 PHASE_IO = {
     "deferred": [(39, 24), (18, 0), (39, 0)],
     "spill_candidates": [(39, 24), (19, 1), (39, 0)],
     "resident_partitions": [(39, 16), (6, 0), (39, 0)],
     "database": [(0, 24), (0, 0), (0, 0)],
-    "two shards": [(0, 66), (0, 0), (0, 0)],
+    "two shards": [(0, 36), (0, 0), (0, 0)],
 }
 
 
