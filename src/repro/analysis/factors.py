@@ -260,15 +260,20 @@ def predict_quantities(
     r_size: int,
     s_size: int,
 ) -> dict:
-    """The analytical quantities the plan inspector and drift layer use.
+    """The analytical quantities behind :meth:`JoinPlan.prediction
+    <repro.core.optimizer.JoinPlan.prediction>`.
 
     Scales the Table 7 factors to absolute counts for a concrete input:
-    ``x = comp·|R|·|S|`` expected signature comparisons and
-    ``y = repl·(|R|+|S|)`` expected replicated signatures — the two
-    inputs of the Section 5 time formula.
+    ``comparisons`` (x = comp·|R|·|S|, expected signature comparisons)
+    and ``replicated`` (y = repl·(|R|+|S|), expected replicated
+    signatures) — the two inputs of the Section 5 time formula.
     """
     if r_size < 1 or s_size < 1:
         raise ConfigurationError("relation sizes must be >= 1")
+    if theta_r <= 0 or theta_s <= 0:
+        raise ConfigurationError(
+            "cannot predict a join over empty sets (θ must be positive)"
+        )
     rho = s_size / r_size
     comp = comparison_factor(algorithm, k, theta_r, theta_s)
     repl = replication_factor(algorithm, k, theta_r, theta_s, rho)
@@ -277,6 +282,6 @@ def predict_quantities(
     return {
         "comparison_factor": float(comp),
         "replication_factor": float(repl),
-        "signature_comparisons": float(comp) * r_size * s_size,
-        "replicated_signatures": float(repl) * (r_size + s_size),
+        "comparisons": float(comp) * r_size * s_size,
+        "replicated": float(repl) * (r_size + s_size),
     }

@@ -183,7 +183,10 @@ def _run_sharded_join(arguments, lhs, rhs, algorithm, model) -> int:
         db.create_relation("R", lhs)
         db.create_relation("S", rhs)
         if arguments.explain:
-            print(db.explain("R", "S"))
+            print(db.explain(
+                "R", "S", algorithm, arguments.partitions,
+                signature_bits=arguments.signature_bits,
+            ))
             return 0
         result, metrics = db.join(
             "R", "S",
@@ -437,9 +440,6 @@ def _run_db_action(db, arguments) -> int:
             print("usage: setjoins db FILE explain R S", file=sys.stderr)
             return 2
         print(db.explain(*arguments.args))
-        if hasattr(db, "explain_plan"):
-            print()
-            print(db.explain_plan(*arguments.args).render())
         return 0
     if arguments.action == "reshard":
         if len(arguments.args) != 1 or not arguments.args[0].isdigit():

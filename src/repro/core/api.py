@@ -20,12 +20,10 @@ import time
 from collections import defaultdict
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
-from ..errors import ConfigurationError
 from .intersection import intersection_join as overlap_join
 from .metrics import JoinMetrics
-from .modulo import make_partitioner
 from .operator import run_disk_join
-from .optimizer import choose_plan
+from .optimizer import check_algorithm, resolve_plan
 from .sets import Relation
 from .signatures import DEFAULT_SIGNATURE_BITS, signature_of
 
@@ -37,34 +35,7 @@ __all__ = [
     "overlap_join",
     "explain_containment_join",
     "analyze_containment_join",
-    "resolve_configuration",
 ]
-
-_ALGORITHMS = ("auto", "DCJ", "PSJ", "LSJ")
-
-
-def check_algorithm(algorithm: str) -> None:
-    """Raise unless ``algorithm`` names a join :func:`containment_join` runs."""
-    if algorithm not in _ALGORITHMS:
-        raise ConfigurationError(
-            f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
-        )
-
-
-def resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed):
-    """``(algorithm, k, θ_R, θ_S, partitioner)`` of a containment join of two
-    in-memory relations: the optimizer's plan for ``"auto"``, else the named
-    algorithm at ``num_partitions`` (default 32).  What runs and what
-    EXPLAIN shows are this one answer."""
-    if algorithm == "auto":
-        plan = choose_plan(lhs, rhs, model)
-        return (plan.algorithm, plan.k, plan.theta_r, plan.theta_s,
-                plan.build_partitioner(seed=seed))
-    k = num_partitions or 32
-    theta_r = max(lhs.average_cardinality(), 1.0)
-    theta_s = max(rhs.average_cardinality(), 1.0)
-    partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
-    return algorithm, k, theta_r, theta_s, partitioner
 
 
 def containment_join(
@@ -98,11 +69,12 @@ def containment_join(
     if not lhs or not rhs:
         return set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
                                   s_size=len(rhs))
-    *__, partitioner = resolve_configuration(
-        lhs, rhs, algorithm, num_partitions, model, seed
+    plan = resolve_plan(
+        algorithm, num_partitions, len(lhs), lhs.average_cardinality(),
+        len(rhs), rhs.average_cardinality(), model,
     )
     return run_disk_join(
-        lhs, rhs, partitioner, signature_bits=signature_bits,
+        lhs, rhs, plan.build_partitioner(seed), signature_bits=signature_bits,
         workers=workers, backend=backend, tracer=tracer,
     )
 

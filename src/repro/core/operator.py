@@ -1089,54 +1089,20 @@ def run_disk_join(
     backend: str = "serial",
     shard_timeout: float | None = None,
     tracer=None,
-    shards: int = 1,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Convenience wrapper: build a testbed, load, join, tear down.
 
     ``workers``/``backend`` run the joining phase on the
     partition-parallel engine (see :mod:`repro.parallel`); the result
     set and the paper's x/y counts are identical for any worker count.
-    ``shards > 1`` distributes the relations across that many
-    independent in-memory databases behind the dist coordinator
-    (:mod:`repro.dist`) instead; results and x/y stay bit-identical, and
-    the options of the testbed it does not build are refused.  Every
-    option is checked before a relation is stored.
+    Every option is checked before a relation is stored.  A sharded join
+    is :class:`repro.dist.ShardedDatabase`'s ``join``.
     ``tracer`` enables span tracing of the run (see :mod:`repro.obs`).
     """
     check_join_options(
         signature_bits, workers, backend, shard_timeout,
         resident_partitions, spill_candidates,
     )
-    if isinstance(shards, bool) or not isinstance(shards, Integral) or shards < 1:
-        raise ConfigurationError(f"shards must be an integer >= 1, got {shards!r}")
-    if shards > 1:
-        for name, given in (
-            ("path", path is not None),
-            ("payload_size", payload_size != DEFAULT_PAYLOAD_SIZE),
-            ("monolithic_partitions", monolithic_partitions),
-            ("resident_partitions", resident_partitions),
-            ("spill_candidates", spill_candidates),
-        ):
-            if given:
-                raise ConfigurationError(
-                    f"{name} is an option of the one-testbed join; shards > 1 "
-                    "joins in-memory shard databases"
-                )
-        from ..dist.coordinator import ShardedDatabase
-
-        with ShardedDatabase.open(
-            None, shards=shards,
-            buffer_pages=buffer_pages, buffer_policy=buffer_policy,
-        ) as db:
-            db.create_relation(lhs.name or "R", lhs)
-            db.create_relation(rhs.name or "S", rhs)
-            return db.join(
-                lhs.name or "R", rhs.name or "S",
-                signature_bits=signature_bits,
-                workers=workers, backend=backend,
-                shard_timeout=shard_timeout, tracer=tracer,
-                partitioner=partitioner,
-            )
     with Testbed(path=path, buffer_pages=buffer_pages,
                  buffer_policy=buffer_policy) as testbed:
         testbed.load(lhs, rhs, payload_size=payload_size)

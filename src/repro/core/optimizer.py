@@ -14,7 +14,11 @@ executes the paper's five steps verbatim:
 The result carries the full candidate table so callers (and the
 experiments) can inspect the prediction landscape, and
 :meth:`JoinPlan.build_partitioner` turns the decision into a configured
-partitioner ready to run.
+partitioner ready to run.  :func:`resolve_plan` is the one place a join
+request — ``"auto"`` or a named algorithm — becomes a :class:`JoinPlan`:
+every join, EXPLAIN, ANALYZE and drift record works from the plan it
+returns, priced once by :meth:`JoinPlan.prediction` and rendered once by
+:meth:`JoinPlan.explain`.
 
 Observed wall time changes a plan only through ``model``: a long-lived
 installation refits c1/c2/c3 from its drift history
@@ -31,7 +35,7 @@ from ..analysis.factors import (
     predict_quantities,
     replication_factor,
 )
-from ..analysis.timemodel import TimeModel
+from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..errors import ConfigurationError
 from .modulo import make_partitioner
 from .partitioning import Partitioner
@@ -40,8 +44,10 @@ from .sets import Relation
 __all__ = [
     "CandidatePlan",
     "JoinPlan",
+    "check_algorithm",
     "choose_plan",
     "plan_from_statistics",
+    "resolve_plan",
 ]
 
 DEFAULT_LEVELS = tuple(range(1, 14))  # k = 2^1 .. 2^13, as in the paper
@@ -58,9 +64,22 @@ class CandidatePlan:
     predicted_seconds: float
 
 
+_ALGORITHMS = ("auto", "DCJ", "PSJ", "LSJ")
+
+
+def check_algorithm(algorithm: str) -> None:
+    """Raise unless ``algorithm`` names a join the library runs."""
+    if algorithm not in _ALGORITHMS:
+        raise ConfigurationError(
+            f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
+        )
+
+
 @dataclass
 class JoinPlan:
-    """The optimizer's decision plus the data that produced it."""
+    """The optimizer's decision plus the data and the model that produced
+    it: what a join runs, what EXPLAIN renders and what a drift record
+    compares against."""
 
     algorithm: str
     k: int
@@ -70,67 +89,37 @@ class JoinPlan:
     r_size: int
     s_size: int
     candidates: list[CandidatePlan] = field(default_factory=list)
+    model: TimeModel = PAPER_TIME_MODEL
 
-    def explain(self, top: int = 5) -> str:
-        """EXPLAIN-style text: the decision plus the best-k line per
-        algorithm and the closest-contending candidates."""
-        lines = [
-            f"set containment join: |R|={self.r_size} (θ_R≈{self.theta_r:.1f})"
-            f" ⋈⊆ |S|={self.s_size} (θ_S≈{self.theta_s:.1f})",
-            f"chosen: {self.algorithm} with k={self.k} "
-            f"(predicted {self.predicted_seconds:.3f}s)",
-        ]
-        per_algorithm: dict[str, CandidatePlan] = {}
-        for candidate in self.candidates:
-            best = per_algorithm.get(candidate.algorithm)
-            if best is None or candidate.predicted_seconds < best.predicted_seconds:
-                per_algorithm[candidate.algorithm] = candidate
-        for algorithm, candidate in sorted(per_algorithm.items()):
-            lines.append(
-                f"  best {algorithm}: k={candidate.k}, "
-                f"comp={candidate.comparison_factor:.4f}, "
-                f"repl={candidate.replication_factor:.2f}, "
-                f"predicted {candidate.predicted_seconds:.3f}s"
-            )
-        contenders = sorted(
-            self.candidates, key=lambda plan: plan.predicted_seconds
-        )[:top]
-        lines.append("  closest candidates: " + ", ".join(
-            f"{plan.algorithm}(k={plan.k}, {plan.predicted_seconds:.3f}s)"
-            for plan in contenders
-        ))
-        return "\n".join(lines)
+    def explain(self, **options):
+        """This plan's EXPLAIN report (``str()`` renders it); the options
+        are :func:`~repro.obs.explain.build_plan_from_statistics`'s."""
+        from ..obs.explain import build_plan_from_statistics
 
-    def prediction(
-        self, model: TimeModel, algorithm: str | None = None, k: int | None = None
-    ) -> dict:
-        """The analytical prediction behind one (algorithm, k) choice.
+        return build_plan_from_statistics(self, **options)
 
-        Defaults to the chosen plan; pass ``algorithm``/``k`` to inspect
-        a road not taken.  Returns the absolute model quantities (x, y),
-        the underlying factors, and the predicted seconds split into the
-        time formula's CPU and replication terms — exactly what EXPLAIN
-        prints and what the drift layer later compares against observed
-        values.
+    def prediction(self) -> dict:
+        """The analytical prediction behind the chosen (algorithm, k).
+
+        The absolute model quantities (``comparisons`` = x,
+        ``replicated`` = y), the factors behind them, and the predicted
+        ``seconds`` split into the time formula's ``cpu_seconds`` and
+        ``replication_seconds`` terms — what EXPLAIN prints on its root
+        and what the drift layer compares against observed values.
         """
-        algorithm = algorithm if algorithm is not None else self.algorithm
-        k = k if k is not None else self.k
         quantities = predict_quantities(
-            algorithm, k, self.theta_r, self.theta_s, self.r_size, self.s_size
+            self.algorithm, self.k, self.theta_r, self.theta_s,
+            self.r_size, self.s_size,
         )
-        cpu_seconds, repl_seconds = model.predict_terms(
-            quantities["signature_comparisons"],
-            quantities["replicated_signatures"],
-            k,
+        cpu_seconds, repl_seconds = self.model.predict_terms(
+            quantities["comparisons"], quantities["replicated"], self.k
         )
-        quantities.update(
-            algorithm=algorithm,
-            k=k,
-            seconds=cpu_seconds + repl_seconds,
-            cpu_seconds=cpu_seconds,
-            replication_seconds=repl_seconds,
-        )
-        return quantities
+        return {
+            "seconds": cpu_seconds + repl_seconds,
+            "cpu_seconds": cpu_seconds,
+            "replication_seconds": repl_seconds,
+            **quantities,
+        }
 
     def build_partitioner(self, seed: int = 0, family_kind: str = "bitstring") -> Partitioner:
         """Instantiate the chosen algorithm at the chosen k."""
@@ -138,6 +127,44 @@ class JoinPlan:
             self.algorithm, self.k, self.theta_r, self.theta_s, seed,
             family_kind,
         )
+
+
+def _candidate(algorithm, k, theta_r, theta_s, r_size, s_size, model):
+    # A named algorithm still joins a stored relation that is empty.
+    rho = s_size / max(r_size, 1)
+    comp = comparison_factor(algorithm, k, theta_r, theta_s)
+    repl = replication_factor(algorithm, k, theta_r, theta_s, rho)
+    seconds = model.predict_factors(comp, repl, r_size, s_size, k)
+    return CandidatePlan(algorithm, k, comp, repl, seconds)
+
+
+def resolve_plan(
+    algorithm: str,
+    num_partitions: int | None,
+    r_size: int,
+    theta_r: float,
+    s_size: int,
+    theta_s: float,
+    model: TimeModel = PAPER_TIME_MODEL,
+) -> JoinPlan:
+    """The one plan of a join request, given its statistics.
+
+    ``"auto"`` runs steps 3-5 (:func:`plan_from_statistics`); a named
+    algorithm is a one-candidate plan at ``num_partitions`` (default 32,
+    any value — DCJ/LSJ fold via the modulo approach when it is not a
+    power of two), with θ clamped to ≥ 1 so a relation of empty sets
+    still joins, priced by the same ``model``.
+    """
+    check_algorithm(algorithm)
+    if algorithm == "auto":
+        return plan_from_statistics(r_size, s_size, theta_r, theta_s, model)
+    k = num_partitions or 32
+    theta_r, theta_s = max(theta_r, 1.0), max(theta_s, 1.0)
+    candidate = _candidate(algorithm, k, theta_r, theta_s, r_size, s_size, model)
+    return JoinPlan(
+        algorithm, k, candidate.predicted_seconds, theta_r, theta_s,
+        r_size, s_size, [candidate], model,
+    )
 
 
 def plan_from_statistics(
@@ -158,16 +185,12 @@ def plan_from_statistics(
         raise ConfigurationError("cannot plan a join over an empty relation")
     if theta_r <= 0 or theta_s <= 0:
         raise ConfigurationError("relations must contain non-empty sets to plan")
-    rho = s_size / r_size
     # Steps 3-4: estimate factors and predicted times over the k grid.
-    candidates: list[CandidatePlan] = []
-    for algorithm in algorithms:
-        for level in levels:
-            k = 2**level
-            comp = comparison_factor(algorithm, k, theta_r, theta_s)
-            repl = replication_factor(algorithm, k, theta_r, theta_s, rho)
-            seconds = model.predict_factors(comp, repl, r_size, s_size, k)
-            candidates.append(CandidatePlan(algorithm, k, comp, repl, seconds))
+    candidates = [
+        _candidate(algorithm, 2**level, theta_r, theta_s, r_size, s_size, model)
+        for algorithm in algorithms
+        for level in levels
+    ]
     # Step 5: pick the best.
     best = min(candidates, key=lambda plan: plan.predicted_seconds)
     return JoinPlan(
@@ -179,6 +202,7 @@ def plan_from_statistics(
         r_size=r_size,
         s_size=s_size,
         candidates=candidates,
+        model=model,
     )
 
 

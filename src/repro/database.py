@@ -11,7 +11,7 @@ directly over the stored data.
     with SetJoinDatabase.open("courses.db") as db:
         db.create_relation("prereq", prereq_relation)
         db.create_relation("attended", attended_relation)
-        print(db.explain("prereq", "attended"))
+        print(db.explain("prereq", "attended"))   # the plan join runs
         pairs, metrics = db.join("prereq", "attended")
 
 ``path=None`` gives an in-memory database with identical behaviour.
@@ -28,9 +28,8 @@ import numpy as np
 
 from .analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from .core.metrics import JoinMetrics
-from .core.modulo import make_partitioner
 from .core.operator import SetContainmentJoin, Testbed
-from .core.optimizer import JoinPlan, plan_from_statistics
+from .core.optimizer import JoinPlan, resolve_plan
 from .core.sets import Relation, SetTuple
 from .core.signatures import DEFAULT_SIGNATURE_BITS
 from .errors import ConfigurationError, StorageError
@@ -47,26 +46,57 @@ __all__ = ["SetJoinDatabase"]
 _STATS_SAMPLE = 200
 
 
-def resolve_configuration(db, r_name: str, s_name: str, algorithm: str,
-                          num_partitions: "int | None", seed: int):
-    """``(algorithm, k, |R|, θ_R, |S|, θ_S, partitioner)`` of a join of two
-    stored relations on ``db`` (a database or a sharded one): the
-    optimizer's plan for ``"auto"``, else the named algorithm at
-    ``num_partitions`` (default 32) tuned to the stored θ.  What ``join``
-    runs and what ``explain_plan`` shows are this one answer."""
-    if algorithm == "auto":
-        plan = db.plan(r_name, s_name)
-        return (plan.algorithm, plan.k, plan.r_size, plan.theta_r,
-                plan.s_size, plan.theta_s, plan.build_partitioner(seed=seed))
-    r_size, theta_r = db._statistics(r_name)
-    s_size, theta_s = db._statistics(s_name, seed=1)
-    k = num_partitions or 32
-    theta_r, theta_s = max(theta_r, 1.0), max(theta_s, 1.0)
-    return (algorithm, k, r_size, theta_r, s_size, theta_s,
-            make_partitioner(algorithm, k, theta_r, theta_s, seed))
+class JoinPlanner:
+    """The planning half :class:`SetJoinDatabase` and
+    :class:`~repro.dist.ShardedDatabase` share: a cost model, optionally
+    re-adopted from a model store, and the one plan of a join over the
+    database's own ``_statistics(name, seed)``."""
+
+    def _adopt_model(self, model: TimeModel, model_store) -> None:
+        # ``model_store`` (a path or a ModelStore) plugs the database into
+        # the closed calibration loop: planning always uses the store's
+        # freshest recalibrated model instead of the static constants.
+        self.model_store = None
+        if model_store is not None:
+            from .obs.adaptive import ModelStore
+
+            self.model_store = (
+                model_store if isinstance(model_store, ModelStore)
+                else ModelStore(model_store, base_model=model)
+            )
+            model = self.model_store.active
+        self.model = model
+
+    def refresh_model(self) -> TimeModel:
+        """Re-adopt the model store's freshest version (no-op without a
+        store).  Call after an external recalibration so a long-lived
+        session plans with the new constants without reopening."""
+        if self.model_store is not None:
+            self.model = self.model_store.active
+        return self.model
+
+    def plan(
+        self,
+        r_name: str,
+        s_name: str,
+        algorithm: str = "auto",
+        num_partitions: int | None = None,
+    ) -> JoinPlan:
+        """The one plan of a join of two stored relations
+        (:func:`~repro.core.optimizer.resolve_plan` over their statistics,
+        priced by the model store's freshest model): what ``join`` runs
+        and ``explain`` renders."""
+        self._check_open()
+        self.refresh_model()
+        r_size, theta_r = self._statistics(r_name)
+        s_size, theta_s = self._statistics(s_name, seed=1)
+        return resolve_plan(
+            algorithm, num_partitions, r_size, theta_r, s_size, theta_s,
+            self.model,
+        )
 
 
-class SetJoinDatabase:
+class SetJoinDatabase(JoinPlanner):
     """Catalog of named, disk-resident set-valued relations.
 
     With ``durable=True`` (the default) the disk manager is wrapped in a
@@ -109,19 +139,7 @@ class SetJoinDatabase:
             self.disk = disk
         self.pool = BufferPool(self.disk, capacity=buffer_pages,
                                policy=buffer_policy)
-        # ``model_store`` (a path or a ModelStore) plugs the database into
-        # the closed calibration loop: planning always uses the store's
-        # freshest recalibrated model instead of the static constants.
-        self.model_store = None
-        if model_store is not None:
-            from .obs.adaptive import ModelStore
-
-            self.model_store = (
-                model_store if isinstance(model_store, ModelStore)
-                else ModelStore(model_store, base_model=model)
-            )
-            model = self.model_store.active
-        self.model = model
+        self._adopt_model(model, model_store)
         self._closed = False
         if self.disk.num_pages == 0:
             with self._atomic():
@@ -288,30 +306,7 @@ class SetJoinDatabase:
         )
         return size, int(sample.sum()) / sample.size
 
-    def refresh_model(self) -> TimeModel:
-        """Re-adopt the model store's freshest version (no-op without a
-        store).  Call after an external recalibration so a long-lived
-        session plans with the new constants without reopening."""
-        if self.model_store is not None:
-            self.model = self.model_store.active
-        return self.model
-
-    def plan(self, r_name: str, s_name: str) -> JoinPlan:
-        """Run the optimizer over the stored relations' statistics, with
-        the model store's freshest model."""
-        self._check_open()
-        self.refresh_model()
-        r_size, theta_r = self._statistics(r_name)
-        s_size, theta_s = self._statistics(s_name, seed=1)
-        return plan_from_statistics(
-            r_size, s_size, theta_r, theta_s, self.model
-        )
-
-    def explain(self, r_name: str, s_name: str) -> str:
-        """EXPLAIN text for the join of two stored relations."""
-        return self.plan(r_name, s_name).explain()
-
-    def explain_plan(
+    def explain(
         self,
         r_name: str,
         s_name: str,
@@ -320,26 +315,14 @@ class SetJoinDatabase:
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
         seed: int = 0,
     ):
-        """The annotated predicted plan tree for a join of stored relations.
-
-        Like :meth:`explain` but through the plan inspector
-        (:mod:`repro.obs.explain`): the phase tree with the analytical
-        x/y/page/time predictions and, for DCJ, the α/β operator tree.
-        Returns an :class:`~repro.obs.explain.ExplainReport` (call
-        ``.render()`` for text).  Nothing is executed.
-        """
-        from .obs.explain import build_plan_from_statistics
-
-        self._check_open()
-        algorithm, k, r_size, theta_r, s_size, theta_s, partitioner = (
-            resolve_configuration(
-                self, r_name, s_name, algorithm, num_partitions, seed
-            )
-        )
-        return build_plan_from_statistics(
-            algorithm, k, r_size, s_size, theta_r, theta_s,
-            self.refresh_model(), partitioner=partitioner,
-            signature_bits=signature_bits, page_size=self.disk.page_size,
+        """EXPLAIN a join of stored relations: the
+        :class:`~repro.obs.explain.ExplainReport` of :meth:`plan` — the
+        phase tree with the analytical x/y/page/time predictions, for DCJ
+        the α/β operator tree, and for ``"auto"`` the optimizer's
+        decision.  ``str()`` renders it.  Nothing is executed."""
+        return self.plan(r_name, s_name, algorithm, num_partitions).explain(
+            seed=seed, signature_bits=signature_bits,
+            page_size=self.disk.page_size,
         )
 
     def join(
@@ -378,9 +361,9 @@ class SetJoinDatabase:
         """
         self._check_open()
         if partitioner is None:
-            partitioner = resolve_configuration(
-                self, r_name, s_name, algorithm, num_partitions, seed
-            )[-1]
+            partitioner = self.plan(
+                r_name, s_name, algorithm, num_partitions
+            ).build_partitioner(seed)
         testbed = Testbed.from_components(
             self.disk, self.pool, self.get_store(r_name), self.get_store(s_name)
         )

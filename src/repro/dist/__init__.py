@@ -9,8 +9,8 @@ candidates may live there, and the
 per-shard answers — provably disjoint — merge into a result that is
 bit-identical to single-shard execution, x/y accounting included.
 
-Entry points: :meth:`SetJoinDatabase.open_sharded`,
-``run_disk_join(shards=N)``, ``setjoin join --shards`` /
+Entry points: :meth:`SetJoinDatabase.open_sharded` /
+:meth:`ShardedDatabase.open`, ``setjoin join --shards`` /
 ``db --shards``, and the query service's ``--shards`` flag.  See
 ``docs/sharding.md`` for the placement math and the invariance
 argument.

@@ -45,6 +45,7 @@ import os
 import struct
 import time
 from itertools import compress
+from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -52,11 +53,10 @@ import numpy as np
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..core.metrics import JoinMetrics
-from ..core.optimizer import JoinPlan, plan_from_statistics
 from ..core.sets import Relation, SetTuple
 from ..core.operator import check_join_options
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
-from ..database import resolve_configuration
+from ..database import JoinPlanner
 from ..errors import ConfigurationError
 from ..obs.trace import current_tracer, use_tracer
 from ..parallel.executor import resolve_backend
@@ -106,7 +106,7 @@ class _MergedRelationView:
         )
 
 
-class ShardedDatabase:
+class ShardedDatabase(JoinPlanner):
     """A coordinator plus N shared-nothing :class:`Shard` databases.
 
     ``path=None`` keeps every shard in memory; with a path, shard ``i``
@@ -130,16 +130,7 @@ class ShardedDatabase:
             raise ConfigurationError("a sharded database needs >= 1 shard")
         self.shards = sorted(shards, key=lambda shard: shard.shard_id)
         self.path = path
-        self.model_store = None
-        if model_store is not None:
-            from ..obs.adaptive import ModelStore
-
-            self.model_store = (
-                model_store if isinstance(model_store, ModelStore)
-                else ModelStore(model_store, base_model=model)
-            )
-            model = self.model_store.active
-        self.model = model
+        self._adopt_model(model, model_store)
         self.last_placement: "PlacementReport | None" = None
         #: relation name → its exact ``(size, mean cardinality)``, read
         #: once; forgotten whenever the relation or the shard set changes.
@@ -168,6 +159,12 @@ class ShardedDatabase:
         ``db_kwargs`` are forwarded to every shard's
         :meth:`SetJoinDatabase.open`.
         """
+        if shards is not None and (isinstance(shards, bool)
+                                   or not isinstance(shards, Integral)
+                                   or shards < 1):
+            raise ConfigurationError(
+                f"shards must be an integer >= 1, got {shards!r}"
+            )
         shard_ids: "list[int] | None" = None
         if path is not None and os.path.exists(_manifest_path(path)):
             with open(_manifest_path(path)) as handle:
@@ -187,10 +184,6 @@ class ShardedDatabase:
             if shards is None:
                 raise ConfigurationError(
                     "shards=N is required when creating a sharded database"
-                )
-            if shards < 1:
-                raise ConfigurationError(
-                    f"shards must be >= 1, got {shards}"
                 )
             shard_ids = list(range(shards))
         opened = [
@@ -333,32 +326,27 @@ class ShardedDatabase:
             )
         return self._exact_statistics[name]
 
-    def refresh_model(self) -> TimeModel:
-        if self.model_store is not None:
-            self.model = self.model_store.active
-        return self.model
-
-    def plan(self, r_name: str, s_name: str) -> JoinPlan:
-        self._check_open()
-        self.refresh_model()
-        r_size, theta_r = self._statistics(r_name)
-        s_size, theta_s = self._statistics(s_name)
-        return plan_from_statistics(
-            r_size, s_size, theta_r, theta_s, self.model
-        )
-
-    def explain(self, r_name: str, s_name: str) -> str:
-        """EXPLAIN text: the optimizer's decision plus the exact
-        distribution section (replication factor, pruning, logical vs
-        physical y) computed from a placement dry run — nothing joins."""
-        plan = self.plan(r_name, s_name)
-        partitioner = deterministic_partitioner(plan.build_partitioner())
-        planner = self._place(r_name, s_name, partitioner)[0]
-        report = planner.report()
-        lines = [plan.explain(), ""]
-        lines.extend(report.explain_lines())
-        lines.append(f"  shard ids {self.shard_ids}")
-        return "\n".join(lines)
+    def explain(
+        self,
+        r_name: str,
+        s_name: str,
+        algorithm: str = "auto",
+        num_partitions: "int | None" = None,
+        signature_bits: int = DEFAULT_SIGNATURE_BITS,
+        seed: int = 0,
+    ):
+        """EXPLAIN the plan :meth:`join` runs, with the same arguments as
+        :meth:`SetJoinDatabase.explain`, plus a distribution section
+        (replication factor, pruning, logical vs physical y) computed from
+        a placement dry run of that plan's partitioner — nothing joins."""
+        plan = self.plan(r_name, s_name, algorithm, num_partitions)
+        partitioner = deterministic_partitioner(plan.build_partitioner(seed))
+        placement = self._place(r_name, s_name, partitioner)[0].report()
+        report = plan.explain(seed=seed, signature_bits=signature_bits)
+        report.header[-1:-1] = [
+            "", *placement.explain_lines(), f"  shard ids {self.shard_ids}",
+        ]
+        return report
 
     # ------------------------------------------------------------------
     # The distributed join
@@ -427,7 +415,7 @@ class ShardedDatabase:
         :meth:`SetJoinDatabase.join`.
 
         ``partitioner`` overrides planning with a pre-built partitioner
-        (``run_disk_join(shards=N)`` uses this); it is sanitized to a
+        (the query service passes its plan's); it is sanitized to a
         content-deterministic equivalent.  The returned pairs *and* the
         x/y accounting are bit-identical to single-shard execution.
         """
@@ -438,9 +426,9 @@ class ShardedDatabase:
             signature_bits, workers, backend, shard_timeout
         )
         if partitioner is None:
-            partitioner = resolve_configuration(
-                self, r_name, s_name, algorithm, num_partitions, seed
-            )[-1]
+            partitioner = self.plan(
+                r_name, s_name, algorithm, num_partitions
+            ).build_partitioner(seed)
         partitioner = deterministic_partitioner(partitioner)
         tracer = tracer if tracer is not None else current_tracer()
         root_attrs = dict(

@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from .rotation import environment_fingerprint, rotate_jsonl
 
 __all__ = [
     "DriftRecord",
@@ -43,8 +42,6 @@ __all__ = [
     "summarize_drift",
     "calibration_residuals",
     "drift_line",
-    "environment_fingerprint",
-    "rotate_drift_jsonl",
 ]
 
 #: Keys compared between prediction and observation, in reporting order.
@@ -98,44 +95,46 @@ class DriftRecord:
             ) from error
 
 
-def _signed_error(predicted, observed):
+def signed_error(predicted, observed):
+    """``(observed − predicted) / observed``; ``None`` when only the
+    observation is zero — the one error formula of EXPLAIN ANALYZE and
+    drift records."""
     if observed == 0:
         return 0.0 if predicted == 0 else None
     return (observed - predicted) / observed
 
 
-def compute_drift(prediction: dict, metrics, wall=None) -> DriftRecord:
+def compute_drift(
+    prediction: dict, metrics, wall=None, observed: dict | None = None,
+) -> DriftRecord:
     """Build a :class:`DriftRecord` from a prediction and a finished run.
 
-    ``prediction`` is the dict the plan inspector (or
-    :meth:`~repro.core.optimizer.JoinPlan.prediction`) produced — it must
-    carry ``seconds``, ``comparisons``/``signature_comparisons`` and
-    ``replicated``/``replicated_signatures``.  ``metrics`` is the run's
-    :class:`~repro.core.metrics.JoinMetrics`.  ``wall`` is the timestamp
-    source (default :func:`time.time`; inject for deterministic tests).
+    ``prediction`` is :meth:`JoinPlan.prediction
+    <repro.core.optimizer.JoinPlan.prediction>` (or the EXPLAIN root that
+    carries it): it must hold ``seconds``, ``comparisons`` and
+    ``replicated``.  ``metrics`` is the run's
+    :class:`~repro.core.metrics.JoinMetrics`; ``observed`` defaults to
+    its total seconds, x and y — ANALYZE passes its annotated root's
+    observations instead, so the record holds the numbers it rendered.
+    ``wall`` is the timestamp source (default :func:`time.time`; inject
+    for deterministic tests).
     """
-    predicted = {
-        "seconds": prediction.get("seconds"),
-        "comparisons": prediction.get(
-            "comparisons", prediction.get("signature_comparisons")
-        ),
-        "replicated": prediction.get(
-            "replicated", prediction.get("replicated_signatures")
-        ),
-    }
-    missing = [key for key, value in predicted.items() if value is None]
+    missing = [key for key in DRIFT_KEYS if prediction.get(key) is None]
     if missing:
         raise ConfigurationError(
             f"prediction dict is missing {missing} (got keys "
             f"{sorted(prediction)})"
         )
-    observed = {
-        "seconds": metrics.total_seconds,
-        "comparisons": metrics.signature_comparisons,
-        "replicated": metrics.replicated_signatures,
-    }
+    if observed is None:
+        observed = {
+            "seconds": metrics.total_seconds,
+            "comparisons": metrics.signature_comparisons,
+            "replicated": metrics.replicated_signatures,
+        }
+    predicted = {key: prediction[key] for key in DRIFT_KEYS}
+    observed = {key: observed[key] for key in DRIFT_KEYS}
     errors = {
-        key: _signed_error(predicted[key], observed[key])
+        key: signed_error(predicted[key], observed[key])
         for key in DRIFT_KEYS
     }
     return DriftRecord(
@@ -236,43 +235,6 @@ def drift_line(line: str) -> dict:
     return DriftRecord.from_dict(json.loads(line)).to_dict()
 
 
-def rotate_drift_jsonl(
-    path: str,
-    max_bytes: int = 4 * 1024 * 1024,
-    keep: int = 2000,
-    fingerprint: dict | None = None,
-) -> dict:
-    """Size-cap and environment-stamp a drift history file in place.
-
-    Called by the query service on startup so a long-lived installation
-    never grows its history unboundedly.  Two independent actions:
-
-    * **Fingerprint check** — a sidecar ``<path>.meta.json`` records the
-      environment that produced the history.  When the stored
-      fingerprint differs from the current one, the whole history is
-      moved aside to ``<path>.stale`` (it describes another machine's
-      timing, worse than no data) and a fresh meta file is written.
-    * **Compaction** — when the file exceeds ``max_bytes``, only the
-      newest ``keep`` records are kept (rewritten atomically via
-      ``os.replace``); the recalibrator only reads recent windows
-      anyway.  Malformed lines are dropped during compaction.
-
-    Returns a summary dict: ``{"archived": bool, "rotated": bool,
-    "kept": int, "dropped": int}``.  A missing history file is a no-op
-    apart from writing the meta sidecar.
-
-    Since PR 8 this is a thin wrapper over the shared
-    :func:`repro.obs.rotation.rotate_jsonl` (the same discipline also
-    caps the service's per-query trace history); only the line parser —
-    a :class:`DriftRecord` round-trip, so compaction sheds records the
-    recalibrator could not load — is drift-specific.
-    """
-    return rotate_jsonl(
-        path, max_bytes=max_bytes, keep=keep, fingerprint=fingerprint,
-        parse=drift_line,
-    )
-
-
 def calibration_residuals(model, samples) -> "list[dict]":
     """Per-sample drift of a time model over calibration samples.
 
@@ -294,6 +256,6 @@ def calibration_residuals(model, samples) -> "list[dict]":
             "k": sample.num_partitions,
             "predicted_seconds": predicted,
             "observed_seconds": sample.seconds,
-            "relative_error": _signed_error(predicted, sample.seconds),
+            "relative_error": signed_error(predicted, sample.seconds),
         })
     return rows

@@ -5,22 +5,25 @@ replication factor, the calibrated time model — and the tracer measures
 it afterwards.  This module puts both on one tree so a user can ask
 "what did the optimizer expect, and how far off was it?":
 
-* **EXPLAIN** (:func:`explain_join`) renders the plan the optimizer (or
-  a forced configuration) would execute, annotated with the analytical
-  predictions: x/y from the Table 7 factors, page I/O for the partition
-  store, and the Section 5 time formula split into its CPU and
-  replication terms.  For DCJ the actual α/β operator tree is shown,
-  each node with its partitioning function and replication probability,
-  each level with the expected per-tuple copy counts from the Table 7
-  transition matrices.  Nothing is executed.
+* **EXPLAIN** (:func:`build_plan_from_statistics`, reached through
+  :meth:`JoinPlan.explain <repro.core.optimizer.JoinPlan.explain>` from
+  every shell) renders the one plan the join runs, annotated with its
+  :meth:`~repro.core.optimizer.JoinPlan.prediction`: x/y from the Table 7
+  factors, page I/O for the partition store, and the Section 5 time
+  formula split into its CPU and replication terms.  For DCJ the actual
+  α/β operator tree is shown, each node with its partitioning function
+  and replication probability, each level with the expected per-tuple
+  copy counts from the Table 7 transition matrices.  An ``auto`` plan's
+  header carries the optimizer's decision.  Nothing is executed.
 
-* **ANALYZE** (:func:`analyze_join`) executes the join — through the
-  exact same code path a plain join takes, so results and the paper's
-  x/y accounting are bit-identical — and stitches the observed values
-  from the span tree and the join metrics next to the predictions, with
-  a per-node relative-error column.  Observed durations come from the
-  tracer's (injectable) clocks, so ANALYZE output is deterministic under
-  fake clocks and snapshot-testable.
+* **ANALYZE** (:func:`analyze_join`) executes that plan — through the
+  operator a plain join runs, so results and the paper's x/y accounting
+  are bit-identical — and stitches the observed values from the span
+  tree and the join metrics next to the predictions, with a per-node
+  relative-error column; its drift record is the annotated root.
+  Observed durations come from the tracer's (injectable) clocks, so
+  ANALYZE output is deterministic under fake clocks and
+  snapshot-testable.
 
 Both describe only the plans :func:`repro.core.api.containment_join`
 runs: ``auto``, ``DCJ``, ``PSJ`` and ``LSJ``.
@@ -35,11 +38,13 @@ every node, exactly as it prices the optimizer's candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..errors import ConfigurationError
+from .drift import signed_error
 
 __all__ = [
     "PlanNode",
@@ -73,8 +78,7 @@ _METRIC_ORDER = (
     "buffer_hit_rate",
 )
 
-#: Keys that are estimates of distributions, not per-run guarantees;
-#: they still get an error column (that is the whole point).
+#: Serial ANALYZE renders the heaviest partition pairs, at most this many.
 _MAX_RENDERED_PARTITIONS = 16
 
 
@@ -112,22 +116,12 @@ class PlanNode:
         is the mean absolute value of these.  Keys whose observation is
         zero map to ``None`` (no meaningful relative error).
         """
-        out: dict = {}
-        for key, predicted in self.predicted.items():
-            if key not in self.observed:
-                continue
-            observed = self.observed[key]
-            if not isinstance(predicted, (int, float)) or isinstance(
-                predicted, bool
-            ) or not isinstance(observed, (int, float)) or isinstance(
-                observed, bool
-            ):
-                continue
-            if observed == 0:
-                out[key] = 0.0 if predicted == 0 else None
-            else:
-                out[key] = (observed - predicted) / observed
-        return out
+        return {
+            key: signed_error(predicted, self.observed[key])
+            for key, predicted in self.predicted.items()
+            if key in self.observed
+            and _is_number(predicted) and _is_number(self.observed[key])
+        }
 
     def to_dict(self) -> dict:
         """JSON-able representation of the subtree."""
@@ -142,13 +136,13 @@ class PlanNode:
         }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "·"
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -174,6 +168,7 @@ class ExplainReport:
     root: PlanNode
     mode: str  # "explain" | "analyze"
     header: list[str] = field(default_factory=list)
+    plan: object = None  # the JoinPlan rendered, when built from one
 
     @property
     def analyzed(self) -> bool:
@@ -185,6 +180,9 @@ class ExplainReport:
             "header": list(self.header),
             "plan": self.root.to_dict(),
         }
+
+    def __str__(self) -> str:
+        return self.render()
 
     def render(self) -> str:
         """Deterministic plain-text plan tree.
@@ -211,7 +209,7 @@ class ExplainReport:
             "" if is_last is None else ("   " if is_last else "│  ")
         )
         metric_prefix = child_prefix + ("│  " if node.children else "   ")
-        errors = node.errors()
+        errors = node.errors() if self.analyzed else {}
         for key in _metric_keys(node):
             label = f"{metric_prefix}{key}"
             row = f"{label:<34}{_fmt(node.predicted.get(key)):>14}"
@@ -247,76 +245,57 @@ class AnalyzeResult:
 
 
 def build_plan_from_statistics(
-    algorithm: str,
-    k: int,
-    r_size: int,
-    s_size: int,
-    theta_r: float,
-    theta_s: float,
-    model: TimeModel = PAPER_TIME_MODEL,
+    plan,
     *,
-    partitioner=None,
+    seed: int = 0,
     signature_bits: int = DEFAULT_SIGNATURE_BITS,
     workers: int = 1,
     backend: str = "serial",
     page_size: int = 4096,
     operator_levels: int = 3,
 ) -> ExplainReport:
-    """Build the predicted (EXPLAIN) plan tree from join statistics.
+    """Render a :class:`~repro.core.optimizer.JoinPlan` as its EXPLAIN tree.
 
-    ``partitioner`` (optional) lets the inspector show the concrete
-    operator structure — for a :class:`~repro.core.dcj.DCJPartitioner`
-    the α/β tree down to ``operator_levels`` levels.  The time formula's
-    two terms are mapped onto the phases they model: ``c1·x`` onto the
-    joining phase (comparison CPU) and ``c2·y·k^c3`` onto the
-    partitioning phase (replication I/O and fragmentation); the
-    verification phase is outside the paper's model and carries no time
-    prediction.
+    The root carries :meth:`JoinPlan.prediction
+    <repro.core.optimizer.JoinPlan.prediction>` as it is; nothing here
+    prices the plan again.  The time formula's two terms are mapped onto
+    the phases they model: ``c1·x`` onto the joining phase (comparison
+    CPU) and ``c2·y·k^c3`` onto the partitioning phase (replication I/O
+    and fragmentation); the verification phase is outside the paper's
+    model and carries no time prediction.  The partitioner the plan
+    builds at ``seed`` names the partition phase, and for DCJ its α/β
+    tree is shown down to ``operator_levels`` levels.  When the plan
+    compared candidates, the header carries the decision.
     """
-    from ..analysis.factors import predict_quantities
-    from ..core.api import check_algorithm
     from ..storage.serialization import partition_entry_size
 
-    check_algorithm(algorithm)
-    if theta_r <= 0 or theta_s <= 0:
-        raise ConfigurationError(
-            "cannot explain a join over empty sets (θ must be positive)"
-        )
-    quantities = predict_quantities(
-        algorithm, k, theta_r, theta_s, r_size, s_size
-    )
-    x = quantities["signature_comparisons"]
-    y = quantities["replicated_signatures"]
-    cpu_seconds, repl_seconds = model.predict_terms(x, y, k)
+    prediction = plan.prediction()
+    partitioner = plan.build_partitioner(seed)
     entry_bytes = partition_entry_size((signature_bits + 7) // 8)
     # Both relations' partition stores are written once during
     # partitioning and read once during joining.
-    partition_pages = max(1, round(y * entry_bytes / page_size))
+    partition_pages = max(
+        1, round(prediction["replicated"] * entry_bytes / page_size)
+    )
 
     root = PlanNode(
         "set containment join",
         kind="join",
-        detail=f"{algorithm} k={k}",
-        predicted={
-            "seconds": cpu_seconds + repl_seconds,
-            "comparisons": x,
-            "comparison_factor": quantities["comparison_factor"],
-            "replicated": y,
-            "replication_factor": quantities["replication_factor"],
-        },
+        detail=f"{plan.algorithm} k={plan.k}",
+        predicted=prediction,
     )
     partition = root.add(PlanNode(
         "phase.partition",
         kind="phase",
-        detail=_describe_partitioner(partitioner, algorithm, k),
+        detail=partitioner.describe(),
         predicted={
-            "seconds": repl_seconds,
-            "replicated": y,
+            "seconds": prediction["replication_seconds"],
+            "replicated": prediction["replicated"],
             "partition_pages": partition_pages,
         },
     ))
     _attach_operator_tree(
-        partition, partitioner, theta_r, theta_s, operator_levels
+        partition, partitioner, plan.theta_r, plan.theta_s, operator_levels
     )
     join_detail = "block nested loop"
     if workers > 1:
@@ -326,8 +305,8 @@ def build_plan_from_statistics(
         kind="phase",
         detail=join_detail,
         predicted={
-            "seconds": cpu_seconds,
-            "comparisons": x,
+            "seconds": prediction["cpu_seconds"],
+            "comparisons": prediction["comparisons"],
         },
     ))
     root.add(PlanNode(
@@ -337,21 +316,45 @@ def build_plan_from_statistics(
         f"elided at run time if every element < {signature_bits}",
     ))
 
+    model = plan.model
     header = [
-        f"{algorithm} set containment join"
-        f"  |R|={r_size} (θ_R≈{theta_r:.2f})  ⋈⊆  |S|={s_size}"
-        f" (θ_S≈{theta_s:.2f})",
+        f"{plan.algorithm} set containment join"
+        f"  |R|={plan.r_size} (θ_R≈{plan.theta_r:.2f})  ⋈⊆  |S|={plan.s_size}"
+        f" (θ_S≈{plan.theta_s:.2f})",
         f"model: time(x,y,k) = c1·x + c2·y·k^c3"
         f"  (c1={model.c1:.4g}, c2={model.c2:.4g}, c3={model.c3:.4g})",
+        *_decision_lines(plan),
         "",
     ]
-    return ExplainReport(root=root, mode="explain", header=header)
+    return ExplainReport(root=root, mode="explain", header=header, plan=plan)
 
 
-def _describe_partitioner(partitioner, algorithm: str, k: int) -> str:
-    if partitioner is not None:
-        return partitioner.describe()
-    return f"{algorithm}, k={k}"
+def _decision_lines(plan, top: int = 5) -> "list[str]":
+    """The optimizer's decision: the choice, the best k per algorithm and
+    the closest-contending candidates (none for a one-candidate plan)."""
+    if len(plan.candidates) < 2:
+        return []
+    lines = [
+        f"chosen: {plan.algorithm} with k={plan.k} "
+        f"(predicted {plan.predicted_seconds:.3f}s)",
+    ]
+    seconds = attrgetter("predicted_seconds")
+    for algorithm in sorted({c.algorithm for c in plan.candidates}):
+        candidate = min((c for c in plan.candidates
+                         if c.algorithm == algorithm), key=seconds)
+        lines.append(
+            f"  best {algorithm}: k={candidate.k}, "
+            f"comp={candidate.comparison_factor:.4f}, "
+            f"repl={candidate.replication_factor:.2f}, "
+            f"predicted {candidate.predicted_seconds:.3f}s"
+        )
+    contenders = sorted(plan.candidates, key=seconds)[:top]
+    lines.append("  closest candidates: " + ", ".join(
+        f"{candidate.algorithm}(k={candidate.k}, "
+        f"{candidate.predicted_seconds:.3f}s)"
+        for candidate in contenders
+    ))
+    return lines
 
 
 def _attach_operator_tree(
@@ -436,8 +439,9 @@ def attach_observed(report: ExplainReport, trace_source, metrics) -> ExplainRepo
         replication_factor=round(metrics.replication_factor, 9),
         results=metrics.result_size,
     )
-    if join_span is not None:
-        root.observed["seconds"] = join_span.duration
+    root.observed["seconds"] = (
+        join_span.duration if join_span is not None else metrics.total_seconds
+    )
 
     phase_nodes = {node.name: node for node in root.children}
     partition_span = _find_span(roots, "phase.partition")
@@ -574,21 +578,19 @@ def explain_join(
 
     ``algorithm`` is one of ``auto``/``DCJ``/``PSJ``/``LSJ``, the joins
     :func:`repro.core.api.containment_join` runs; ``model`` prices the
-    plan and, for ``"auto"``, chooses it.
+    plan and, for ``"auto"``, chooses it from exact statistics.
     """
-    from ..core.api import check_algorithm, resolve_configuration
+    from ..core.optimizer import resolve_plan
 
-    check_algorithm(algorithm)
     if not lhs or not rhs:
         raise ConfigurationError("cannot explain a join over an empty relation")
-    algorithm, k, theta_r, theta_s, partitioner = resolve_configuration(
-        lhs, rhs, algorithm, num_partitions, model, seed
+    plan = resolve_plan(
+        algorithm, num_partitions, len(lhs), lhs.average_cardinality(),
+        len(rhs), rhs.average_cardinality(), model,
     )
-    return build_plan_from_statistics(
-        algorithm, k, len(lhs), len(rhs), theta_r, theta_s, model,
-        partitioner=partitioner, signature_bits=signature_bits,
-        workers=workers, backend=backend,
-        operator_levels=operator_levels,
+    return plan.explain(
+        seed=seed, signature_bits=signature_bits, workers=workers,
+        backend=backend, operator_levels=operator_levels,
     )
 
 
@@ -611,20 +613,22 @@ def analyze_join(
 ) -> AnalyzeResult:
     """ANALYZE: execute the join and annotate the plan with observations.
 
-    The join runs through :func:`repro.core.api.containment_join` — the
-    same path a plain call takes — so the result pairs and the paper's
-    x/y accounting are bit-identical to an un-analyzed run.  The
-    predicted-vs-observed deltas are recorded as a
-    :class:`~repro.obs.drift.DriftRecord` into the metrics ``registry``
-    (drift gauges and error histograms) and, when ``drift_path`` is
-    given, appended to that JSONL file.
+    The plan EXPLAIN renders is the plan that runs: its partitioner goes
+    to :func:`repro.core.operator.run_disk_join`, the operator
+    :func:`repro.core.api.containment_join` calls, so the result pairs
+    and the paper's x/y accounting are bit-identical to an un-analyzed
+    run.  The annotated root's predicted and observed values become a
+    :class:`~repro.obs.drift.DriftRecord` — the record holds exactly the
+    numbers and errors the report prints — published into the metrics
+    ``registry`` (drift gauges and error histograms) and, when
+    ``drift_path`` is given, appended to that JSONL file.
 
     ``tracer`` (default: a fresh real-clock :class:`~repro.obs.trace.Tracer`)
     supplies the observed durations; inject fake clocks for
     deterministic output.  ``wall`` stamps the drift record.
     """
-    from ..core.api import containment_join
-    from .drift import compute_drift, record_drift
+    from ..core.operator import run_disk_join
+    from .drift import append_drift_jsonl, compute_drift, record_drift
     from .trace import Tracer
 
     report = explain_join(
@@ -634,19 +638,18 @@ def analyze_join(
     )
     if tracer is None:
         tracer = Tracer()
-    pairs, metrics = containment_join(
-        lhs, rhs, algorithm, num_partitions,
-        signature_bits=signature_bits, model=model, seed=seed,
-        workers=workers, backend=backend, tracer=tracer,
+    pairs, metrics = run_disk_join(
+        lhs, rhs, report.plan.build_partitioner(seed),
+        signature_bits=signature_bits, workers=workers, backend=backend,
+        tracer=tracer,
     )
     attach_observed(report, tracer, metrics)
     drift = compute_drift(
-        report.root.predicted, metrics, wall=wall
+        report.root.predicted, metrics, wall=wall,
+        observed=report.root.observed,
     )
     record_drift(drift, registry=registry)
     if drift_path is not None:
-        from .drift import append_drift_jsonl
-
         append_drift_jsonl(drift, drift_path)
     return AnalyzeResult(report=report, pairs=pairs, metrics=metrics,
                          drift=drift)

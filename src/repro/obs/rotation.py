@@ -2,10 +2,8 @@
 
 Long-lived services append JSONL histories — drift records, per-query
 span traces, postmortems — that would otherwise grow without bound.
-:func:`rotate_jsonl` is the shared rotation discipline, generalized
-from the drift-history rotation the query service has run on startup
-since PR 6 (:func:`repro.obs.drift.rotate_drift_jsonl` now delegates
-here):
+:func:`rotate_jsonl` is the one rotation discipline; a drift history
+rotates through it with ``parse=``:func:`repro.obs.drift.drift_line`:
 
 * **Fingerprint check** — a sidecar ``<path>.meta.json`` records the
   environment that produced the history.  When the stored fingerprint

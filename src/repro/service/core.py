@@ -743,15 +743,12 @@ class QueryService:
         }
         flight_on = self._flight is not None
         plan = None
-        prediction = None
         if algorithm == "auto":
             # Plan once — through the cache when enabled.  The plan is
             # recorded, predicts for the drift record, and builds the
             # partitioner every attempt runs, so the database never
             # samples statistics a second time to re-derive it.
             plan = self._plan_for(r_name, s_name)
-            if self._drift is not None:
-                prediction = plan.prediction(self.db.model)
             record.plan = {
                 "algorithm": plan.algorithm,
                 "k": plan.k,
@@ -762,7 +759,9 @@ class QueryService:
                 "theta_s": round(plan.theta_s, 3),
             }
             if flight_on:
-                record.plan["explain"] = plan.explain().splitlines()
+                record.plan["explain"] = str(
+                    plan.explain(**request)
+                ).splitlines()
         else:
             # A named algorithm skips the optimizer; the request itself
             # is the plan of record.
@@ -846,8 +845,8 @@ class QueryService:
             record.spans = tracer.export()
             if self._trace is not None:
                 self._trace.append(*record.spans)
-        if prediction is not None:
-            self._record_drift(prediction, metrics)
+        if plan is not None and self._drift is not None:
+            self._record_drift(plan.prediction(), metrics)
         return pairs, metrics
 
     def _plan_for(self, r_name: str, s_name: str):

@@ -108,7 +108,7 @@ class TestDatabase:
             db.create_relation("s", rhs)
             plan = db.plan("r", "s")
             assert plan.algorithm in ("DCJ", "PSJ")
-            text = db.explain("r", "s")
+            text = str(db.explain("r", "s"))
             assert "chosen:" in text
             assert "best DCJ" in text and "best PSJ" in text
 
@@ -117,7 +117,7 @@ class TestDatabase:
         with SetJoinDatabase.open() as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            report = db.explain_plan("r", "s", algorithm="DCJ",
+            report = db.explain("r", "s", algorithm="DCJ",
                                      num_partitions=8)
             text = report.render()
             assert report.mode == "explain"
@@ -126,7 +126,7 @@ class TestDatabase:
             # Built from catalog statistics alone — nothing executed, so
             # EXPLAIN must not grow the database.
             pages_before = db.disk.num_pages
-            db.explain_plan("r", "s")
+            db.explain("r", "s")
             assert db.disk.num_pages == pages_before
 
     def test_explain_plan_auto_matches_the_optimizer(self, relations):
@@ -135,7 +135,7 @@ class TestDatabase:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
             plan = db.plan("r", "s")
-            report = db.explain_plan("r", "s")
+            report = db.explain("r", "s")
             assert report.root.detail == f"{plan.algorithm} k={plan.k}"
 
     def test_stats_report_join_latency_percentiles(self, relations):
@@ -300,9 +300,9 @@ class TestAdaptivePlanning:
         with SetJoinDatabase.open(model_store=store) as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            stale = db.explain_plan("r", "s").root.detail
+            stale = db.explain("r", "s").root.detail
             refit()
-            report = db.explain_plan("r", "s")
+            report = db.explain("r", "s")
             __, metrics = db.join("r", "s")
             assert report.root.detail == (
                 f"{metrics.algorithm} k={metrics.num_partitions}"

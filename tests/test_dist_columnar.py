@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.psj import _mix
-from repro.database import SetJoinDatabase, resolve_configuration
+from repro.database import SetJoinDatabase
 from repro.dist import ShardedDatabase, deterministic_partitioner
 from repro.dist.placement import PlacementReport, assign_shard, home_shards
 
@@ -179,7 +179,7 @@ def test_sharded_join_matches_the_per_row_oracle(
     if s_name == "s_one_home" and len(sharded.shards) > 1:
         assert sharded.shards[1].db.relation_size(s_name) == 0
     partitioner = deterministic_partitioner(
-        resolve_configuration(sharded, "r", s_name, algorithm, k, 0)[-1])
+        sharded.plan("r", s_name, algorithm, k).build_partitioner(0))
 
     pairs, metrics = sharded.join("r", s_name, algorithm, k)
     report = sharded.last_placement

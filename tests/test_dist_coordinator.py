@@ -143,7 +143,7 @@ class TestCoordinatorSurface:
         with ShardedDatabase.open(None, shards=3) as db:
             db.create_relation("r", r_rows)
             db.create_relation("s", s_rows)
-            text = db.explain("r", "s")
+            text = str(db.explain("r", "s"))
         assert "replication" in text and "factor" in text
         assert "3 shards" in text
 
@@ -272,18 +272,22 @@ class TestReshard:
             assert db.shard_ids == [0, 1]
 
 
-class TestRunDiskJoinShards:
-    def test_run_disk_join_shards_parameter(self, small_workload):
+class TestPrebuiltPartitioner:
+    def test_sharded_join_runs_a_prebuilt_partitioner(self, small_workload):
+        """``join(partitioner=)`` skips planning (the query service passes
+        its plan's partitioner) and stays bit-identical to one testbed."""
         from repro.core.operator import run_disk_join
 
         lhs, rhs = small_workload
         base_pairs, base = run_disk_join(
             lhs, rhs, deterministic_partitioner(PSJPartitioner(8))
         )
-        pairs, metrics = run_disk_join(
-            lhs, rhs, deterministic_partitioner(PSJPartitioner(8)),
-            shards=3,
-        )
+        with ShardedDatabase.open(None, shards=3) as db:
+            db.create_relation("R", lhs)
+            db.create_relation("S", rhs)
+            pairs, metrics = db.join(
+                "R", "S", partitioner=PSJPartitioner(8)
+            )
         assert pairs == base_pairs
         assert metrics.signature_comparisons == base.signature_comparisons
         assert metrics.replicated_signatures == base.replicated_signatures

@@ -93,7 +93,7 @@ def test_every_entry_point_runs_the_same_join(workloads, capsys,
         assert _summary(*db.join(
             "R", "S", algorithm=algorithm, num_partitions=k, seed=seed
         )) == reference
-        assert db.explain_plan(
+        assert db.explain(
             "R", "S", algorithm, k, seed=seed
         ).root.children[0].detail == described
 

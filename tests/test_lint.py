@@ -59,6 +59,11 @@ One more keeps the ablations single (DESIGN.md, "One ablation system"):
 the ``repro.ablate`` package and the ``setjoins ablate`` subcommand stay
 deleted; every ablation is an experiment in ``experiments/ablations.py``.
 
+Two keep the plan single (DESIGN.md, "One plan"): the model is priced
+only inside ``JoinPlan.prediction``, the plan is rendered only in
+``obs/explain.py``, and the second resolvers, ``explain_plan`` and
+``rotate_drift_jsonl`` stay deleted.
+
 A last one keeps the distributed join columnar (DESIGN.md, "Columnar
 distributed join"): the coordinator's placement, join and load and the
 shard's summary and join scan no row, route no tuple and build no set
@@ -456,7 +461,7 @@ RUN_DISK_JOIN_OPTIONS = [
     "lhs", "rhs", "partitioner", "signature_bits", "buffer_pages",
     "buffer_policy", "payload_size", "path", "monolithic_partitions",
     "resident_partitions", "spill_candidates", "workers", "backend",
-    "shard_timeout", "tracer", "shards",
+    "shard_timeout", "tracer",
 ]
 JOIN_PARTITION_PARAMETERS = [
     "signature_bits", "r_source", "s_source", "partition", "add",
@@ -758,4 +763,51 @@ def test_distributed_join_is_columnar():
         "stores the R portion (scan_batches, route with assign_r_batch/"
         "assign_s_batch, ship (tids, elements, offsets) arrays and join "
         "them as an ArrayRelation):\n" + "\n".join(bad)
+    )
+
+
+#: The model's two pricing calls: a plan's x, y and time terms.
+PRICING_CALLS = ("predict_quantities", "predict_terms")
+#: Text of the second resolvers, the second EXPLAIN entry and the drift
+#: wrapper over the shared rotation.
+RETIRED_PLAN_TEXT = (
+    "def resolve_configuration", "explain_plan", "rotate_drift_jsonl",
+)
+
+
+def test_one_plan_is_priced_once_and_rendered_once():
+    bad = []
+    for path, tree in _walk_library():
+        allowed = range(0)
+        if path == LIBRARY_ROOT / "core" / "optimizer.py":
+            (prediction,) = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "prediction"
+            ]
+            allowed = range(prediction.lineno, prediction.end_lineno + 1)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in PRICING_CALLS and node.lineno not in allowed:
+                bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                           f"{name}()")
+        text = path.read_text()
+        if ("closest candidates" in text
+                and path != LIBRARY_ROOT / "obs" / "explain.py"):
+            bad.append(f"{path.relative_to(REPO_ROOT)}: a second renderer "
+                       "of the optimizer's decision")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for needle in RETIRED_PLAN_TEXT:
+                if needle in line:
+                    bad.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: "
+                               f"{needle}")
+    assert _module_function(
+        "obs/explain.py", "build_plan_from_statistics"
+    )[0] == "plan", "build_plan_from_statistics renders a JoinPlan"
+    assert not bad, (
+        "a plan is priced, resolved or rendered a second time (price in "
+        "JoinPlan.prediction, resolve in core.optimizer.resolve_plan, "
+        "render through JoinPlan.explain):\n" + "\n".join(bad)
     )

@@ -13,11 +13,19 @@ from repro.obs.drift import (
     append_drift_jsonl,
     calibration_residuals,
     compute_drift,
+    drift_line,
     read_drift_jsonl,
     record_drift,
     summarize_drift,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.obs.rotation import environment_fingerprint, rotate_jsonl
+
+
+def rotate_drift(path, **kwargs):
+    """A drift history rotates through the shared rotation, its lines
+    parsed back into records (what the service's drift sink does)."""
+    return rotate_jsonl(path, parse=drift_line, **kwargs)
 
 
 def make_metrics(**overrides):
@@ -55,15 +63,28 @@ class TestComputeDrift:
         assert record.errors["comparisons"] == pytest.approx(0.1)
         assert record.errors["replicated"] == pytest.approx(0.5)
 
-    def test_accepts_metrics_style_key_aliases(self):
+    def test_metrics_style_key_aliases_are_refused(self):
+        """One spelling: a prediction is JoinPlan.prediction()'s keys."""
         prediction = {
             "seconds": 1.0,
             "signature_comparisons": 1000,
             "replicated_signatures": 200,
         }
-        record = compute_drift(prediction, make_metrics(), wall=lambda: 0.0)
-        assert record.errors["comparisons"] == 0.0
-        assert record.errors["replicated"] == 0.0
+        with pytest.raises(ConfigurationError, match="comparisons"):
+            compute_drift(prediction, make_metrics(), wall=lambda: 0.0)
+
+    def test_given_observations_replace_the_metrics(self):
+        record = compute_drift(
+            {"seconds": 1.0, "comparisons": 1000, "replicated": 200},
+            make_metrics(), wall=lambda: 0.0,
+            observed={"seconds": 2.0, "comparisons": 1000, "replicated": 100,
+                      "results": 7},
+        )
+        assert record.observed == {
+            "seconds": 2.0, "comparisons": 1000, "replicated": 100,
+        }
+        assert record.errors["seconds"] == pytest.approx(0.5)
+        assert record.errors["replicated"] == pytest.approx(-1.0)
 
     def test_missing_prediction_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -203,10 +224,8 @@ class TestRotateDriftJsonl:
             append_drift_jsonl(make_record(), str(path))
 
     def test_missing_file_writes_meta_sidecar_only(self, tmp_path):
-        from repro.obs.drift import rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
-        out = rotate_drift_jsonl(str(path))
+        out = rotate_drift(str(path))
         assert out == {"archived": False, "rotated": False,
                        "kept": 0, "dropped": 0}
         assert not path.exists()
@@ -216,39 +235,31 @@ class TestRotateDriftJsonl:
         }
 
     def test_small_file_under_cap_untouched(self, tmp_path):
-        from repro.obs.drift import rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
         self.write_history(path, 5)
         before = path.read_text()
-        out = rotate_drift_jsonl(str(path), max_bytes=1 << 20)
+        out = rotate_drift(str(path), max_bytes=1 << 20)
         assert not out["rotated"]
         assert path.read_text() == before
 
     def test_oversize_file_compacts_to_newest_records(self, tmp_path):
-        from repro.obs.drift import rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
         self.write_history(path, 50)
-        out = rotate_drift_jsonl(str(path), max_bytes=100, keep=10)
+        out = rotate_drift(str(path), max_bytes=100, keep=10)
         assert out["rotated"]
         assert out["kept"] == 10 and out["dropped"] == 40
         assert len(read_drift_jsonl(str(path))) == 10
 
     def test_compaction_sheds_malformed_lines(self, tmp_path):
-        from repro.obs.drift import rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
         self.write_history(path, 5)
         with open(path, "a") as handle:
             handle.write("{not json}\n")
             handle.write('{"timestamp": 1}\n')  # missing required keys
-        rotate_drift_jsonl(str(path), max_bytes=10, keep=100)
+        rotate_drift(str(path), max_bytes=10, keep=100)
         assert len(read_drift_jsonl(str(path))) == 5  # all valid, no junk
 
     def test_foreign_fingerprint_archives_the_history(self, tmp_path):
-        from repro.obs.drift import environment_fingerprint, rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
         self.write_history(path, 3)
         # Stamp the sidecar as if written on another machine.
@@ -256,7 +267,7 @@ class TestRotateDriftJsonl:
         (tmp_path / "drift.jsonl.meta.json").write_text(
             json.dumps({"fingerprint": alien})
         )
-        out = rotate_drift_jsonl(str(path))
+        out = rotate_drift(str(path))
         assert out["archived"]
         assert not path.exists()  # moved aside, not silently reused
         assert len(read_drift_jsonl(str(path) + ".stale")) == 3
@@ -265,11 +276,9 @@ class TestRotateDriftJsonl:
         assert meta["fingerprint"] == environment_fingerprint()
 
     def test_matching_fingerprint_keeps_the_history(self, tmp_path):
-        from repro.obs.drift import rotate_drift_jsonl
-
         path = tmp_path / "drift.jsonl"
         self.write_history(path, 3)
-        rotate_drift_jsonl(str(path))   # stamps the current fingerprint
-        out = rotate_drift_jsonl(str(path))  # second startup: same machine
+        rotate_drift(str(path))   # stamps the current fingerprint
+        out = rotate_drift(str(path))  # second startup: same machine
         assert not out["archived"]
         assert len(read_drift_jsonl(str(path))) == 3

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.api import containment_join
+from repro.core.optimizer import JoinPlan
 from repro.data.workloads import uniform_workload
 from repro.errors import ConfigurationError
 from repro.obs.explain import (
@@ -157,8 +158,9 @@ class TestExplain:
             explain_join(Relation([]), rhs)
 
     def test_build_plan_rejects_non_positive_theta(self):
+        plan = JoinPlan("DCJ", 8, 1.0, 0.0, 12.0, 100, 100)
         with pytest.raises(ConfigurationError):
-            build_plan_from_statistics("DCJ", 8, 100, 100, 0.0, 12.0)
+            build_plan_from_statistics(plan)
 
     def test_time_terms_split_onto_the_phases(self, relations):
         lhs, rhs = relations

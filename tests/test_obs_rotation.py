@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.drift import drift_line, rotate_drift_jsonl
+from repro.obs.drift import drift_line
 from repro.obs.rotation import JsonlSink, environment_fingerprint, rotate_jsonl
 from repro.service.capture import capture_line
 
@@ -125,7 +125,7 @@ class TestDriftDelegation:
             for __ in range(50):
                 handle.write(json.dumps(record) + "\n")
             handle.write("not a drift record\n")
-        out = rotate_drift_jsonl(path, max_bytes=10, keep=5)
+        out = rotate_jsonl(path, max_bytes=10, keep=5, parse=drift_line)
         assert out["rotated"] is True
         assert out["kept"] == 5
         assert os.path.exists(path + ".meta.json")

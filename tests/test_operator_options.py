@@ -302,15 +302,6 @@ class TestOptionValidation:
         assert not path.exists()
 
     @pytest.mark.parametrize("options, named", SHARED_INVALID)
-    def test_sharded_run_disk_join(self, relations, monkeypatch, options,
-                                   named):
-        from repro.dist import ShardedDatabase
-
-        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
-        with pytest.raises(ConfigurationError, match=named):
-            run_disk_join(*relations, PSJPartitioner(4), shards=2, **options)
-
-    @pytest.mark.parametrize("options, named", SHARED_INVALID)
     def test_database_join(self, relations, options, named):
         from repro.database import SetJoinDatabase
 
@@ -333,36 +324,13 @@ class TestOptionValidation:
             with pytest.raises(ConfigurationError, match=named):
                 db.join("R", "S", "PSJ", 4, **options)
 
-    @pytest.mark.parametrize("option, value", [
-        ("path", "join.db"),
-        ("payload_size", 64),
-        ("monolithic_partitions", True),
-        ("resident_partitions", 2),
-        ("spill_candidates", True),
-    ])
-    def test_sharded_run_refuses_testbed_options(
-        self, relations, tmp_path, monkeypatch, option, value
-    ):
-        """A sharded ``run_disk_join`` builds no testbed, so it cannot
-        honour these; it names the option instead of dropping it."""
-        from repro.dist import ShardedDatabase
-
-        if option == "path":
-            value = str(tmp_path / value)
-        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
-        with pytest.raises(ConfigurationError, match=option):
-            run_disk_join(*relations, PSJPartitioner(4), shards=2,
-                          **{option: value})
-        assert not (tmp_path / "join.db").exists()
-
     @pytest.mark.parametrize("shards", [0, -1, 1.5, True, "2", None])
-    def test_shard_count(self, relations, monkeypatch, shards):
-        from repro.dist import ShardedDatabase
+    def test_shard_count(self, monkeypatch, shards):
+        from repro.dist import Shard, ShardedDatabase
 
-        monkeypatch.setattr(ShardedDatabase, "open", _refuse)
-        monkeypatch.setattr(Testbed, "load", _refuse)
+        monkeypatch.setattr(Shard, "open", _refuse)
         with pytest.raises(ConfigurationError, match="shards"):
-            run_disk_join(*relations, PSJPartitioner(4), shards=shards)
+            ShardedDatabase.open(None, shards=shards)
 
     def test_valid_edge_values_run(self, relations):
         import numpy as np
@@ -371,8 +339,16 @@ class TestOptionValidation:
         for options in (
             {"workers": np.int64(2), "backend": "thread", "shard_timeout": 30},
             {"resident_partitions": np.int64(9), "shard_timeout": 0.5},
-            {"workers": 2, "shards": np.int64(2), "backend": "thread"},
-            {"payload_size": 64, "shards": 1},
+            {"workers": 2, "backend": "thread"},
+            {"payload_size": 64},
         ):
             pairs, __ = run_disk_join(*relations, PSJPartitioner(4), **options)
             assert pairs == expected, options
+        from repro.dist import ShardedDatabase
+
+        with ShardedDatabase.open(None, shards=np.int64(2)) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            pairs, __ = db.join("R", "S", "PSJ", 4, workers=2,
+                                backend="thread")
+        assert pairs == expected
