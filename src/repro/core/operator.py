@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from itertools import compress
-from numbers import Integral, Real
+from numbers import Integral
 from operator import attrgetter
 from typing import Iterable
 
@@ -44,6 +44,7 @@ import numpy as np
 from ..errors import ConfigurationError, SetJoinError
 from ..obs.registry import get_registry
 from ..obs.trace import current_tracer, use_tracer
+from ..parallel.executor import Execution
 from ..storage.buffer import BufferPool
 from ..storage.pager import DiskManager, FileDiskManager, InMemoryDiskManager
 from ..storage.partition_store import PartitionStore
@@ -556,7 +557,7 @@ def _scalar_hit_counts(
 
 def check_join_options(
     signature_bits=DEFAULT_SIGNATURE_BITS, workers=1, parallel_backend="serial",
-    shard_timeout=None, resident_partitions=0, spill_candidates=False,
+    resident_partitions=0, spill_candidates=False,
 ) -> int:
     """Raise :class:`ConfigurationError` on options no join runs with,
     before anything is stored or placed; returns ``signature_bits`` as an
@@ -576,14 +577,6 @@ def check_join_options(
     if parallel_backend not in BACKENDS:
         raise ConfigurationError(
             f"parallel_backend must be one of {BACKENDS}, got {parallel_backend!r}"
-        )
-    if shard_timeout is not None and (
-        isinstance(shard_timeout, bool)
-        or not isinstance(shard_timeout, Real)
-        or not shard_timeout > 0
-    ):
-        raise ConfigurationError(
-            f"shard_timeout must be None or seconds > 0, got {shard_timeout!r}"
         )
     if workers > 1 and spill_candidates:
         raise ConfigurationError(
@@ -606,10 +599,8 @@ class SetContainmentJoin:
         spill_candidates: bool = False,
         workers: int = 1,
         parallel_backend: str = "serial",
-        shard_timeout: float | None = None,
-        shard_hook=None,
+        execution: Execution = Execution(),
         tracer=None,
-        query_id: int | None = None,
     ):
         """Configure the operator.
 
@@ -628,7 +619,7 @@ class SetContainmentJoin:
           writing out potentially joining tuple identifiers of all
           partitions to disk may improve performance").
 
-        ``workers``/``parallel_backend``/``shard_timeout`` engage the
+        ``workers``/``parallel_backend``/``execution`` engage the
         partition-parallel execution engine (:mod:`repro.parallel`):
         with ``workers > 1`` the joining phase's partition pairs are
         sharded across workers (largest-partition-first) and executed by
@@ -650,7 +641,7 @@ class SetContainmentJoin:
         if testbed.relation_r is None or testbed.relation_s is None:
             raise ConfigurationError("testbed has no loaded relations")
         signature_bits = check_join_options(
-            signature_bits, workers, parallel_backend, shard_timeout,
+            signature_bits, workers, parallel_backend,
             resident_partitions, spill_candidates,
         )
         self.testbed = testbed
@@ -664,24 +655,13 @@ class SetContainmentJoin:
         self.spill_candidates = spill_candidates
         self.workers = workers
         self.parallel_backend = parallel_backend
-        self.shard_timeout = shard_timeout
-        #: optional callable receiving every ShardSpec just before
-        #: dispatch; the chaos layer (repro.service.chaos) uses it to arm
-        #: per-shard delays, I/O faults and worker kills.
-        self.shard_hook = shard_hook
+        self.execution = execution
         self.tracer = tracer
-        #: service-level query this run serves; stamped on the join span
-        #: and threaded into worker shard specs so every span of the run
-        #: stitches back to one query trace.
-        self.query_id = query_id
         #: the tracer run() resolved, before any phase starts.  Phases and
         #: the parallel engine read this instead of the ambient global,
         #: which is a shared slot and races when the dist coordinator runs
         #: shard joins on threads.
         self._run_tracer = None
-        #: test hook threaded into parallel workers: fail the worker's own
-        #: disk manager after N physical I/Os (see repro.parallel.worker).
-        self._worker_fault_after: int | None = None
         #: memory-resident partitions, each an entry run in the partition
         #: stores' own byte format (see encode_partition_entry).
         self._resident_r: list[bytearray] = []
@@ -710,16 +690,14 @@ class SetContainmentJoin:
         tracer = self.tracer if self.tracer is not None else current_tracer()
         self._run_tracer = tracer
         pool_before = self.testbed.pool.stats.snapshot()
-        root_attrs = dict(
+        with use_tracer(tracer), tracer.span(
+            "join",
             algorithm=metrics.algorithm,
             k=metrics.num_partitions,
             r_size=metrics.r_size,
             s_size=metrics.s_size,
             workers=self.workers,
-        )
-        if self.query_id is not None:
-            root_attrs["query_id"] = self.query_id
-        with use_tracer(tracer), tracer.span("join", **root_attrs) as root:
+        ) as root:
             parts_r, parts_s = self._partition_phase(metrics)
             candidates: _CandidateSink | None = None
             try:
@@ -1087,7 +1065,6 @@ def run_disk_join(
     spill_candidates: bool = False,
     workers: int = 1,
     backend: str = "serial",
-    shard_timeout: float | None = None,
     tracer=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Convenience wrapper: build a testbed, load, join, tear down.
@@ -1100,8 +1077,7 @@ def run_disk_join(
     ``tracer`` enables span tracing of the run (see :mod:`repro.obs`).
     """
     check_join_options(
-        signature_bits, workers, backend, shard_timeout,
-        resident_partitions, spill_candidates,
+        signature_bits, workers, backend, resident_partitions, spill_candidates,
     )
     with Testbed(path=path, buffer_pages=buffer_pages,
                  buffer_policy=buffer_policy) as testbed:
@@ -1115,7 +1091,6 @@ def run_disk_join(
             spill_candidates=spill_candidates,
             workers=workers,
             parallel_backend=backend,
-            shard_timeout=shard_timeout,
             tracer=tracer,
         )
         return join.run()

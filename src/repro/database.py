@@ -33,6 +33,7 @@ from .core.optimizer import JoinPlan, resolve_plan
 from .core.sets import Relation, SetTuple
 from .core.signatures import DEFAULT_SIGNATURE_BITS
 from .errors import ConfigurationError, StorageError
+from .parallel.executor import Execution
 from .storage.buffer import BufferPool
 from .storage.catalog import Catalog
 from .storage.btree import BTree
@@ -81,19 +82,32 @@ class JoinPlanner:
         s_name: str,
         algorithm: str = "auto",
         num_partitions: int | None = None,
+        cache=None,
     ) -> JoinPlan:
         """The one plan of a join of two stored relations
         (:func:`~repro.core.optimizer.resolve_plan` over their statistics,
         priced by the model store's freshest model): what ``join`` runs
-        and ``explain`` renders."""
+        and ``explain`` renders.  A ``cache`` (the service's
+        :class:`~repro.service.core.PlanCache`) is keyed on everything
+        the plan depends on, statistics and model included."""
         self._check_open()
-        self.refresh_model()
+        model = self.refresh_model()
         r_size, theta_r = self._statistics(r_name)
         s_size, theta_s = self._statistics(s_name, seed=1)
-        return resolve_plan(
-            algorithm, num_partitions, r_size, theta_r, s_size, theta_s,
-            self.model,
+        key = (
+            r_name, s_name, algorithm, num_partitions, r_size,
+            round(theta_r, 9), s_size, round(theta_s, 9),
+            model.c1, model.c2, model.c3,
         )
+        plan = cache.lookup(key) if cache is not None else None
+        if plan is None:
+            plan = resolve_plan(
+                algorithm, num_partitions, r_size, theta_r, s_size, theta_s,
+                model,
+            )
+            if cache is not None:
+                cache.store(key, plan)
+        return plan
 
 
 class SetJoinDatabase(JoinPlanner):
@@ -335,10 +349,8 @@ class SetJoinDatabase(JoinPlanner):
         seed: int = 0,
         workers: int = 1,
         backend: str = "serial",
-        shard_timeout: float | None = None,
-        shard_hook=None,
+        execution: Execution = Execution(),
         tracer=None,
-        query_id: int | None = None,
         partitioner=None,
     ) -> tuple[set[tuple[int, int]], JoinMetrics]:
         """Set containment join of two stored relations (R ⊆ S side order).
@@ -347,12 +359,12 @@ class SetJoinDatabase(JoinPlanner):
         written into the same file and reclaimed afterwards.  ``tracer``
         records a span tree of the run (see :mod:`repro.obs`).
 
-        ``workers``/``backend``/``shard_timeout`` engage the
+        ``workers``/``backend``/``execution`` engage the
         partition-parallel engine exactly as on
         :class:`~repro.core.operator.SetContainmentJoin`; the query
-        service uses ``shard_timeout`` to propagate per-query deadlines
-        down to the shard level and ``shard_hook`` to inject chaos.
-        Results are bit-identical at any worker count.
+        service's :class:`~repro.parallel.executor.Execution` carries a
+        query's remaining deadline and its chaos hook down to the
+        workers.  Results are bit-identical at any worker count.
 
         ``partitioner`` bypasses planning entirely: the given partitioner
         runs as-is with no statistics sampling (the
@@ -370,8 +382,7 @@ class SetJoinDatabase(JoinPlanner):
         join = SetContainmentJoin(
             testbed, partitioner, signature_bits=signature_bits,
             workers=workers, parallel_backend=backend,
-            shard_timeout=shard_timeout, shard_hook=shard_hook,
-            tracer=tracer, query_id=query_id,
+            execution=execution, tracer=tracer,
         )
         pairs, metrics = join.run(cold_cache=False)
         # Publish to the process registry so long-lived sessions (and the

@@ -59,7 +59,7 @@ from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import JoinPlanner
 from ..errors import ConfigurationError
 from ..obs.trace import current_tracer, use_tracer
-from ..parallel.executor import resolve_backend
+from ..parallel.executor import Execution, resolve_backend
 from ..parallel.merge import ShardResult, merge_results
 from .placement import (
     PlacementReport,
@@ -405,11 +405,9 @@ class ShardedDatabase(JoinPlanner):
         seed: int = 0,
         workers: int = 1,
         backend: str = "serial",
-        shard_timeout: "float | None" = None,
-        shard_hook=None,
+        execution: Execution = Execution(),
         tracer=None,
         partitioner=None,
-        query_id: "int | None" = None,
     ) -> tuple[set[tuple[int, int]], JoinMetrics]:
         """Distributed set containment join; same contract as
         :meth:`SetJoinDatabase.join`.
@@ -422,23 +420,19 @@ class ShardedDatabase(JoinPlanner):
         self._check_open()
         # Every shard's operator checks its options too, but only after
         # placement has run and shipped the R portions.
-        signature_bits = check_join_options(
-            signature_bits, workers, backend, shard_timeout
-        )
+        signature_bits = check_join_options(signature_bits, workers, backend)
         if partitioner is None:
             partitioner = self.plan(
                 r_name, s_name, algorithm, num_partitions
             ).build_partitioner(seed)
         partitioner = deterministic_partitioner(partitioner)
         tracer = tracer if tracer is not None else current_tracer()
-        root_attrs = dict(
+        with use_tracer(tracer), tracer.span(
+            "dist.join",
             shards=len(self.shards),
             algorithm=partitioner.name,
             k=partitioner.num_partitions,
-        )
-        if query_id is not None:
-            root_attrs["query_id"] = query_id
-        with use_tracer(tracer), tracer.span("dist.join", **root_attrs) as root:
+        ) as root:
             placement_started = time.perf_counter()
             planner, portions = self._place(r_name, s_name, partitioner)
             report = planner.report()
@@ -451,10 +445,8 @@ class ShardedDatabase(JoinPlanner):
                     signature_bits=signature_bits,
                     workers=workers,
                     backend=backend,
-                    shard_timeout=shard_timeout,
-                    shard_hook=shard_hook,
-                    trace=tracer.enabled,
-                    query_id=query_id,
+                    execution=execution,
+                    trace=dict(tracer.tags) if tracer.enabled else None,
                 )
                 for sid, portion in sorted(portions.items()) if portion
             ]

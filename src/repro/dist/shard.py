@@ -34,6 +34,7 @@ import numpy as np
 from ..core.operator import SetContainmentJoin, Testbed
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import SetJoinDatabase
+from ..parallel.executor import Execution
 from ..parallel.merge import ShardResult
 from ..storage.relation_store import _TID_LIMIT, BATCH_TUPLES
 from .placement import ShardSummary, summarize_batches
@@ -127,14 +128,10 @@ class ShardJoinRequest:
     signature_bits: int = DEFAULT_SIGNATURE_BITS
     workers: int = 1
     backend: str = "serial"
-    shard_timeout: "float | None" = None
-    shard_hook: object = None
-    #: build a span tree for this shard join and ship it back in the
-    #: result (plain dicts, so the message stays serializable).
-    trace: bool = False
-    #: the service-level query this join serves; stamped on every span
-    #: so cross-shard traces stitch into one query tree.
-    query_id: "int | None" = None
+    execution: Execution = Execution()
+    #: the coordinator tracer's tags (a served query's ``query_id``) to
+    #: stamp on the span tree shipped back in the result; ``None``: untraced.
+    trace: "dict | None" = None
 
 
 class Shard:
@@ -197,13 +194,10 @@ class Shard:
         # coordinator stitches them, exactly like process workers.
         tracer = None
         shard_span = None
-        if request.trace:
+        if request.trace is not None:
             from ..obs.trace import Tracer
 
-            tags = {"shard_id": self.shard_id}
-            if request.query_id is not None:
-                tags["query_id"] = request.query_id
-            tracer = Tracer(tags=tags)
+            tracer = Tracer(tags={"shard_id": self.shard_id, **request.trace})
             shard_span = tracer.start(
                 "dist.shard", shard_id=self.shard_id,
                 r_rows=len(portion), s_rows=len(s_store),
@@ -218,10 +212,8 @@ class Shard:
                 signature_bits=request.signature_bits,
                 workers=request.workers,
                 parallel_backend=request.backend,
-                shard_timeout=request.shard_timeout,
-                shard_hook=request.shard_hook,
+                execution=request.execution,
                 tracer=tracer,
-                query_id=request.query_id,
             )
             pairs, metrics = join.run(cold_cache=False)
         except BaseException as error:

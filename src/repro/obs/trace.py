@@ -190,15 +190,16 @@ class Tracer:
                 records.append(span.to_record())
         return records
 
-    def child(self) -> "Tracer":
-        """A fresh tracer sharing this tracer's clocks.
+    def child(self, tags: dict) -> "Tracer":
+        """A fresh tracer sharing this tracer's clocks, tagged with
+        ``tags``.
 
         In-process workers (the serial and thread parallel backends) use
         this so their span trees stay on the parent's timeline — and stay
         deterministic when the parent's clocks are injected fakes.
         """
         return Tracer(clock=self._clock, wall=lambda: self._now(),
-                      tags=self.tags)
+                      tags=tags)
 
     def adopt(self, records: list[dict], parent: Span | None = None) -> list[Span]:
         """Graft foreign span records into this tracer's tree.

@@ -30,13 +30,14 @@ semantics bit for bit:
   :class:`~repro.core.operator.SetContainmentJoin`.
 
 Entry points: ``run_disk_join(..., workers=4, backend="process")``,
-``SetContainmentJoin(..., workers=, parallel_backend=)``, or the CLI's
-``join --workers N --parallel-backend process``.
+``SetContainmentJoin(..., workers=, parallel_backend=, execution=)``, or
+the CLI's ``join --workers N --parallel-backend process``.
 """
 
 from .engine import run_parallel_join
 from .executor import (
     BACKENDS,
+    Execution,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -49,6 +50,7 @@ from .worker import FileSource, ShardSpec, run_shard
 
 __all__ = [
     "BACKENDS",
+    "Execution",
     "ExecutionBackend",
     "FileSource",
     "PartitionTask",

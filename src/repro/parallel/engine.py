@@ -78,17 +78,21 @@ def run_parallel_join(
     # thread workers share the parent's registry, so their increments
     # are already here and a merged delta would double-count.
     collect_metrics = backend.name == "process"
+    # A traced shard stamps the run's tracer tags (a served query's id)
+    # on its own root span, whichever process it runs in.
+    trace = dict(tracer.tags) if tracer.enabled else None
     specs = [
         _build_spec(join, parts_r, parts_s, shard, file_source,
-                    collect_metrics, trace=tracer.enabled)
+                    collect_metrics, trace)
         for shard in shards
     ]
     # The chaos hook (see repro.service.chaos) gets one look at every
     # spec before dispatch; it may arm delays, I/O faults, or kills.
-    if join.shard_hook is not None:
+    execution = join.execution
+    if execution.hook is not None:
         for spec in specs:
-            join.shard_hook(spec)
-    results = backend.run(run_shard, specs, timeout=join.shard_timeout)
+            execution.hook(spec)
+    results = backend.run(run_shard, specs, timeout=execution.timeout)
     # Each shard span is annotated with the scheduler's predicted
     # comparison count (exact under block nested loop: Σ |R_p|·|S_p|)
     # so EXPLAIN ANALYZE can show per-shard predicted-vs-observed skew.
@@ -127,7 +131,7 @@ def _describe_file_source(join, parts_r, parts_s) -> FileSource | None:
 
 
 def _build_spec(join, parts_r, parts_s, shard, file_source,
-                collect_metrics=False, trace=False) -> ShardSpec:
+                collect_metrics, trace) -> ShardSpec:
     inline_r: dict[int, bytes] = {}
     inline_s: dict[int, bytes] = {}
     resident = join.resident_partitions
@@ -150,10 +154,8 @@ def _build_spec(join, parts_r, parts_s, shard, file_source,
         file_source=file_source,
         inline_r=inline_r,
         inline_s=inline_s,
-        fail_after=join._worker_fault_after,
         parent_pid=os.getpid(),
         index=shard.index,
         trace=trace,
         collect_metrics=collect_metrics,
-        query_id=join.query_id,
     )

@@ -21,21 +21,58 @@ propagates unchanged.
 from __future__ import annotations
 
 import concurrent.futures
+import math
+import threading
 import time
+from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence
 
 from ..errors import ConfigurationError, ParallelExecutionError
 
 __all__ = [
     "BACKENDS",
+    "Execution",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "check_timeout",
     "resolve_backend",
 ]
 
 BACKENDS = ("serial", "thread", "process")
+
+
+def check_timeout(seconds, name: str = "timeout") -> None:
+    """Raise :class:`ConfigurationError` unless ``seconds`` is ``None``
+    or a wait a backend can time: finite seconds > 0, never a ``bool``."""
+    if seconds is not None and (
+        isinstance(seconds, bool)
+        or not isinstance(seconds, Real)
+        or not 0 < seconds < math.inf
+    ):
+        raise ConfigurationError(
+            f"{name} must be None or finite seconds > 0, got {seconds!r}"
+        )
+
+
+@dataclass(frozen=True)
+class Execution:
+    """What the query service sets for one join, read only by
+    :func:`repro.parallel.engine.run_parallel_join`: the workers' batch
+    ``timeout`` and the ``hook`` that sees each ``ShardSpec`` before
+    dispatch (the chaos injector's delays, I/O faults and kills)."""
+
+    timeout: "float | None" = None
+    hook: "Callable | None" = None
+
+    def __post_init__(self):
+        check_timeout(self.timeout)
+        if self.hook is not None and not callable(self.hook):
+            raise ConfigurationError(
+                f"hook must be None or callable, got {self.hook!r}"
+            )
 
 
 class ExecutionBackend:
@@ -113,7 +150,10 @@ class _PoolBackend(ExecutionBackend):
             for index, future in enumerate(futures):
                 remaining = None
                 if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
+                    # A wait longer than the platform can time is a wait
+                    # without end; past TIMEOUT_MAX it raises instead.
+                    remaining = min(max(0.0, deadline - time.monotonic()),
+                                    threading.TIMEOUT_MAX)
                 try:
                     results.append(future.result(timeout=remaining))
                 except concurrent.futures.TimeoutError:

@@ -89,16 +89,14 @@ class ShardSpec:
     parent_pid: int = 0
     #: this shard's index in the schedule (labels spans and results).
     index: int = 0
-    #: build a span tree in the worker and ship it back in the result.
-    trace: bool = False
+    #: the run's tracer tags (a served query's ``query_id``) to stamp on
+    #: the span tree shipped back in the result; ``None``: untraced.
+    trace: "dict | None" = None
     #: snapshot the worker's metrics-registry delta into the result.
     #: The engine sets this for the *process* backend only: serial and
     #: thread workers share the parent's registry (their increments land
     #: directly), so shipping a delta too would double-count.
     collect_metrics: bool = False
-    #: the service-level query this shard serves, stamped on the shard
-    #: span so cross-process traces stitch back to one query tree.
-    query_id: int | None = None
 
 
 def run_shard(spec: ShardSpec) -> ShardResult:
@@ -123,7 +121,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     pool = None
     failure = None
     pairs: set[tuple[int, int]] = set()
-    if not spec.trace:
+    if spec.trace is None:
         tracer = NULL_TRACER
     else:
         # In-process backends (serial/thread) still see the parent's
@@ -132,11 +130,13 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         # In a forked/spawned process the ambient tracer is the no-op
         # default and the worker falls back to real clocks.
         ambient = current_tracer()
-        tracer = ambient.child() if isinstance(ambient, Tracer) else Tracer()
-    span_attrs = {"index": spec.index, "partitions": len(spec.partitions)}
-    if spec.query_id is not None:
-        span_attrs["query_id"] = spec.query_id
-    shard_span = tracer.start("shard", **span_attrs)
+        tracer = (
+            ambient.child(tags=spec.trace) if isinstance(ambient, Tracer)
+            else Tracer(tags=spec.trace)
+        )
+    shard_span = tracer.start(
+        "shard", index=spec.index, partitions=len(spec.partitions)
+    )
     try:
         with use_tracer(tracer):
             if spec.chaos_delay > 0:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import threading
 import time
 
+from ..core.operator import check_join_options
 from ..database import SetJoinDatabase
 from ..errors import (
     AdmissionRejected,
@@ -61,6 +62,7 @@ from ..errors import (
     ServiceUnavailable,
     SetJoinError,
 )
+from ..parallel.executor import Execution, check_timeout
 from .queue import AdmissionQueue, Query, QueryTicket
 from .retry import BackendLadder, RetryPolicy, run_with_retries
 
@@ -95,8 +97,9 @@ class ServiceState:
 class PlanCache:
     """LRU cache of optimizer plans keyed on a statistics fingerprint.
 
-    The key is ``(r, s, |R|, θ_R, |S|, θ_S, c1, c2, c3)`` — everything
-    the optimizer's decision depends on — so a cached plan is only ever
+    :meth:`~repro.database.JoinPlanner.plan` keys it on ``(r, s,
+    algorithm, k, |R|, θ_R, |S|, θ_S, c1, c2, c3)`` — everything the
+    optimizer's decision depends on — so a cached plan is only ever
     reused while it would be re-derived identically: relation churn
     changes the statistics (and is invalidated eagerly by name anyway),
     and a model refit/rollback changes the coefficients (the service
@@ -209,10 +212,9 @@ class QueryService:
     ):
         from ..obs.registry import get_registry
 
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ConfigurationError("default_deadline must be positive")
+        check_join_options(workers=workers, parallel_backend=backend)
+        check_timeout(default_deadline, "default_deadline")
+        Execution(hook=chaos)  # a hook no attempt could run with fails here
         if database is None or isinstance(database, str):
             if shards is not None:
                 self.db = SetJoinDatabase.open_sharded(
@@ -465,8 +467,7 @@ class QueryService:
             )
         if deadline is None:
             deadline = self.default_deadline
-        if deadline is not None and deadline <= 0:
-            raise ConfigurationError("deadline must be positive seconds")
+        check_timeout(deadline, "deadline")
         now = self._clock()
         query = Query(
             kind=kind,
@@ -748,7 +749,7 @@ class QueryService:
             # recorded, predicts for the drift record, and builds the
             # partitioner every attempt runs, so the database never
             # samples statistics a second time to re-derive it.
-            plan = self._plan_for(r_name, s_name)
+            plan = self.db.plan(r_name, s_name, cache=self._plan_cache)
             record.plan = {
                 "algorithm": plan.algorithm,
                 "k": plan.k,
@@ -786,7 +787,7 @@ class QueryService:
 
         def attempt(backend: str):
             # The query's remaining budget is each shard's timeout.
-            shard_timeout = self._remaining(query)
+            execution = Execution(self._remaining(query), self.chaos)
             record.attempts += 1
             number = record.attempts
             record.event("attempt", number=number, backend=backend)
@@ -805,10 +806,8 @@ class QueryService:
                         r_name, s_name,
                         workers=self.workers,
                         backend=backend if self.workers > 1 else "serial",
-                        shard_timeout=shard_timeout,
-                        shard_hook=self.chaos,
+                        execution=execution,
                         tracer=tracer,
-                        query_id=query.query_id,
                         **request,
                     )
                 except BaseException as error:
@@ -848,28 +847,6 @@ class QueryService:
         if plan is not None and self._drift is not None:
             self._record_drift(plan.prediction(), metrics)
         return pairs, metrics
-
-    def _plan_for(self, r_name: str, s_name: str):
-        """Plan a join, reusing a cached plan when its statistics
-        fingerprint matches the current relations and model."""
-        from ..core.optimizer import plan_from_statistics
-
-        if self._plan_cache is None:
-            return self.db.plan(r_name, s_name)
-        model = self.db.refresh_model()
-        r_size, theta_r = self.db._statistics(r_name)
-        s_size, theta_s = self.db._statistics(s_name, seed=1)
-        key = (
-            r_name, s_name, r_size, round(theta_r, 9), s_size,
-            round(theta_s, 9), model.c1, model.c2, model.c3,
-        )
-        plan = self._plan_cache.lookup(key)
-        if plan is None:
-            plan = plan_from_statistics(
-                r_size, s_size, theta_r, theta_s, model
-            )
-            self._plan_cache.store(key, plan)
-        return plan
 
     # ------------------------------------------------------------------
     # The closed loop under traffic

@@ -7,6 +7,7 @@ from repro.database import SetJoinDatabase
 from repro.dist import ShardedDatabase
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
+from repro.parallel.executor import Execution
 from repro.service import LoadGenerator, QueryService, WorkloadMix
 
 
@@ -146,9 +147,9 @@ class TestKillOneShardWorker:
             db.create_relation("s", [(t.tid, t.elements) for t in rhs])
             with pytest.raises(SetJoinError):
                 db.join("r", "s", workers=2, backend="thread",
-                        shard_hook=chaos)
+                        execution=Execution(hook=chaos))
             # the fault is one-shot, so the plain retry succeeds
             pairs, __ = db.join("r", "s", workers=2, backend="thread",
-                                shard_hook=chaos)
+                                execution=Execution(hook=chaos))
         assert chaos.kills == 1
         assert pairs == expected

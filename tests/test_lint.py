@@ -455,13 +455,13 @@ def test_deleted_options_stay_deleted():
 OPERATOR_OPTIONS = [
     "testbed", "partitioner", "signature_bits", "monolithic_partitions",
     "resident_partitions", "spill_candidates", "workers", "parallel_backend",
-    "shard_timeout", "shard_hook", "tracer", "query_id",
+    "execution", "tracer",
 ]
 RUN_DISK_JOIN_OPTIONS = [
     "lhs", "rhs", "partitioner", "signature_bits", "buffer_pages",
     "buffer_policy", "payload_size", "path", "monolithic_partitions",
     "resident_partitions", "spill_candidates", "workers", "backend",
-    "shard_timeout", "tracer",
+    "tracer",
 ]
 JOIN_PARTITION_PARAMETERS = [
     "signature_bits", "r_source", "s_source", "partition", "add",
@@ -469,7 +469,7 @@ JOIN_PARTITION_PARAMETERS = [
 SHARD_SPEC_FIELDS = [
     "partitions", "signature_bits", "file_source", "inline_r", "inline_s",
     "fail_after", "chaos_delay", "chaos_kill", "parent_pid", "index",
-    "trace", "collect_metrics", "query_id",
+    "trace", "collect_metrics",
 ]
 
 
@@ -479,6 +479,16 @@ def _module_function(path, name):
         if isinstance(node, ast.FunctionDef) and node.name == name
     ]
     return [arg.arg for arg in function.args.args + function.args.kwonlyargs]
+
+
+def _fields(path, class_name):
+    """The annotated fields of dataclass ``class_name`` in ``path``."""
+    (owner,) = [
+        node for node in ast.parse((LIBRARY_ROOT / path).read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    ]
+    return [item.target.id for item in owner.body
+            if isinstance(item, ast.AnnAssign)]
 
 
 def test_operator_knobs_stay_deleted():
@@ -491,15 +501,55 @@ def test_operator_knobs_stay_deleted():
     assert _module_function(
         "core/operator.py", "join_partition"
     ) == JOIN_PARTITION_PARAMETERS
-    (spec,) = [
-        node for node in ast.parse(
-            (LIBRARY_ROOT / "parallel" / "worker.py").read_text()
-        ).body
-        if isinstance(node, ast.ClassDef) and node.name == "ShardSpec"
-    ]
-    assert [
-        item.target.id for item in spec.body if isinstance(item, ast.AnnAssign)
-    ] == SHARD_SPEC_FIELDS
+    assert _fields("parallel/worker.py", "ShardSpec") == SHARD_SPEC_FIELDS
+
+
+#: The join does not know it is served (DESIGN.md §1.22): a query's
+#: deadline and chaos hook reach the engine as one ``Execution`` and its
+#: id rides the tracer's tags.  ``workers``/``backend``/``tracer`` stay
+#: keywords while the benchmark calls them by name.
+DATABASE_JOIN_OPTIONS = [
+    "r_name", "s_name", "algorithm", "num_partitions", "signature_bits",
+    "seed", "workers", "backend", "execution", "tracer", "partitioner",
+]
+SHARD_JOIN_REQUEST_FIELDS = [
+    "shard_id", "s_name", "r_rows", "partitioner", "signature_bits",
+    "workers", "backend", "execution", "trace",
+]
+SERVED_NAMES = {"shard_timeout", "shard_hook", "query_id"}
+BELOW_THE_SERVICE = ("core", "database.py", "dist", "parallel")
+
+
+def test_the_join_does_not_know_it_is_served():
+    assert _options(
+        "database.py", "SetJoinDatabase", "join"
+    ) == DATABASE_JOIN_OPTIONS
+    assert _options(
+        "dist/coordinator.py", "ShardedDatabase", "join"
+    ) == DATABASE_JOIN_OPTIONS
+    assert _fields(
+        "dist/shard.py", "ShardJoinRequest"
+    ) == SHARD_JOIN_REQUEST_FIELDS
+    assert _fields("parallel/executor.py", "Execution") == ["timeout", "hook"]
+    bad = []
+    for path, tree in _walk_library():
+        if path.relative_to(LIBRARY_ROOT).parts[0] not in BELOW_THE_SERVICE:
+            continue
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.arg):
+                names = [node.arg]
+            elif isinstance(node, ast.ClassDef):
+                names = [item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name)]
+            bad += [f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                    for name in names if name in SERVED_NAMES]
+    assert not bad, (
+        "a served query's setting is a parameter or field below the "
+        "service again (pass an Execution; the query id is a tracer "
+        "tag):\n" + "\n".join(bad)
+    )
 
 
 def test_service_opens_at_most_one_registry_window():
@@ -775,9 +825,25 @@ RETIRED_PLAN_TEXT = (
 )
 
 
+#: Where a plan may be resolved from statistics, and where a relation's
+#: statistics may be read: the optimizer, and the databases that plan.
+RESOLVE_CALLERS = ("core/optimizer.py",)
+STATISTICS_READERS = ("database.py", "dist/")
+
+
 def test_one_plan_is_priced_once_and_rendered_once():
     bad = []
     for path, tree in _walk_library():
+        where = path.relative_to(LIBRARY_ROOT).as_posix()
+        for node in _calls(tree, lambda func: True):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if (name == "plan_from_statistics"
+                    and not where.startswith(RESOLVE_CALLERS)) or (
+                    name == "_statistics"
+                    and isinstance(node.func, ast.Attribute)
+                    and not where.startswith(STATISTICS_READERS)):
+                bad.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                           f"{name}() (plan through db.plan)")
         allowed = range(0)
         if path == LIBRARY_ROOT / "core" / "optimizer.py":
             (prediction,) = [

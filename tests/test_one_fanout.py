@@ -22,7 +22,7 @@ from repro.data.workloads import uniform_workload
 from repro.dist import ShardedDatabase
 from repro.errors import ParallelExecutionError
 from repro.obs.registry import get_registry
-from repro.parallel.executor import ProcessBackend
+from repro.parallel.executor import Execution, ProcessBackend
 
 process_available = ProcessBackend(2).available()
 
@@ -105,7 +105,8 @@ def test_broken_process_pool_leaves_no_child_behind(small_workload):
         testbed.load(lhs, rhs)
         join = SetContainmentJoin(
             testbed, PSJPartitioner(8, seed=1), workers=2,
-            parallel_backend="process", shard_hook=kill_first_shard,
+            parallel_backend="process",
+            execution=Execution(hook=kill_first_shard),
         )
         with pytest.raises(ParallelExecutionError) as excinfo:
             join.run()

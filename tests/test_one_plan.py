@@ -11,6 +11,9 @@ the one :class:`~repro.core.optimizer.JoinPlan` that
   annotated root's, under a fake tracer clock and under real clocks.
 * A sharded ``--explain`` explains the named plan it would run, not the
   optimizer's, and ``db FILE explain`` prints one report.
+* A served auto join plans through the database: with the plan cache on,
+  the plan it runs is ``db.plan``'s, a hit returns an equal plan, and
+  churn plans again.
 """
 
 import re
@@ -27,6 +30,7 @@ from repro.obs.drift import DRIFT_KEYS
 from repro.obs.explain import analyze_join, explain_join
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.service import QueryService
 
 PLANS = [("auto", None), ("DCJ", 8), ("DCJ", 48), ("PSJ", 8), ("LSJ", 16)]
 SHELLS = ("memory", "database", "sharded")
@@ -162,3 +166,39 @@ def test_db_explain_prints_one_report(set_files, capsys, tmp_path):
     with SetJoinDatabase.open(db_path) as db:
         assert out == str(db.explain("R", "S")) + "\n"
     assert out.count("chosen:") == 1
+
+
+@pytest.mark.parametrize("shell", ["database", "sharded"])
+def test_served_auto_join_plans_through_the_database(relations, shell,
+                                                     monkeypatch):
+    lhs, rhs = relations
+    db = (SetJoinDatabase.open(None) if shell == "database"
+          else ShardedDatabase.open(None, shards=2))
+    served = []
+    resolve = type(db).plan
+
+    def recording(self, *args, **kwargs):
+        plan = resolve(self, *args, **kwargs)
+        if kwargs.get("cache") is not None:
+            served.append(plan)
+        return plan
+
+    monkeypatch.setattr(type(db), "plan", recording)
+    with db:
+        db.create_relation("R", lhs)
+        db.create_relation("S", rhs)
+        with QueryService(db, workers=1, plan_cache_size=4,
+                          registry=MetricsRegistry()) as service:
+            service.join("R", "S")
+            service.join("R", "S")
+            cache = service.stats()["plan_cache"]
+            assert (cache["misses"], cache["hits"]) == (1, 1)
+            first, hit = served
+            assert first == db.plan("R", "S")
+            assert hit == first
+            service.drop_relation("S")
+            service.create_relation(
+                "S", [(row.tid, row.elements) for row in rhs][:150])
+            service.join("R", "S")
+            assert service.stats()["plan_cache"]["misses"] == 2
+            assert served[-1] == db.plan("R", "S") != first

@@ -7,6 +7,7 @@ from repro.core.psj import PSJPartitioner
 from repro.core.sets import containment_pairs_nested_loop
 from repro.core.signatures import recommend_signature_bits
 from repro.errors import ConfigurationError
+from repro.parallel.executor import Execution
 
 
 class TestResidentPartitions:
@@ -232,6 +233,33 @@ def _refuse(*args, **kwargs):
     raise AssertionError("reached past option validation")
 
 
+def _built(options):
+    """``options`` as an entry point takes them: an ``execution`` row
+    builds its :class:`Execution` here, which is where it fails."""
+    options = dict(options)
+    if "execution" in options:
+        options["execution"] = Execution(**options["execution"])
+    return options
+
+
+#: Shard timeouts and hooks no run can use.  They reach a join as its
+#: ``execution``, which rejects them when it is built — before the entry
+#: point is even called.  ``run_disk_join`` takes no execution.
+EXECUTION_INVALID = [
+    pytest.param({"execution": {"timeout": 0}}, "timeout",
+                 id="shard_timeout=0"),
+    pytest.param({"execution": {"timeout": -1}}, "timeout",
+                 id="shard_timeout=-1"),
+    pytest.param({"execution": {"timeout": float("nan")}}, "timeout",
+                 id="shard_timeout=nan"),
+    pytest.param({"execution": {"timeout": float("inf")}}, "timeout",
+                 id="shard_timeout=inf"),
+    pytest.param({"execution": {"timeout": True}}, "timeout",
+                 id="shard_timeout=True"),
+    pytest.param({"execution": {"timeout": "5"}}, "timeout",
+                 id="shard_timeout='5'"),
+    pytest.param({"execution": {"hook": 5}}, "hook", id="shard_hook=5"),
+]
 #: Values of the remaining options no join runs with, and the option the
 #: error names.  ``backend`` is ``run_disk_join``'s and the databases'
 #: name for the operator's ``parallel_backend``.
@@ -244,14 +272,6 @@ SHARED_INVALID = [
     pytest.param({"workers": None}, "workers", id="workers=None"),
     pytest.param({"backend": "gpu"}, "parallel_backend", id="backend=gpu"),
     pytest.param({"backend": None}, "parallel_backend", id="backend=None"),
-    pytest.param({"shard_timeout": 0}, "shard_timeout", id="shard_timeout=0"),
-    pytest.param({"shard_timeout": -1}, "shard_timeout", id="shard_timeout=-1"),
-    pytest.param({"shard_timeout": float("nan")}, "shard_timeout",
-                 id="shard_timeout=nan"),
-    pytest.param({"shard_timeout": True}, "shard_timeout",
-                 id="shard_timeout=True"),
-    pytest.param({"shard_timeout": "5"}, "shard_timeout",
-                 id="shard_timeout='5'"),
     pytest.param({"signature_bits": 2.5}, "signature_bits",
                  id="signature_bits=2.5"),
 ]
@@ -281,7 +301,8 @@ class TestOptionValidation:
             20, 30, 2, 6, domain_size=50, seed=1
         ).materialize()
 
-    @pytest.mark.parametrize("options, named", OPERATOR_INVALID)
+    @pytest.mark.parametrize("options, named",
+                             OPERATOR_INVALID + EXECUTION_INVALID)
     def test_operator(self, relations, options, named):
         options = dict(options)
         if "backend" in options:
@@ -290,7 +311,8 @@ class TestOptionValidation:
             testbed.load(*relations)
             pages = testbed.disk.num_pages
             with pytest.raises(ConfigurationError, match=named):
-                SetContainmentJoin(testbed, PSJPartitioner(4), **options)
+                SetContainmentJoin(testbed, PSJPartitioner(4),
+                                   **_built(options))
             assert testbed.disk.num_pages == pages
 
     @pytest.mark.parametrize("options, named", OPERATOR_INVALID)
@@ -301,7 +323,8 @@ class TestOptionValidation:
                           **options)
         assert not path.exists()
 
-    @pytest.mark.parametrize("options, named", SHARED_INVALID)
+    @pytest.mark.parametrize("options, named",
+                             SHARED_INVALID + EXECUTION_INVALID)
     def test_database_join(self, relations, options, named):
         from repro.database import SetJoinDatabase
 
@@ -310,10 +333,11 @@ class TestOptionValidation:
             db.create_relation("S", relations[1])
             pages = db.disk.num_pages
             with pytest.raises(ConfigurationError, match=named):
-                db.join("R", "S", "PSJ", 4, **options)
+                db.join("R", "S", "PSJ", 4, **_built(options))
             assert db.disk.num_pages == pages
 
-    @pytest.mark.parametrize("options, named", SHARED_INVALID)
+    @pytest.mark.parametrize("options, named",
+                             SHARED_INVALID + EXECUTION_INVALID)
     def test_sharded_join(self, relations, monkeypatch, options, named):
         from repro.dist import ShardedDatabase
 
@@ -322,7 +346,7 @@ class TestOptionValidation:
             db.create_relation("S", relations[1])
             monkeypatch.setattr(db, "_place", _refuse)
             with pytest.raises(ConfigurationError, match=named):
-                db.join("R", "S", "PSJ", 4, **options)
+                db.join("R", "S", "PSJ", 4, **_built(options))
 
     @pytest.mark.parametrize("shards", [0, -1, 1.5, True, "2", None])
     def test_shard_count(self, monkeypatch, shards):
@@ -337,9 +361,8 @@ class TestOptionValidation:
 
         expected = containment_pairs_nested_loop(*relations)
         for options in (
-            {"workers": np.int64(2), "backend": "thread", "shard_timeout": 30},
-            {"resident_partitions": np.int64(9), "shard_timeout": 0.5},
-            {"workers": 2, "backend": "thread"},
+            {"workers": np.int64(2), "backend": "thread"},
+            {"resident_partitions": np.int64(9)},
             {"payload_size": 64},
         ):
             pairs, __ = run_disk_join(*relations, PSJPartitioner(4), **options)
@@ -349,6 +372,10 @@ class TestOptionValidation:
         with ShardedDatabase.open(None, shards=np.int64(2)) as db:
             db.create_relation("R", relations[0])
             db.create_relation("S", relations[1])
-            pairs, __ = db.join("R", "S", "PSJ", 4, workers=2,
-                                backend="thread")
-        assert pairs == expected
+            # A timeout past what a wait can time (threading.TIMEOUT_MAX)
+            # waits without end instead of overflowing.
+            for execution in (Execution(timeout=np.float64(30.0)),
+                              Execution(timeout=1e300)):
+                pairs, __ = db.join("R", "S", "PSJ", 4, workers=2,
+                                    backend="thread", execution=execution)
+                assert pairs == expected

@@ -14,6 +14,7 @@ from repro.core.psj import PSJPartitioner
 from repro.core.sets import containment_pairs_nested_loop
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.parallel.executor import (
+    Execution,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -212,7 +213,8 @@ class TestTimeout:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                workers=2, parallel_backend="thread",
+                execution=Execution(timeout=0.05),
             )
             with pytest.raises(ParallelExecutionError, match="timeout"):
                 join.run()
@@ -232,7 +234,8 @@ class TestTimeout:
             live_before = testbed.disk.num_live_pages
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                workers=2, parallel_backend="thread",
+                execution=Execution(timeout=0.05),
             )
             with pytest.raises(ParallelExecutionError):
                 join.run()
@@ -272,7 +275,8 @@ class TestTimeoutCancellation:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                workers=2, parallel_backend="thread",
+                execution=Execution(timeout=0.05),
             )
             with pytest.raises(ParallelExecutionError) as excinfo:
                 join.run()

@@ -10,6 +10,13 @@ import pytest
 from repro.core.operator import SetContainmentJoin, Testbed
 from repro.core.psj import PSJPartitioner
 from repro.errors import ParallelExecutionError, SetJoinError
+from repro.parallel.executor import Execution
+
+
+def fail_first_io(spec):
+    """Every worker's FaultInjectingDiskManager dies on its first page
+    read."""
+    spec.fail_after = 0
 
 
 @pytest.fixture()
@@ -25,9 +32,8 @@ def test_worker_io_failure_is_typed(loaded_testbed, backend):
     join = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
         workers=2, parallel_backend=backend,
+        execution=Execution(hook=fail_first_io),
     )
-    # Every worker's FaultInjectingDiskManager dies on its first page read.
-    join._worker_fault_after = 0
     with pytest.raises(SetJoinError) as excinfo:
         join.run()
     assert isinstance(excinfo.value, ParallelExecutionError)
@@ -42,8 +48,8 @@ def test_failed_join_leaves_no_orphaned_partitions(loaded_testbed):
     join = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
         workers=2, parallel_backend="process",
+        execution=Execution(hook=fail_first_io),
     )
-    join._worker_fault_after = 0
     with pytest.raises(ParallelExecutionError):
         join.run()
     # Spill partitions written during the partitioning phase were
@@ -55,8 +61,8 @@ def test_testbed_usable_after_worker_failure(loaded_testbed):
     failing = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
         workers=2, parallel_backend="process",
+        execution=Execution(hook=fail_first_io),
     )
-    failing._worker_fault_after = 0
     with pytest.raises(ParallelExecutionError):
         failing.run()
     # A fresh serial join on the same testbed still works — the failure

@@ -182,6 +182,51 @@ class TestDeadlinesAndShedding:
             with pytest.raises(ConfigurationError, match="deadline"):
                 service.submit("probe", deadline=-1.0, name="s", elements=[])
 
+    @pytest.mark.parametrize("deadline", [
+        float("nan"), float("inf"), "5", True,
+    ], ids=["nan", "inf", "'5'", "True"])
+    def test_unusable_deadline_rejected_at_admission(self, loaded_db,
+                                                     deadline):
+        """A deadline no wait can time is refused before it is queued,
+        naming the deadline — not admitted to fail (or run unbounded)
+        inside the join."""
+        with make_service(loaded_db) as service:
+            with pytest.raises(ConfigurationError, match="^deadline"):
+                service.submit("join", deadline=deadline, r="r", s="s")
+            assert service.queue_depth == 0
+        with pytest.raises(ConfigurationError, match="default_deadline"):
+            make_service(loaded_db, default_deadline=deadline)
+
+    @pytest.mark.parametrize("workers", [0, True, 2.5, "2", None])
+    def test_unusable_workers_rejected_at_construction(self, loaded_db,
+                                                       workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            make_service(loaded_db, workers=workers)
+
+    def test_uncallable_chaos_rejected_at_construction(self, loaded_db):
+        with pytest.raises(ConfigurationError, match="hook"):
+            make_service(loaded_db, chaos=5)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_deadline_past_the_wait_limit_answers(self, loaded_db, backend):
+        """A deadline beyond ``threading.TIMEOUT_MAX`` bounds nothing a
+        wait can time, so the shard fan-out waits without one."""
+        from repro.parallel.executor import ProcessBackend
+
+        if backend == "process" and not ProcessBackend(2).available():
+            pytest.skip("process backend unavailable in this sandbox")
+
+        def slow_shards(spec):
+            # Shards still running when the fan-out starts waiting.
+            spec.chaos_delay = 0.05
+
+        expected, __ = loaded_db.join("r", "s")
+        with make_service(loaded_db, backend=backend, chaos=slow_shards,
+                          default_deadline=1e300) as service:
+            pairs, __ = service.join("r", "s")
+            assert service.join("r", "s", deadline=1e300)[0] == expected
+        assert pairs == expected
+
     def test_full_queue_sheds_with_429_class_error(self, loaded_db):
         service = make_service(loaded_db, queue_depth=2)
         service._set_state(ServiceState.READY)  # no lane: nothing drains
@@ -326,6 +371,21 @@ class TestHTTPFrontEnd:
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"] == \
             "ConfigurationError"
+
+    @pytest.mark.parametrize("route, payload", [
+        ("/join", {"r": "r", "s": "s"}),
+        ("/probe", {"name": "s", "elements": [1]}),
+    ], ids=["join", "probe"])
+    @pytest.mark.parametrize("deadline", ["5", True, 0])
+    def test_unusable_deadline_is_400(self, served, route, payload,
+                                      deadline):
+        __, server = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server.url + route, dict(payload, deadline=deadline))
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"] == "ConfigurationError"
+        assert body["detail"].startswith("deadline")
 
     def test_unknown_relation_is_400(self, served):
         __, server = served

@@ -13,6 +13,7 @@ from repro.core.operator import SetContainmentJoin, Testbed
 from repro.core.psj import PSJPartitioner
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.obs.registry import MetricsRegistry
+from repro.parallel.executor import Execution
 from repro.service.retry import (
     DEGRADATION_ORDER,
     BackendLadder,
@@ -296,7 +297,8 @@ class TestRetriedJoinIsBitIdentical:
             attempts.append(backend)
             return SetContainmentJoin(
                 loaded_testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend=backend, shard_hook=hook,
+                workers=2, parallel_backend=backend,
+                execution=Execution(hook=hook),
             ).run()
 
         pairs, metrics = run_with_retries(
@@ -320,7 +322,8 @@ class TestRetriedJoinIsBitIdentical:
         def operation(backend):
             return SetContainmentJoin(
                 loaded_testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend=backend, shard_hook=hook,
+                workers=2, parallel_backend=backend,
+                execution=Execution(hook=hook),
             ).run()
 
         with pytest.raises(ParallelExecutionError, match="InjectedIOError"):
