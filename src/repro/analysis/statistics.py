@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..core.sets import Relation
+import numpy as np
+
+from ..core.sets import Relation, take_rows
 from ..errors import ConfigurationError
 
 __all__ = ["RelationStatistics", "collect_statistics"]
@@ -57,33 +59,23 @@ def collect_statistics(
     if not len(relation):
         return RelationStatistics(relation.name, 0, 0, 0, 0.0, 0.0, 0, 0, 1,
                                   sampled=False)
-    rows = list(relation)
-    sampled = False
-    if sample_size is not None:
-        if sample_size < 1:
-            raise ConfigurationError("sample size must be >= 1")
-        if sample_size < len(rows):
-            rows = random.Random(seed).sample(rows, sample_size)
-            sampled = True
-    cardinalities = sorted(row.cardinality for row in rows)
-    count = len(cardinalities)
-    middle = count // 2
-    if count % 2:
-        median = float(cardinalities[middle])
-    else:
-        median = (cardinalities[middle - 1] + cardinalities[middle]) / 2.0
-    elements: set[int] = set()
-    for row in rows:
-        elements |= row.elements
+    rows = np.arange(len(relation))
+    if sample_size is not None and sample_size < 1:
+        raise ConfigurationError("sample size must be >= 1")
+    sampled = sample_size is not None and sample_size < len(rows)
+    if sampled:
+        rows = np.array(random.Random(seed).sample(range(len(rows)), sample_size))
+    __, elements, offsets = take_rows(*relation.arrays, rows)
+    cardinalities = np.diff(offsets)
     return RelationStatistics(
         name=relation.name,
         size=len(relation),
-        min_cardinality=cardinalities[0],
-        max_cardinality=cardinalities[-1],
-        mean_cardinality=sum(cardinalities) / count,
-        median_cardinality=median,
-        empty_sets=sum(1 for value in cardinalities if value == 0),
-        distinct_elements=len(elements),
+        min_cardinality=int(cardinalities.min()),
+        max_cardinality=int(cardinalities.max()),
+        mean_cardinality=int(cardinalities.sum()) / len(rows),
+        median_cardinality=float(np.median(cardinalities)),
+        empty_sets=int(np.count_nonzero(cardinalities == 0)),
+        distinct_elements=len(np.unique(elements)),
         domain_bound=relation.domain_bound(),
         sampled=sampled,
     )

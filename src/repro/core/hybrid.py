@@ -23,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import median
 
+import numpy as np
+
 from ..analysis.timemodel import TimeModel
 from ..errors import ConfigurationError
 from .metrics import JoinMetrics
 from .operator import run_disk_join
 from .optimizer import JoinPlan, choose_plan
-from .sets import Relation, SetTuple
+from .sets import Relation
 from .signatures import DEFAULT_SIGNATURE_BITS
 
 __all__ = ["HybridOutcome", "hybrid_join", "split_by_cardinality"]
@@ -36,11 +38,10 @@ __all__ = ["HybridOutcome", "hybrid_join", "split_by_cardinality"]
 
 def split_by_cardinality(relation: Relation, tau: int) -> tuple[Relation, Relation]:
     """Split into (cardinality < τ, cardinality >= τ), preserving tids."""
-    small = Relation(name=f"{relation.name}_small")
-    large = Relation(name=f"{relation.name}_large")
-    for row in relation:
-        (small if row.cardinality < tau else large).add(row)
-    return small, large
+    small = np.diff(relation.arrays[2]) < tau
+    parts = relation.take(np.flatnonzero(small)), relation.take(np.flatnonzero(~small))
+    parts[0].name, parts[1].name = f"{relation.name}_small", f"{relation.name}_large"
+    return parts
 
 
 @dataclass
@@ -80,7 +81,7 @@ def hybrid_join(
     if not lhs or not rhs:
         return HybridOutcome(result=set(), tau=tau or 1)
     if tau is None:
-        cards = [row.cardinality for row in lhs] + [row.cardinality for row in rhs]
+        cards = np.diff(lhs.arrays[2]).tolist() + np.diff(rhs.arrays[2]).tolist()
         tau = max(1, int(median(cards)))
     if tau < 1:
         raise ConfigurationError(f"threshold τ must be >= 1, got {tau}")

@@ -36,7 +36,6 @@ import time
 from contextlib import suppress
 from itertools import compress
 from numbers import Integral
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -64,8 +63,6 @@ __all__ = [
     "compare_block", "compare_packed", "join_partition",
     "partition_relation", "verify_pairs",
 ]
-
-_TID_AND_SET = attrgetter("tid", "elements")
 
 #: Leaf fill of the testbed's relations: the layout every committed page
 #: count of a testbed join (``benchmarks/BENCH_seed.json``) was taken on.
@@ -341,20 +338,16 @@ class Testbed:
     ) -> None:
         """Store both input relations (R = subset side, S = superset side).
 
-        Each goes through :meth:`RelationStore.create`, which orders the
-        rows by tid and builds the B-tree bottom-up (pages written once,
-        no splits), its leaves filled to :data:`TESTBED_FILL`.  The rows
-        are streamed as ``(tid, elements)`` pairs, a batch at a time: no
-        pair outlives its batch, so a load leaves the collector no
-        long-lived objects to trace.
+        Each goes through :meth:`RelationStore.create`, which encodes the
+        relation's arrays a batch at a time, orders the records by tid and
+        builds the B-tree bottom-up (pages written once, no splits), its
+        leaves filled to :data:`TESTBED_FILL`.  No row object is built.
         """
         self.relation_r = RelationStore.create(
-            self.pool, map(_TID_AND_SET, lhs), payload_size, lhs.name or "R",
-            TESTBED_FILL,
+            self.pool, lhs, payload_size, lhs.name or "R", TESTBED_FILL,
         )
         self.relation_s = RelationStore.create(
-            self.pool, map(_TID_AND_SET, rhs), payload_size, rhs.name or "S",
-            TESTBED_FILL,
+            self.pool, rhs, payload_size, rhs.name or "S", TESTBED_FILL,
         )
         self.pool.flush_all()
 

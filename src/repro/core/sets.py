@@ -14,10 +14,15 @@ footnote suggests; see :func:`elements_from_values`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from ..errors import ConfigurationError
+from ..storage.relation_store import BATCH_TUPLES
+from ..storage.serialization import _int64s, _segment_sort
 
 __all__ = [
     "SetTuple",
@@ -25,6 +30,8 @@ __all__ = [
     "hash_value_to_element",
     "elements_from_values",
     "containment_pairs_nested_loop",
+    "join_batches",
+    "take_rows",
 ]
 
 
@@ -66,85 +73,212 @@ class SetTuple:
 
 
 class Relation:
-    """An ordered collection of :class:`SetTuple` with unique tids."""
+    """An ordered collection of set-valued tuples with unique tids, held as
+    three arrays (DESIGN.md, "One columnar relation"): ``tids``; every
+    set's ``elements``, ascending within each set; and ``offsets``, set
+    ``i`` being ``elements[offsets[i]:offsets[i + 1]]``.  The arrays are
+    int64, or ``object`` arrays of Python ints where a value does not fit.
 
-    def __init__(self, tuples: Iterable[SetTuple] = (), name: str = ""):
-        self.name = name
-        self._tuples: list[SetTuple] = []
-        self._by_tid: dict[int, SetTuple] = {}
-        for row in tuples:
-            self.add(row)
+    ``tuples`` are :class:`SetTuple` rows or ``(tid, elements)`` pairs,
+    read :data:`BATCH_TUPLES` at a time.  A tid or element that is not an
+    integer (a ``bool`` is not) in ``[0, 2**64)``, or a repeated tid,
+    raises :class:`ConfigurationError` naming the tid.  The rows that
+    iteration and ``relation[tid]`` give are built on first use and kept.
+    """
+
+    def __init__(self, tuples: Iterable = (), name: str = ""):
+        rows, batches = iter(tuples), []
+        while batch := list(islice(rows, BATCH_TUPLES)):
+            batches.append(_pair_arrays(batch, name))
+        self._adopt(name, *join_batches(batches))
 
     @classmethod
-    def from_sets(
-        cls,
-        sets: Iterable[Iterable[int]],
-        name: str = "",
-        start_tid: int = 0,
-    ) -> "Relation":
-        """Build a relation from raw sets, assigning sequential tids."""
-        relation = cls(name=name)
-        for offset, elements in enumerate(sets):
-            relation.add(SetTuple(start_tid + offset, frozenset(elements)))
+    def from_arrays(cls, tids, elements, offsets, name: str = "") -> "Relation":
+        """The relation of ``(tids, elements, offsets)`` arrays, checked as
+        rows are (a set's elements in any order, repeats dropped)."""
+        tids, offsets = _array_column(tids, name), np.asarray(offsets, dtype=np.int64)
+        if (len(offsets) != len(tids) + 1 or offsets[0] != 0
+                or offsets[-1] != len(elements) or np.any(np.diff(offsets) < 0)):
+            raise ConfigurationError(
+                f"relation {name!r}: offsets do not bound {len(tids)} sets")
+        elements = _array_column(elements, name, tids.tolist(), offsets)
+        relation = cls.__new__(cls)
+        relation._adopt(name, tids, *_normalized(elements, offsets))
         return relation
+
+    @classmethod
+    def from_sets(cls, sets: Iterable[Iterable[int]], name: str = "",
+                  start_tid: int = 0) -> "Relation":
+        """Build a relation from raw sets, assigning sequential tids."""
+        return cls(enumerate(sets, start_tid), name)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping, name: str = "") -> "Relation":
         """Build a relation from ``{tid: iterable_of_elements}``."""
-        relation = cls(name=name)
-        for tid in sorted(mapping):
-            relation.add(SetTuple(tid, frozenset(mapping[tid])))
+        return cls(((tid, mapping[tid]) for tid in sorted(mapping)), name)
+
+    def _adopt(self, name, tids, elements, offsets) -> None:
+        ordered = np.sort(tids)
+        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeated.size:
+            raise ConfigurationError(
+                f"duplicate tid {ordered[repeated[0]]} in relation {name!r}")
+        self.name, self._arrays = name, (tids, elements, offsets)
+        self._by_tid: dict[int, SetTuple] | None = None  # the rows, in order
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tids, elements, offsets)``; treat them as read-only."""
+        if self._arrays is None:  # rows were added since the last read
+            rows = list(self._by_tid.values())
+            self._arrays = join_batches([_pair_arrays(rows, self.name)])
+        return self._arrays
+
+    def scan_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The arrays :data:`BATCH_TUPLES` tuples at a time, in order."""
+        tids, elements, offsets = self.arrays
+        for first in range(0, len(tids), BATCH_TUPLES):
+            last = min(first + BATCH_TUPLES, len(tids))
+            yield (tids[first:last], elements[offsets[first] : offsets[last]],
+                   offsets[first : last + 1] - offsets[first])
+
+    def take(self, rows: np.ndarray) -> "Relation":
+        """The relation of the tuples at positions ``rows``, in that order."""
+        relation = Relation.__new__(Relation)
+        relation._adopt(self.name, *take_rows(*self.arrays, rows))
         return relation
 
+    def _rows(self) -> dict[int, SetTuple]:
+        if self._by_tid is None:
+            tids, elements, offsets = self.arrays
+            flat, bounds = elements.tolist(), offsets.tolist()
+            self._by_tid = {tid: SetTuple(tid, frozenset(flat[lo:hi]))
+                            for tid, lo, hi in zip(tids.tolist(), bounds, bounds[1:])}
+        return self._by_tid
+
     def add(self, row: SetTuple) -> None:
-        if row.tid in self._by_tid:
+        """Append a row, checked as the constructor's are.  The arrays are
+        rebuilt on their next read: build a large relation at once."""
+        _pair_arrays([row], self.name)
+        if row.tid in self:
             raise ConfigurationError(f"duplicate tid {row.tid} in relation {self.name!r}")
-        self._tuples.append(row)
         self._by_tid[row.tid] = row
+        self._arrays = None
 
     def __iter__(self) -> Iterator[SetTuple]:
-        return iter(self._tuples)
+        return iter(self._rows().values())
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._by_tid) if self._arrays is None else len(self._arrays[0])
 
     def __getitem__(self, tid: int) -> SetTuple:
-        return self._by_tid[tid]
+        return self._rows()[tid]
 
     def __contains__(self, tid: int) -> bool:
-        return tid in self._by_tid
+        return tid in self._rows()
 
     def tids(self) -> list[int]:
-        return [row.tid for row in self._tuples]
+        return self.arrays[0].tolist()
 
     def average_cardinality(self) -> float:
         """Mean set cardinality (the paper's θ for this relation)."""
-        if not self._tuples:
-            return 0.0
-        return sum(row.cardinality for row in self._tuples) / len(self._tuples)
+        return int(self.arrays[2][-1]) / len(self) if len(self) else 0.0
 
     def max_cardinality(self) -> int:
-        return max((row.cardinality for row in self._tuples), default=0)
+        return int(np.diff(self.arrays[2]).max(initial=0))
 
     def domain_bound(self) -> int:
         """Smallest D such that all elements lie in [0, D)."""
-        top = 0
-        for row in self._tuples:
-            if row.elements:
-                top = max(top, max(row.elements))
-        return top + 1
+        elements = self.arrays[1]
+        return int(elements.max()) + 1 if elements.size else 1
 
     def sample_cardinality(self, sample_size: int, seed: int = 0) -> float:
         """Estimate average cardinality from a sample, as the optimizer's
         step 2 ("using sampling or available statistics") prescribes."""
         import random
 
-        if not self._tuples:
+        if not len(self):
             return 0.0
-        rng = random.Random(seed)
-        size = min(sample_size, len(self._tuples))
-        sample = rng.sample(self._tuples, size)
-        return sum(row.cardinality for row in sample) / size
+        size = min(sample_size, len(self))
+        sample = random.Random(seed).sample(range(len(self)), size)
+        return int(np.diff(self.arrays[2])[sample].sum()) / size
+
+
+def take_rows(tids: np.ndarray, elements: np.ndarray, offsets: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``rows`` of a ``(tids, elements, offsets)`` relation, in that
+    order, as one such relation."""
+    starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
+    kept = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=kept[1:])
+    gather = np.arange(kept[-1]) + np.repeat(starts - kept[:-1], sizes)
+    return tids[rows], elements[gather], kept
+
+
+def join_batches(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tids, elements, offsets)`` batches as one such relation."""
+    empty = np.zeros(0, dtype=np.int64)
+    tids, elements, sizes = map(np.concatenate, zip(
+        *[(t, e, np.diff(o)) for t, e, o in batches] or [(empty,) * 3]))
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return tids, elements, offsets
+
+
+def _column(values: list, name: str, tids: list | None = None,
+            offsets: np.ndarray | None = None) -> np.ndarray:
+    """Checked tids, or elements of the sets ``offsets`` bounds in a batch
+    with ``tids``, as int64 or (where one does not fit) ``object``."""
+    column = _int64s(values)
+    if (column.dtype == np.int64 and set(map(type, values)) <= {int}
+            and (not column.size or column.min() >= 0)):
+        return column
+    bad = next((at for at, value in enumerate(values) if not (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        and 0 <= value < 1 << 64)), None)
+    if bad is None:
+        return column if column.dtype == np.int64 else np.array(
+            list(map(int, values)), dtype=object)
+    if tids is None:
+        raise ConfigurationError(
+            f"relation {name!r}: tuple id {values[bad]!r} is not an integer in [0, 2**64)")
+    tid = tids[int(np.searchsorted(offsets, bad, side="right")) - 1]
+    raise ConfigurationError(f"relation {name!r}: tuple id {tid!r} holds "
+                             f"{values[bad]!r}, not an integer in [0, 2**64)")
+
+
+def _array_column(values, name: str, *owners) -> np.ndarray:
+    """:func:`_column` of an array, at once for a non-negative int64 one."""
+    values = np.asarray(values)
+    if values.dtype == np.int64 and not (values.size and values.min() < 0):
+        return values
+    return _column(values.tolist(), name, *owners)
+
+
+def _pair_arrays(rows: list, name: str) -> tuple:
+    """Checked arrays of :class:`SetTuple` rows or ``(tid, elements)`` pairs."""
+    pairs = [(row.tid, row.elements) if isinstance(row, SetTuple) else row
+             for row in rows]
+    tids = [tid for tid, __ in pairs]
+    sets = [elements if hasattr(elements, "__len__") else list(elements)
+            for __, elements in pairs]
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sets), np.int64, len(sets)), out=offsets[1:])
+    checked = _column(tids, name)
+    elements = _column(list(chain.from_iterable(sets)), name, tids, offsets)
+    return (checked, *_normalized(elements, offsets))
+
+
+def _normalized(elements: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Each set's elements ascending, repeats dropped."""
+    owners = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    elements = _segment_sort(elements, owners)
+    kept = np.concatenate(([True], (elements[1:] != elements[:-1])
+                           | (owners[1:] != owners[:-1])))[:len(elements)]
+    if not kept.all():
+        elements, offsets = elements[kept], np.zeros_like(offsets)
+        np.cumsum(np.bincount(owners[kept], minlength=len(offsets) - 1), out=offsets[1:])
+    return elements, offsets
 
 
 def containment_pairs_nested_loop(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Sequence
 
 from ..errors import ConfigurationError
@@ -58,6 +59,10 @@ class ElementDistribution:
     def draw(self, rng: random.Random) -> int:
         raise NotImplementedError
 
+    def _drawer(self, rng: random.Random):
+        """:meth:`draw` from ``rng`` as a call of no arguments."""
+        return partial(self.draw, rng)
+
     def sample_set(self, rng: random.Random, cardinality: int) -> frozenset[int]:
         """Draw a set of ``cardinality`` *distinct* elements (rejection)."""
         if cardinality > self.domain_size:
@@ -68,8 +73,9 @@ class ElementDistribution:
         elements: set[int] = set()
         attempts = 0
         limit = 1000 * max(cardinality, 1)
+        draw = self._drawer(rng)
         while len(elements) < cardinality:
-            elements.add(self.draw(rng))
+            elements.add(draw())
             attempts += 1
             if attempts > limit:
                 # Heavily skewed distribution on a small effective support:
@@ -87,6 +93,19 @@ class UniformElements(ElementDistribution):
 
     def draw(self, rng: random.Random) -> int:
         return rng.randrange(self.domain_size)
+
+    def _drawer(self, rng: random.Random):
+        """``rng.randrange(n)``'s own draws — ``getrandbits`` of ``n``'s
+        bit length until one is below ``n`` — one Python call each."""
+        bound, getrandbits = self.domain_size, rng.getrandbits
+        bits = bound.bit_length()
+
+        def draw() -> int:
+            value = getrandbits(bits)
+            while value >= bound:
+                value = getrandbits(bits)
+            return value
+        return draw
 
 
 class ZipfElements(ElementDistribution):

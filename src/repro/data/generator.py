@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+import numpy as np
 
-from ..core.sets import Relation, SetTuple
+from ..core.sets import Relation, join_batches, take_rows
 from ..errors import ConfigurationError
 from .distributions import (
     CardinalityDistribution,
@@ -54,16 +55,19 @@ class RelationSpec:
 
 
 def generate_relation(spec: RelationSpec, seed: int = 0, start_tid: int = 0) -> Relation:
-    """Materialize one relation from its spec, reproducibly."""
+    """Materialize one relation from its spec, reproducibly: each set is
+    drawn and goes into the relation's arrays, a batch at a time."""
     if spec.size < 0:
         raise ConfigurationError(f"relation size must be >= 0, got {spec.size}")
     rng = random.Random(seed)
-    relation = Relation(name=spec.name)
-    for offset in range(spec.size):
-        cardinality = spec.cardinality.draw(rng)
-        elements = spec.elements.sample_set(rng, cardinality)
-        relation.add(SetTuple(start_tid + offset, elements))
-    return relation
+    return Relation(
+        (
+            (start_tid + offset,
+             spec.elements.sample_set(rng, spec.cardinality.draw(rng)))
+            for offset in range(spec.size)
+        ),
+        spec.name,
+    )
 
 
 def generate_join_pair(
@@ -89,17 +93,14 @@ def generate_join_pair(
             f"cannot plant {planted_pairs} pairs into relations of sizes "
             f"{len(lhs)} and {len(rhs)}"
         )
-    r_tids = lhs.tids()[:planted_pairs]
-    s_hosts = rng.sample(rhs.tids(), planted_pairs)
-    planted = Relation(name=lhs.name)
-    hosts = dict(zip(r_tids, s_hosts))
-    for row in lhs:
-        host_tid = hosts.get(row.tid)
-        if host_tid is None:
-            planted.add(row)
-            continue
-        host = sorted(rhs[host_tid].elements)
-        want = min(len(row.elements), len(host))
-        subset = frozenset(rng.sample(host, max(1, want)))
-        planted.add(SetTuple(row.tid, subset))
-    return planted, rhs
+    tids, __, r_offsets = lhs.arrays
+    __, elements, offsets = rhs.arrays
+    planted = []
+    # Hosts are positions, drawn as sampling S's tids draws them.
+    for row, host in enumerate(rng.sample(range(len(rhs)), planted_pairs)):
+        members = elements[offsets[host] : offsets[host + 1]].tolist()
+        want = min(int(r_offsets[row + 1] - r_offsets[row]), len(members))
+        planted.append((int(tids[row]), rng.sample(members, max(1, want))))
+    rest = take_rows(*lhs.arrays, np.arange(planted_pairs, len(lhs)))
+    return Relation.from_arrays(
+        *join_batches([Relation(planted).arrays, rest]), lhs.name), rhs

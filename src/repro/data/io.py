@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from ..core.sets import Relation, SetTuple
+from ..core.sets import Relation
 from ..errors import ConfigurationError
 
 __all__ = ["load_relation", "save_relation"]
@@ -19,7 +19,7 @@ __all__ = ["load_relation", "save_relation"]
 
 def load_relation(path: str, name: str = "") -> Relation:
     """Read a relation from a set-per-line text file."""
-    relation = Relation(name=name or os.path.basename(path))
+    rows = []
     with open(path) as handle:
         for line_number, raw in enumerate(handle):
             line = raw.strip()
@@ -42,8 +42,8 @@ def load_relation(path: str, name: str = "") -> Relation:
                 raise ConfigurationError(
                     f"{path}:{line_number + 1}: non-integer element"
                 ) from error
-            relation.add(SetTuple(tid, elements))
-    return relation
+            rows.append((tid, elements))
+    return Relation(rows, name or os.path.basename(path))
 
 
 def save_relation(relation: Relation, path: str, explicit_tids: bool = True) -> int:

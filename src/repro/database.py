@@ -30,7 +30,7 @@ from .analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from .core.metrics import JoinMetrics
 from .core.operator import SetContainmentJoin, Testbed
 from .core.optimizer import JoinPlan, resolve_plan
-from .core.sets import Relation, SetTuple
+from .core.sets import Relation
 from .core.signatures import DEFAULT_SIGNATURE_BITS
 from .errors import ConfigurationError, StorageError
 from .parallel.executor import Execution
@@ -50,10 +50,12 @@ _STATS_SAMPLE = 200
 class JoinPlanner:
     """The planning half :class:`SetJoinDatabase` and
     :class:`~repro.dist.ShardedDatabase` share: a cost model, optionally
-    re-adopted from a model store, and the one plan of a join over the
-    database's own ``_statistics(name, seed)``."""
+    re-adopted from a model store, each relation's statistics, read once by
+    the database's ``_read_statistics(name, seed)``, and the one plan."""
 
-    def _adopt_model(self, model: TimeModel, model_store) -> None:
+    def __init__(self, model: TimeModel, model_store) -> None:
+        #: name → seed → statistics; forgotten on create, drop, reshard.
+        self._statistics_memo: "dict[str, dict[int, tuple[int, float]]]" = {}
         # ``model_store`` (a path or a ModelStore) plugs the database into
         # the closed calibration loop: planning always uses the store's
         # freshest recalibrated model instead of the static constants.
@@ -67,6 +69,13 @@ class JoinPlanner:
             )
             model = self.model_store.active
         self.model = model
+
+    def _statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
+        """(size, mean cardinality) of one stored relation, read once."""
+        memo = self._statistics_memo.setdefault(name, {})
+        if seed not in memo:
+            memo[seed] = self._read_statistics(name, seed)
+        return memo[seed]
 
     def refresh_model(self) -> TimeModel:
         """Re-adopt the model store's freshest version (no-op without a
@@ -153,7 +162,7 @@ class SetJoinDatabase(JoinPlanner):
             self.disk = disk
         self.pool = BufferPool(self.disk, capacity=buffer_pages,
                                policy=buffer_policy)
-        self._adopt_model(model, model_store)
+        super().__init__(model, model_store)
         self._closed = False
         if self.disk.num_pages == 0:
             with self._atomic():
@@ -227,22 +236,19 @@ class SetJoinDatabase(JoinPlanner):
     ) -> int:
         """Store a new named relation; returns the tuple count.
 
-        ``rows`` is either an in-memory :class:`Relation` or an iterable of
-        ``(tid, elements)`` pairs in any tid order, read once; no more
-        than one encoded copy of the rows is held
-        (:meth:`RelationStore.create`), and a repeated tid raises
-        :class:`ConfigurationError` with nothing written.  The relation's
-        posting index (:mod:`repro.storage.posting_index`) is built from
-        the stored tuples in the same transaction, so a crash leaves both
-        or neither.
+        ``rows`` is a :class:`Relation` or the ``(tid, elements)`` pairs,
+        in any tid order, its constructor reads and checks before anything
+        is written.  The relation's posting index
+        (:mod:`repro.storage.posting_index`) is built from the stored
+        tuples in the same transaction, so a crash leaves both or neither.
         """
         self._check_open()
         if name in self.catalog:
             raise ConfigurationError(f"relation {name!r} already exists")
-        if isinstance(rows, Relation):
-            rows = ((row.tid, row.elements) for row in rows)
+        self._statistics_memo.pop(name, None)
+        relation = rows if isinstance(rows, Relation) else Relation(rows, name)
         with self._atomic():
-            store = RelationStore.create(self.pool, rows, payload_size, name)
+            store = RelationStore.create(self.pool, relation, payload_size, name)
             count = len(store)
             index = PostingIndex.build(self.pool, store)
             self.catalog.register(
@@ -267,17 +273,17 @@ class SetJoinDatabase(JoinPlanner):
 
     def read_relation(self, name: str) -> Relation:
         """Materialize a stored relation in memory."""
-        store = self.get_store(name)
-        relation = Relation(name=name)
-        for tid, elements, __ in store.scan():
-            relation.add(SetTuple(tid, elements))
-        return relation
+        return Relation(
+            ((tid, elements) for tid, elements, __ in self.get_store(name).scan()),
+            name,
+        )
 
     def drop_relation(self, name: str) -> None:
         """Remove a relation from the catalog and free its pages and its
         posting index's, in one transaction."""
         self._check_open()
         meta_page_id, __, index_page_id = self._entry(name)
+        self._statistics_memo.pop(name, None)
         with self._atomic():
             BTree(self.pool, meta_page_id).destroy()
             if index_page_id is not None:
@@ -295,7 +301,7 @@ class SetJoinDatabase(JoinPlanner):
     # Planning and joining
     # ------------------------------------------------------------------
 
-    def _statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
+    def _read_statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
         """(size, sampled average cardinality) for one stored relation.
 
         The sample is the first :data:`_STATS_SAMPLE` tuples in tid order

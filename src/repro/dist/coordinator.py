@@ -42,18 +42,15 @@ import copy
 import heapq
 import json
 import os
-import struct
 import time
-from itertools import compress
 from numbers import Integral
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from ..core.metrics import JoinMetrics
-from ..core.sets import Relation, SetTuple
+from ..core.sets import Relation, take_rows
 from ..core.operator import check_join_options
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import JoinPlanner
@@ -68,7 +65,7 @@ from .placement import (
     home_shards,
     publish_placement,
 )
-from .shard import Shard, ShardJoinRequest, take_rows
+from .shard import Shard, ShardJoinRequest
 
 __all__ = ["ShardedDatabase"]
 
@@ -130,11 +127,8 @@ class ShardedDatabase(JoinPlanner):
             raise ConfigurationError("a sharded database needs >= 1 shard")
         self.shards = sorted(shards, key=lambda shard: shard.shard_id)
         self.path = path
-        self._adopt_model(model, model_store)
+        super().__init__(model, model_store)
         self.last_placement: "PlacementReport | None" = None
-        #: relation name → its exact ``(size, mean cardinality)``, read
-        #: once; forgotten whenever the relation or the shard set changes.
-        self._exact_statistics: "dict[str, tuple[int, float]]" = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -244,30 +238,27 @@ class ShardedDatabase(JoinPlanner):
         rows: "Relation | Iterable[tuple[int, Iterable[int]]]",
     ) -> int:
         """Hash-place a relation's rows across the shards by tuple id
-        (:func:`~repro.dist.placement.home_shards` of the tid column; a tid
-        outside ``[0, 2**64)`` raises :class:`ConfigurationError` first).
+        (:func:`~repro.dist.placement.home_shards` of the ``Relation``'s
+        tid array; ``rows`` that are not a ``Relation`` become one, so a
+        row it refuses raises :class:`ConfigurationError` first).
 
         Every shard stores a (possibly empty) slice under the same name,
         so shard catalogs stay congruent and reopening finds the same
         layout everywhere.
         """
         self._check_open()
-        self._exact_statistics.pop(name, None)
-        rows = ([(row.tid, row.elements) for row in rows]
-                if isinstance(rows, Relation) else list(rows))
-        try:
-            tids = struct.pack(f"={len(rows)}Q", *map(itemgetter(0), rows))
-        except struct.error as error:
-            raise ConfigurationError(f"relation {name!r}: tuple id {error}") from None
-        homes = home_shards(np.frombuffer(tids, dtype=np.uint64), self.shard_ids)
+        self._statistics_memo.pop(name, None)
+        relation = rows if isinstance(rows, Relation) else Relation(rows, name)
+        homes = home_shards(relation.arrays[0].astype(np.uint64), self.shard_ids)
         return sum(
-            shard.create_relation(name, list(compress(rows, homes == shard.shard_id)))
+            shard.create_relation(
+                name, relation.take(np.flatnonzero(homes == shard.shard_id)))
             for shard in self.shards
         )
 
     def drop_relation(self, name: str) -> None:
         self._check_open()
-        self._exact_statistics.pop(name, None)
+        self._statistics_memo.pop(name, None)
         for shard in self.shards:
             shard.drop_relation(name)
 
@@ -292,39 +283,30 @@ class ShardedDatabase(JoinPlanner):
             yield tid, elements
 
     def read_relation(self, name: str) -> Relation:
-        relation = Relation(name=name)
-        for tid, elements in self.scan_relation(name):
-            relation.add(SetTuple(tid, elements))
-        return relation
+        return Relation(self.scan_relation(name), name)
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
 
-    def _statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
+    def _read_statistics(self, name: str, seed: int = 0) -> tuple[int, float]:
         """(size, exact mean cardinality) aggregated over all shards.
 
         Exact rather than sampled: the integer cardinality sum is
         order-independent, so statistics — and therefore the plan — are
         identical at every shard count.  Each shard's sum is read off the
-        offsets of its columnar scan, a batch at a time, on the first
-        call for ``name``; later calls answer from memory until the
-        relation is created or dropped or the shards are reshaped.
-        ``seed`` is accepted for interface parity with
-        ``SetJoinDatabase._statistics`` and ignored.
+        offsets of its columnar scan, a batch at a time.  ``seed`` is
+        accepted for interface parity with
+        ``SetJoinDatabase._read_statistics`` and ignored.
         """
         del seed
         self._check_open()
-        if name not in self._exact_statistics:
-            size = self.relation_size(name)
-            total = 0
-            for shard in self.shards:
-                for __, __, offsets in shard.db.get_store(name).scan_batches():
-                    total += int(offsets[-1])
-            self._exact_statistics[name] = (
-                size, total / size if size else 0.0
-            )
-        return self._exact_statistics[name]
+        size = self.relation_size(name)
+        total = 0
+        for shard in self.shards:
+            for __, __, offsets in shard.db.get_store(name).scan_batches():
+                total += int(offsets[-1])
+        return size, total / size if size else 0.0
 
     def explain(
         self,

@@ -122,7 +122,7 @@ def rebalance(db, new_ids: "list[int]") -> RebalanceReport:
 
     db.shards = sorted(kept + added, key=lambda shard: shard.shard_id)
     db._write_manifest()
-    db._exact_statistics.clear()
+    db._statistics_memo.clear()
 
     for name, rows in snapshots.items():
         db.create_relation(name, rows)

@@ -32,28 +32,18 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..core.operator import SetContainmentJoin, Testbed
+from ..core.sets import Relation, join_batches, take_rows
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import SetJoinDatabase
 from ..parallel.executor import Execution
 from ..parallel.merge import ShardResult
-from ..storage.relation_store import _TID_LIMIT, BATCH_TUPLES
+from ..storage.relation_store import _TID_LIMIT
 from .placement import ShardSummary, summarize_batches
 
 __all__ = ["ArrayRelation", "Shard", "ShardJoinRequest"]
 
 
-def take_rows(tids: np.ndarray, elements: np.ndarray, offsets: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``rows`` of a ``(tids, elements, offsets)`` relation, in that
-    order, as one such relation."""
-    starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
-    kept = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=kept[1:])
-    gather = np.arange(kept[-1]) + np.repeat(starts - kept[:-1], sizes)
-    return tids[rows], elements[gather], kept
-
-
-class ArrayRelation:
+class ArrayRelation(Relation):
     """``(tids, elements, offsets)`` batches as one in-memory relation.
 
     The rows are kept in tid order (a stable sort, so the partition
@@ -66,29 +56,9 @@ class ArrayRelation:
     """
 
     def __init__(self, batches: "list[tuple]", name: str = ""):
-        self.name = name
-        columns = [(tids, elements, np.diff(offsets))
-                   for tids, elements, offsets in batches]
-        tids, elements, sizes = map(np.concatenate, zip(
-            *columns or [(np.zeros(0, dtype=np.int64),) * 3]))
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        self._tids, self._elements, self._offsets = take_rows(
-            tids, elements, offsets, np.argsort(tids, kind="stable")
-        )
-
-    def __len__(self) -> int:
-        return len(self._tids)
-
-    def _batches(self, rows: np.ndarray) -> Iterator[tuple]:
-        for first in range(0, len(rows), BATCH_TUPLES):
-            yield take_rows(self._tids, self._elements, self._offsets,
-                        rows[first : first + BATCH_TUPLES])
-
-    def scan_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every row in tid order, as :meth:`RelationStore.scan_batches`
-        yields them."""
-        return self._batches(np.arange(len(self._tids)))
+        tids, elements, offsets = join_batches(batches)
+        self._adopt(name, *take_rows(
+            tids, elements, offsets, np.argsort(tids, kind="stable")))
 
     def fetch_batches(
         self, tids: Iterable[int]
@@ -97,14 +67,15 @@ class ArrayRelation:
         :meth:`RelationStore.fetch_batches` yields them; absent tids and
         values that cannot be tids are skipped."""
         wanted = sorted({tid for tid in tids if 0 <= tid < _TID_LIMIT})
+        stored = self.arrays[0]
         try:
-            keys = np.array(wanted, dtype=self._tids.dtype)
+            keys = np.array(wanted, dtype=stored.dtype)
         except OverflowError:
             keys = np.array(wanted, dtype=object)
-        rows = np.searchsorted(self._tids, keys)
-        inside = rows < len(self._tids)
+        rows = np.searchsorted(stored, keys)
+        inside = rows < len(stored)
         rows, keys = rows[inside], keys[inside]
-        return self._batches(rows[self._tids[rows] == keys])
+        return self.take(rows[stored[rows] == keys]).scan_batches()
 
 
 @dataclass
@@ -154,8 +125,7 @@ class Shard:
     # Catalog messages
     # ------------------------------------------------------------------
 
-    def create_relation(self, name: str,
-                        rows: "list[tuple[int, frozenset[int]]]") -> int:
+    def create_relation(self, name: str, rows) -> int:
         """Store this shard's slice of a relation."""
         return self.db.create_relation(name, rows)
 

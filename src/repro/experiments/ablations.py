@@ -404,7 +404,7 @@ def run_skew(k: int = 32, seed: int = 9) -> ExperimentResult:
     import random as random_module
 
     from ..core.psj import PSJPartitioner
-    from ..core.sets import Relation, SetTuple
+    from ..core.sets import Relation
     from ..data.workloads import accuracy_workload
 
     result = ExperimentResult(
@@ -416,12 +416,11 @@ def run_skew(k: int = 32, seed: int = 9) -> ExperimentResult:
     def strided_relations():
         rng = random_module.Random(seed)
         def build(size, theta, name):
-            relation = Relation(name=name)
-            for tid in range(size):
-                relation.add(SetTuple(tid, frozenset(
-                    8 * value for value in rng.sample(range(5_000), theta)
-                )))
-            return relation
+            return Relation(
+                ((tid, [8 * value for value in rng.sample(range(5_000), theta)])
+                 for tid in range(size)),
+                name,
+            )
         return build(600, 20, "R"), build(600, 40, "S")
 
     workloads = {
@@ -491,12 +490,10 @@ def run_hybrid(seed: int = 9) -> ExperimentResult:
     big_r, big_s = uniform_workload(
         400, 400, 60, 120, domain_size=50_000, seed=seed + 1, planted_pairs=3
     ).materialize()
-    lhs = Relation(name="R_mixed")
-    rhs = Relation(name="S_mixed")
-    for offset, row in enumerate(list(small_r) + list(big_r)):
-        lhs.add(type(row)(offset, row.elements))
-    for offset, row in enumerate(list(small_s) + list(big_s)):
-        rhs.add(type(row)(offset, row.elements))
+    lhs = Relation.from_sets(
+        (row.elements for row in [*small_r, *big_r]), name="R_mixed")
+    rhs = Relation.from_sets(
+        (row.elements for row in [*small_s, *big_s]), name="S_mixed")
 
     result = ExperimentResult(
         experiment_id="ablation-hybrid",
@@ -696,6 +693,10 @@ def _run_suite(knobs: dict, scale: float, seed: int) -> dict:
                     cached = plan_cache.lookup(key)
                     if cached is not None:
                         return cached
+                else:
+                    # Off reuses nothing planned: nor the statistics the
+                    # database remembers.
+                    db._statistics_memo.clear()
                 before = db.pool.stats.hits + db.pool.stats.misses
                 plan = db.plan("ablate_r", "ablate_s")
                 outcome["plan_pages"] += (

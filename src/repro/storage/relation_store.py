@@ -19,7 +19,6 @@ its B-tree, which is dropped whole with the relation.
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,7 +31,6 @@ from .serialization import (
     decode_tuple_record,
     decode_tuple_records,
     encode_tuple_arrays,
-    tuple_arrays,
 )
 
 __all__ = ["RelationStore", "DEFAULT_PAYLOAD_SIZE"]
@@ -89,42 +87,30 @@ def _chunk_size(pool: BufferPool) -> int:
     return size
 
 
-def _row_batches(rows: Iterable[tuple[int, Iterable[int]]]) -> Iterator[tuple]:
-    """``(tid, elements)`` rows as :func:`~.serialization.tuple_arrays`
-    batches of :data:`BATCH_TUPLES`; no row object outlives its batch."""
-    rows = iter(rows)
-    while batch := list(islice(rows, BATCH_TUPLES)):
-        yield tuple_arrays(
-            list(map(itemgetter(0), batch)), list(map(itemgetter(1), batch))
-        )
-
-
 def _encoded_batches(
     batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], payload: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``(tids, elements, offsets)`` batches encoded one at a time.
 
-    Returns ``(tids, records, bounds)`` in input order: the tids as
-    uint64, and record ``i`` as ``records[bounds[i]:bounds[i + 1]]``.
+    Returns ``(records, bounds)`` in input order: record ``i`` as
+    ``records[bounds[i]:bounds[i + 1]]``.
     """
-    tids = [np.zeros(0, dtype=np.uint64)]
     records = [np.zeros(0, dtype=np.uint8)]
     lengths = [np.zeros(0, dtype=np.int64)]
     batches = iter(batches)
     while batch := next(batches, None):
         data, batch_bounds = encode_tuple_arrays(*batch, payload)
-        tids.append(batch[0].astype(np.uint64))
         records.append(data)
         lengths.append(np.diff(batch_bounds))
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-    return np.concatenate(tids), np.concatenate(records), bounds
+    return np.concatenate(records), bounds
 
 
 def _sorted_runs(
     tids: np.ndarray, order: np.ndarray, records: np.ndarray,
     bounds: np.ndarray, size: int,
 ) -> Iterator[tuple[bytes, np.ndarray]]:
-    """The records of :func:`_encoded_rows` in ``order`` (``tids`` already
+    """The records of :func:`_encoded_batches` in ``order`` (``tids`` already
     in it), :data:`BATCH_TUPLES` at a time, as runs of
     :meth:`BTree.bulk_create_runs`."""
     first = 0
@@ -219,54 +205,30 @@ class RelationStore:
     def create(
         cls,
         pool: BufferPool,
-        rows: Iterable[tuple[int, Iterable[int]]],
+        rows,
         payload_size: int = DEFAULT_PAYLOAD_SIZE,
         name: str = "",
         fill_fraction: float = 1.0,
     ) -> "RelationStore":
-        """:meth:`create_batches` of ``(tid, elements)`` rows in any tid
-        order, taken :data:`BATCH_TUPLES` at a time."""
-        return cls.create_batches(
-            pool, _row_batches(rows), payload_size, name, fill_fraction
-        )
+        """Create and load a :class:`~repro.core.sets.Relation` (or the
+        ``(tid, elements)`` pairs its constructor takes and checks, in any
+        tid order), each tuple with a zero payload of ``payload_size``
+        bytes: its batches are encoded into one buffer, one stable argsort
+        puts the records in tid order, and :meth:`BTree.bulk_create_runs`
+        writes each page once, full (nothing is ever inserted into a stored
+        relation) unless ``fill_fraction`` (the testbed's 0.9) says less."""
+        from ..core.sets import Relation  # the core package imports this one
 
-    @classmethod
-    def create_batches(
-        cls,
-        pool: BufferPool,
-        batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        payload_size: int = DEFAULT_PAYLOAD_SIZE,
-        name: str = "",
-        fill_fraction: float = 1.0,
-    ) -> "RelationStore":
-        """Create and load a relation from ``(tids, elements, offsets)``
-        batches in any tid order, as :meth:`scan_batches` yields them,
-        each tuple with a zero payload of ``payload_size`` bytes.
-
-        The batches are encoded one at a time into one buffer of records,
-        which one stable argsort puts in tid order.  The B-tree
-        is then built bottom-up (:meth:`BTree.bulk_create_runs`): each
-        page written once, no splits.  Nothing is ever inserted into a
-        stored relation, so its leaves are filled to the page by default;
-        ``fill_fraction`` is the testbed's lower fill (the paper-testbed
-        layout its committed counters hold).  A repeated tid raises
-        :class:`ConfigurationError`, as :meth:`Relation.add
-        <repro.core.sets.Relation.add>` does, and an unencodable tuple the
-        encoder's error, both before any page is allocated.
-        """
         size = _chunk_size(pool)
-        tids, records, bounds = _encoded_batches(batches, bytes(payload_size))
+        relation = rows if isinstance(rows, Relation) else Relation(rows, name)
+        records, bounds = _encoded_batches(
+            relation.scan_batches(), bytes(payload_size))
+        tids = relation.arrays[0].astype(np.uint64)
         order = np.argsort(tids, kind="stable")
-        tids = tids[order]
-        repeated = np.flatnonzero(tids[1:] == tids[:-1])
-        if repeated.size:
-            raise ConfigurationError(
-                f"duplicate tid {tids[repeated[0]]} in relation {name!r}"
-            )
         store = cls.__new__(cls)
         store.name = name
         store._tree = BTree.bulk_create_runs(
-            pool, _sorted_runs(tids, order, records, bounds, size),
+            pool, _sorted_runs(tids[order], order, records, bounds, size),
             fill_fraction,
         )
         store._count = int(tids.size)

@@ -39,7 +39,6 @@ __all__ = [
     "decode_tuple_record",
     "encode_tuple_buffer",
     "encode_tuple_arrays",
-    "tuple_arrays",
     "decode_tuple_buffer",
     "decode_tuple_records",
     "varint_widths",
@@ -179,30 +178,18 @@ def _int64s(values: list) -> np.ndarray:
     return np.frombuffer(packed, dtype=np.int64)
 
 
-def tuple_arrays(tids, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A run of ``(tid, elements)`` tuples as the ``(tids, elements,
-    offsets)`` arrays of :func:`decode_tuple_buffer` (a set's elements in
-    iteration order, duplicates kept), int64 arrays where every value is
-    an integer that fits, ``object`` arrays (:func:`_int64s`) otherwise."""
-    count = len(sets)
-    try:
-        cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
-    except TypeError:  # a generator among the sets: materialize them
-        sets = [
-            elements if hasattr(elements, "__len__") else list(elements)
-            for elements in sets
-        ]
-        cardinalities = np.fromiter(map(len, sets), dtype=np.int64, count=count)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(cardinalities, out=offsets[1:])
-    return _int64s(list(tids)), _int64s(list(chain.from_iterable(sets))), offsets
-
-
 def encode_tuple_buffer(tids, sets, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`encode_tuple_arrays` of :func:`tuple_arrays`: record ``i``
-    of ``(data, bounds)`` is byte for byte ``encode_tuple_record(tids[i],
+    """:func:`encode_tuple_arrays` of ``(tid, elements)`` tuples (a set's
+    elements in iteration order, duplicates kept): record ``i`` of
+    ``(data, bounds)`` is byte for byte ``encode_tuple_record(tids[i],
     sets[i], payload)``."""
-    return encode_tuple_arrays(*tuple_arrays(tids, sets), payload)
+    sets = [list(elements) for elements in sets]
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(elements) for elements in sets], out=offsets[1:])
+    return encode_tuple_arrays(
+        _int64s(list(tids)), _int64s(list(chain.from_iterable(sets))),
+        offsets, payload,
+    )
 
 
 def encode_tuple_arrays(
@@ -210,7 +197,7 @@ def encode_tuple_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`encode_tuple_record` for a run of tuples sharing one
     payload, held as the ``(tids, elements, offsets)`` arrays of
-    :func:`tuple_arrays` or :func:`decode_tuple_buffer` (``offsets[0]`` 0,
+    :class:`~repro.core.sets.Relation` or :func:`decode_tuple_buffer` (``offsets[0]`` 0,
     a set's elements in any order).
 
     Returns ``(data, bounds)``: a uint8 array and ``n + 1`` int64 offsets,

@@ -402,3 +402,25 @@ class TestStatistics:
             for seed in (0, 1, 7):
                 assert db._statistics("S", seed=seed) == self.oracle(
                     db, "S", seed)
+
+    def test_a_second_plan_scans_nothing_until_the_relation_changes(
+            self, relations, monkeypatch):
+        from repro.storage.relation_store import RelationStore
+
+        lhs, rhs = relations
+        with SetJoinDatabase.open() as db:
+            db.create_relation("R", lhs)
+            db.create_relation("S", rhs)
+            first = db.plan("R", "S")
+            with monkeypatch.context() as patch:
+                def no_scan(self):
+                    raise AssertionError("statistics scanned a relation again")
+
+                patch.setattr(RelationStore, "scan_batches", no_scan)
+                assert db.plan("R", "S") == first
+                assert db.plan("R", "S", "PSJ", 8).algorithm == "PSJ"
+            db.drop_relation("S")
+            db.create_relation("S", lhs)
+            # 80 rows: the sample is every row, so θ is exact.
+            assert db._statistics("S", seed=1) == (
+                len(lhs), lhs.average_cardinality())

@@ -14,13 +14,12 @@ from repro.dist.placement import (
     summarize_batches,
 )
 from repro.errors import ConfigurationError
-from repro.storage.serialization import tuple_arrays
+from repro.core.sets import Relation
 
 
 def _batch(rows):
     """``(tid, elements)`` rows as one columnar batch."""
-    return tuple_arrays([tid for tid, __ in rows],
-                        [sorted(elements) for __, elements in rows])
+    return Relation(rows).arrays
 
 
 class TestAssignShard:

@@ -42,6 +42,20 @@ class TestElementDistributions:
             sample = distribution.sample_set(rng, cardinality)
             assert len(sample) == cardinality
 
+    @pytest.mark.parametrize("domain", [1, 2, 3, 7, 8, 150, 1 << 20, 10_000, 2**64 - 1])
+    def test_uniform_sets_are_the_draws_randrange_makes(self, domain):
+        """``UniformElements`` draws through one closure instead of
+        ``draw`` → ``randrange``; the sets and the generator's state after
+        them must be those of the ``draw`` loop it replaced."""
+        fast, reference = random.Random(domain), random.Random(domain)
+        uniform = UniformElements(domain)
+        for cardinality in (0, 1, min(domain, 9), min(domain, 40)):
+            expected = set()
+            while len(expected) < cardinality:
+                expected.add(uniform.draw(reference))
+            assert uniform.sample_set(fast, cardinality) == expected
+        assert fast.getstate() == reference.getstate()
+
     def test_sample_set_too_large_rejected(self):
         with pytest.raises(ConfigurationError):
             UniformElements(10).sample_set(random.Random(0), 11)

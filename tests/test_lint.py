@@ -316,17 +316,17 @@ def test_batch_fetch_stays_off_the_one_tuple_api():
     )
 
 
-#: The load path: ``create``, its row adapter, the array core
-#: ``create_batches``, the batch encoder and run producer it calls and the
-#: B-tree's entry layout may not loop at all; the leaf
+#: The load path: ``create``, the batch encoder and run producer it calls
+#: and the B-tree's entry layout may not loop at all; the leaf
 #: packer may loop over its runs, never over items or entries.
-LOAD_FUNCTIONS = (
-    "create", "create_batches", "_row_batches", "_encoded_batches",
-    "_sorted_runs",
-)
+LOAD_FUNCTIONS = ("create", "_encoded_batches", "_sorted_runs")
 ENTRY_LAYOUT = "leaf_entry_run"
 PACKER = "_pack_leaves"
-RETIRED_PAGE_HELPERS = {"_chunks", "_encoded"}
+#: ``_row_batches``, ``create_batches`` and ``tuple_arrays`` turned rows
+#: back into arrays; the store now takes a ``Relation``'s arrays.
+RETIRED_PAGE_HELPERS = {
+    "_chunks", "_encoded", "_row_batches", "create_batches", "tuple_arrays",
+}
 SCAN_RETIRED = ("_records", "_decoded")
 
 
@@ -786,7 +786,7 @@ DIST_COLUMNAR = {
 PER_ROW_CALLS = ("scan", "scan_relation", "assign_r", "assign_s", "frozenset")
 #: What ``Shard.execute_join`` may not call either: the shipped R portion
 #: is joined as arrays, never loaded into a B-tree and read back.
-PORTION_STORE_CALLS = ("create_batches", "BTree")
+PORTION_STORE_CALLS = ("create", "BTree")
 
 
 def test_distributed_join_is_columnar():

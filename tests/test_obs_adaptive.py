@@ -9,7 +9,6 @@ bit-identical (pairs and the paper's x/y counters) under any model.
 """
 
 import json
-import time
 from statistics import median
 
 import pytest
@@ -26,6 +25,7 @@ from repro.obs.adaptive import (
 )
 from repro.obs.drift import DriftRecord, append_drift_jsonl, read_drift_jsonl
 from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 
 
 def make_record(
@@ -248,9 +248,20 @@ class TestRecalibrator:
         assert "within threshold" in again.reason
 
 
+class TickClock:
+    """A clock that advances ``tick`` seconds per reading."""
+
+    def __init__(self, tick: float = 1e-3):
+        self.now, self.tick = 0.0, tick
+
+    def __call__(self) -> float:
+        self.now += self.tick
+        return self.now
+
+
 class TestFakeClockClosedLoop:
     def test_real_joins_under_2x_clock_refit_and_correct(
-        self, tmp_path, monkeypatch, small_workload
+        self, tmp_path, small_workload
     ):
         """End to end: 21 analyzed joins under a 2× clock → refit →
         the next EXPLAIN is priced by the refitted model, and predicts
@@ -258,16 +269,20 @@ class TestFakeClockClosedLoop:
         from repro.obs.explain import analyze_join, explain_join
 
         lhs, rhs = small_workload
-        # The model of *this* machine: the paper's constants scaled to the
-        # measured wall time of the same join, so that the 2× clock below —
-        # not how fast the box and the code happen to run — is what makes
-        # the history drift.
+        # One deterministic clock drives every join: each reading advances
+        # it one tick, so a join's observed seconds are its span count
+        # times the tick, and doubling the tick is an exact 2× drift that
+        # host load cannot blur.
+        clock = TickClock()
+        # The model of *this* clock: the paper's constants scaled to the
+        # observed time of the same join, so that the 2× clock below is
+        # what makes the history drift.
         ratios = sorted(
             record.observed["seconds"] / record.predicted["seconds"]
             for record in (
                 analyze_join(
                     lhs, rhs, "DCJ", 8, model=PAPER_TIME_MODEL,
-                    registry=MetricsRegistry(),
+                    tracer=Tracer(clock=clock), registry=MetricsRegistry(),
                 ).drift
                 for __ in range(5)
             )
@@ -277,18 +292,13 @@ class TestFakeClockClosedLoop:
             PAPER_TIME_MODEL.c3,
         )
 
-        real = time.perf_counter
-        epoch = real()
-        monkeypatch.setattr(
-            time, "perf_counter",
-            lambda: epoch + (real() - epoch) * 2.0,
-        )
-
+        clock.tick *= 2.0
         drift_path = str(tmp_path / "drift.jsonl")
         for __ in range(21):
             analysis = analyze_join(
                 lhs, rhs, "DCJ", 8, model=local_model,
-                drift_path=drift_path, registry=MetricsRegistry(),
+                tracer=Tracer(clock=clock), drift_path=drift_path,
+                registry=MetricsRegistry(),
             )
         assert analysis.drift.observed["seconds"] > 0
 

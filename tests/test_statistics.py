@@ -59,3 +59,42 @@ class TestSampledStatistics:
         relation = Relation.from_sets([{1}])
         with pytest.raises(ConfigurationError):
             collect_statistics(relation, sample_size=0)
+
+
+def _row_loop(relation, sample_size=None, seed=0):
+    """The statistics as the per-row loop the array version replaced
+    computed them."""
+    import random
+
+    rows = list(relation)
+    if sample_size is not None and sample_size < len(rows):
+        rows = random.Random(seed).sample(rows, sample_size)
+    cardinalities = sorted(row.cardinality for row in rows)
+    middle = len(cardinalities) // 2
+    median = (float(cardinalities[middle]) if len(cardinalities) % 2 else
+              (cardinalities[middle - 1] + cardinalities[middle]) / 2.0)
+    return (
+        cardinalities[0], cardinalities[-1],
+        sum(cardinalities) / len(cardinalities), median,
+        sum(1 for value in cardinalities if value == 0),
+        len(set().union(*(row.elements for row in rows))),
+    )
+
+
+@pytest.mark.parametrize("sample_size", [None, 1, 37, 120, 500])
+def test_array_statistics_equal_the_row_loop(sample_size):
+    import random
+
+    rng = random.Random(sample_size)
+    relation = Relation(
+        [(tid * 3, rng.sample(range(300), rng.randint(0, 12)))
+         for tid in range(120)]
+        + [(10**6, {2**63 + 1, 5})],
+        "R",
+    )
+    stats = collect_statistics(relation, sample_size=sample_size, seed=4)
+    assert (
+        stats.min_cardinality, stats.max_cardinality,
+        stats.mean_cardinality, stats.median_cardinality, stats.empty_sets,
+        stats.distinct_elements,
+    ) == _row_loop(relation, sample_size, seed=4)
