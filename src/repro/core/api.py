@@ -22,8 +22,8 @@ from collections import defaultdict
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from .intersection import intersection_join as overlap_join
 from .metrics import JoinMetrics
-from .operator import run_disk_join
-from .optimizer import check_algorithm, resolve_plan
+from .operator import SetContainmentJoin, Testbed, check_join_options
+from .optimizer import _partition_count, check_algorithm, resolve_plan
 from .sets import Relation
 from .signatures import DEFAULT_SIGNATURE_BITS, signature_of
 
@@ -54,8 +54,12 @@ def containment_join(
 
     ``algorithm="auto"`` runs the paper's five-step selection procedure;
     naming an algorithm uses it at ``num_partitions`` (default 32, any
-    value — DCJ/LSJ fold via the modulo approach when it is not a power
-    of two).
+    positive integer — DCJ/LSJ fold via the modulo approach when it is
+    not a power of two).
+
+    Nothing of ``lhs``/``rhs`` is stored: the operator reads them as held
+    (DESIGN.md, "One relation read surface").  Every option is checked
+    first, also when a side is empty.
 
     ``workers``/``backend`` run the joining phase on the
     partition-parallel engine (:mod:`repro.parallel`); results and the
@@ -65,18 +69,35 @@ def containment_join(
     of the execution — phases, partition pairs, per-shard worker spans —
     without changing results or accounting; see :mod:`repro.obs`.
     """
+    return _held_join(
+        lhs, rhs, algorithm, num_partitions, signature_bits, model, seed,
+        workers, backend, tracer,
+    )[1:]
+
+
+def _held_join(lhs, rhs, algorithm, num_partitions, signature_bits, model,
+               seed, workers, backend, tracer):
+    """:func:`containment_join` and ANALYZE: every option checked, then
+    ``(plan, pairs, metrics)`` of the held relations' join — ``None`` and
+    nothing run when a side is empty.  No relation page is written."""
     check_algorithm(algorithm)
+    _partition_count(num_partitions)
+    check_join_options(signature_bits, workers, backend)
     if not lhs or not rhs:
-        return set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
-                                  s_size=len(rhs))
+        return None, set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
+                                        s_size=len(rhs))
     plan = resolve_plan(
         algorithm, num_partitions, len(lhs), lhs.average_cardinality(),
         len(rhs), rhs.average_cardinality(), model,
     )
-    return run_disk_join(
-        lhs, rhs, plan.build_partitioner(seed), signature_bits=signature_bits,
-        workers=workers, backend=backend, tracer=tracer,
-    )
+    with Testbed() as testbed:
+        testbed.relation_r, testbed.relation_s = lhs, rhs
+        pairs, metrics = SetContainmentJoin(
+            testbed, plan.build_partitioner(seed),
+            signature_bits=signature_bits, workers=workers,
+            parallel_backend=backend, tracer=tracer,
+        ).run()
+    return plan, pairs, metrics
 
 
 def explain_containment_join(lhs: Relation, rhs: Relation, **kwargs):

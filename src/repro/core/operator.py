@@ -290,11 +290,11 @@ def _pack_batches(batches, signature_bits: int) -> PackedBlock:
 
 
 class Testbed:
-    """A disk, a buffer pool and the two stored input relations.
-
+    """A disk, a buffer pool and the two input relations: stored
+    (:class:`RelationStore`), or held (:class:`~repro.core.sets.Relation`,
+    read without a page; DESIGN.md, "One relation read surface").
     ``path=None`` keeps pages in memory (fast, identical I/O accounting);
-    a file path gives real on-disk storage.
-    """
+    a file path gives real on-disk storage."""
 
     __test__ = False  # not a pytest test class despite the name
 
@@ -310,19 +310,19 @@ class Testbed:
         else:
             self.disk = FileDiskManager(path, page_size)
         self.pool = BufferPool(self.disk, capacity=buffer_pages, policy=buffer_policy)
-        self.relation_r: RelationStore | None = None
-        self.relation_s: RelationStore | None = None
+        self.relation_r: RelationStore | Relation | None = None
+        self.relation_s: RelationStore | Relation | None = None
 
     @classmethod
     def from_components(
         cls,
         disk: DiskManager,
         pool: BufferPool,
-        relation_r: RelationStore,
-        relation_s: RelationStore,
+        relation_r: RelationStore | Relation,
+        relation_s: RelationStore | Relation,
     ) -> "Testbed":
         """Wrap pre-existing storage components (e.g. a database's) so the
-        operator can run over already-stored relations."""
+        operator can run over already-stored or held relations."""
         testbed = cls.__new__(cls)
         testbed.disk = disk
         testbed.pool = pool
@@ -363,7 +363,7 @@ class Testbed:
 
 
 def partition_relation(
-    relation: RelationStore,
+    relation: RelationStore | Relation,
     assign_batch,
     store: PartitionStore,
     signature_bits: int,
@@ -417,7 +417,7 @@ def partition_relation(
 _VERIFY_SLICE_ELEMENTS = 1 << 16
 
 #: ``(elements, offsets)``: set ``i`` is ``elements[offsets[i]:offsets[i + 1]]``,
-#: ascending, as :meth:`RelationStore.fetch_batches` yields them.
+#: ascending, as ``fetch_batches`` of a stored or held relation yields them.
 _Sets = tuple[np.ndarray, np.ndarray]
 
 
@@ -459,7 +459,7 @@ def verify_pairs(
 
 
 def _fetch_candidates(
-    relation: RelationStore, tids: "tuple[int, ...]"
+    relation: RelationStore | Relation, tids: "tuple[int, ...]"
 ) -> tuple[np.ndarray, _Sets]:
     """One forward fetch of the distinct ``tids``: the fetched row of each
     of ``tids`` and the fetched sets, batches concatenated."""
@@ -1061,6 +1061,11 @@ def run_disk_join(
     tracer=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Convenience wrapper: build a testbed, load, join, tear down.
+
+    Unlike :func:`repro.core.api.containment_join` it stores both
+    relations first (:meth:`Testbed.load`): its page counts, relation
+    reads included, are what the figure, case-study and ablation
+    experiments measure.
 
     ``workers``/``backend`` run the joining phase on the
     partition-parallel engine (see :mod:`repro.parallel`); the result

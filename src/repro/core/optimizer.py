@@ -29,6 +29,7 @@ model, which is the paper's own calibration procedure run again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..analysis.factors import (
     comparison_factor,
@@ -73,6 +74,18 @@ def check_algorithm(algorithm: str) -> None:
         raise ConfigurationError(
             f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
         )
+
+
+def _partition_count(num_partitions) -> int:
+    """The k of a named algorithm: 32 for ``None``; anything but a positive
+    integer (a ``bool`` is not one) raises :class:`ConfigurationError`."""
+    if num_partitions is None:
+        return 32
+    if (isinstance(num_partitions, bool)
+            or not isinstance(num_partitions, Integral) or num_partitions < 1):
+        raise ConfigurationError(
+            f"num_partitions must be an integer >= 1, got {num_partitions!r}")
+    return int(num_partitions)
 
 
 @dataclass
@@ -151,14 +164,15 @@ def resolve_plan(
 
     ``"auto"`` runs steps 3-5 (:func:`plan_from_statistics`); a named
     algorithm is a one-candidate plan at ``num_partitions`` (default 32,
-    any value — DCJ/LSJ fold via the modulo approach when it is not a
+    any positive integer, else :class:`ConfigurationError` for every
+    algorithm — DCJ/LSJ fold via the modulo approach when it is not a
     power of two), with θ clamped to ≥ 1 so a relation of empty sets
     still joins, priced by the same ``model``.
     """
     check_algorithm(algorithm)
+    k = _partition_count(num_partitions)
     if algorithm == "auto":
         return plan_from_statistics(r_size, s_size, theta_r, theta_s, model)
-    k = num_partitions or 32
     theta_r, theta_s = max(theta_r, 1.0), max(theta_s, 1.0)
     candidate = _candidate(algorithm, k, theta_r, theta_s, r_size, s_size, model)
     return JoinPlan(

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..storage.relation_store import BATCH_TUPLES
+from ..storage.relation_store import _TID_LIMIT, BATCH_TUPLES
 from ..storage.serialization import _int64s, _segment_sort
 
 __all__ = [
@@ -117,30 +117,53 @@ class Relation:
         """Build a relation from ``{tid: iterable_of_elements}``."""
         return cls(((tid, mapping[tid]) for tid in sorted(mapping)), name)
 
+    @classmethod
+    def _of_batches(cls, batches: list, name: str = "") -> "Relation":
+        """Trusted store-scan batches, in any tid order: only repeats are checked."""
+        relation = cls.__new__(cls)
+        relation._adopt(name, *join_batches(batches))
+        return relation
+
     def _adopt(self, name, tids, elements, offsets) -> None:
-        ordered = np.sort(tids)
+        # The stable tid order finds repeats; scans and fetches read in it.
+        order = np.argsort(tids, kind="stable")
+        ordered = tids[order]
         repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
         if repeated.size:
             raise ConfigurationError(
                 f"duplicate tid {ordered[repeated[0]]} in relation {name!r}")
-        self.name, self._arrays = name, (tids, elements, offsets)
+        self.name, self._arrays, self._order = name, (tids, elements, offsets), order
         self._by_tid: dict[int, SetTuple] | None = None  # the rows, in order
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(tids, elements, offsets)``; treat them as read-only."""
+        """``(tids, elements, offsets)``, as the tuples came; read-only."""
         if self._arrays is None:  # rows were added since the last read
             rows = list(self._by_tid.values())
-            self._arrays = join_batches([_pair_arrays(rows, self.name)])
+            self._adopt(self.name, *join_batches([_pair_arrays(rows, self.name)]))
         return self._arrays
 
     def scan_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The arrays :data:`BATCH_TUPLES` tuples at a time, in order."""
-        tids, elements, offsets = self.arrays
-        for first in range(0, len(tids), BATCH_TUPLES):
-            last = min(first + BATCH_TUPLES, len(tids))
-            yield (tids[first:last], elements[offsets[first] : offsets[last]],
-                   offsets[first : last + 1] - offsets[first])
+        """The tuples :data:`BATCH_TUPLES` at a time in tid order, as
+        :meth:`RelationStore.scan_batches` yields them."""
+        arrays = self.arrays  # after an add, this rebuilds the order too
+        return _gathered(arrays, self._order)
+
+    def fetch_batches(self, tids: Iterable[int]
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The rows among ``tids``, in tid order, as
+        :meth:`RelationStore.fetch_batches` yields them; absent tids and
+        values that cannot be tids are skipped."""
+        arrays = self.arrays
+        stored, order = arrays[0], self._order
+        # An int64 column holds no tid past int64; an object one any tid.
+        limit = _TID_LIMIT if stored.dtype == object else 1 << 63
+        keys = np.array(sorted({tid for tid in tids if 0 <= tid < limit}),
+                        dtype=stored.dtype)
+        at = np.searchsorted(stored, keys, sorter=order)
+        inside = at < len(stored)
+        rows = order[at[inside]]
+        return _gathered(arrays, rows[stored[rows] == keys[inside]])
 
     def take(self, rows: np.ndarray) -> "Relation":
         """The relation of the tuples at positions ``rows``, in that order."""
@@ -202,6 +225,13 @@ class Relation:
         size = min(sample_size, len(self))
         sample = random.Random(seed).sample(range(len(self)), size)
         return int(np.diff(self.arrays[2])[sample].sum()) / size
+
+
+def _gathered(arrays: tuple, rows: np.ndarray) -> Iterator[tuple]:
+    """The ``rows`` of ``(tids, elements, offsets)`` arrays, in that order,
+    :data:`BATCH_TUPLES` at a time."""
+    return (take_rows(*arrays, rows[first : first + BATCH_TUPLES])
+            for first in range(0, len(rows), BATCH_TUPLES))
 
 
 def take_rows(tids: np.ndarray, elements: np.ndarray, offsets: np.ndarray,

@@ -13,8 +13,8 @@ engine, so a distributed join with process-backed shards runs on real
 cores.
 
 The join path never stores the replicated R portion: the shard joins
-the shipped ``(tids, elements, offsets)`` arrays as they are, through an
-in-memory relation (:class:`ArrayRelation`) with the read surface the
+the shipped ``(tids, elements, offsets)`` arrays as they are, as an
+in-memory :class:`~repro.core.sets.Relation` — the read surface the
 operator uses of a stored one.  The portion is reconstructible
 coordinator state, so — like the operator's temporary partition pages,
 which are written without WAL logging and reclaimed after the join — it
@@ -27,55 +27,16 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
 
 from ..core.operator import SetContainmentJoin, Testbed
-from ..core.sets import Relation, join_batches, take_rows
+from ..core.sets import Relation
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import SetJoinDatabase
 from ..parallel.executor import Execution
 from ..parallel.merge import ShardResult
-from ..storage.relation_store import _TID_LIMIT
 from .placement import ShardSummary, summarize_batches
 
-__all__ = ["ArrayRelation", "Shard", "ShardJoinRequest"]
-
-
-class ArrayRelation(Relation):
-    """``(tids, elements, offsets)`` batches as one in-memory relation.
-
-    The rows are kept in tid order (a stable sort, so the partition
-    entries and candidates come out in the order a stored relation's
-    scan gives them), with the read surface the join operator uses of a
-    :class:`~repro.storage.relation_store.RelationStore`: ``name``,
-    ``len()``, :meth:`scan_batches` and :meth:`fetch_batches`, each
-    yielding :data:`BATCH_TUPLES` rows at a time.  The arrays keep the
-    batches' dtype — ``object`` where a value does not fit int64.
-    """
-
-    def __init__(self, batches: "list[tuple]", name: str = ""):
-        tids, elements, offsets = join_batches(batches)
-        self._adopt(name, *take_rows(
-            tids, elements, offsets, np.argsort(tids, kind="stable")))
-
-    def fetch_batches(
-        self, tids: Iterable[int]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The rows among ``tids``, in tid order, as
-        :meth:`RelationStore.fetch_batches` yields them; absent tids and
-        values that cannot be tids are skipped."""
-        wanted = sorted({tid for tid in tids if 0 <= tid < _TID_LIMIT})
-        stored = self.arrays[0]
-        try:
-            keys = np.array(wanted, dtype=stored.dtype)
-        except OverflowError:
-            keys = np.array(wanted, dtype=object)
-        rows = np.searchsorted(stored, keys)
-        inside = rows < len(stored)
-        rows, keys = rows[inside], keys[inside]
-        return self.take(rows[stored[rows] == keys]).scan_batches()
+__all__ = ["Shard", "ShardJoinRequest"]
 
 
 @dataclass
@@ -85,8 +46,8 @@ class ShardJoinRequest:
     ``r_rows`` is the replicated R portion this shard must join against
     its local S slice, as ``(tids, elements, offsets)`` slices of
     :meth:`RelationStore.scan_batches` batches, in any tid order; the
-    shard joins them in memory (:class:`ArrayRelation`) and stores
-    nothing of them.  ``partitioner`` must be content-deterministic
+    shard joins them in memory, as a :class:`~repro.core.sets.Relation`,
+    and stores nothing of them.  ``partitioner`` must be content-deterministic
     (see :func:`repro.dist.placement.deterministic_partitioner`) and is
     private to the shard — the coordinator sends each shard its own
     copy, never a shared instance.
@@ -147,14 +108,14 @@ class Shard:
     def execute_join(self, request: ShardJoinRequest) -> ShardResult:
         """Join the replicated R portion against the local S slice.
 
-        The portion's arrays are joined as an :class:`ArrayRelation`
-        with the same operator the single-database path uses (including
+        The portion's arrays are joined as a :class:`Relation` with the
+        same operator the single-database path uses (including
         the partition-parallel engine when ``workers > 1``); verification
         fetches its R sets from those arrays.  Nothing of the portion is
         written to the shard's pages.
         """
         s_store = self.db.get_store(request.s_name)
-        portion = ArrayRelation(
+        portion = Relation._of_batches(
             request.r_rows, name=f"__dist_r_portion_{self.shard_id}"
         )
         # The shard builds its *own* tracer rather than borrowing the

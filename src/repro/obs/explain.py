@@ -613,9 +613,9 @@ def analyze_join(
 ) -> AnalyzeResult:
     """ANALYZE: execute the join and annotate the plan with observations.
 
-    The plan EXPLAIN renders is the plan that runs: its partitioner goes
-    to :func:`repro.core.operator.run_disk_join`, the operator
-    :func:`repro.core.api.containment_join` calls, so the result pairs
+    The plan EXPLAIN renders is the plan that runs: the join goes
+    through the path :func:`repro.core.api.containment_join` takes, which
+    resolves the plan and joins the held relations, so the result pairs
     and the paper's x/y accounting are bit-identical to an un-analyzed
     run.  The annotated root's predicted and observed values become a
     :class:`~repro.obs.drift.DriftRecord` — the record holds exactly the
@@ -627,21 +627,20 @@ def analyze_join(
     supplies the observed durations; inject fake clocks for
     deterministic output.  ``wall`` stamps the drift record.
     """
-    from ..core.operator import run_disk_join
+    from ..core.api import _held_join
     from .drift import append_drift_jsonl, compute_drift, record_drift
     from .trace import Tracer
 
-    report = explain_join(
-        lhs, rhs, algorithm, num_partitions, model=model,
-        signature_bits=signature_bits, workers=workers,
-        backend=backend, seed=seed, operator_levels=operator_levels,
+    tracer = Tracer() if tracer is None else tracer
+    plan, pairs, metrics = _held_join(
+        lhs, rhs, algorithm, num_partitions, signature_bits, model, seed,
+        workers, backend, tracer,
     )
-    if tracer is None:
-        tracer = Tracer()
-    pairs, metrics = run_disk_join(
-        lhs, rhs, report.plan.build_partitioner(seed),
-        signature_bits=signature_bits, workers=workers, backend=backend,
-        tracer=tracer,
+    if plan is None:
+        raise ConfigurationError("cannot explain a join over an empty relation")
+    report = plan.explain(
+        seed=seed, signature_bits=signature_bits, workers=workers,
+        backend=backend, operator_levels=operator_levels,
     )
     attach_observed(report, tracer, metrics)
     drift = compute_drift(

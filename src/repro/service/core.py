@@ -749,7 +749,8 @@ class QueryService:
             # recorded, predicts for the drift record, and builds the
             # partitioner every attempt runs, so the database never
             # samples statistics a second time to re-derive it.
-            plan = self.db.plan(r_name, s_name, cache=self._plan_cache)
+            plan = self.db.plan(r_name, s_name, "auto", params.get("num_partitions"),
+                                cache=self._plan_cache)
             record.plan = {
                 "algorithm": plan.algorithm,
                 "k": plan.k,

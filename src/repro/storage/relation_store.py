@@ -87,43 +87,14 @@ def _chunk_size(pool: BufferPool) -> int:
     return size
 
 
-def _encoded_batches(
-    batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], payload: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(tids, elements, offsets)`` batches encoded one at a time.
-
-    Returns ``(records, bounds)`` in input order: record ``i`` as
-    ``records[bounds[i]:bounds[i + 1]]``.
-    """
-    records = [np.zeros(0, dtype=np.uint8)]
-    lengths = [np.zeros(0, dtype=np.int64)]
+def _sorted_runs(batches: Iterable[tuple], payload: bytes, size: int
+                 ) -> Iterator[tuple[bytes, np.ndarray]]:
+    """``(tids, elements, offsets)`` batches in tid order, each encoded as
+    one run of :meth:`BTree.bulk_create_runs`."""
     batches = iter(batches)
     while batch := next(batches, None):
-        data, batch_bounds = encode_tuple_arrays(*batch, payload)
-        records.append(data)
-        lengths.append(np.diff(batch_bounds))
-    bounds = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-    return np.concatenate(records), bounds
-
-
-def _sorted_runs(
-    tids: np.ndarray, order: np.ndarray, records: np.ndarray,
-    bounds: np.ndarray, size: int,
-) -> Iterator[tuple[bytes, np.ndarray]]:
-    """The records of :func:`_encoded_batches` in ``order`` (``tids`` already
-    in it), :data:`BATCH_TUPLES` at a time, as runs of
-    :meth:`BTree.bulk_create_runs`."""
-    first = 0
-    while first < order.size:
-        rows = order[first : first + BATCH_TUPLES]
-        starts, lengths = bounds[rows], bounds[rows + 1] - bounds[rows]
-        ends = np.cumsum(lengths)
-        gather = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-        yield _chunked_run(
-            tids[first : first + BATCH_TUPLES], records[gather],
-            np.concatenate(([0], ends)), size,
-        )
-        first += BATCH_TUPLES
+        yield _chunked_run(batch[0].astype(np.uint64),
+                           *encode_tuple_arrays(*batch, payload), size)
 
 
 def _chunked_run(
@@ -213,25 +184,21 @@ class RelationStore:
         """Create and load a :class:`~repro.core.sets.Relation` (or the
         ``(tid, elements)`` pairs its constructor takes and checks, in any
         tid order), each tuple with a zero payload of ``payload_size``
-        bytes: its batches are encoded into one buffer, one stable argsort
-        puts the records in tid order, and :meth:`BTree.bulk_create_runs`
-        writes each page once, full (nothing is ever inserted into a stored
+        bytes: the relation's scan batches, which come in tid order, are
+        encoded one at a time and :meth:`BTree.bulk_create_runs` writes
+        each page once, full (nothing is ever inserted into a stored
         relation) unless ``fill_fraction`` (the testbed's 0.9) says less."""
         from ..core.sets import Relation  # the core package imports this one
 
         size = _chunk_size(pool)
         relation = rows if isinstance(rows, Relation) else Relation(rows, name)
-        records, bounds = _encoded_batches(
-            relation.scan_batches(), bytes(payload_size))
-        tids = relation.arrays[0].astype(np.uint64)
-        order = np.argsort(tids, kind="stable")
         store = cls.__new__(cls)
         store.name = name
         store._tree = BTree.bulk_create_runs(
-            pool, _sorted_runs(tids[order], order, records, bounds, size),
+            pool, _sorted_runs(relation.scan_batches(), bytes(payload_size), size),
             fill_fraction,
         )
-        store._count = int(tids.size)
+        store._count = len(relation)
         return store
 
     @property

@@ -1,7 +1,7 @@
 """The shard's in-memory R portion against the stored relation it replaced.
 
-A shard joins the shipped ``(tids, elements, offsets)`` slices as an
-:class:`~repro.dist.shard.ArrayRelation` instead of loading them into a
+A shard joins the shipped ``(tids, elements, offsets)`` slices as a
+:class:`~repro.core.sets.Relation` instead of loading them into a
 temporary B-tree.  It must answer every read the operator makes exactly
 as a :class:`~repro.storage.relation_store.RelationStore` of the same rows
 does — scans and batch fetches, on the inputs that break array paths —
@@ -13,10 +13,10 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.sets import Relation
 from repro.data.workloads import uniform_workload
 from repro.database import SetJoinDatabase
 from repro.dist import ShardedDatabase
-from repro.dist.shard import ArrayRelation
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import InMemoryDiskManager
 from repro.storage.relation_store import BATCH_TUPLES, RelationStore
@@ -69,7 +69,7 @@ def _listed(batches):
 def twins(request):
     pool = BufferPool(InMemoryDiskManager(4096), capacity=64)
     store = RelationStore.create(pool, _rows(request.param), name="r")
-    portion = ArrayRelation(_slices(store, random.Random(5)), name="r")
+    portion = Relation._of_batches(_slices(store, random.Random(5)), name="r")
     return store, portion
 
 
@@ -99,7 +99,7 @@ def test_fetches_answer_as_the_store_does(twins, tids):
 
 
 def test_an_empty_portion_is_an_empty_relation():
-    portion = ArrayRelation([], name="empty")
+    portion = Relation._of_batches([], name="empty")
     assert len(portion) == 0
     assert list(portion.scan_batches()) == []
     assert list(portion.fetch_batches([0, LAST_TID])) == []

@@ -319,7 +319,7 @@ def test_batch_fetch_stays_off_the_one_tuple_api():
 #: The load path: ``create``, the batch encoder and run producer it calls
 #: and the B-tree's entry layout may not loop at all; the leaf
 #: packer may loop over its runs, never over items or entries.
-LOAD_FUNCTIONS = ("create", "_encoded_batches", "_sorted_runs")
+LOAD_FUNCTIONS = ("create", "_sorted_runs")
 ENTRY_LAYOUT = "leaf_entry_run"
 PACKER = "_pack_leaves"
 #: ``_row_batches``, ``create_batches`` and ``tuple_arrays`` turned rows
@@ -812,7 +812,34 @@ def test_distributed_join_is_columnar():
         "the distributed join makes an object or a call per row again, or "
         "stores the R portion (scan_batches, route with assign_r_batch/"
         "assign_s_batch, ship (tids, elements, offsets) arrays and join "
-        "them as an ArrayRelation):\n" + "\n".join(bad)
+        "them as a Relation in tid order):\n" + "\n".join(bad)
+    )
+
+
+#: The joins of held relations, and the calls that would store them: the
+#: loading join, a testbed load, a relation store's create.
+HELD_JOINS = ("core/api.py", "obs/explain.py")
+STORING_CALLS = ("run_disk_join", "load", "create")
+
+
+def test_held_joins_store_nothing():
+    bad = [
+        f"src/repro/{module}:{node.lineno}: calls {name}()"
+        for module in HELD_JOINS
+        for node in _calls(ast.parse((LIBRARY_ROOT / module).read_text()),
+                           lambda func: True)
+        for name in (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))
+        if name in STORING_CALLS
+    ]
+    bad += [f"{path.relative_to(REPO_ROOT)}: names ArrayRelation"
+            for path, __ in _walk_library()
+            if "ArrayRelation" in path.read_text()]
+    assert not bad, (
+        "an in-memory join stores its relations again, or a second "
+        "in-memory relation type is back (hand the held Relations to "
+        "SetContainmentJoin through the testbed; a shard portion is a "
+        "Relation):\n" + "\n".join(bad)
     )
 
 

@@ -379,3 +379,143 @@ class TestOptionValidation:
                 pairs, __ = db.join("R", "S", "PSJ", 4, workers=2,
                                     backend="thread", execution=execution)
                 assert pairs == expected
+
+
+#: Partition counts no join runs at.  ``None`` is the default, 32.
+PARTITION_COUNT_INVALID = [
+    pytest.param(0, id="k=0"),
+    pytest.param(-3, id="k=-3"),
+    pytest.param(True, id="k=True"),
+    pytest.param(2.5, id="k=2.5"),
+    pytest.param("8", id="k='8'"),
+]
+
+
+class TestPartitionCount:
+    """``num_partitions`` is ``None`` or a positive integer, whichever the
+    algorithm: every other value raises :class:`ConfigurationError` from
+    the one resolver, before a join runs — never a silent 32 or a raw
+    ``TypeError``."""
+
+    @pytest.fixture()
+    def relations(self):
+        from repro.data.workloads import uniform_workload
+
+        return uniform_workload(
+            20, 30, 2, 6, domain_size=50, seed=1
+        ).materialize()
+
+    @pytest.mark.parametrize("algorithm", ["auto", "DCJ", "PSJ", "LSJ"])
+    @pytest.mark.parametrize("k", PARTITION_COUNT_INVALID)
+    def test_containment_join(self, relations, algorithm, k):
+        from repro.core.api import containment_join
+
+        with pytest.raises(ConfigurationError, match="num_partitions"):
+            containment_join(*relations, algorithm, k)
+
+    @pytest.mark.parametrize("k", PARTITION_COUNT_INVALID)
+    def test_database_join(self, relations, k):
+        from repro.database import SetJoinDatabase
+
+        with SetJoinDatabase.open(None) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            pages = db.disk.num_pages
+            with pytest.raises(ConfigurationError, match="num_partitions"):
+                db.join("R", "S", "DCJ", k)
+            assert db.disk.num_pages == pages
+
+    @pytest.mark.parametrize("k", PARTITION_COUNT_INVALID)
+    def test_sharded_join(self, relations, monkeypatch, k):
+        from repro.dist import ShardedDatabase
+
+        with ShardedDatabase.open(None, shards=2) as db:
+            db.create_relation("R", relations[0])
+            db.create_relation("S", relations[1])
+            monkeypatch.setattr(db, "_place", _refuse)
+            with pytest.raises(ConfigurationError, match="num_partitions"):
+                db.join("R", "S", "DCJ", k)
+
+    def test_cli_refuses_k_0(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "r.txt").write_text("1 5\n10 13\n")
+        (tmp_path / "s.txt").write_text("1 5 7\n8 10 13\n")
+        assert main(["join", str(tmp_path / "r.txt"), str(tmp_path / "s.txt"),
+                     "--algorithm", "dcj", "-k", "0"]) == 1
+        assert "num_partitions" in capsys.readouterr().err
+
+    def test_default_and_integral_counts_run(self, relations):
+        import numpy as np
+
+        from repro.core.api import containment_join
+
+        expected = containment_pairs_nested_loop(*relations)
+        for k, ran in ((None, 32), (np.int64(8), 8), (1, 1)):
+            pairs, metrics = containment_join(*relations, "DCJ", k)
+            assert pairs == expected
+            assert metrics.num_partitions == ran
+
+
+#: Options no join runs with, as the one-relation API entry points take
+#: them.
+API_INVALID = [
+    pytest.param({"signature_bits": -5}, "signature_bits",
+                 id="signature_bits=-5"),
+    pytest.param({"workers": 0}, "workers", id="workers=0"),
+    pytest.param({"backend": "gpu"}, "parallel_backend", id="backend=gpu"),
+    pytest.param({"num_partitions": -3}, "num_partitions",
+                 id="num_partitions=-3"),
+    pytest.param({"algorithm": "NLJ"}, "algorithm", id="algorithm=NLJ"),
+]
+
+
+class TestEmptyInputs:
+    """An empty side answers nothing, but only after every option is
+    checked: the same call refuses the same option with or without rows."""
+
+    @pytest.fixture()
+    def relations(self):
+        from repro.core.sets import Relation
+
+        return Relation.from_sets([{1, 2}, {3}]), Relation(name="empty")
+
+    @pytest.mark.parametrize("options, named", API_INVALID)
+    @pytest.mark.parametrize("join", ["containment", "superset"])
+    def test_two_relation_joins(self, relations, join, options, named):
+        from repro.core import api
+
+        rows, empty = relations
+        call = getattr(api, f"{join}_join")
+        for lhs, rhs in ((rows, empty), (empty, rows), (empty, empty),
+                         (rows, rows)):
+            with pytest.raises(ConfigurationError, match=named):
+                call(lhs, rhs, **options)
+
+    @pytest.mark.parametrize("options, named", API_INVALID)
+    def test_self_join(self, relations, options, named):
+        from repro.core.api import self_containment_join
+
+        for relation in relations:
+            with pytest.raises(ConfigurationError, match=named):
+                self_containment_join(relation, **options)
+
+    @pytest.mark.parametrize("options, named", API_INVALID)
+    def test_analyze(self, relations, options, named):
+        from repro.core.api import analyze_containment_join
+
+        rows, empty = relations
+        with pytest.raises(ConfigurationError, match=named):
+            analyze_containment_join(rows, empty, **options)
+
+    def test_valid_options_answer_nothing(self, relations):
+        from repro.core.api import (
+            containment_join,
+            self_containment_join,
+            superset_join,
+        )
+
+        rows, empty = relations
+        assert containment_join(rows, empty, "DCJ", 4)[0] == set()
+        assert superset_join(empty, rows, signature_bits=8)[0] == set()
+        assert self_containment_join(empty, workers=2, backend="thread")[0] == set()

@@ -387,6 +387,19 @@ class TestHTTPFrontEnd:
         assert body["error"] == "ConfigurationError"
         assert body["detail"].startswith("deadline")
 
+    @pytest.mark.parametrize("algorithm", ["DCJ", "auto"])
+    @pytest.mark.parametrize("k", [0, -3, True, 2.5, "8"])
+    def test_unusable_partition_count_is_400(self, served, algorithm, k):
+        __, server = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server.url + "/join", {"r": "r", "s": "s",
+                                             "algorithm": algorithm,
+                                             "num_partitions": k})
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"] == "ConfigurationError"
+        assert body["detail"].startswith("num_partitions")
+
     def test_unknown_relation_is_400(self, served):
         __, server = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
